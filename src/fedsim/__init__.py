@@ -26,6 +26,7 @@ from .recovery import (
     LbfgsSingularError,
     RecoveryParams,
     RecoveryResult,
+    compact_system,
     compute_threshold,
     estimate_update,
     exact_integrated_hvp_quadratic,

@@ -5,7 +5,10 @@ estimating their per-round updates from stored history: the estimate is
 the stored update plus an approximate integrated-Hessian-vector product
 along the gap between the recovered and original global models. The
 Hessian-vector product comes from a compact direct L-BFGS form fed by
-buffers of global-model and update differences. Exact client updates are
+buffers of global-model and update differences. Each client's compact
+system changes only when its buffers do (an exact round, or a fix of that
+client), so it is built once per buffer change and cached in
+`LbfgsBuffers`; estimated rounds only solve it. Exact client updates are
 requested only for warm-up, periodic correction, abnormality fixing, and
 final tuning, which is where the client-side savings come from.
 
@@ -19,6 +22,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -41,36 +45,64 @@ class LbfgsSingularError(ValueError):
     """The buffered system cannot produce a Hessian-vector product."""
 
 
-def lbfgs_hvp(dw_list, dg_list, v) -> np.ndarray:
-    """Approximate Hessian-vector product from difference buffers.
+class CompactSystem(NamedTuple):
+    """The compact L-BFGS system of one client's buffers.
+
+    W and G hold the global-model and update differences as (d, s)
+    columns, oldest to newest. K is the 2s x 2s block matrix; it is None
+    when the most recent global difference is zero, which `lbfgs_hvp`
+    reports as singular.
+    """
+
+    W: np.ndarray
+    G: np.ndarray
+    sigma: float
+    K: np.ndarray | None
+
+
+def compact_system(dw_list, dg_list) -> CompactSystem:
+    """Validate the difference buffers and build their compact system.
 
     Buffers are ordered oldest to newest. With A = dW^T dG, D = diag(A),
     L = strictly-lower-triangular(A), and sigma set by the most recent
-    pair, solves the 2s x 2s system
+    pair, the system matrix is
 
-        [[-D, L^T], [L, sigma dW^T dW]] p = [dG^T v; sigma dW^T v]
+        K = [[-D, L^T], [L, sigma dW^T dW]]
 
-    and returns sigma v - [dG | sigma dW] p. Raises LbfgsSingularError
-    when the most recent global difference is zero or the block system is
-    singular, in which case the caller falls back to an exact update.
+    This is the part of the Hessian-vector product that depends on the
+    buffers only, so it is built once and reused until a buffer changes.
     """
     if len(dw_list) == 0 or len(dw_list) != len(dg_list):
         raise ValueError("need equally many (>=1) global and update differences")
-    v = as_vector(v, name="v")
     W = np.column_stack([as_vector(u, name="dW entry") for u in dw_list])
     G = np.column_stack([as_vector(u, name="dG entry") for u in dg_list])
-    if W.shape[0] != v.size or G.shape[0] != v.size:
-        raise ValueError("buffer dimension does not match v")
-    s = W.shape[1]
+    if W.shape[0] != G.shape[0]:
+        raise ValueError("global and update differences differ in dimension")
     sw = W[:, -1]
     denom = float(sw @ sw)
     if denom == 0.0:
-        raise LbfgsSingularError("most recent global-model difference is zero")
+        return CompactSystem(W, G, math.nan, None)
     sigma = float(G[:, -1] @ sw) / denom
     A = W.T @ G
     D = np.diag(np.diag(A))
     Lo = np.tril(A, k=-1)
     K = np.block([[-D, Lo.T], [Lo, sigma * (W.T @ W)]])
+    return CompactSystem(W, G, sigma, K)
+
+
+def lbfgs_hvp(system: CompactSystem, v: np.ndarray) -> np.ndarray:
+    """Approximate Hessian-vector product from a compact system.
+
+    Solves K p = [dG^T v; sigma dW^T v] and returns
+    sigma v - [dG | sigma dW] p. `v` must be a finite float64 vector of
+    the buffers' dimension. Raises LbfgsSingularError when the most recent
+    global difference is zero or the block system is singular, in which
+    case the caller falls back to an exact update.
+    """
+    W, G, sigma, K = system
+    if K is None:
+        raise LbfgsSingularError("most recent global-model difference is zero")
+    s = W.shape[1]
     rhs = np.concatenate([G.T @ v, sigma * (W.T @ v)])
     try:
         p = np.linalg.solve(K, rhs)
@@ -114,6 +146,10 @@ def compute_threshold(history: HistoryStore, remaining_clients, alpha: float) ->
     alpha fraction of the pool is strictly greater than v; the threshold
     is the max over rounds. Ties resolve toward the larger value, i.e.
     fewer exact-update requests.
+
+    With N pooled values and k = floor(alpha N), that value is the
+    ascending pool's element at index max(N - 1 - k, 0), found by
+    selection rather than a full sort.
     """
     if not (0.0 < alpha <= 1.0):
         raise ValueError("tolerance rate alpha must lie in (0, 1]")
@@ -123,13 +159,8 @@ def compute_threshold(history: HistoryStore, remaining_clients, alpha: float) ->
     tau = -math.inf
     for record in history.records:
         pool = np.concatenate([record.updates[c] for c in remaining])
-        n = pool.size
-        asc = np.sort(pool)
-        limit = alpha * n
-        uniq = np.unique(asc)
-        greater = n - np.searchsorted(asc, uniq, side="right")
-        tau_t = float(uniq[greater <= limit][0])
-        tau = max(tau, tau_t)
+        m = max(pool.size - 1 - math.floor(alpha * pool.size), 0)
+        tau = max(tau, float(np.partition(pool, m)[m]))
     return tau
 
 
@@ -140,6 +171,11 @@ class LbfgsBuffers:
     The global window only advances after rounds in which every remaining
     client computed an exact update; a client's own window additionally
     advances after a single-client abnormality fix.
+
+    Each client's compact system is built on its first `hvp` after a
+    change to its windows and reused until the next one: `push_global`
+    drops every client's system, `push_client` only that client's. Between
+    exact rounds, `hvp` therefore does only the per-vector solve.
     """
 
     def __init__(self, capacity: int, client_ids):
@@ -148,15 +184,22 @@ class LbfgsBuffers:
         self.capacity = capacity
         self.global_diffs: deque = deque(maxlen=capacity)
         self.update_diffs = {c: deque(maxlen=capacity) for c in client_ids}
+        self._systems: dict = {}
 
     def push_global(self, dw: np.ndarray) -> None:
         self.global_diffs.append(dw)
+        self._systems.clear()
 
     def push_client(self, client_id, dg: np.ndarray) -> None:
         self.update_diffs[client_id].append(dg)
+        self._systems.pop(client_id, None)
 
     def hvp(self, client_id, v: np.ndarray) -> np.ndarray:
-        return lbfgs_hvp(list(self.global_diffs), list(self.update_diffs[client_id]), v)
+        system = self._systems.get(client_id)
+        if system is None:
+            system = compact_system(self.global_diffs, self.update_diffs[client_id])
+            self._systems[client_id] = system
+        return lbfgs_hvp(system, v)
 
 
 @dataclass(frozen=True)
@@ -247,10 +290,11 @@ def fedrecover(
     missing from `detected`) keep attacking whenever they are asked for an
     exact update; an adaptive backdoor attacker re-scales by m / m'. Exact
     updates are requested in warm-up, periodic correction, final tuning,
-    whenever an estimate exceeds the abnormality threshold, and whenever
-    the buffered system is singular. The difference buffers refresh from
-    full-cohort exact rounds (global and per-client) and additionally from
-    single-client fixes (per-client only).
+    whenever an estimate exceeds the abnormality threshold, whenever the
+    buffered system is singular, and whenever the estimate overflows. The
+    difference buffers refresh from full-cohort exact rounds (global and
+    per-client) and additionally from single-client fixes (per-client
+    only).
     """
     total = history.total_rounds
     if len(history.records) != total:
@@ -338,7 +382,8 @@ def fedrecover(
                 except LbfgsSingularError:
                     fix.append(c)
                     continue
-                if linf_norm(est) > tau:
+                # g + Hv can overflow even when both terms are finite
+                if not np.all(np.isfinite(est)) or linf_norm(est) > tau:
                     fix.append(c)
                 else:
                     chosen[c] = est

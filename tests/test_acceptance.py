@@ -32,6 +32,7 @@ from fedsim.numcore import (
 )
 from fedsim.recovery import (
     RecoveryParams,
+    compact_system,
     fedrecover,
     historical_only,
     lbfgs_hvp,
@@ -177,7 +178,7 @@ def test_criterion_3_cost_formula_and_acp():
 
 def test_criterion_4_hvp_kernel():
     with criterion(4, "buffered HVP: hand value exact, secant residual <= 1e-8"):
-        out = lbfgs_hvp([np.array([2.0])], [np.array([6.0])], np.array([1.0]))
+        out = lbfgs_hvp(compact_system([np.array([2.0])], [np.array([6.0])]), np.array([1.0]))
         assert abs(float(out[0]) - 3.0) <= 1e-12
         rng = RngStream(404)
         for trial in range(100):
@@ -188,7 +189,7 @@ def test_criterion_4_hvp_kernel():
             h = q @ np.diag(0.5 + 4.5 * rng.uniforms(d)) @ q.T
             dw = [rng.normals(d) for _ in range(s)]
             dg = [h @ w for w in dw]
-            resid = lbfgs_hvp(dw, dg, dw[-1]) - dg[-1]
+            resid = lbfgs_hvp(compact_system(dw, dg), dw[-1]) - dg[-1]
             assert np.max(np.abs(resid)) <= 1e-8 * (1.0 + np.max(np.abs(dg[-1])))
 
 

@@ -2,12 +2,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from fedsim import recovery
 from fedsim.flengine import HistoryStore, RoundRecord
-from fedsim.numcore import RngStream
+from fedsim.numcore import RngStream, as_vector
 from fedsim.recovery import (
+    LbfgsBuffers,
     LbfgsSingularError,
     RecoveryParams,
+    compact_system,
     compute_threshold,
     estimate_update,
     exact_integrated_hvp_quadratic,
@@ -41,16 +46,104 @@ def bfgs_recursion_oracle(dw_list, dg_list, v):
     return B @ v
 
 
+# The kernel as first written, building the compact system on every call.
+# The split compact_system + lbfgs_hvp path must match it bit for bit.
+def _seed_lbfgs_hvp(dw_list, dg_list, v) -> np.ndarray:
+    """Approximate Hessian-vector product from difference buffers.
+
+    Buffers are ordered oldest to newest. With A = dW^T dG, D = diag(A),
+    L = strictly-lower-triangular(A), and sigma set by the most recent
+    pair, solves the 2s x 2s system
+
+        [[-D, L^T], [L, sigma dW^T dW]] p = [dG^T v; sigma dW^T v]
+
+    and returns sigma v - [dG | sigma dW] p. Raises LbfgsSingularError
+    when the most recent global difference is zero or the block system is
+    singular, in which case the caller falls back to an exact update.
+    """
+    if len(dw_list) == 0 or len(dw_list) != len(dg_list):
+        raise ValueError("need equally many (>=1) global and update differences")
+    v = as_vector(v, name="v")
+    W = np.column_stack([as_vector(u, name="dW entry") for u in dw_list])
+    G = np.column_stack([as_vector(u, name="dG entry") for u in dg_list])
+    if W.shape[0] != v.size or G.shape[0] != v.size:
+        raise ValueError("buffer dimension does not match v")
+    s = W.shape[1]
+    sw = W[:, -1]
+    denom = float(sw @ sw)
+    if denom == 0.0:
+        raise LbfgsSingularError("most recent global-model difference is zero")
+    sigma = float(G[:, -1] @ sw) / denom
+    A = W.T @ G
+    D = np.diag(np.diag(A))
+    Lo = np.tril(A, k=-1)
+    K = np.block([[-D, Lo.T], [Lo, sigma * (W.T @ W)]])
+    rhs = np.concatenate([G.T @ v, sigma * (W.T @ v)])
+    try:
+        p = np.linalg.solve(K, rhs)
+    except np.linalg.LinAlgError as exc:
+        raise LbfgsSingularError(f"singular buffer system: {exc}") from exc
+    if not np.all(np.isfinite(p)):
+        raise LbfgsSingularError("non-finite solution for buffer system")
+    out = sigma * v - (G @ p[:s] + sigma * (W @ p[s:]))
+    if not np.all(np.isfinite(out)):
+        raise LbfgsSingularError("non-finite Hessian-vector product")
+    return out
+
+
+def _outcome(fn, *args):
+    """The result of fn(*args), or the type of the exception it raised."""
+    try:
+        return fn(*args)
+    except Exception as exc:  # the comparison is by exception type
+        return type(exc)
+
+
+def _assert_same_outcome(got, want):
+    if isinstance(want, type):
+        assert got is want
+    else:
+        assert isinstance(got, np.ndarray) and np.array_equal(got, want)
+
+
+@st.composite
+def hvp_inputs(draw):
+    """Buffers of s in {1, 2, 3} pairs plus a vector. Small-integer entries
+    make exactly singular blocks likely; `shape` forces a zero most recent
+    global difference or rank-deficient (collinear) windows."""
+    s = draw(st.integers(1, 3))
+    d = draw(st.integers(1, 6))
+    element = draw(
+        st.sampled_from(
+            [
+                st.integers(-2, 2).map(float),
+                st.floats(-100.0, 100.0, allow_nan=False, allow_infinity=False),
+            ]
+        )
+    )
+    vec = st.lists(element, min_size=d, max_size=d).map(lambda xs: np.array(xs, dtype=float))
+    dw = [draw(vec) for _ in range(s)]
+    dg = [draw(vec) for _ in range(s)]
+    shape = draw(st.sampled_from(["free", "zero_last_dw", "collinear_dw", "collinear_dg"]))
+    if shape == "zero_last_dw":
+        dw[-1] = np.zeros(d)
+    elif shape == "collinear_dw":
+        dw = [draw(element) * dw[0] for _ in range(s)]
+    elif shape == "collinear_dg":
+        dg = [draw(element) * dg[0] for _ in range(s)]
+    return dw, dg, draw(vec)
+
+
 class TestLbfgsHvp:
     def test_one_dimensional_hand_value(self):
-        out = lbfgs_hvp([np.array([2.0])], [np.array([6.0])], np.array([1.0]))
+        out = lbfgs_hvp(compact_system([np.array([2.0])], [np.array([6.0])]), np.array([1.0]))
         assert abs(out[0] - 3.0) <= 1e-12
 
     def test_zero_vector_maps_to_zero(self):
         rng = RngStream(1)
         dw = [rng.normals(4) for _ in range(2)]
         dg = [rng.normals(4) for _ in range(2)]
-        np.testing.assert_array_equal(lbfgs_hvp(dw, dg, np.zeros(4)), np.zeros(4))
+        np.testing.assert_array_equal(lbfgs_hvp(compact_system(dw, dg), np.zeros(4)), np.zeros(4))
 
     def test_secant_on_spd_quadratics(self):
         rng = RngStream(2)
@@ -60,7 +153,7 @@ class TestLbfgsHvp:
             h = random_spd(rng, d)
             dw = [rng.normals(d) for _ in range(s)]
             dg = [h @ w for w in dw]
-            out = lbfgs_hvp(dw, dg, dw[-1])
+            out = lbfgs_hvp(compact_system(dw, dg), dw[-1])
             err = np.max(np.abs(out - dg[-1]))
             assert err <= 1e-8 * (1.0 + np.max(np.abs(dg[-1])))
 
@@ -74,7 +167,10 @@ class TestLbfgsHvp:
             dg = [h @ w + 0.05 * rng.normals(d) for w in dw]
             v = rng.normals(d)
             np.testing.assert_allclose(
-                lbfgs_hvp(dw, dg, v), bfgs_recursion_oracle(dw, dg, v), rtol=1e-9, atol=1e-10
+                lbfgs_hvp(compact_system(dw, dg), v),
+                bfgs_recursion_oracle(dw, dg, v),
+                rtol=1e-9,
+                atol=1e-10,
             )
 
     def test_linearity_in_v(self):
@@ -83,25 +179,78 @@ class TestLbfgsHvp:
         dw = [rng.normals(6) for _ in range(2)]
         dg = [h @ w for w in dw]
         v1, v2 = rng.normals(6), rng.normals(6)
-        lhs = lbfgs_hvp(dw, dg, 2.0 * v1 - 0.5 * v2)
-        rhs = 2.0 * lbfgs_hvp(dw, dg, v1) - 0.5 * lbfgs_hvp(dw, dg, v2)
+        system = compact_system(dw, dg)
+        lhs = lbfgs_hvp(system, 2.0 * v1 - 0.5 * v2)
+        rhs = 2.0 * lbfgs_hvp(system, v1) - 0.5 * lbfgs_hvp(system, v2)
         scale = np.max(np.abs(rhs)) + 1.0
         assert np.max(np.abs(lhs - rhs)) / scale < 1e-10
 
     def test_zero_last_pair_raises(self):
         with pytest.raises(LbfgsSingularError):
-            lbfgs_hvp([np.zeros(3)], [np.ones(3)], np.ones(3))
+            lbfgs_hvp(compact_system([np.zeros(3)], [np.ones(3)]), np.ones(3))
 
     def test_singular_block_raises(self):
         # orthogonal pair makes the diagonal block zero
         dw = [np.array([1.0, 0.0])]
         dg = [np.array([0.0, 1.0])]
         with pytest.raises(LbfgsSingularError):
-            lbfgs_hvp(dw, dg, np.ones(2))
+            lbfgs_hvp(compact_system(dw, dg), np.ones(2))
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
-            lbfgs_hvp([np.ones(2)], [], np.ones(2))
+            lbfgs_hvp(compact_system([np.ones(2)], []), np.ones(2))
+
+    @settings(max_examples=400, deadline=None)
+    @given(hvp_inputs())
+    def test_bit_identical_to_seed_kernel(self, inputs):
+        dw, dg, v = inputs
+        want = _outcome(_seed_lbfgs_hvp, dw, dg, v)
+        got = _outcome(lambda: lbfgs_hvp(compact_system(dw, dg), v))
+        _assert_same_outcome(got, want)
+
+
+class TestLbfgsBuffersCache:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        capacity=st.integers(1, 3),
+        seed=st.integers(0, 2**32 - 1),
+        ops=st.lists(
+            st.one_of(
+                st.just(("global", False)),
+                st.just(("global", True)),
+                st.tuples(st.just("client"), st.integers(0, 2)),
+            ),
+            max_size=12,
+        ),
+    )
+    def test_cached_systems_follow_the_windows(self, capacity, seed, ops):
+        """After every push, each client's cached HVP equals one built
+        fresh from its current windows. Single-client fixes leave that
+        client's window ahead of the global one; a zero global difference
+        makes the cached system singular until it leaves the window."""
+        rng = RngStream(seed)
+        d, clients = 5, [0, 1, 2]
+        buffers = LbfgsBuffers(capacity, clients)
+        for _ in range(capacity):
+            buffers.push_global(rng.normals(d))
+            for c in clients:
+                buffers.push_client(c, rng.normals(d))
+        v = rng.normals(d)
+
+        def check():
+            for c in clients:
+                fresh = compact_system(list(buffers.global_diffs), list(buffers.update_diffs[c]))
+                want = _outcome(lbfgs_hvp, fresh, v)
+                _assert_same_outcome(_outcome(buffers.hvp, c, v), want)
+                _assert_same_outcome(_outcome(buffers.hvp, c, v), want)  # served from cache
+
+        check()
+        for kind, arg in ops:
+            if kind == "global":
+                buffers.push_global(np.zeros(d) if arg else rng.normals(d))
+            else:
+                buffers.push_client(arg, rng.normals(d))
+            check()
 
 
 class TestEstimateUpdate:
@@ -146,7 +295,7 @@ class TestExactQuadraticHvp:
         for _ in range(5):
             v = rng.normals(d)
             exact = exact_integrated_hvp_quadratic(h, v)
-            approx = lbfgs_hvp(conj, dg, v)
+            approx = lbfgs_hvp(compact_system(conj, dg), v)
             assert np.max(np.abs(approx - exact)) <= 1e-6 * (1.0 + np.max(np.abs(exact)))
 
 
@@ -170,6 +319,16 @@ def threshold_predicate_oracle(pool, alpha):
             best = v
             break
     return best
+
+
+def _seed_round_threshold(pool, alpha):
+    """The per-round threshold as first written: sort, unique, searchsorted."""
+    n = pool.size
+    asc = np.sort(pool)
+    limit = alpha * n
+    uniq = np.unique(asc)
+    greater = n - np.searchsorted(asc, uniq, side="right")
+    return float(uniq[greater <= limit][0])
 
 
 class TestComputeThreshold:
@@ -198,6 +357,31 @@ class TestComputeThreshold:
     def test_bad_alpha(self):
         with pytest.raises(ValueError):
             compute_threshold(FakeHistory([[1.0]]), [0], 0.0)
+
+    # == treats -0.0 and 0.0 as equal: among tied zeros, sort and
+    # selection may return either sign, and tau is only ever compared.
+    @settings(max_examples=400, deadline=None)
+    @given(
+        pools=st.lists(
+            st.lists(
+                st.one_of(
+                    st.integers(-3, 3).map(float),
+                    st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False),
+                ),
+                min_size=1,
+                max_size=40,
+            ),
+            min_size=1,
+            max_size=3,
+        ),
+        alpha=st.one_of(
+            st.floats(-6.0, 0.0).map(lambda e: 10.0**e),
+            st.sampled_from([1e-6, 0.1, 0.2, 0.25, 1 / 3, 0.5, 1.0]),
+        ),
+    )
+    def test_selection_matches_seed_formula(self, pools, alpha):
+        want = max(_seed_round_threshold(np.array(p), alpha) for p in pools)
+        assert compute_threshold(FakeHistory(pools), [0], alpha) == want
 
 
 class TestPredictedCost:
@@ -305,6 +489,51 @@ class TestFedrecover:
         estimated_rounds = sc["rounds"] - predicted_cost(sc["rounds"], 6, 5, 3)
         assert len(result.estimate_errors) == estimated_rounds * n_remaining
         assert result.measured_m is not None and result.measured_m >= 0.0
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_nonfinite_estimate_falls_back_to_exact(
+        self, ridge_trim_scenario, tmp_path, monkeypatch
+    ):
+        """g + Hv overflowing to inf is an abnormality, not a crash, and it
+        is never counted as an accepted estimate."""
+        sc = ridge_trim_scenario
+        store = sc["store"]
+        params = recovery_params()
+        remaining = sorted(set(sc["setup"].client_ids) - sc["malicious"])
+        # round 6 is the first estimated round; its first estimate is for remaining[0]
+        t0, c0 = params.warmup_rounds, remaining[0]
+        history = HistoryStore(
+            tmp_path / "unused.bin", store.d, store.n, store.total_rounds, bytes(32)
+        )
+        history.records = list(store.records)
+        rec = store.records[t0]
+        history.records[t0] = RoundRecord(
+            t0, rec.global_model, {**rec.updates, c0: np.full(store.d, 1.7e308)}
+        )
+        real_hvp, real_linf = recovery.lbfgs_hvp, recovery.linf_norm
+        hvp_calls, accepted = [], []
+
+        def kernel(*args):
+            hvp_calls.append(None)
+            if len(hvp_calls) == 1:
+                return np.full_like(args[-1], 1.7e308)
+            return real_hvp(*args)
+
+        def linf(v):
+            out = real_linf(v)
+            accepted.append(out <= params.tau)
+            return out
+
+        monkeypatch.setattr(recovery, "lbfgs_hvp", kernel)
+        monkeypatch.setattr(recovery, "linf_norm", linf)
+        result = fedrecover(history, sc["malicious"], sc["setup"], params)
+        assert result.abnormality_count >= 1
+        assert len(hvp_calls) == sum(accepted) + result.abnormality_count
+        expected = predicted_cost(sc["rounds"], 6, 5, 3)
+        assert sum(result.exact_rounds_per_client.values()) == (
+            expected * len(remaining) + result.abnormality_count
+        )
+        assert np.all(np.isfinite(result.recovered_model))
 
     def test_requires_full_history(self, ridge_trim_scenario, tmp_path):
         sc = ridge_trim_scenario
