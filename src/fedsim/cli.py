@@ -129,10 +129,19 @@ def cmd_train(cfg_path: str) -> int:
             f.write(config_mod.serialize_config(cfg))
         train_set, test_set = config_mod.build_datasets(cfg)
         setup = config_mod.build_setup(cfg, train_set)
-        store, final_model = train(
-            setup, cfg.rounds, os.path.join(run_dir, HISTORY_FILE), chash
-        )
-        save_model(os.path.join(run_dir, MODEL_FILE), final_model)
+        # Both files appear under their names only once the last round is
+        # done, so a failed or killed train never leaves a partial run.
+        outputs = [os.path.join(run_dir, name) for name in (HISTORY_FILE, MODEL_FILE)]
+        temps = [path + ".tmp" for path in outputs]
+        try:
+            store, final_model = train(setup, cfg.rounds, temps[0], chash)
+            save_model(temps[1], final_model)
+            for temp, path in zip(temps, outputs):
+                os.replace(temp, path)
+        finally:
+            for temp in temps:
+                if os.path.exists(temp):
+                    os.unlink(temp)
 
         def trace_lookup(t):
             return final_model if t >= cfg.rounds else store.records[t].global_model
@@ -194,9 +203,13 @@ def cmd_recover(cfg_path: str, method: str) -> int:
         detected = _detection(cfg, setup)
         remaining = sorted(set(setup.client_ids) - set(detected))
 
+        # scratch and finetune use no records: they read only the header.
         history = None
         if os.path.exists(history_path):
-            history = HistoryStore.load(history_path)
+            if method in ("historical", "fedrecover"):
+                history = HistoryStore.load(history_path)
+            else:
+                history = HistoryStore.load_header(history_path)
             history.check_meta(cfg.model.param_dim, cfg.n_clients, cfg.rounds, chash)
 
         abnormality_count = 0

@@ -28,17 +28,23 @@ class BatchSampler:
         self.n = n_examples
         self.batch_size = min(batch_size, n_examples)
         self.per_epoch = -(-n_examples // self.batch_size)  # ceil
-
-    def _epoch_perm(self, epoch: int) -> np.ndarray:
-        rng = RngStream(derive_seed(self.global_seed, STREAM_BATCH, self.client_id, epoch))
-        return rng.permutation(self.n)
+        self._epoch = -1
+        self._perm = None
 
     def batch(self, step: int) -> np.ndarray:
-        """Index array for global batch number `step`."""
+        """Read-only index array for global batch number `step`.
+
+        The permutation of the epoch last used is kept, so a sequential pass
+        derives each epoch's permutation once.
+        """
         epoch, slot = divmod(step, self.per_epoch)
-        perm = self._epoch_perm(epoch)
+        if epoch != self._epoch:
+            rng = RngStream(derive_seed(self.global_seed, STREAM_BATCH, self.client_id, epoch))
+            perm = rng.permutation(self.n)
+            perm.flags.writeable = False
+            self._epoch, self._perm = epoch, perm
         lo = slot * self.batch_size
-        return perm[lo : min(lo + self.batch_size, self.n)]
+        return self._perm[lo : lo + self.batch_size]
 
     def round_batches(self, round_idx: int, l: int) -> list[np.ndarray]:
         base = round_idx * l

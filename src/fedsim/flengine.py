@@ -95,20 +95,32 @@ class HistoryStore:
         self.records.append(record)
 
     @classmethod
-    def load(cls, path) -> "HistoryStore":
+    def _read_header(cls, f, path) -> "HistoryStore":
+        head = f.read(_HEADER.size)
+        if len(head) < _HEADER.size:
+            raise HistoryError("truncated header")
+        magic, version, d, n, total = _HEADER.unpack(head)
+        if magic != MAGIC:
+            raise HistoryError(f"bad magic {magic!r}")
+        if version != VERSION:
+            raise HistoryError(f"unsupported version {version}")
+        config_hash = f.read(32)
+        if len(config_hash) != 32:
+            raise HistoryError("truncated header (config hash)")
+        return cls(path, d, n, total, config_hash)
+
+    @classmethod
+    def load_header(cls, path) -> "HistoryStore":
+        """The store's header (d, n, T, config hash) with no records read."""
         with open(path, "rb") as f:
-            head = f.read(_HEADER.size)
-            if len(head) < _HEADER.size:
-                raise HistoryError("truncated header")
-            magic, version, d, n, total = _HEADER.unpack(head)
-            if magic != MAGIC:
-                raise HistoryError(f"bad magic {magic!r}")
-            if version != VERSION:
-                raise HistoryError(f"unsupported version {version}")
-            config_hash = f.read(32)
-            if len(config_hash) != 32:
-                raise HistoryError("truncated header (config hash)")
-            store = cls(path, d, n, total, config_hash)
+            return cls._read_header(f, path)
+
+    @classmethod
+    def load(cls, path) -> "HistoryStore":
+        """Every record, checksums verified; exactly T of them."""
+        with open(path, "rb") as f:
+            store = cls._read_header(f, path)
+            d = store.d
             vec_bytes = 8 * d
             while True:
                 first = f.read(4)
@@ -142,6 +154,11 @@ class HistoryStore:
                 if round_idx != expected:
                     raise HistoryError(f"record for round {round_idx} where {expected} expected")
                 store.records.append(RoundRecord(round_idx, w, updates))
+        if len(store.records) != store.total_rounds:
+            raise HistoryError(
+                f"history holds {len(store.records)} complete records, header says "
+                f"T={store.total_rounds}"
+            )
         return store
 
     def check_meta(self, d: int, n: int, total_rounds: int, config_hash: bytes) -> None:

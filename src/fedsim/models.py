@@ -68,7 +68,7 @@ class Batch:
             raise ValueError("batch inputs must be a nonempty 2-D array")
         if y.shape != (x.shape[0],):
             raise ValueError("labels must be 1-D and match the batch size")
-        if not np.all(np.isfinite(x)):
+        if not np.isfinite(x).all():
             raise ValueError("batch inputs contain non-finite values")
         object.__setattr__(self, "inputs", x)
         object.__setattr__(self, "labels", y)
@@ -83,7 +83,7 @@ def _check_batch(spec: ModelSpec, batch: Batch) -> None:
         raise ValueError(
             f"batch feature dim {batch.inputs.shape[1]} != spec input_dim {spec.input_dim}"
         )
-    if np.any(batch.labels < 0) or np.any(batch.labels >= spec.num_classes):
+    if (batch.labels < 0).any() or (batch.labels >= spec.num_classes).any():
         raise ValueError("labels out of range")
 
 
@@ -114,16 +114,23 @@ def _split_mlp(spec: ModelSpec, w: np.ndarray):
     return W1, b1, W2, b2
 
 
+def _forward(spec: ModelSpec, w: np.ndarray, x: np.ndarray):
+    """Unchecked forward pass on validated w and x: (scores, z1, a1), where
+    z1 and a1 are the MLP's hidden pre-activation and activation (None for
+    the linear kinds)."""
+    if spec.kind == "mlp":
+        W1, b1, W2, b2 = _split_mlp(spec, w)
+        z1 = x @ W1.T + b1
+        a1 = np.maximum(z1, 0.0)
+        return a1 @ W2.T + b2, z1, a1
+    W, b = _split_linear(spec, w)
+    return x @ W.T + b, None, None
+
+
 def scores(spec: ModelSpec, w, inputs: np.ndarray) -> np.ndarray:
     """Class scores (logits) for a 2-D input array."""
     w = _check_params(spec, w)
-    x = np.asarray(inputs, dtype=np.float64)
-    if spec.kind == "mlp":
-        W1, b1, W2, b2 = _split_mlp(spec, w)
-        a1 = np.maximum(x @ W1.T + b1, 0.0)
-        return a1 @ W2.T + b2
-    W, b = _split_linear(spec, w)
-    return x @ W.T + b
+    return _forward(spec, w, np.asarray(inputs, dtype=np.float64))[0]
 
 
 def _log_softmax(s: np.ndarray) -> np.ndarray:
@@ -135,7 +142,7 @@ def loss(spec: ModelSpec, w, batch: Batch) -> float:
     """Mean per-example loss plus (l2/2) * ||w||^2."""
     w = _check_params(spec, w)
     _check_batch(spec, batch)
-    s = scores(spec, w, batch.inputs)
+    s = _forward(spec, w, batch.inputs)[0]
     n = batch.size
     if spec.kind == "ridge":
         target = np.zeros_like(s)
@@ -153,7 +160,7 @@ def gradient(spec: ModelSpec, w, batch: Batch) -> np.ndarray:
     _check_batch(spec, batch)
     x = batch.inputs
     n = batch.size
-    s = scores(spec, w, x)
+    s, z1, a1 = _forward(spec, w, x)
     if spec.kind == "ridge":
         err = s.copy()
         err[np.arange(n), batch.labels] -= 1.0
@@ -166,9 +173,7 @@ def gradient(spec: ModelSpec, w, batch: Batch) -> np.ndarray:
         err /= n
 
     if spec.kind == "mlp":
-        W1, b1, W2, b2 = _split_mlp(spec, w)
-        z1 = x @ W1.T + b1
-        a1 = np.maximum(z1, 0.0)
+        W2 = _split_mlp(spec, w)[2]
         gW2 = err.T @ a1
         gb2 = err.sum(axis=0)
         back = (err @ W2) * (z1 > 0.0)

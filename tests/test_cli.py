@@ -65,6 +65,7 @@ class TestTrainCommand:
         assert (run_dir / "history.bin").exists()
         assert (run_dir / "model_final.bin").exists()
         assert (run_dir / "train_metrics.csv").exists()
+        assert not list(run_dir.glob("*.tmp"))
         summary = json.loads((run_dir / "summary_train.json").read_text())
         assert summary["command"] == "train"
         assert 0.0 <= summary["ter"] <= 1.0
@@ -95,6 +96,22 @@ class TestTrainCommand:
                 }
             )
         assert outputs[0] == outputs[1]
+
+    def test_failed_train_leaves_no_outputs(self, run_env, monkeypatch):
+        import fedsim.flengine
+
+        root, cfg_path = run_env
+        append = fedsim.flengine.HistoryStore.append
+
+        def failing_append(store, record):
+            if record.round_idx == 12:
+                raise OSError("injected write failure")
+            append(store, record)
+
+        monkeypatch.setattr(fedsim.flengine.HistoryStore, "append", failing_append)
+        assert main(["train", "-c", str(cfg_path)]) == 1
+        run_dir = root / "runs" / "exp"
+        assert sorted(os.listdir(run_dir)) == ["config.ini"]
 
     def test_lock_excludes_concurrent_use(self, run_env):
         root, cfg_path = run_env
@@ -160,11 +177,23 @@ class TestRecoverCommand:
         floor_cost = predicted_cost(30, 5, 5, 3)
         assert summary["acp"] <= (30 - floor_cost) / 30 * 100 + 1e-9
 
-    def test_stale_history_hash_rejected(self, trained, capsys):
+    @pytest.mark.parametrize("method", ["scratch", "historical", "fedrecover", "finetune"])
+    def test_stale_history_hash_rejected(self, trained, capsys, method):
         root, cfg_path = trained
         cfg_path.write_text(cfg_path.read_text().replace("seed = 5", "seed = 6"))
-        assert main(["recover", "-c", str(cfg_path), "--method", "fedrecover"]) == 1
+        assert main(["recover", "-c", str(cfg_path), "--method", method]) == 1
         assert "hash" in capsys.readouterr().err
+
+    def test_history_cut_at_record_boundary_is_error_exit(self, trained, capsys):
+        # what a train killed after 20 of its 30 rounds leaves behind
+        root, cfg_path = trained
+        path = root / "runs" / "exp" / "history.bin"
+        blob = path.read_bytes()
+        header = 4 + 4 + 8 + 4 + 4 + 32
+        record = (len(blob) - header) // 30
+        path.write_bytes(blob[: header + 20 * record])
+        assert main(["recover", "-c", str(cfg_path), "--method", "historical"]) == 1
+        assert capsys.readouterr().err.startswith("error:")
 
 
 class TestBoundCheck:

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fedsim.clients import BatchSampler, client_local_update
 from fedsim.models import Batch, ModelSpec, gradient, quadratic_hessian
-from fedsim.numcore import RngStream
+from fedsim.numcore import STREAM_BATCH, RngStream, derive_seed
 
 RIDGE = ModelSpec("ridge", input_dim=3, num_classes=2, l2=0.2)
 
@@ -40,6 +42,46 @@ class TestBatchSampler:
     def test_empty_shard_rejected(self):
         with pytest.raises(ValueError):
             BatchSampler(7, 0, 0, 8)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        seed=st.integers(0, 2**63),
+        cid=st.integers(0, 99),
+        n=st.integers(1, 200),
+        batch_size=st.integers(1, 64),
+        steps=st.lists(st.integers(0, 500), min_size=1, max_size=40),
+    )
+    def test_any_step_order_matches_seed_derivation(self, seed, cid, n, batch_size, steps):
+        # random step orders revisit earlier epochs, as FedRecover's exact rounds do
+        sampler = BatchSampler(seed, cid, n, batch_size)
+        bs = min(batch_size, n)
+        for step in steps:
+            epoch, slot = divmod(step, sampler.per_epoch)
+            perm = RngStream(derive_seed(seed, STREAM_BATCH, cid, epoch)).permutation(n)
+            np.testing.assert_array_equal(sampler.batch(step), perm[slot * bs : (slot + 1) * bs])
+
+    def test_returned_batch_is_read_only(self):
+        sampler = BatchSampler(7, 0, 50, 8)
+        idx = sampler.batch(0)
+        with pytest.raises(ValueError):
+            idx[0] = 1
+        with pytest.raises(ValueError):
+            sampler.batch(1)[:] = 0
+
+    def test_sequential_pass_draws_one_permutation_per_epoch(self, monkeypatch):
+        calls = []
+        permutation = RngStream.permutation
+
+        def counting(rng, n):
+            calls.append(n)
+            return permutation(rng, n)
+
+        monkeypatch.setattr(RngStream, "permutation", counting)
+        sampler = BatchSampler(7, 0, 50, 8)
+        epochs = 6
+        for t in range(epochs * sampler.per_epoch // 2):
+            sampler.round_batches(t, 2)
+        assert calls == [50] * epochs
 
 
 class TestClientLocalUpdate:

@@ -92,6 +92,34 @@ class TestHistoryStore:
         with pytest.raises(HistoryError):
             HistoryStore.load(path)
 
+    def test_fewer_records_than_header_rounds(self, tmp_path):
+        # a killed train leaves k < T complete records
+        path = tmp_path / "h.bin"
+        store = HistoryStore.create(path, 5, 3, 3, CHASH)
+        for rec in self.make_records(t=2):
+            store.append(rec)
+        with pytest.raises(HistoryError, match="2 complete records"):
+            HistoryStore.load(path)
+
+    def test_load_header_skips_records(self, tmp_path):
+        path = tmp_path / "h.bin"
+        store = HistoryStore.create(path, 5, 3, 3, CHASH)
+        for rec in self.make_records(t=2):
+            store.append(rec)
+        header = HistoryStore.load_header(path)
+        assert (header.d, header.n, header.total_rounds) == (5, 3, 3)
+        assert header.config_hash == CHASH
+        assert header.records == []
+
+    def test_load_header_checks_magic(self, tmp_path):
+        path = tmp_path / "h.bin"
+        HistoryStore.create(path, 5, 3, 3, CHASH)
+        blob = bytearray(path.read_bytes())
+        blob[0] ^= 0xFF
+        path.write_bytes(bytes(blob))
+        with pytest.raises(HistoryError, match="magic"):
+            HistoryStore.load_header(path)
+
     def test_meta_mismatch(self, tmp_path):
         path = tmp_path / "h.bin"
         store = HistoryStore.create(path, 5, 3, 3, CHASH)

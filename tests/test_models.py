@@ -2,8 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fedsim.models import (
+    _check_batch,
+    _check_params,
+    _split_linear,
+    _split_mlp,
     Batch,
     ModelSpec,
     glorot_bound,
@@ -234,3 +240,102 @@ def test_scores_shape():
     batch = random_batch(MLP, rng, size=9)
     w = init_params(MLP, 3)
     assert scores(MLP, w, batch.inputs).shape == (9, 3)
+
+
+def _seed_scores(spec, w, inputs):
+    """`scores` before the unchecked forward kernel, kept verbatim."""
+    w = _check_params(spec, w)
+    x = np.asarray(inputs, dtype=np.float64)
+    if spec.kind == "mlp":
+        W1, b1, W2, b2 = _split_mlp(spec, w)
+        a1 = np.maximum(x @ W1.T + b1, 0.0)
+        return a1 @ W2.T + b2
+    W, b = _split_linear(spec, w)
+    return x @ W.T + b
+
+
+def _seed_gradient(spec, w, batch):
+    """`gradient` before it shared one forward pass, kept verbatim as the
+    reference the current kernel must match bit for bit."""
+    w = _check_params(spec, w)
+    _check_batch(spec, batch)
+    x = batch.inputs
+    n = batch.size
+    s = _seed_scores(spec, w, x)
+    if spec.kind == "ridge":
+        err = s.copy()
+        err[np.arange(n), batch.labels] -= 1.0
+        err /= n
+    else:
+        shifted = s - s.max(axis=1, keepdims=True)
+        e = np.exp(shifted)
+        err = e / e.sum(axis=1, keepdims=True)
+        err[np.arange(n), batch.labels] -= 1.0
+        err /= n
+
+    if spec.kind == "mlp":
+        W1, b1, W2, b2 = _split_mlp(spec, w)
+        z1 = x @ W1.T + b1
+        a1 = np.maximum(z1, 0.0)
+        gW2 = err.T @ a1
+        gb2 = err.sum(axis=0)
+        back = (err @ W2) * (z1 > 0.0)
+        gW1 = back.T @ x
+        gb1 = back.sum(axis=0)
+        g = np.concatenate([gW1.ravel(), gb1, gW2.ravel(), gb2])
+    else:
+        gW = err.T @ x
+        gb = err.sum(axis=0)
+        g = np.concatenate([gW.ravel(), gb])
+    return g + spec.l2 * w
+
+
+class TestSeedKernel:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        kind=st.sampled_from(["logreg", "mlp", "ridge"]),
+        input_dim=st.integers(1, 12),
+        num_classes=st.integers(2, 6),
+        hidden=st.integers(1, 10),
+        l2=st.sampled_from([0.0, 1e-3, 0.05, 1.0]),
+        size=st.integers(1, 64),
+        scale=st.sampled_from([1e-3, 1.0, 30.0]),
+        seed=st.integers(0, 2**32),
+    )
+    def test_gradient_bit_identical_to_seed(
+        self, kind, input_dim, num_classes, hidden, l2, size, scale, seed
+    ):
+        spec = ModelSpec(kind, input_dim, num_classes, hidden=hidden if kind == "mlp" else 0, l2=l2)
+        rng = RngStream(seed)
+        w = rng.normals(spec.param_dim) * scale
+        batch = random_batch(spec, rng, size=size)
+        assert np.array_equal(gradient(spec, w, batch), _seed_gradient(spec, w, batch))
+        assert np.array_equal(scores(spec, w, batch.inputs), _seed_scores(spec, w, batch.inputs))
+
+
+def _call(fn, spec, w, batch):
+    return fn(spec, w, batch.inputs) if fn is scores else fn(spec, w, batch)
+
+
+@pytest.mark.parametrize("spec", [LOGREG, MLP, RIDGE], ids=["logreg", "mlp", "ridge"])
+@pytest.mark.parametrize("fn", [gradient, scores, loss])
+def test_bad_params_rejected(fn, spec):
+    batch = random_batch(spec, RngStream(14))
+    with pytest.raises(ValueError, match="param dim"):
+        _call(fn, spec, np.zeros(spec.param_dim + 1), batch)
+    for bad in (np.nan, np.inf):
+        w = np.zeros(spec.param_dim)
+        w[-1] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            _call(fn, spec, w, batch)
+
+
+@pytest.mark.parametrize("spec", [LOGREG, MLP, RIDGE], ids=["logreg", "mlp", "ridge"])
+@pytest.mark.parametrize("fn", [gradient, loss])
+def test_labels_out_of_range_rejected(fn, spec):
+    batch = random_batch(spec, RngStream(15))
+    for bad in (-1, spec.num_classes):
+        labels = batch.labels.copy()
+        labels[0] = bad
+        with pytest.raises(ValueError, match="labels out of range"):
+            fn(spec, np.zeros(spec.param_dim), Batch(batch.inputs, labels))

@@ -1,0 +1,116 @@
+"""Benchmark the working tree against a git ref, in alternating pairs.
+
+    python3 tools/ab_bench.py BASE_REF --workload W --pairs N --seconds S [--first-seed K]
+
+Exports BASE_REF with `git archive` into a temporary directory, then runs
+`perfbench/run.py --trace 0` from that copy and from the working tree in
+turns. Pair i runs seed K + i on both sides, and the side that runs first
+alternates from pair to pair, so a drift of the machine's speed hits both
+sides alike. For each end-to-end metric of `BENCHMARK.json` it prints the
+base median, the change median, the median of the per-pair ratios
+change/base, how many pairs the change won (ties count for neither) and
+the distance between the quartiles of the base runs. The last line is one
+JSON object with every run's metrics. Exits 1 if any run reports
+`"correct": false` or prints no result. The exported copy is removed at
+the end.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def export(ref: str, dest: Path) -> None:
+    archive = subprocess.run(
+        ["git", "-C", str(ROOT), "archive", "--format=tar", ref],
+        check=True, capture_output=True,
+    )
+    subprocess.run(["tar", "-x", "-C", str(dest)], input=archive.stdout, check=True)
+
+
+def run_bench(root: Path, workload: str, seed: int, seconds: float) -> dict | None:
+    """One benchmark run from the checkout at root; its result line, or None."""
+    cmd = [
+        sys.executable, str(root / "perfbench" / "run.py"), "--workload", workload,
+        "--seed", str(seed), "--seconds", str(seconds), "--trace", "0",
+    ]
+    proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True)
+    try:
+        return json.loads(proc.stdout.strip().splitlines()[-1])
+    except (IndexError, json.JSONDecodeError):
+        sys.stderr.write(proc.stderr)
+        return None
+
+
+def iqr(values: list[float]) -> float:
+    if len(values) < 2:
+        return 0.0
+    q1, _, q3 = statistics.quantiles(values, n=4)
+    return q3 - q1
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("base_ref")
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--pairs", type=int, required=True)
+    parser.add_argument("--seconds", type=float, required=True)
+    parser.add_argument("--first-seed", type=int, default=100)
+    args = parser.parse_args(argv)
+
+    with open(ROOT / "BENCHMARK.json", encoding="utf-8") as f:
+        metrics = json.load(f)["end_to_end"]
+    runs: dict = {"base": [], "change": []}
+    bad = 0
+    with tempfile.TemporaryDirectory(prefix="ab_bench-") as tmp:
+        base_root = Path(tmp)
+        export(args.base_ref, base_root)
+        roots = {"base": base_root, "change": ROOT}
+        for i in range(args.pairs):
+            seed = args.first_seed + i
+            order = ("base", "change") if i % 2 == 0 else ("change", "base")
+            for side in order:
+                result = run_bench(roots[side], args.workload, seed, args.seconds)
+                ok = bool(result and result.get("correct"))
+                bad += not ok
+                values = {n: m["value"] for n, m in (result or {}).get("metrics", {}).items()}
+                runs[side].append({"seed": seed, "correct": ok, "metrics": values})
+                print(f"pair {i + 1}/{args.pairs} seed {seed} {side:6s} correct={str(ok).lower()}",
+                      flush=True)
+
+    row = "{:24s} {:>12} {:>12} {:>9} {:>6} {:>10}"
+    print(row.format("metric", "base_med", "change_med", "ratio", "won", "base_iqr"))
+    for m in metrics:
+        name, lower = m["name"], m["better"] == "lower"
+        pairs = [
+            (b["metrics"][name], c["metrics"][name])
+            for b, c in zip(runs["base"], runs["change"])
+            if name in b["metrics"] and name in c["metrics"]
+        ]
+        if not pairs:
+            print(row.format(name, "-", "-", "-", "-", "-"))
+            continue
+        base = [b for b, _ in pairs]
+        change = [c for _, c in pairs]
+        ratios = [c / b for b, c in pairs if b]
+        won = sum((c < b) if lower else (c > b) for b, c in pairs)
+        print(row.format(
+            name, f"{statistics.median(base):.4g}", f"{statistics.median(change):.4g}",
+            f"{statistics.median(ratios):.4f}" if ratios else "-", f"{won}/{len(pairs)}",
+            f"{iqr(base):.4g}",
+        ))
+    print(f"{bad} of {2 * args.pairs} runs not correct")
+    print(json.dumps(runs))
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
