@@ -24,12 +24,20 @@ class AggregationRule:
 
 
 def _stack(updates) -> np.ndarray:
+    """The updates as the rows of one finite float64 matrix.
+
+    Stacks first and checks the whole matrix in one pass; only when that
+    check fails does it look for the update to name.
+    """
     if len(updates) == 0:
         raise ValueError("no updates to aggregate")
-    vecs = [as_vector(u, name=f"update[{i}]") for i, u in enumerate(updates)]
-    for v in vecs[1:]:
-        check_same_dim(vecs[0], v)
-    return np.stack(vecs)
+    mat = np.asarray(np.stack(updates), dtype=np.float64)  # ValueError on mixed shapes
+    if mat.ndim != 2 or mat.shape[1] == 0:
+        raise ValueError(f"updates must be nonempty 1-D arrays, got shape {mat.shape[1:]}")
+    if not np.isfinite(mat).all():
+        bad = next(i for i, row in enumerate(mat) if not np.isfinite(row).all())
+        raise ValueError(f"update[{bad}] contains non-finite entries")
+    return mat
 
 
 def fedavg(updates, sizes) -> np.ndarray:

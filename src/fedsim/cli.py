@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
 import importlib.resources
 import json
@@ -17,7 +18,7 @@ import math
 import os
 import struct
 import sys
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 
 import jsonschema
 import numpy as np
@@ -47,15 +48,49 @@ def _run_dir(cfg) -> str:
     return path if os.path.isabs(path) else os.path.join(root, path)
 
 
+def _lock_owner_gone(lock_path: str) -> bool:
+    """Whether the lock names a pid whose process no longer exists."""
+    try:
+        with open(lock_path, "r", encoding="ascii") as f:
+            pid = int(f.read())
+    except (OSError, ValueError):
+        return False
+    if pid <= 0:
+        return False
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return True
+    except OSError:  # alive, but another user's
+        pass
+    return False
+
+
+def _create_lock(lock_path: str) -> int | None:
+    try:
+        return os.open(lock_path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+    except FileExistsError:
+        return None
+
+
 @contextmanager
 def _locked(run_dir: str):
+    """Hold the run directory's `.lock`, which holds this process's pid.
+
+    A lock left by a process that no longer exists (a killed command) is
+    removed and taken once; a lock with a live pid, or with none, refuses.
+    """
     os.makedirs(run_dir, exist_ok=True)
     lock_path = os.path.join(run_dir, ".lock")
-    try:
-        fd = os.open(lock_path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-    except FileExistsError:
+    fd = _create_lock(lock_path)
+    if fd is None and _lock_owner_gone(lock_path):
+        with suppress(FileNotFoundError):
+            os.unlink(lock_path)
+        fd = _create_lock(lock_path)
+    if fd is None:
         raise CliError(f"run directory {run_dir} is locked by another command")
     try:
+        os.write(fd, f"{os.getpid()}\n".encode("ascii"))
         os.close(fd)
         yield
     finally:
@@ -86,8 +121,16 @@ def _summary_schema() -> dict:
     return json.loads(text)
 
 
+@functools.lru_cache(maxsize=1)
+def _summary_validator():
+    """The summary schema's validator, built once; the schema itself is
+    checked against its metaschema by the tests, not on every write."""
+    schema = _summary_schema()
+    return jsonschema.validators.validator_for(schema)(schema)
+
+
 def write_summary(path, summary: dict) -> None:
-    jsonschema.validate(summary, _summary_schema())
+    _summary_validator().validate(summary)
     with open(path, "w", encoding="utf-8") as f:
         json.dump(summary, f, sort_keys=True, indent=2)
         f.write("\n")

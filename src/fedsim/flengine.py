@@ -117,11 +117,17 @@ class HistoryStore:
 
     @classmethod
     def load(cls, path) -> "HistoryStore":
-        """Every record, checksums verified; exactly T of them."""
+        """Every record, checksums verified; exactly T of them.
+
+        This is where stored vectors are validated: a record holding a
+        non-finite value is rejected, so recovery can trust what it reads.
+        Each record's updates are rows of one (count, d) float64 matrix.
+        """
         with open(path, "rb") as f:
             store = cls._read_header(f, path)
             d = store.d
             vec_bytes = 8 * d
+            client_dtype = np.dtype([("id", "<u4"), ("u", "<f8", (d,))])
             while True:
                 first = f.read(4)
                 if not first:
@@ -131,7 +137,7 @@ class HistoryStore:
                 if len(body) != body_len:
                     raise HistoryError("truncated record")
                 (count,) = struct.unpack("<I", body[-4:])
-                rest_len = count * (4 + vec_bytes) + 8
+                rest_len = count * client_dtype.itemsize + 8
                 rest = f.read(rest_len)
                 if len(rest) != rest_len:
                     raise HistoryError("truncated record")
@@ -141,15 +147,11 @@ class HistoryStore:
                     raise HistoryError("record checksum mismatch")
                 (round_idx,) = struct.unpack("<I", first)
                 w = np.frombuffer(body[:vec_bytes], dtype="<f8").astype(np.float64)
-                updates = {}
-                off = 0
-                for _ in range(count):
-                    (cid,) = struct.unpack_from("<I", rest, off)
-                    off += 4
-                    updates[cid] = np.frombuffer(rest, dtype="<f8", count=d, offset=off).astype(
-                        np.float64
-                    )
-                    off += vec_bytes
+                clients = np.frombuffer(rest, dtype=client_dtype, count=count)
+                mat = clients["u"].astype(np.float64)
+                if not (np.isfinite(w).all() and np.isfinite(mat).all()):
+                    raise HistoryError(f"record for round {round_idx} holds non-finite values")
+                updates = dict(zip(clients["id"].tolist(), mat))
                 expected = store.records[-1].round_idx + 1 if store.records else 0
                 if round_idx != expected:
                     raise HistoryError(f"record for round {round_idx} where {expected} expected")
@@ -169,14 +171,6 @@ class HistoryStore:
             )
         if self.config_hash != bytes(config_hash):
             raise HistoryError("history config hash does not match the supplied config")
-
-
-def history_append(store: HistoryStore, record: RoundRecord) -> None:
-    store.append(record)
-
-
-def history_load(path) -> HistoryStore:
-    return HistoryStore.load(path)
 
 
 @dataclass

@@ -8,6 +8,7 @@ generator, so that a run is a pure function of its seed.
 
 from __future__ import annotations
 
+import math
 from typing import Callable
 
 import numpy as np
@@ -156,9 +157,15 @@ def check_same_dim(a: np.ndarray, b: np.ndarray) -> None:
 
 
 def linf_norm(v) -> float:
-    """Max absolute coordinate."""
-    v = as_vector(v, name="linf_norm argument")
-    return float(np.max(np.abs(v)))
+    """Max absolute coordinate of a nonempty vector.
+
+    Validates in the same pass: a NaN propagates through the max, so a
+    non-finite entry shows as a non-finite result and raises ValueError.
+    """
+    m = float(np.abs(v).max())
+    if not math.isfinite(m):
+        raise ValueError("linf_norm argument contains non-finite entries")
+    return m
 
 
 def finite_diff_gradient(f: Callable[[np.ndarray], float], w, h: float) -> np.ndarray:

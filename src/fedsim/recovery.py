@@ -61,7 +61,7 @@ class CompactSystem(NamedTuple):
 
 
 def compact_system(dw_list, dg_list) -> CompactSystem:
-    """Validate the difference buffers and build their compact system.
+    """Build the compact system of a client's difference buffers.
 
     Buffers are ordered oldest to newest. With A = dW^T dG, D = diag(A),
     L = strictly-lower-triangular(A), and sigma set by the most recent
@@ -71,11 +71,14 @@ def compact_system(dw_list, dg_list) -> CompactSystem:
 
     This is the part of the Hessian-vector product that depends on the
     buffers only, so it is built once and reused until a buffer changes.
+    The entries are differences of vectors the recovery computed, so they
+    are not re-validated: a non-finite entry yields a non-finite or
+    singular system, which `lbfgs_hvp` reports as LbfgsSingularError.
     """
     if len(dw_list) == 0 or len(dw_list) != len(dg_list):
         raise ValueError("need equally many (>=1) global and update differences")
-    W = np.column_stack([as_vector(u, name="dW entry") for u in dw_list])
-    G = np.column_stack([as_vector(u, name="dG entry") for u in dg_list])
+    W = np.column_stack(dw_list)
+    G = np.column_stack(dg_list)
     if W.shape[0] != G.shape[0]:
         raise ValueError("global and update differences differ in dimension")
     sw = W[:, -1]
@@ -83,10 +86,14 @@ def compact_system(dw_list, dg_list) -> CompactSystem:
     if denom == 0.0:
         return CompactSystem(W, G, math.nan, None)
     sigma = float(G[:, -1] @ sw) / denom
+    s = W.shape[1]
     A = W.T @ G
-    D = np.diag(np.diag(A))
     Lo = np.tril(A, k=-1)
-    K = np.block([[-D, Lo.T], [Lo, sigma * (W.T @ W)]])
+    K = np.empty((2 * s, 2 * s))
+    K[:s, :s] = -np.diag(np.diag(A))  # -D with its -0.0s, as the reference kernel builds it
+    K[:s, s:] = Lo.T
+    K[s:, :s] = Lo
+    K[s:, s:] = sigma * (W.T @ W)
     return CompactSystem(W, G, sigma, K)
 
 
@@ -108,20 +115,23 @@ def lbfgs_hvp(system: CompactSystem, v: np.ndarray) -> np.ndarray:
         p = np.linalg.solve(K, rhs)
     except np.linalg.LinAlgError as exc:
         raise LbfgsSingularError(f"singular buffer system: {exc}") from exc
-    if not np.all(np.isfinite(p)):
+    if not np.isfinite(p).all():
         raise LbfgsSingularError("non-finite solution for buffer system")
     out = sigma * v - (G @ p[:s] + sigma * (W @ p[s:]))
-    if not np.all(np.isfinite(out)):
+    if not np.isfinite(out).all():
         raise LbfgsSingularError("non-finite Hessian-vector product")
     return out
 
 
-def estimate_update(g_stored, hvp_result) -> np.ndarray:
-    """Estimated update: stored original update plus the HVP correction."""
-    g = as_vector(g_stored, name="stored update")
-    h = as_vector(hvp_result, name="hvp result")
-    check_same_dim(g, h)
-    return g + h
+def estimate_update(g_stored: np.ndarray, hvp_result: np.ndarray) -> np.ndarray:
+    """Estimated update: stored original update plus the HVP correction.
+
+    Both are float64 vectors: the stored update was validated when the
+    history was loaded, and the correction by `lbfgs_hvp`. The caller
+    checks the sum, which can overflow, for finiteness.
+    """
+    check_same_dim(g_stored, hvp_result)
+    return g_stored + hvp_result
 
 
 def exact_integrated_hvp_quadratic(hessian: np.ndarray, v) -> np.ndarray:
@@ -383,7 +393,7 @@ def fedrecover(
                     fix.append(c)
                     continue
                 # g + Hv can overflow even when both terms are finite
-                if not np.all(np.isfinite(est)) or linf_norm(est) > tau:
+                if not np.isfinite(est).all() or linf_norm(est) > tau:
                     fix.append(c)
                 else:
                     chosen[c] = est

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from fedsim.aggregation import (
     AggregationRule,
+    _stack,
     aggregate,
     apply_update,
     coord_median,
@@ -33,6 +34,28 @@ def trimmed_oracle(rows, k):
         kept = col[k : len(col) - k] if k else col
         out[j] = sum(kept) / len(kept)
     return out
+
+
+class TestStack:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_names_the_non_finite_update(self, bad):
+        rows = [np.zeros(3), np.ones(3), np.array([1.0, bad, 0.0]), np.ones(3)]
+        with pytest.raises(ValueError, match=r"update\[2\] contains non-finite"):
+            _stack(rows)
+
+    def test_dim_mismatch(self):
+        with pytest.raises(ValueError, match="shape"):
+            _stack([np.zeros(3), np.zeros(3), np.zeros(4)])
+
+    @pytest.mark.parametrize("rows", [[np.zeros((2, 2))], [np.zeros(0), np.zeros(0)]])
+    def test_rejects_non_vectors(self, rows):
+        with pytest.raises(ValueError):
+            _stack(rows)
+
+    def test_rows_in_order_as_float64(self):
+        mat = _stack([np.array([1, 2]), np.array([3.5, 4.0])])
+        assert mat.dtype == np.float64
+        np.testing.assert_array_equal(mat, [[1.0, 2.0], [3.5, 4.0]])
 
 
 class TestFedavg:

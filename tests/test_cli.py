@@ -1,11 +1,22 @@
 import io
 import json
 import os
+import subprocess
+import sys
 
 import jsonschema
+import numpy as np
 import pytest
 
-from fedsim.cli import _summary_schema, cmd_report, load_model, main, save_model
+from fedsim.cli import (
+    _summary_schema,
+    cmd_report,
+    load_model,
+    main,
+    save_model,
+    write_summary,
+)
+from fedsim.flengine import HistoryStore
 
 CFG_TEMPLATE = """
 [experiment]
@@ -120,6 +131,41 @@ class TestTrainCommand:
         (run_dir / ".lock").touch()
         assert main(["train", "-c", str(cfg_path)]) == 1
 
+    def test_lock_of_a_dead_process_is_broken(self, run_env):
+        # what a killed command leaves behind: a lock naming a gone pid
+        root, cfg_path = run_env
+        run_dir = root / "runs" / "exp"
+        run_dir.mkdir(parents=True)
+        gone = subprocess.Popen([sys.executable, "-c", "pass"])
+        gone.wait()
+        (run_dir / ".lock").write_text(f"{gone.pid}\n")
+        assert main(["train", "-c", str(cfg_path)]) == 0
+        assert not (run_dir / ".lock").exists()
+
+    def test_lock_of_a_live_process_refuses(self, run_env, capsys):
+        root, cfg_path = run_env
+        run_dir = root / "runs" / "exp"
+        run_dir.mkdir(parents=True)
+        (run_dir / ".lock").write_text(f"{os.getpid()}\n")
+        assert main(["train", "-c", str(cfg_path)]) == 1
+        assert "locked" in capsys.readouterr().err
+        assert (run_dir / ".lock").exists()
+
+    def test_lock_holds_the_owner_pid(self, run_env, monkeypatch):
+        import fedsim.flengine
+
+        root, cfg_path = run_env
+        seen = []
+        train = fedsim.flengine.train
+
+        def spying_train(*args):
+            seen.append((root / "runs" / "exp" / ".lock").read_text())
+            return train(*args)
+
+        monkeypatch.setattr("fedsim.cli.train", spying_train)
+        assert main(["train", "-c", str(cfg_path)]) == 0
+        assert seen == [f"{os.getpid()}\n"]
+
     def test_bad_config_is_error_exit(self, run_env, capsys):
         root, cfg_path = run_env
         cfg_path.write_text(CFG_TEMPLATE.format(out="runs/x").replace("seed = 5", ""))
@@ -196,6 +242,24 @@ class TestRecoverCommand:
         assert capsys.readouterr().err.startswith("error:")
 
 
+    @pytest.mark.parametrize("method", ["historical", "fedrecover"])
+    def test_non_finite_history_is_error_exit(self, trained, capsys, method):
+        # a record with a valid checksum that holds a NaN update
+        root, cfg_path = trained
+        path = root / "runs" / "exp" / "history.bin"
+        store = HistoryStore.load(path)
+        path.unlink()
+        rewritten = HistoryStore.create(
+            path, store.d, store.n, store.total_rounds, store.config_hash
+        )
+        for rec in store.records:
+            if rec.round_idx == 7:
+                rec.updates[3][0] = np.nan
+            rewritten.append(rec)
+        assert main(["recover", "-c", str(cfg_path), "--method", method]) == 1
+        assert "round 7 holds non-finite values" in capsys.readouterr().err
+
+
 class TestBoundCheck:
     def test_bound_check_block(self, tmp_path, monkeypatch):
         monkeypatch.setenv("FEDSIM_OUTPUT_ROOT", str(tmp_path))
@@ -242,6 +306,17 @@ class TestReport:
         cmd_report([str(root / "runs" / "exp")], out_stream=a)
         cmd_report([str(root / "runs" / "exp")], out_stream=b)
         assert a.getvalue() == b.getvalue()
+
+
+def test_summary_schema_is_valid():
+    schema = _summary_schema()
+    jsonschema.validators.validator_for(schema).check_schema(schema)
+
+
+def test_write_summary_validates_every_summary(tmp_path):
+    with pytest.raises(jsonschema.ValidationError):
+        write_summary(tmp_path / "s.json", {"command": "train"})
+    assert not (tmp_path / "s.json").exists()
 
 
 def test_model_file_roundtrip(tmp_path):

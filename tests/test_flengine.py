@@ -120,6 +120,30 @@ class TestHistoryStore:
         with pytest.raises(HistoryError, match="magic"):
             HistoryStore.load_header(path)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", ["model", "update"])
+    def test_non_finite_record_rejected(self, tmp_path, bad, where):
+        # the checksum is valid: the record was written as it is
+        path = tmp_path / "h.bin"
+        store = HistoryStore.create(path, 5, 3, 3, CHASH)
+        recs = self.make_records()
+        target = recs[1].global_model if where == "model" else recs[1].updates[2]
+        target[3] = bad
+        for rec in recs:
+            store.append(rec)
+        with pytest.raises(HistoryError, match="round 1 holds non-finite values"):
+            HistoryStore.load(path)
+
+    def test_updates_are_rows_of_one_float64_matrix(self, tmp_path):
+        path = tmp_path / "h.bin"
+        store = HistoryStore.create(path, 5, 3, 3, CHASH)
+        for rec in self.make_records():
+            store.append(rec)
+        for rec in HistoryStore.load(path).records:
+            rows = [rec.updates[c] for c in sorted(rec.updates)]
+            assert all(r.dtype == np.float64 and r.flags.aligned for r in rows)
+            assert all(r.base is rows[0].base and r.base.shape == (3, 5) for r in rows)
+
     def test_meta_mismatch(self, tmp_path):
         path = tmp_path / "h.bin"
         store = HistoryStore.create(path, 5, 3, 3, CHASH)

@@ -138,6 +138,15 @@ class TestLinfNorm:
         with pytest.raises(ValueError):
             linf_norm([1.0, float("nan")])
 
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf])
+    def test_rejects_inf(self, bad):
+        with pytest.raises(ValueError):
+            linf_norm(np.array([1.0, bad, 2.0]))
+
+    def test_rejects_empty(self):
+        with pytest.raises(ValueError):
+            linf_norm(np.array([]))
+
 
 class TestFiniteDiff:
     def test_quadratic(self):

@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -251,6 +252,27 @@ class TestLbfgsBuffersCache:
             else:
                 buffers.push_client(arg, rng.normals(d))
             check()
+
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    @pytest.mark.parametrize("slot", ["newest_global", "oldest_global", "client"])
+    def test_non_finite_entry_is_singular(self, bad, slot):
+        """A non-finite difference reaches the exact-update fallback as
+        LbfgsSingularError, not as a bare ValueError that aborts the run."""
+        rng = RngStream(8)
+        d = 6
+        buffers = LbfgsBuffers(2, [0])
+        for push in range(2):
+            dw, dg = rng.normals(d), rng.normals(d)
+            if (slot, push) in (("oldest_global", 0), ("newest_global", 1)):
+                dw[2] = bad
+            if (slot, push) == ("client", 1):
+                dg[4] = bad
+            buffers.push_global(dw)
+            buffers.push_client(0, dg)
+        with pytest.raises(LbfgsSingularError):
+            buffers.hvp(0, rng.normals(d))
 
 
 class TestEstimateUpdate:
@@ -541,6 +563,98 @@ class TestFedrecover:
         partial.append(sc["store"].records[0])
         with pytest.raises(ValueError):
             fedrecover(partial, sc["malicious"], sc["setup"], recovery_params())
+
+
+def _observed_fedrecover(history, detected, setup, params):
+    """fedrecover with its estimate attempts observed from outside.
+
+    Counts `lbfgs_hvp` calls, attributes each `LbfgsBuffers.hvp` call to
+    its client, and records the `linf_norm` that judged the attempt's
+    estimate (None when there was none: a singular system or an
+    overflowing estimate). Returns the result, the kernel call count, the
+    number of accepted estimates and, per client, how many of its
+    attempts were not accepted (its fixes).
+    """
+    kernel_calls = []
+    attempts = []  # [client, linf of its estimate or None]
+    real_kernel, real_hvp, real_linf = recovery.lbfgs_hvp, LbfgsBuffers.hvp, recovery.linf_norm
+
+    def kernel(*args):
+        kernel_calls.append(None)
+        return real_kernel(*args)
+
+    def hvp(self, client_id, v):
+        attempts.append([client_id, None])
+        return real_hvp(self, client_id, v)
+
+    def linf(v):
+        attempts[-1][1] = out = real_linf(v)
+        return out
+
+    with (
+        mock.patch.object(recovery, "lbfgs_hvp", kernel),
+        mock.patch.object(LbfgsBuffers, "hvp", hvp),
+        mock.patch.object(recovery, "linf_norm", linf),
+    ):
+        result = fedrecover(history, detected, setup, params)
+    accepted = 0
+    fixes = {c: 0 for c in result.exact_rounds_per_client}
+    for client, norm in attempts:
+        ok = norm is not None and norm <= result.tau
+        accepted += ok
+        fixes[client] += not ok
+    return result, len(kernel_calls), accepted, fixes
+
+
+@st.composite
+def recovery_cases(draw):
+    """A stored scenario, a nonempty detected list in drawn order and
+    recovery parameters. The backdoor scenario trims k=2 of 8 clients, so
+    at most 3 are detected there."""
+    name = draw(st.sampled_from(["ridge", "backdoor"]))
+    n_clients, max_detected = (6, 5) if name == "ridge" else (8, 3)
+    detected = draw(
+        st.lists(st.integers(0, n_clients - 1), min_size=1, max_size=max_detected, unique=True)
+    )
+    buffer_size = draw(st.integers(1, 3))
+    params = dict(
+        buffer_size=buffer_size,
+        warmup_rounds=draw(st.integers(buffer_size + 1, buffer_size + 6)),
+        correction_period=draw(st.integers(1, 6)),
+        final_tuning_rounds=draw(st.integers(0, 4)),
+        tau=None,
+        tolerance_rate=draw(st.sampled_from([1e-6, 0.01, 0.1, 0.5])),
+    )
+    return name, detected, params
+
+
+class TestFedrecoverProperties:
+    @settings(max_examples=25, deadline=None)
+    @given(case=recovery_cases())
+    def test_properties(self, ridge_trim_scenario, logreg_backdoor_scenario, case):
+        name, detected, kw = case
+        sc = ridge_trim_scenario if name == "ridge" else logreg_backdoor_scenario
+        store, setup = sc["store"], sc["setup"]
+        floor = predicted_cost(
+            sc["rounds"], kw["warmup_rounds"], kw["correction_period"], kw["final_tuning_rounds"]
+        )
+        for tau in (None, math.inf):
+            params = RecoveryParams(**{**kw, "tau": tau})
+            result, kernel_calls, accepted, fixes = _observed_fedrecover(
+                store, detected, setup, params
+            )
+            # the benchmark's trace identity: every kernel call is an
+            # accepted estimate or an abnormality
+            assert kernel_calls == accepted + result.abnormality_count
+            # each client's exact rounds: the schedule plus its own fixes
+            assert result.exact_rounds_per_client == {c: floor + fixes[c] for c in fixes}
+            if tau is not None:  # tau = inf never fixes
+                assert result.abnormality_count == 0
+            # the order of `detected` does not matter
+            again = fedrecover(store, detected[::-1], setup, params)
+            np.testing.assert_array_equal(again.recovered_model, result.recovered_model)
+            assert again.exact_rounds_per_client == result.exact_rounds_per_client
+            assert again.abnormality_count == result.abnormality_count
 
 
 class TestBaselines:
