@@ -1,6 +1,8 @@
 """Experiment configuration: INI-style parsing with strict validation,
 canonical serialization (so config hashes are portable), and builders that
-turn a config into concrete datasets and a federated setup.
+turn a config into concrete datasets and a federated setup. Every key is
+one row of `_KEYS` (section, name, converter, default, variant), which
+both the parser and the canonical form walk in order.
 """
 
 from __future__ import annotations
@@ -10,6 +12,7 @@ import hashlib
 import io
 import math
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 from . import data as data_mod
 from .aggregation import AggregationRule
@@ -33,24 +36,24 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class DatasetConfig:
-    kind: str  # synthetic | mnist
-    num_classes: int = 10
-    dim: int = 20
-    per_class: int = 100
-    test_per_class: int = 50
-    separation: float = 3.0
-    train_images: str = ""
-    train_labels: str = ""
-    test_images: str = ""
-    test_labels: str = ""
+    kind: str  # synthetic | mnist; the keys of the other kind are None
+    num_classes: int
+    dim: int | None
+    per_class: int | None
+    test_per_class: int | None
+    separation: float | None
+    train_images: str | None
+    train_labels: str | None
+    test_images: str | None
+    test_labels: str | None
 
 
 @dataclass(frozen=True)
 class FinetuneConfig:
-    epochs: int = 100
-    n_examples: int = 1000
-    beta: float = math.inf
-    batch_size: int = 32
+    epochs: int
+    n_examples: int
+    beta: float
+    batch_size: int
 
 
 @dataclass(frozen=True)
@@ -84,18 +87,6 @@ class ExperimentConfig:
         return 0
 
 
-def _get(section, key, conv, *, field, default=_REQUIRED):
-    raw = section.pop(key, None)
-    if raw is None:
-        if default is _REQUIRED:
-            raise ConfigError(field, "required key missing")
-        return default
-    try:
-        return conv(raw)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(field, f"cannot parse {raw!r}: {exc}") from exc
-
-
 def _to_bool(raw: str) -> bool:
     val = _BOOL.get(raw.strip().lower())
     if val is None:
@@ -110,191 +101,177 @@ def _to_float(raw: str) -> float:
     return val
 
 
+def _one_of(*choices: str) -> Callable[[str], str]:
+    def conv(raw: str) -> str:
+        if raw not in choices:
+            raise ValueError(f"expected one of {', '.join(choices)}")
+        return raw
+
+    return conv
+
+
+class _Key(NamedTuple):
+    section: str
+    key: str
+    conv: Callable
+    default: object  # _REQUIRED: the key must be given wherever it applies
+    when: tuple | None  # (selector key of the same section, value): the variant it applies to
+    attr: str  # dotted path of the value in ExperimentConfig
+    anywhere: bool = False  # read in every variant (keeping its default), written in its own
+
+
+_SYNTHETIC, _MNIST, _MLP = ("kind", "synthetic"), ("kind", "mnist"), ("kind", "mlp")
+_TRIM, _BACKDOOR = ("kind", "trim"), ("kind", "backdoor")
+_PATCH, _KTH = ("trigger", "pixel_patch"), ("trigger", "every_kth")
+
+# In canonical order; a variant's selector comes before the keys it selects.
+_KEYS = (
+    _Key("experiment", "seed", int, _REQUIRED, None, "seed"),
+    _Key("experiment", "rounds", int, _REQUIRED, None, "rounds"),
+    _Key("experiment", "learning_rate", _to_float, _REQUIRED, None, "learning_rate"),
+    _Key("experiment", "batch_size", int, 32, None, "batch_size"),
+    _Key("experiment", "local_steps", int, 1, None, "local_steps"),
+    _Key("experiment", "n_clients", int, _REQUIRED, None, "n_clients"),
+    _Key("experiment", "malicious_fraction", _to_float, None, None, "malicious_fraction"),
+    _Key("experiment", "malicious_count", int, None, None, "malicious_count"),
+    _Key("experiment", "noniid_degree", _to_float, 0.5, None, "noniid_degree"),
+    _Key("experiment", "aggregation", str, _REQUIRED, None, "rule.kind"),
+    _Key("experiment", "trim_k", int, 0, ("aggregation", "trimmed_mean"), "rule.k", anywhere=True),
+    _Key("experiment", "output_dir", str, _REQUIRED, None, "output_dir"),
+    _Key("dataset", "kind", _one_of("synthetic", "mnist"), _REQUIRED, None, "dataset.kind"),
+    _Key("dataset", "num_classes", int, 10, _SYNTHETIC, "dataset.num_classes"),
+    _Key("dataset", "dim", int, 20, _SYNTHETIC, "dataset.dim"),
+    _Key("dataset", "per_class", int, 100, _SYNTHETIC, "dataset.per_class"),
+    _Key("dataset", "test_per_class", int, 50, _SYNTHETIC, "dataset.test_per_class"),
+    _Key("dataset", "separation", _to_float, 3.0, _SYNTHETIC, "dataset.separation"),
+    _Key("dataset", "train_images", str, _REQUIRED, _MNIST, "dataset.train_images"),
+    _Key("dataset", "train_labels", str, _REQUIRED, _MNIST, "dataset.train_labels"),
+    _Key("dataset", "test_images", str, _REQUIRED, _MNIST, "dataset.test_images"),
+    _Key("dataset", "test_labels", str, _REQUIRED, _MNIST, "dataset.test_labels"),
+    _Key("model", "kind", str, _REQUIRED, None, "model.kind"),
+    _Key("model", "hidden", int, 0, _MLP, "model.hidden", anywhere=True),
+    _Key("model", "l2", _to_float, 0.0, None, "model.l2"),
+    _Key("attack", "kind", _one_of("none", "trim", "backdoor"), "none", None, "attack.kind"),
+    _Key("attack", "trim_b", _to_float, 2.0, _TRIM, "attack.b"),
+    _Key("attack", "trigger", _one_of("pixel_patch", "every_kth"), _REQUIRED, _BACKDOOR, "attack.trigger.kind"),
+    _Key("attack", "trigger_rows", int, 4, _PATCH, "attack.trigger.rows"),
+    _Key("attack", "trigger_cols", int, 4, _PATCH, "attack.trigger.cols"),
+    _Key("attack", "trigger_k", int, _REQUIRED, _KTH, "attack.trigger.k"),
+    _Key("attack", "trigger_value", _to_float, 1.0, _PATCH, "attack.trigger.value"),
+    _Key("attack", "trigger_value", _to_float, 0.0, _KTH, "attack.trigger.value"),
+    _Key("attack", "target_label", int, 0, _BACKDOOR, "attack.target_label"),
+    _Key("attack", "scale", _to_float, 1.0, _BACKDOOR, "attack.lam"),
+    _Key("attack", "adaptive", _to_bool, False, _BACKDOOR, "attack.adaptive"),
+    _Key("detection", "fnr", _to_float, 0.0, None, "fnr"),
+    _Key("detection", "fpr", _to_float, 0.0, None, "fpr"),
+    _Key("recovery", "warmup_rounds", int, 20, None, "recovery.warmup_rounds"),
+    _Key("recovery", "correction_period", int, 10, None, "recovery.correction_period"),
+    _Key("recovery", "final_tuning_rounds", int, 5, None, "recovery.final_tuning_rounds"),
+    _Key("recovery", "buffer_size", int, 2, None, "recovery.buffer_size"),
+    _Key("recovery", "tolerance_rate", _to_float, 1e-6, None, "recovery.tolerance_rate"),
+    _Key("recovery", "tau", _to_float, None, None, "recovery.tau"),
+    _Key("recovery", "hvp_mode", str, "lbfgs", None, "recovery.hvp_mode"),
+    _Key("recovery", "bound_check", _to_bool, False, None, "bound_check"),
+    _Key("finetune", "epochs", int, 100, None, "finetune.epochs"),
+    _Key("finetune", "n_examples", int, 1000, None, "finetune.n_examples"),
+    _Key("finetune", "beta", _to_float, math.inf, None, "finetune.beta"),
+    _Key("finetune", "batch_size", int, 32, None, "finetune.batch_size"),
+)
+_SECTIONS = tuple(dict.fromkeys(k.section for k in _KEYS))
+
+
+def _applies(k: _Key, section_values: dict) -> bool:
+    return k.when is None or section_values.get(k.when[0]) == k.when[1]
+
+
 def parse_config(path) -> ExperimentConfig:
-    parser = configparser.ConfigParser(interpolation=None)
     with open(path, "r", encoding="utf-8") as f:
-        parser.read_file(f)
-    return _from_parser(parser)
+        return _parse(f)
 
 
 def parse_config_string(text: str) -> ExperimentConfig:
+    return _parse(io.StringIO(text))
+
+
+def _parse(f) -> ExperimentConfig:
     parser = configparser.ConfigParser(interpolation=None)
-    parser.read_file(io.StringIO(text))
-    return _from_parser(parser)
-
-
-def _from_parser(parser: configparser.ConfigParser) -> ExperimentConfig:
-    known_sections = {"experiment", "dataset", "model", "attack", "detection", "recovery", "finetune"}
-    for sec in parser.sections():
-        if sec not in known_sections:
+    parser.read_file(f)
+    given = {name: dict(parser.items(name)) for name in parser.sections()}
+    for sec in given:
+        if sec not in _SECTIONS:
             raise ConfigError(sec, "unknown section")
-    secs = {name: dict(parser.items(name)) for name in parser.sections()}
-
-    exp = secs.get("experiment", {})
-    seed = _get(exp, "seed", int, field="experiment.seed")
-    rounds = _get(exp, "rounds", int, field="experiment.rounds")
-    learning_rate = _get(exp, "learning_rate", _to_float, field="experiment.learning_rate")
-    batch_size = _get(exp, "batch_size", int, field="experiment.batch_size", default=32)
-    local_steps = _get(exp, "local_steps", int, field="experiment.local_steps", default=1)
-    n_clients = _get(exp, "n_clients", int, field="experiment.n_clients")
-    malicious_fraction = _get(
-        exp, "malicious_fraction", _to_float, field="experiment.malicious_fraction", default=None
-    )
-    malicious_count = _get(
-        exp, "malicious_count", int, field="experiment.malicious_count", default=None
-    )
-    noniid_degree = _get(
-        exp, "noniid_degree", _to_float, field="experiment.noniid_degree", default=0.5
-    )
-    agg_kind = _get(exp, "aggregation", str, field="experiment.aggregation")
-    trim_k = _get(exp, "trim_k", int, field="experiment.trim_k", default=0)
-    output_dir = _get(exp, "output_dir", str, field="experiment.output_dir")
-
-    ds = secs.get("dataset", {})
-    ds_kind = _get(ds, "kind", str, field="dataset.kind")
-    if ds_kind == "synthetic":
-        dataset = DatasetConfig(
-            kind="synthetic",
-            num_classes=_get(ds, "num_classes", int, field="dataset.num_classes", default=10),
-            dim=_get(ds, "dim", int, field="dataset.dim", default=20),
-            per_class=_get(ds, "per_class", int, field="dataset.per_class", default=100),
-            test_per_class=_get(
-                ds, "test_per_class", int, field="dataset.test_per_class", default=50
-            ),
-            separation=_get(ds, "separation", _to_float, field="dataset.separation", default=3.0),
-        )
-    elif ds_kind == "mnist":
-        dataset = DatasetConfig(
-            kind="mnist",
-            num_classes=10,
-            train_images=_get(ds, "train_images", str, field="dataset.train_images"),
-            train_labels=_get(ds, "train_labels", str, field="dataset.train_labels"),
-            test_images=_get(ds, "test_images", str, field="dataset.test_images"),
-            test_labels=_get(ds, "test_labels", str, field="dataset.test_labels"),
-        )
-    else:
-        raise ConfigError("dataset.kind", f"unknown dataset kind {ds_kind!r}")
-
-    mdl = secs.get("model", {})
-    m_kind = _get(mdl, "kind", str, field="model.kind")
-    hidden = _get(mdl, "hidden", int, field="model.hidden", default=0)
-    l2 = _get(mdl, "l2", _to_float, field="model.l2", default=0.0)
-    if m_kind == "mlp" and hidden < 1:
-        raise ConfigError("model.hidden", "mlp model requires hidden >= 1")
-    if m_kind != "mlp" and hidden != 0:
-        raise ConfigError("model.hidden", "hidden applies to the mlp kind only")
-    ds_dim = dataset.dim if dataset.kind == "synthetic" else 784
-    try:
-        model = ModelSpec(m_kind, ds_dim, dataset.num_classes, hidden, l2)
-    except ValueError as exc:
-        raise ConfigError("model.kind", str(exc)) from exc
-
-    atk = secs.get("attack", {})
-    a_kind = _get(atk, "kind", str, field="attack.kind", default="none")
-    attack = None
-    if a_kind == "trim":
-        attack = AttackConfig(kind="trim", b=_get(atk, "trim_b", _to_float, field="attack.trim_b", default=2.0))
-    elif a_kind == "backdoor":
-        t_kind = _get(atk, "trigger", str, field="attack.trigger")
-        if t_kind == "pixel_patch":
-            trigger = Trigger(
-                kind="pixel_patch",
-                rows=_get(atk, "trigger_rows", int, field="attack.trigger_rows", default=4),
-                cols=_get(atk, "trigger_cols", int, field="attack.trigger_cols", default=4),
-                value=_get(atk, "trigger_value", _to_float, field="attack.trigger_value", default=1.0),
-            )
-        elif t_kind == "every_kth":
-            trigger = Trigger(
-                kind="every_kth",
-                k=_get(atk, "trigger_k", int, field="attack.trigger_k"),
-                value=_get(atk, "trigger_value", _to_float, field="attack.trigger_value", default=0.0),
-            )
-        else:
-            raise ConfigError("attack.trigger", f"unknown trigger kind {t_kind!r}")
-        target = _get(atk, "target_label", int, field="attack.target_label", default=0)
-        if not (0 <= target < dataset.num_classes):
-            raise ConfigError("attack.target_label", "target label outside the class range")
-        attack = AttackConfig(
-            kind="backdoor",
-            trigger=trigger,
-            target_label=target,
-            lam=_get(atk, "scale", _to_float, field="attack.scale", default=1.0),
-            adaptive=_get(atk, "adaptive", _to_bool, field="attack.adaptive", default=False),
-        )
-    elif a_kind != "none":
-        raise ConfigError("attack.kind", f"unknown attack kind {a_kind!r}")
-
-    det = secs.get("detection", {})
-    fnr = _get(det, "fnr", _to_float, field="detection.fnr", default=0.0)
-    fpr = _get(det, "fpr", _to_float, field="detection.fpr", default=0.0)
-
-    rec = secs.get("recovery", {})
-    tau_raw = rec.pop("tau", None)
-    tau = None
-    if tau_raw is not None:
-        tau = math.inf if tau_raw.strip().lower() == "inf" else _to_float(tau_raw)
-    try:
-        recovery = RecoveryParams(
-            warmup_rounds=_get(rec, "warmup_rounds", int, field="recovery.warmup_rounds", default=20),
-            correction_period=_get(
-                rec, "correction_period", int, field="recovery.correction_period", default=10
-            ),
-            final_tuning_rounds=_get(
-                rec, "final_tuning_rounds", int, field="recovery.final_tuning_rounds", default=5
-            ),
-            buffer_size=_get(rec, "buffer_size", int, field="recovery.buffer_size", default=2),
-            tolerance_rate=_get(
-                rec, "tolerance_rate", _to_float, field="recovery.tolerance_rate", default=1e-6
-            ),
-            tau=tau,
-            hvp_mode=_get(rec, "hvp_mode", str, field="recovery.hvp_mode", default="lbfgs"),
-        )
-    except ValueError as exc:
-        raise ConfigError("recovery", str(exc)) from exc
-    bound_check = _get(rec, "bound_check", _to_bool, field="recovery.bound_check", default=False)
-
-    ft = secs.get("finetune", {})
-    beta_raw = ft.pop("beta", None)
-    beta = math.inf if beta_raw is None or beta_raw.strip().lower() == "inf" else _to_float(beta_raw)
-    finetune = FinetuneConfig(
-        epochs=_get(ft, "epochs", int, field="finetune.epochs", default=100),
-        n_examples=_get(ft, "n_examples", int, field="finetune.n_examples", default=1000),
-        beta=beta,
-        batch_size=_get(ft, "batch_size", int, field="finetune.batch_size", default=32),
-    )
-
-    for sec_name, leftover in secs.items():
+    values = {sec: {} for sec in _SECTIONS}  # per section: key -> value, None outside its variant
+    for k in _KEYS:
+        section = values[k.section]
+        if not (k.anywhere or _applies(k, section)):
+            section.setdefault(k.key, None)
+            continue
+        raw = given.get(k.section, {}).pop(k.key, None)
+        if raw is None:
+            if k.default is _REQUIRED:
+                raise ConfigError(f"{k.section}.{k.key}", "required key missing")
+            section[k.key] = k.default
+            continue
+        try:
+            section[k.key] = k.conv(raw)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"{k.section}.{k.key}", f"cannot parse {raw!r}: {exc}") from exc
+    for sec_name, leftover in given.items():
         for key in leftover:
             raise ConfigError(f"{sec_name}.{key}", "unknown key")
+    cfg = _build(values)
+    _validate(cfg)
+    return cfg
 
+
+def _make(field: str, cls, *args, **kwargs):
     try:
-        rule = AggregationRule(agg_kind, trim_k)
+        return cls(*args, **kwargs)
     except ValueError as exc:
-        raise ConfigError("experiment.aggregation", str(exc)) from exc
+        raise ConfigError(field, str(exc)) from exc
 
-    cfg = ExperimentConfig(
-        seed=seed,
-        rounds=rounds,
-        learning_rate=learning_rate,
-        batch_size=batch_size,
-        local_steps=local_steps,
-        n_clients=n_clients,
-        malicious_fraction=malicious_fraction,
-        malicious_count=malicious_count,
-        noniid_degree=noniid_degree,
+
+def _build(values: dict) -> ExperimentConfig:
+    """The config the parsed `values` describe; consumes them."""
+    exp, ds, mdl, atk, rec = (values[s] for s in ("experiment", "dataset", "model", "attack", "recovery"))
+    rule = _make("experiment.aggregation", AggregationRule, exp["aggregation"], exp["trim_k"])
+    for k in _KEYS:  # a key read outside its variant must keep its default there
+        if k.anywhere and not _applies(k, values[k.section]) and values[k.section][k.key] != k.default:
+            raise ConfigError(f"{k.section}.{k.key}", f"applies to {k.when[0]} = {k.when[1]} only")
+    del exp["aggregation"], exp["trim_k"]
+    if ds["kind"] == "mnist":
+        ds["num_classes"] = 10
+    dataset = DatasetConfig(**ds)
+    if mdl["kind"] == "mlp" and mdl["hidden"] < 1:
+        raise ConfigError("model.hidden", "mlp model requires hidden >= 1")
+    dim = dataset.dim if dataset.kind == "synthetic" else 784
+    model = _make("model.kind", ModelSpec, mdl["kind"], dim, dataset.num_classes, mdl["hidden"], mdl["l2"])
+    attack = None
+    if atk["kind"] == "trim":
+        attack = _make("attack.trim_b", AttackConfig, kind="trim", b=atk["trim_b"])
+    elif atk["kind"] == "backdoor":
+        rows, cols, value = atk["trigger_rows"], atk["trigger_cols"], atk["trigger_value"]
+        if atk["trigger"] == "pixel_patch":
+            bad = "attack.trigger_rows" if rows < 1 else "attack.trigger_cols"
+            trigger = _make(bad, Trigger, "pixel_patch", rows=rows, cols=cols, value=value)
+        else:
+            trigger = _make("attack.trigger_k", Trigger, "every_kth", k=atk["trigger_k"], value=value)
+        if not (0 <= atk["target_label"] < dataset.num_classes):
+            raise ConfigError("attack.target_label", "target label outside the class range")
+        kwargs = {"target_label": atk["target_label"], "lam": atk["scale"], "adaptive": atk["adaptive"]}
+        attack = _make("attack.scale", AttackConfig, kind="backdoor", trigger=trigger, **kwargs)
+    bound_check = rec.pop("bound_check")
+    return ExperimentConfig(
+        **exp,
+        **values["detection"],
         rule=rule,
-        output_dir=output_dir,
         dataset=dataset,
         model=model,
         attack=attack,
-        fnr=fnr,
-        fpr=fpr,
-        recovery=recovery,
+        recovery=_make("recovery", RecoveryParams, **rec),
         bound_check=bound_check,
-        finetune=finetune,
+        finetune=FinetuneConfig(**values["finetune"]),
     )
-    _validate(cfg)
-    return cfg
 
 
 def _validate(cfg: ExperimentConfig) -> None:
@@ -325,8 +302,6 @@ def _validate(cfg: ExperimentConfig) -> None:
         raise ConfigError("attack.kind", "attack configured but no malicious clients")
     if cfg.rule.kind == "trimmed_mean" and 2 * cfg.rule.k >= cfg.n_clients:
         raise ConfigError("experiment.trim_k", f"need 2k < n_clients, got k={cfg.rule.k}")
-    if cfg.rule.kind != "trimmed_mean" and cfg.rule.k != 0:
-        raise ConfigError("experiment.trim_k", "trim_k applies to trimmed_mean only")
     c = cfg.dataset.num_classes
     if not (1.0 / c - 1e-12 <= cfg.noniid_degree <= 1.0 + 1e-12):
         raise ConfigError("experiment.noniid_degree", f"must lie in [1/{c}, 1]")
@@ -354,96 +329,25 @@ def _fmt(value) -> str:
 
 
 def serialize_config(cfg: ExperimentConfig) -> str:
-    """Canonical text form: fixed section and key order, resolved values.
-
-    Hashing this form makes the config hash independent of key order,
-    spacing, or omitted defaults in the source file.
-    """
-    out = ["[experiment]"]
-    out.append(f"seed = {cfg.seed}")
-    out.append(f"rounds = {cfg.rounds}")
-    out.append(f"learning_rate = {_fmt(cfg.learning_rate)}")
-    out.append(f"batch_size = {cfg.batch_size}")
-    out.append(f"local_steps = {cfg.local_steps}")
-    out.append(f"n_clients = {cfg.n_clients}")
-    if cfg.malicious_fraction is not None:
-        out.append(f"malicious_fraction = {_fmt(cfg.malicious_fraction)}")
-    if cfg.malicious_count is not None:
-        out.append(f"malicious_count = {cfg.malicious_count}")
-    out.append(f"noniid_degree = {_fmt(cfg.noniid_degree)}")
-    out.append(f"aggregation = {cfg.rule.kind}")
-    if cfg.rule.kind == "trimmed_mean":
-        out.append(f"trim_k = {cfg.rule.k}")
-    out.append(f"output_dir = {cfg.output_dir}")
-
-    out.append("")
-    out.append("[dataset]")
-    out.append(f"kind = {cfg.dataset.kind}")
-    if cfg.dataset.kind == "synthetic":
-        out.append(f"num_classes = {cfg.dataset.num_classes}")
-        out.append(f"dim = {cfg.dataset.dim}")
-        out.append(f"per_class = {cfg.dataset.per_class}")
-        out.append(f"test_per_class = {cfg.dataset.test_per_class}")
-        out.append(f"separation = {_fmt(cfg.dataset.separation)}")
-    else:
-        out.append(f"train_images = {cfg.dataset.train_images}")
-        out.append(f"train_labels = {cfg.dataset.train_labels}")
-        out.append(f"test_images = {cfg.dataset.test_images}")
-        out.append(f"test_labels = {cfg.dataset.test_labels}")
-
-    out.append("")
-    out.append("[model]")
-    out.append(f"kind = {cfg.model.kind}")
-    if cfg.model.kind == "mlp":
-        out.append(f"hidden = {cfg.model.hidden}")
-    out.append(f"l2 = {_fmt(cfg.model.l2)}")
-
-    out.append("")
-    out.append("[attack]")
-    if cfg.attack is None:
-        out.append("kind = none")
-    elif cfg.attack.kind == "trim":
-        out.append("kind = trim")
-        out.append(f"trim_b = {_fmt(cfg.attack.b)}")
-    else:
-        out.append("kind = backdoor")
-        trig = cfg.attack.trigger
-        out.append(f"trigger = {trig.kind}")
-        if trig.kind == "pixel_patch":
-            out.append(f"trigger_rows = {trig.rows}")
-            out.append(f"trigger_cols = {trig.cols}")
-        else:
-            out.append(f"trigger_k = {trig.k}")
-        out.append(f"trigger_value = {_fmt(trig.value)}")
-        out.append(f"target_label = {cfg.attack.target_label}")
-        out.append(f"scale = {_fmt(cfg.attack.lam)}")
-        out.append(f"adaptive = {_fmt(cfg.attack.adaptive)}")
-
-    out.append("")
-    out.append("[detection]")
-    out.append(f"fnr = {_fmt(cfg.fnr)}")
-    out.append(f"fpr = {_fmt(cfg.fpr)}")
-
-    out.append("")
-    out.append("[recovery]")
-    out.append(f"warmup_rounds = {cfg.recovery.warmup_rounds}")
-    out.append(f"correction_period = {cfg.recovery.correction_period}")
-    out.append(f"final_tuning_rounds = {cfg.recovery.final_tuning_rounds}")
-    out.append(f"buffer_size = {cfg.recovery.buffer_size}")
-    out.append(f"tolerance_rate = {_fmt(cfg.recovery.tolerance_rate)}")
-    if cfg.recovery.tau is not None:
-        out.append(f"tau = {_fmt(cfg.recovery.tau)}")
-    out.append(f"hvp_mode = {cfg.recovery.hvp_mode}")
-    out.append(f"bound_check = {_fmt(cfg.bound_check)}")
-
-    out.append("")
-    out.append("[finetune]")
-    out.append(f"epochs = {cfg.finetune.epochs}")
-    out.append(f"n_examples = {cfg.finetune.n_examples}")
-    out.append(f"beta = {_fmt(cfg.finetune.beta)}")
-    out.append(f"batch_size = {cfg.finetune.batch_size}")
-    out.append("")
-    return "\n".join(out)
+    """Canonical text form: each key that applies and is not None, in table
+    order, with its resolved value. Hashing this form makes the config hash
+    independent of key order, spacing, or omitted defaults in the source."""
+    out, section, seen = [], None, {}
+    for k in _KEYS:
+        if k.section != section:
+            section, seen = k.section, {}
+            out += ["", f"[{section}]"]
+        if not _applies(k, seen):
+            continue
+        value = cfg
+        for name in k.attr.split("."):  # None past an absent object (no attack)
+            value = None if value is None else getattr(value, name)
+        if value is None and k.default is not _REQUIRED:
+            value = k.default  # so a config without an attack writes its kind's default
+        seen[k.key] = value
+        if value is not None:
+            out.append(f"{k.key} = {_fmt(value)}")
+    return "\n".join(out[1:] + [""])
 
 
 def config_hash(cfg: ExperimentConfig) -> bytes:

@@ -174,12 +174,6 @@ class HistoryStore:
 
 
 @dataclass
-class TrainState:
-    round_idx: int
-    global_model: np.ndarray
-
-
-@dataclass
 class FlSetup:
     """Everything the round loop needs, resolved once up front."""
 
@@ -283,14 +277,13 @@ class FlSetup:
         return apply_update(w, agg, self.eta)
 
 
-def run_round(state: TrainState, setup: FlSetup) -> tuple[TrainState, RoundRecord]:
-    """One full round: broadcast, per-client updates (attack-aware),
-    aggregate, apply. The record carries the updates as reported."""
-    w = state.global_model
-    reported = setup.reported_updates(w, state.round_idx, setup.client_ids, setup.malicious)
-    record = RoundRecord(state.round_idx, w, reported)
-    new_w = setup.aggregate_step(w, reported)
-    return TrainState(state.round_idx + 1, new_w), record
+def run_round(setup: FlSetup, w: np.ndarray, round_idx: int) -> tuple[np.ndarray, RoundRecord]:
+    """One full round from global model w: broadcast, per-client updates
+    (attack-aware), aggregate, apply. Returns the next global model and the
+    record, which carries the updates as reported."""
+    reported = setup.reported_updates(w, round_idx, setup.client_ids, setup.malicious)
+    record = RoundRecord(round_idx, w, reported)
+    return setup.aggregate_step(w, reported), record
 
 
 def train(
@@ -298,12 +291,11 @@ def train(
 ) -> tuple[HistoryStore, np.ndarray]:
     """Run the original training for total_rounds rounds, appending every
     round to a fresh history store at history_path."""
-    w0 = models.init_params(setup.spec, derive_seed(setup.seed, STREAM_INIT, 0, 0))
+    w = models.init_params(setup.spec, derive_seed(setup.seed, STREAM_INIT, 0, 0))
     store = HistoryStore.create(
         history_path, setup.spec.param_dim, len(setup.client_ids), total_rounds, config_hash
     )
-    state = TrainState(0, w0)
-    for _ in range(total_rounds):
-        state, record = run_round(state, setup)
+    for round_idx in range(total_rounds):
+        w, record = run_round(setup, w, round_idx)
         store.append(record)
-    return store, state.global_model
+    return store, w

@@ -1,8 +1,15 @@
 import math
+import pathlib
+import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fedsim.config import (
+    _KEYS,
+    _REQUIRED,
+    _applies,
     ConfigError,
     build_datasets,
     build_setup,
@@ -166,6 +173,17 @@ class TestCanonicalForm:
     def test_hash_is_32_bytes(self):
         assert len(config_hash(parse_config_string(MINIMAL))) == 32
 
+    def test_hash_is_pinned(self):
+        """MINIMAL leaves most keys at their defaults, so a changed key name,
+        default or canonical order changes these hashes (and every run's
+        identity in history.bin)."""
+        assert config_hash(parse_config_string(MINIMAL)).hex() == (
+            "46bfd18dc5f8820eaa0efdd2366f8ca1e5ed611746ea3a6d71f8ae8ff84576ee"
+        )
+        assert config_hash(parse_config_string(BACKDOOR)).hex() == (
+            "86fca33b7fb31ff063745b1efdc486da87ebb149b21e7bc3453ea554ce69be4c"
+        )
+
 
 class TestBuilders:
     def test_datasets_deterministic(self):
@@ -188,3 +206,387 @@ class TestBuilders:
     def test_malicious_pick_deterministic(self):
         cfg = parse_config_string(BACKDOOR)
         assert pick_malicious(cfg) == pick_malicious(cfg)
+
+
+# The canonical serializer as it was before the key table, kept verbatim as
+# the reference the table-driven `serialize_config` must match byte for byte
+# (the config hash in every history.bin depends on it).
+def _seed_fmt(value) -> str:
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return "inf" if math.isinf(value) else repr(value)
+    return str(value)
+
+
+def _seed_serialize_config(cfg) -> str:
+    """Canonical text form: fixed section and key order, resolved values.
+
+    Hashing this form makes the config hash independent of key order,
+    spacing, or omitted defaults in the source file.
+    """
+    out = ["[experiment]"]
+    out.append(f"seed = {cfg.seed}")
+    out.append(f"rounds = {cfg.rounds}")
+    out.append(f"learning_rate = {_seed_fmt(cfg.learning_rate)}")
+    out.append(f"batch_size = {cfg.batch_size}")
+    out.append(f"local_steps = {cfg.local_steps}")
+    out.append(f"n_clients = {cfg.n_clients}")
+    if cfg.malicious_fraction is not None:
+        out.append(f"malicious_fraction = {_seed_fmt(cfg.malicious_fraction)}")
+    if cfg.malicious_count is not None:
+        out.append(f"malicious_count = {cfg.malicious_count}")
+    out.append(f"noniid_degree = {_seed_fmt(cfg.noniid_degree)}")
+    out.append(f"aggregation = {cfg.rule.kind}")
+    if cfg.rule.kind == "trimmed_mean":
+        out.append(f"trim_k = {cfg.rule.k}")
+    out.append(f"output_dir = {cfg.output_dir}")
+
+    out.append("")
+    out.append("[dataset]")
+    out.append(f"kind = {cfg.dataset.kind}")
+    if cfg.dataset.kind == "synthetic":
+        out.append(f"num_classes = {cfg.dataset.num_classes}")
+        out.append(f"dim = {cfg.dataset.dim}")
+        out.append(f"per_class = {cfg.dataset.per_class}")
+        out.append(f"test_per_class = {cfg.dataset.test_per_class}")
+        out.append(f"separation = {_seed_fmt(cfg.dataset.separation)}")
+    else:
+        out.append(f"train_images = {cfg.dataset.train_images}")
+        out.append(f"train_labels = {cfg.dataset.train_labels}")
+        out.append(f"test_images = {cfg.dataset.test_images}")
+        out.append(f"test_labels = {cfg.dataset.test_labels}")
+
+    out.append("")
+    out.append("[model]")
+    out.append(f"kind = {cfg.model.kind}")
+    if cfg.model.kind == "mlp":
+        out.append(f"hidden = {cfg.model.hidden}")
+    out.append(f"l2 = {_seed_fmt(cfg.model.l2)}")
+
+    out.append("")
+    out.append("[attack]")
+    if cfg.attack is None:
+        out.append("kind = none")
+    elif cfg.attack.kind == "trim":
+        out.append("kind = trim")
+        out.append(f"trim_b = {_seed_fmt(cfg.attack.b)}")
+    else:
+        out.append("kind = backdoor")
+        trig = cfg.attack.trigger
+        out.append(f"trigger = {trig.kind}")
+        if trig.kind == "pixel_patch":
+            out.append(f"trigger_rows = {trig.rows}")
+            out.append(f"trigger_cols = {trig.cols}")
+        else:
+            out.append(f"trigger_k = {trig.k}")
+        out.append(f"trigger_value = {_seed_fmt(trig.value)}")
+        out.append(f"target_label = {cfg.attack.target_label}")
+        out.append(f"scale = {_seed_fmt(cfg.attack.lam)}")
+        out.append(f"adaptive = {_seed_fmt(cfg.attack.adaptive)}")
+
+    out.append("")
+    out.append("[detection]")
+    out.append(f"fnr = {_seed_fmt(cfg.fnr)}")
+    out.append(f"fpr = {_seed_fmt(cfg.fpr)}")
+
+    out.append("")
+    out.append("[recovery]")
+    out.append(f"warmup_rounds = {cfg.recovery.warmup_rounds}")
+    out.append(f"correction_period = {cfg.recovery.correction_period}")
+    out.append(f"final_tuning_rounds = {cfg.recovery.final_tuning_rounds}")
+    out.append(f"buffer_size = {cfg.recovery.buffer_size}")
+    out.append(f"tolerance_rate = {_seed_fmt(cfg.recovery.tolerance_rate)}")
+    if cfg.recovery.tau is not None:
+        out.append(f"tau = {_seed_fmt(cfg.recovery.tau)}")
+    out.append(f"hvp_mode = {cfg.recovery.hvp_mode}")
+    out.append(f"bound_check = {_seed_fmt(cfg.bound_check)}")
+
+    out.append("")
+    out.append("[finetune]")
+    out.append(f"epochs = {cfg.finetune.epochs}")
+    out.append(f"n_examples = {cfg.finetune.n_examples}")
+    out.append(f"beta = {_seed_fmt(cfg.finetune.beta)}")
+    out.append(f"batch_size = {cfg.finetune.batch_size}")
+    out.append("")
+    return "\n".join(out)
+
+
+def _render(sections: dict) -> str:
+    return "".join(
+        f"[{sec}]\n" + "".join(f"{key} = {val}\n" for key, val in keys.items()) + "\n"
+        for sec, keys in sections.items()
+    )
+
+
+_COMMON = {
+    "detection": {"fnr": "0.25", "fpr": "0.0"},
+    "recovery": {
+        "warmup_rounds": "5",
+        "correction_period": "3",
+        "final_tuning_rounds": "2",
+        "buffer_size": "2",
+        "tolerance_rate": "0.001",
+        "tau": "0.5",
+        "hvp_mode": "lbfgs",
+        "bound_check": "true",
+    },
+    "finetune": {"epochs": "3", "n_examples": "40", "beta": "2.5", "batch_size": "8"},
+}
+# Three valid configs that between them put every key of the table in its
+# variant: every key each one accepts is given explicitly.
+_BASES = {
+    "patch": {
+        "experiment": {
+            "seed": "1",
+            "rounds": "12",
+            "learning_rate": "0.1",
+            "batch_size": "8",
+            "local_steps": "2",
+            "n_clients": "6",
+            "malicious_count": "1",
+            "noniid_degree": "0.5",
+            "aggregation": "trimmed_mean",
+            "trim_k": "1",
+            "output_dir": "runs/a",
+        },
+        "dataset": {
+            "kind": "synthetic",
+            "num_classes": "3",
+            "dim": "9",
+            "per_class": "20",
+            "test_per_class": "5",
+            "separation": "2.0",
+        },
+        "model": {"kind": "mlp", "hidden": "4", "l2": "0.01"},
+        "attack": {
+            "kind": "backdoor",
+            "trigger": "pixel_patch",
+            "trigger_rows": "2",
+            "trigger_cols": "2",
+            "trigger_value": "1.0",
+            "target_label": "1",
+            "scale": "2.0",
+            "adaptive": "false",
+        },
+        **_COMMON,
+    },
+    "mnist": {
+        "experiment": {
+            "seed": "2",
+            "rounds": "12",
+            "learning_rate": "0.1",
+            "n_clients": "10",
+            "malicious_fraction": "0.2",
+            "aggregation": "fedavg",
+            "output_dir": "runs/b",
+        },
+        "dataset": {
+            "kind": "mnist",
+            "train_images": "train-images",
+            "train_labels": "train-labels",
+            "test_images": "test-images",
+            "test_labels": "test-labels",
+        },
+        "model": {"kind": "logreg", "l2": "0.0"},
+        "attack": {"kind": "trim", "trim_b": "3.0"},
+        **_COMMON,
+    },
+    "kth": {
+        "experiment": {
+            "seed": "3",
+            "rounds": "12",
+            "learning_rate": "0.1",
+            "n_clients": "4",
+            "malicious_count": "1",
+            "aggregation": "median",
+            "output_dir": "runs/c",
+        },
+        "dataset": {"kind": "synthetic", "num_classes": "2", "dim": "6"},
+        "model": {"kind": "ridge"},
+        "attack": {
+            "kind": "backdoor",
+            "trigger": "every_kth",
+            "trigger_k": "2",
+            "trigger_value": "0.5",
+            "target_label": "0",
+            "scale": "1.5",
+            "adaptive": "true",
+        },
+        **_COMMON,
+    },
+}
+
+
+def _edited(base: str, section: str, key: str, value) -> str:
+    """The base config with one key set to `value` (None: removed)."""
+    sections = {sec: dict(keys) for sec, keys in _BASES[base].items()}
+    if value is None:
+        del sections[section][key]
+    else:
+        sections[section][key] = value
+    return _render(sections)
+
+
+def _row_id(row) -> str:
+    return f"{row.section}.{row.key}" + (f"[{row.when[0]}={row.when[1]}]" if row.when else "")
+
+
+class TestKeyTable:
+    @pytest.mark.parametrize("base", sorted(_BASES))
+    def test_bases_are_valid(self, base):
+        parse_config_string(_render(_BASES[base]))
+
+    @pytest.mark.parametrize("row", _KEYS, ids=_row_id)
+    def test_every_key_fails_by_its_own_name(self, row):
+        """Dropping a required key, an unparsable value, and the key in a
+        variant it does not belong to each name the key."""
+        field = f"{row.section}.{row.key}"
+        home = next(
+            b for b, secs in _BASES.items() if row.key in secs[row.section] and _applies(row, secs[row.section])
+        )
+        texts = []
+        if row.default is _REQUIRED:
+            texts.append(_edited(home, row.section, row.key, None))
+        if row.conv is not str:  # any string parses as a str key
+            texts.append(_edited(home, row.section, row.key, "abc"))
+        if row.when is not None:
+            # A base where no row of this key applies; a key read in every
+            # variant must there keep its default, so give it another value.
+            away = next(
+                b
+                for b, secs in _BASES.items()
+                if not any(
+                    (k.section, k.key) == (row.section, row.key) and _applies(k, secs[row.section])
+                    for k in _KEYS
+                )
+            )
+            texts.append(_edited(away, row.section, row.key, "1"))
+        for text in texts:
+            with pytest.raises(ConfigError) as err:
+                parse_config_string(text)
+            assert err.value.field == field, text
+
+    @pytest.mark.parametrize(
+        "base, section, key, value",
+        [
+            ("patch", "recovery", "buffer_size", "abc"),
+            ("mnist", "recovery", "tolerance_rate", "nan"),
+            ("patch", "recovery", "tau", "nan"),
+            ("patch", "recovery", "tau", "abc"),
+            ("patch", "finetune", "beta", "abc"),
+            ("patch", "finetune", "beta", "nan"),
+            ("mnist", "attack", "trim_b", "0.5"),
+            ("kth", "attack", "scale", "0"),
+            ("kth", "attack", "trigger_k", "0"),
+            ("patch", "attack", "trigger_rows", "0"),
+            ("patch", "attack", "trigger_cols", "0"),
+        ],
+    )
+    def test_one_fault_names_its_key(self, base, section, key, value):
+        with pytest.raises(ConfigError) as err:
+            parse_config_string(_edited(base, section, key, value))
+        assert err.value.field == f"{section}.{key}"
+
+    def test_cross_field_recovery_error_names_the_section(self):
+        with pytest.raises(ConfigError) as err:
+            parse_config_string(_edited("patch", "recovery", "warmup_rounds", "2"))
+        assert err.value.field == "recovery"
+
+    def test_readme_config_reference_lists_every_key(self):
+        readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+        text = readme.read_text(encoding="utf-8")
+        section = text.split("## Config reference", 1)[1].split("\n## ", 1)[0]
+        documented = set(re.findall(r"^\| `(\w+)` \| `(\w+)` \|", section, flags=re.MULTILINE))
+        assert documented == {(k.section, k.key) for k in _KEYS}
+
+
+@st.composite
+def _valid_configs(draw) -> str:
+    """A valid config text over every variant; each optional key is left
+    out at random, and then its default is what the constraints see."""
+    sections = {sec: {} for sec in dict.fromkeys(k.section for k in _KEYS)}
+
+    def put(section, key, strategy, default=_REQUIRED):
+        if default is not _REQUIRED and draw(st.booleans()):
+            return default
+        value = draw(strategy)
+        sections[section][key] = repr(value) if isinstance(value, float) else value
+        return value
+
+    def real(lo, hi, **kw):
+        return st.floats(lo, hi, allow_nan=False, **kw)
+
+    mnist = draw(st.booleans())
+    put("dataset", "kind", st.just("mnist" if mnist else "synthetic"))
+    if mnist:
+        classes = 10
+        for key in ("train_images", "train_labels", "test_images", "test_labels"):
+            put("dataset", key, st.sampled_from(["a", "dir/b", "c d"]))
+    else:
+        classes = put("dataset", "num_classes", st.integers(2, 6), 10)
+        put("dataset", "dim", st.integers(1, 30), 20)
+        put("dataset", "per_class", st.integers(1, 50), 100)
+        put("dataset", "test_per_class", st.integers(0, 20), 50)
+        put("dataset", "separation", real(0.0, 10.0, exclude_min=True), 3.0)
+    n = put("experiment", "n_clients", st.integers(classes, classes + 10))
+    put("experiment", "seed", st.integers(0, 2**31))
+    put("experiment", "learning_rate", real(0.0, 1e3, exclude_min=True))
+    put("experiment", "batch_size", st.integers(1, 64), 32)
+    put("experiment", "local_steps", st.integers(1, 4), 1)
+    put("experiment", "noniid_degree", real(1.0 / classes, 1.0), 0.5)
+    put("experiment", "output_dir", st.sampled_from(["runs/x", "out", "a b/c"]))
+    attack = put("attack", "kind", st.sampled_from(["none", "trim", "backdoor"]), "none")
+    low = 0 if attack == "none" else 1
+    if draw(st.booleans()):
+        put("experiment", "malicious_count", st.integers(low, n - 1))
+    elif attack != "none" or draw(st.booleans()):
+        put("experiment", "malicious_fraction", real(0.5 * low / n, (n - 1) / n))
+    rule = put("experiment", "aggregation", st.sampled_from(["fedavg", "median", "trimmed_mean"]))
+    if rule == "trimmed_mean":
+        put("experiment", "trim_k", st.integers(0, (n - 1) // 2), 0)
+    else:
+        put("experiment", "trim_k", st.just(0), 0)
+    kind = put("model", "kind", st.sampled_from(["logreg", "mlp", "ridge"]))
+    if kind == "mlp":
+        put("model", "hidden", st.integers(1, 8))
+    else:
+        put("model", "hidden", st.just(0), 0)
+    put("model", "l2", real(0.0, 1.0), 0.0)
+    if attack == "trim":
+        put("attack", "trim_b", real(1.0, 10.0, exclude_min=True), 2.0)
+    elif attack == "backdoor":
+        if put("attack", "trigger", st.sampled_from(["pixel_patch", "every_kth"])) == "pixel_patch":
+            put("attack", "trigger_rows", st.integers(1, 5), 4)
+            put("attack", "trigger_cols", st.integers(1, 5), 4)
+        else:
+            put("attack", "trigger_k", st.integers(1, 9))
+        put("attack", "trigger_value", real(-3.0, 3.0), 0.0)
+        put("attack", "target_label", st.integers(0, classes - 1), 0)
+        put("attack", "scale", real(0.0, 50.0, exclude_min=True), 1.0)
+        put("attack", "adaptive", st.sampled_from(["true", "false"]), "false")
+    put("detection", "fnr", real(0.0, 1.0), 0.0)
+    put("detection", "fpr", real(0.0, 1.0), 0.0)
+    buffer = put("recovery", "buffer_size", st.integers(1, 3), 2)
+    warmup = put("recovery", "warmup_rounds", st.integers(buffer + 1, buffer + 4), 20)
+    final = put("recovery", "final_tuning_rounds", st.integers(0, 3), 5)
+    put("experiment", "rounds", st.integers(warmup + final, warmup + final + 20))
+    put("recovery", "correction_period", st.integers(1, 12), 10)
+    put("recovery", "tolerance_rate", real(0.0, 1.0, exclude_min=True), 1e-6)
+    put("recovery", "tau", st.sampled_from(["inf"]) | real(0.0, 100.0), None)
+    put("recovery", "hvp_mode", st.sampled_from(["lbfgs", "exact_quadratic"]), "lbfgs")
+    put("recovery", "bound_check", st.sampled_from(["true", "false"]), "false")
+    put("finetune", "epochs", st.integers(1, 200), 100)
+    put("finetune", "n_examples", st.integers(1, 2000), 1000)
+    put("finetune", "beta", st.sampled_from(["inf"]) | real(0.0, 100.0), "inf")
+    put("finetune", "batch_size", st.integers(1, 64), 32)
+    return _render(sections)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_valid_configs())
+def test_canonical_form_matches_seed_serializer(text):
+    cfg = parse_config_string(text)
+    canon = serialize_config(cfg)
+    assert canon == _seed_serialize_config(cfg)
+    assert parse_config_string(canon) == cfg

@@ -9,7 +9,6 @@ from fedsim.flengine import (
     HistoryError,
     HistoryStore,
     RoundRecord,
-    TrainState,
     run_round,
     train,
 )
@@ -177,20 +176,19 @@ class TestRunRound:
             local_labels={cid: y},
             sizes={cid: len(y)},
         )
-        state = TrainState(0, w)
-        losses = [loss(sub.spec, state.global_model, batch)]
-        for _ in range(10):
-            state, _ = run_round(state, sub)
-            losses.append(loss(sub.spec, state.global_model, batch))
+        losses = [loss(sub.spec, w, batch)]
+        for t in range(10):
+            w, _ = run_round(sub, w, t)
+            losses.append(loss(sub.spec, w, batch))
         assert all(b < a for a, b in zip(losses, losses[1:]))
 
     def test_attack_with_empty_malicious_is_noop(self):
         atk = AttackConfig(kind="trim", b=2.0)
         s1, _ = small_setup(attack=atk, malicious=())
         s2, _ = small_setup(attack=None)
-        st1, r1 = run_round(TrainState(0, np.zeros(s1.spec.param_dim)), s1)
-        st2, r2 = run_round(TrainState(0, np.zeros(s2.spec.param_dim)), s2)
-        np.testing.assert_array_equal(st1.global_model, st2.global_model)
+        w1, r1 = run_round(s1, np.zeros(s1.spec.param_dim), 0)
+        w2, r2 = run_round(s2, np.zeros(s2.spec.param_dim), 0)
+        np.testing.assert_array_equal(w1, w2)
         for cid in r1.updates:
             np.testing.assert_array_equal(r1.updates[cid], r2.updates[cid])
 
@@ -199,15 +197,15 @@ class TestRunRound:
         atk = AttackConfig(kind="backdoor", trigger=trig, target_label=0, lam=10.0)
         setup, _ = small_setup(attack=atk, malicious=(1,))
         w = np.zeros(setup.spec.param_dim)
-        _, record = run_round(TrainState(0, w), setup)
+        _, record = run_round(setup, w, 0)
         base = setup.backdoor_update(1, w, 0, 1.0)
         np.testing.assert_array_equal(record.updates[1], 10.0 * base)
 
     def test_every_round_has_all_clients(self):
         setup, _ = small_setup()
-        state = TrainState(0, np.zeros(setup.spec.param_dim))
-        for _ in range(3):
-            state, record = run_round(state, setup)
+        w = np.zeros(setup.spec.param_dim)
+        for t in range(3):
+            w, record = run_round(setup, w, t)
             assert sorted(record.updates) == sorted(setup.client_ids)
 
 
