@@ -129,6 +129,22 @@ def _summary_validator():
     return jsonschema.validators.validator_for(schema)(schema)
 
 
+def _summary_error(summary):
+    """The summary's schema error, or None when it is valid.
+
+    The schema has one branch per command. Of the branches the summary
+    fails, the one it misses by the fewest errors is the one it meant,
+    so its first error is the one that names the bad field.
+    """
+    error = next(_summary_validator().iter_errors(summary), None)
+    if error is None or not error.context:
+        return error
+    branches: dict = {}
+    for sub in error.context:
+        branches.setdefault(sub.relative_schema_path[0], []).append(sub)
+    return min(branches.values(), key=len)[0]
+
+
 def write_summary(path, summary: dict) -> None:
     _summary_validator().validate(summary)
     with open(path, "w", encoding="utf-8") as f:
@@ -187,7 +203,7 @@ def cmd_train(cfg_path: str) -> int:
                     os.unlink(temp)
 
         def trace_lookup(t):
-            return final_model if t >= cfg.rounds else store.records[t].global_model
+            return final_model if t >= cfg.rounds else store.models[t]
 
         _write_metrics_csv(
             os.path.join(run_dir, "train_metrics.csv"), cfg, trace_lookup, test_set,
@@ -329,8 +345,16 @@ def cmd_report(run_dirs, out_stream=None) -> int:
         if not summaries:
             raise CliError(f"{run_dir} contains no summary files")
         for name in summaries:
-            with open(os.path.join(run_dir, name), "r", encoding="utf-8") as f:
-                summary = json.load(f)
+            path = os.path.join(run_dir, name)
+            try:
+                with open(path, "r", encoding="utf-8") as f:
+                    summary = json.load(f)
+            except ValueError as exc:  # not UTF-8, or not JSON
+                raise CliError(f"{path}: not a JSON summary: {exc}") from exc
+            error = _summary_error(summary)
+            if error is not None:
+                where = "/" + "/".join(str(p) for p in error.absolute_path)
+                raise CliError(f"{path}: bad summary at {where}: {error.message}")
             label = summary.get("method", summary["command"])
             rows.append(
                 (

@@ -95,9 +95,18 @@ def _to_bool(raw: str) -> bool:
 
 
 def _to_float(raw: str) -> float:
+    """A float that may be inf (tau, beta: "none") but not nan or -inf,
+    which the canonical form could not tell from inf."""
     val = float(raw)
-    if math.isnan(val):
-        raise ValueError("nan is not allowed")
+    if math.isnan(val) or val == -math.inf:
+        raise ValueError(f"{val} is not allowed")
+    return val
+
+
+def _to_finite(raw: str) -> float:
+    val = _to_float(raw)
+    if math.isinf(val):
+        raise ValueError("must be finite")
     return val
 
 
@@ -157,8 +166,8 @@ _KEYS = (
     _Key("attack", "trigger_rows", int, 4, _PATCH, "attack.trigger.rows"),
     _Key("attack", "trigger_cols", int, 4, _PATCH, "attack.trigger.cols"),
     _Key("attack", "trigger_k", int, _REQUIRED, _KTH, "attack.trigger.k"),
-    _Key("attack", "trigger_value", _to_float, 1.0, _PATCH, "attack.trigger.value"),
-    _Key("attack", "trigger_value", _to_float, 0.0, _KTH, "attack.trigger.value"),
+    _Key("attack", "trigger_value", _to_finite, 1.0, _PATCH, "attack.trigger.value"),
+    _Key("attack", "trigger_value", _to_finite, 0.0, _KTH, "attack.trigger.value"),
     _Key("attack", "target_label", int, 0, _BACKDOOR, "attack.target_label"),
     _Key("attack", "scale", _to_float, 1.0, _BACKDOOR, "attack.lam"),
     _Key("attack", "adaptive", _to_bool, False, _BACKDOOR, "attack.adaptive"),

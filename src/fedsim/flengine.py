@@ -29,34 +29,53 @@ class HistoryError(ValueError):
     """Structural problem in a history file (corruption, bad order, meta)."""
 
 
-@dataclass(frozen=True)
-class RoundRecord:
-    round_idx: int
-    global_model: np.ndarray
-    updates: dict  # client_id -> update vector
-
-    def __post_init__(self):
-        d = self.global_model.size
-        for cid, u in self.updates.items():
-            if u.size != d:
-                raise ValueError(f"update of client {cid} has dim {u.size}, expected {d}")
-
-
-def _checksum(payload: bytes) -> int:
+def _checksum(payload) -> int:
     return int.from_bytes(hashlib.blake2b(payload, digest_size=8).digest(), "little")
+
+
+def _record_buffer(d: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """A one-record byte buffer and the record viewed over it. One dtype
+    both writes and reads a record, packed and little-endian: the round
+    index, the model broadcast at that round, the client count n, each
+    client's id and update in id order 0..n-1, and a 64-bit checksum of
+    the bytes before it."""
+    client = np.dtype([("id", "<u4"), ("u", "<f8", (d,))])
+    dtype = np.dtype(
+        [("round", "<u4"), ("model", "<f8", (d,)), ("count", "<u4"), ("clients", client, (n,)),
+         ("checksum", "<u8")]
+    )
+    buf = np.zeros(dtype.itemsize, dtype=np.uint8)
+    return buf, buf.view(dtype).reshape(())
+
+
+def _read_header(f) -> tuple:
+    """(d, n, T, config hash) from the header at the start of `f`."""
+    head = f.read(_HEADER.size)
+    if len(head) < _HEADER.size:
+        raise HistoryError("truncated header")
+    magic, version, d, n, total = _HEADER.unpack(head)
+    if magic != MAGIC:
+        raise HistoryError(f"bad magic {magic!r}")
+    if version != VERSION:
+        raise HistoryError(f"unsupported version {version}")
+    config_hash = f.read(32)
+    if len(config_hash) != 32:
+        raise HistoryError("truncated header (config hash)")
+    return d, n, total, config_hash
 
 
 class HistoryStore:
     """Append-only store of per-round training history.
 
     Layout: a fixed header (magic, version, d, n, T, 32-byte config hash)
-    followed by one record per round. Each record is the round index, the
-    global model, and the clients' updates as little-endian float64
-    payloads, closed by a 64-bit checksum of the record bytes. Records
-    must be appended in round order; loading verifies every checksum.
+    followed by one fixed-size record per round (see `_record_buffer`),
+    appended in round order. In memory the store holds two float64
+    arrays: `models` (T, d), the model broadcast at each round, and
+    `updates` (T, n, d), client c's update as reported at round t in row
+    [t, c]. The first `n_records` rows are filled.
     """
 
-    def __init__(self, path, d: int, n: int, total_rounds: int, config_hash: bytes):
+    def __init__(self, path, d: int, n: int, total_rounds: int, config_hash: bytes, rows=0):
         if len(config_hash) != 32:
             raise ValueError("config hash must be 32 bytes")
         self.path = os.fspath(path)
@@ -64,103 +83,81 @@ class HistoryStore:
         self.n = n
         self.total_rounds = total_rounds
         self.config_hash = bytes(config_hash)
-        self.records: list[RoundRecord] = []
+        self.models = np.empty((rows, d))
+        self.updates = np.empty((rows, n, d))
+        self.n_records = 0
 
     @classmethod
     def create(cls, path, d: int, n: int, total_rounds: int, config_hash: bytes) -> "HistoryStore":
-        store = cls(path, d, n, total_rounds, config_hash)
+        store = cls(path, d, n, total_rounds, config_hash, rows=total_rounds)
         with open(store.path, "wb") as f:
             f.write(_HEADER.pack(MAGIC, VERSION, d, n, total_rounds))
             f.write(store.config_hash)
         return store
 
-    def _encode(self, record: RoundRecord) -> bytes:
-        parts = [struct.pack("<I", record.round_idx)]
-        parts.append(np.ascontiguousarray(record.global_model, dtype="<f8").tobytes())
-        parts.append(struct.pack("<I", len(record.updates)))
-        for cid in sorted(record.updates):
-            parts.append(struct.pack("<I", cid))
-            parts.append(np.ascontiguousarray(record.updates[cid], dtype="<f8").tobytes())
-        payload = b"".join(parts)
-        return payload + struct.pack("<Q", _checksum(payload))
-
-    def append(self, record: RoundRecord) -> None:
-        expected = self.records[-1].round_idx + 1 if self.records else 0
-        if record.round_idx != expected:
-            raise HistoryError(f"out-of-order append: round {record.round_idx}, expected {expected}")
-        if record.global_model.size != self.d:
-            raise HistoryError(f"model dim {record.global_model.size} != store dim {self.d}")
+    def append(self, round_idx: int, model: np.ndarray, updates: dict) -> None:
+        """Write round `round_idx`: the model broadcast at that round and
+        each client's update as reported, keyed by client id 0..n-1."""
+        t = self.n_records
+        if round_idx != t or t == len(self.models):
+            raise HistoryError(f"cannot append round {round_idx} after {t} of {len(self.models)}")
+        if sorted(updates) != list(range(self.n)):
+            raise HistoryError(f"round {round_idx} needs updates from clients 0..{self.n - 1}")
+        mat = np.array([updates[c] for c in range(self.n)], dtype=np.float64)
+        if np.shape(model) != (self.d,) or mat.shape != (self.n, self.d):
+            raise HistoryError(f"round {round_idx} holds vectors not of store dim {self.d}")
+        buf, rec = _record_buffer(self.d, self.n)
+        rec["round"], rec["model"], rec["count"] = round_idx, model, self.n
+        rec["clients"]["id"], rec["clients"]["u"] = np.arange(self.n), mat
+        rec["checksum"] = _checksum(buf[:-8])
         with open(self.path, "ab") as f:
-            f.write(self._encode(record))
-        self.records.append(record)
-
-    @classmethod
-    def _read_header(cls, f, path) -> "HistoryStore":
-        head = f.read(_HEADER.size)
-        if len(head) < _HEADER.size:
-            raise HistoryError("truncated header")
-        magic, version, d, n, total = _HEADER.unpack(head)
-        if magic != MAGIC:
-            raise HistoryError(f"bad magic {magic!r}")
-        if version != VERSION:
-            raise HistoryError(f"unsupported version {version}")
-        config_hash = f.read(32)
-        if len(config_hash) != 32:
-            raise HistoryError("truncated header (config hash)")
-        return cls(path, d, n, total, config_hash)
+            f.write(buf)
+        self.models[t], self.updates[t] = model, mat
+        self.n_records = t + 1
 
     @classmethod
     def load_header(cls, path) -> "HistoryStore":
         """The store's header (d, n, T, config hash) with no records read."""
         with open(path, "rb") as f:
-            return cls._read_header(f, path)
+            return cls(path, *_read_header(f))
 
     @classmethod
     def load(cls, path) -> "HistoryStore":
         """Every record, checksums verified; exactly T of them.
 
         This is where stored vectors are validated: a record holding a
-        non-finite value is rejected, so recovery can trust what it reads.
-        Each record's updates are rows of one (count, d) float64 matrix.
+        non-finite value, or other clients than 0..n-1, is rejected, so
+        recovery can trust what it reads. Records are read one at a time
+        into a one-record buffer and copied into the store's arrays.
         """
         with open(path, "rb") as f:
-            store = cls._read_header(f, path)
-            d = store.d
-            vec_bytes = 8 * d
-            client_dtype = np.dtype([("id", "<u4"), ("u", "<f8", (d,))])
-            while True:
-                first = f.read(4)
-                if not first:
-                    break
-                body_len = vec_bytes + 4
-                body = f.read(body_len)
-                if len(body) != body_len:
+            d, n, total, config_hash = _read_header(f)
+            buf, rec = _record_buffer(d, n)
+            # Rows for the complete records the file can hold, at most T.
+            rows = min(total, (os.fstat(f.fileno()).st_size - f.tell()) // buf.size)
+            store = cls(path, d, n, total, config_hash, rows=rows)
+            ids = np.arange(n)
+            t = 0
+            while got := f.readinto(buf):
+                if got != buf.size:
                     raise HistoryError("truncated record")
-                (count,) = struct.unpack("<I", body[-4:])
-                rest_len = count * client_dtype.itemsize + 8
-                rest = f.read(rest_len)
-                if len(rest) != rest_len:
-                    raise HistoryError("truncated record")
-                payload = first + body + rest[:-8]
-                (stored_sum,) = struct.unpack("<Q", rest[-8:])
-                if _checksum(payload) != stored_sum:
+                if _checksum(buf[:-8]) != rec["checksum"]:
                     raise HistoryError("record checksum mismatch")
-                (round_idx,) = struct.unpack("<I", first)
-                w = np.frombuffer(body[:vec_bytes], dtype="<f8").astype(np.float64)
-                clients = np.frombuffer(rest, dtype=client_dtype, count=count)
-                mat = clients["u"].astype(np.float64)
-                if not (np.isfinite(w).all() and np.isfinite(mat).all()):
-                    raise HistoryError(f"record for round {round_idx} holds non-finite values")
-                updates = dict(zip(clients["id"].tolist(), mat))
-                expected = store.records[-1].round_idx + 1 if store.records else 0
-                if round_idx != expected:
-                    raise HistoryError(f"record for round {round_idx} where {expected} expected")
-                store.records.append(RoundRecord(round_idx, w, updates))
-        if len(store.records) != store.total_rounds:
-            raise HistoryError(
-                f"history holds {len(store.records)} complete records, header says "
-                f"T={store.total_rounds}"
-            )
+                round_idx, clients = int(rec["round"]), rec["clients"]
+                where = f"record for round {round_idx}"
+                if rec["count"] != n or not np.array_equal(clients["id"], ids):
+                    raise HistoryError(f"{where} does not hold clients 0..{n - 1}")
+                if not (np.isfinite(rec["model"]).all() and np.isfinite(clients["u"]).all()):
+                    raise HistoryError(f"{where} holds non-finite values")
+                if round_idx != t:
+                    raise HistoryError(f"{where} where {t} expected")
+                if t < rows:
+                    store.models[t] = rec["model"]
+                    store.updates[t] = clients["u"]
+                t += 1
+        if t != total:
+            raise HistoryError(f"history holds {t} complete records, header says T={total}")
+        store.n_records = t
         return store
 
     def check_meta(self, d: int, n: int, total_rounds: int, config_hash: bytes) -> None:
@@ -277,13 +274,12 @@ class FlSetup:
         return apply_update(w, agg, self.eta)
 
 
-def run_round(setup: FlSetup, w: np.ndarray, round_idx: int) -> tuple[np.ndarray, RoundRecord]:
+def run_round(setup: FlSetup, w: np.ndarray, round_idx: int) -> tuple[np.ndarray, dict]:
     """One full round from global model w: broadcast, per-client updates
     (attack-aware), aggregate, apply. Returns the next global model and the
-    record, which carries the updates as reported."""
+    updates as reported, keyed by client id."""
     reported = setup.reported_updates(w, round_idx, setup.client_ids, setup.malicious)
-    record = RoundRecord(round_idx, w, reported)
-    return setup.aggregate_step(w, reported), record
+    return setup.aggregate_step(w, reported), reported
 
 
 def train(
@@ -296,6 +292,7 @@ def train(
         history_path, setup.spec.param_dim, len(setup.client_ids), total_rounds, config_hash
     )
     for round_idx in range(total_rounds):
-        w, record = run_round(setup, w, round_idx)
-        store.append(record)
+        w_next, reported = run_round(setup, w, round_idx)
+        store.append(round_idx, w, reported)
+        w = w_next
     return store, w

@@ -164,11 +164,11 @@ def compute_threshold(history: HistoryStore, remaining_clients, alpha: float) ->
     if not (0.0 < alpha <= 1.0):
         raise ValueError("tolerance rate alpha must lie in (0, 1]")
     remaining = sorted(remaining_clients)
-    if not history.records:
+    if len(history.updates) == 0:
         raise ValueError("history is empty")
     tau = -math.inf
-    for record in history.records:
-        pool = np.concatenate([record.updates[c] for c in remaining])
+    for round_updates in history.updates:
+        pool = round_updates[remaining].ravel()
         m = max(pool.size - 1 - math.floor(alpha * pool.size), 0)
         tau = max(tau, float(np.partition(pool, m)[m]))
     return tau
@@ -307,10 +307,8 @@ def fedrecover(
     only).
     """
     total = history.total_rounds
-    if len(history.records) != total:
-        raise ValueError(
-            f"history has {len(history.records)} records but covers T={total} rounds"
-        )
+    if history.n_records != total:
+        raise ValueError(f"history has {history.n_records} records but covers T={total} rounds")
     if params.warmup_rounds + params.final_tuning_rounds > total:
         raise ValueError("warmup + final tuning exceed the training length")
     detected = frozenset(detected)
@@ -340,7 +338,7 @@ def fedrecover(
     abnormality_count = 0
     errors = []
 
-    w_hat = history.records[0].global_model.copy()
+    w_hat = history.models[0].copy()
     trace = [w_hat]
 
     def full_exact_reports(w, t):
@@ -367,9 +365,8 @@ def fedrecover(
         return models.quadratic_hessian(setup.spec, setup.local_inputs[cid][idx])
 
     for t in range(total):
-        record = history.records[t]
-        w_bar = record.global_model
-        g_bar = record.updates
+        w_bar = history.models[t]
+        g_bar = history.updates[t]  # row c: client c's stored update
         if _is_exact_round(t, total, params):
             reported = full_exact_reports(w_hat, t)
             for c in remaining:
@@ -447,14 +444,15 @@ def historical_only(
     With nothing detected this reproduces the original trajectory exactly.
     """
     detected = frozenset(detected)
-    first = history.records[0]
-    remaining = sorted(set(first.updates) - detected)
+    remaining = sorted(set(range(history.n)) - detected)
     if not remaining:
         raise ValueError("no clients remain")
-    w = first.global_model.copy()
+    w = history.models[0].copy()
     trace = [w]
-    for record in history.records:
-        agg = aggregate(rule, [record.updates[c] for c in remaining], [sizes[c] for c in remaining])
+    weights = [sizes[c] for c in remaining]
+    for round_updates in history.updates:
+        # row views: a fancy index would copy the (remaining, d) block once more
+        agg = aggregate(rule, [round_updates[c] for c in remaining], weights)
         w = apply_update(w, agg, eta)
         trace.append(w)
     return w, trace

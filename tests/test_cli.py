@@ -114,10 +114,10 @@ class TestTrainCommand:
         root, cfg_path = run_env
         append = fedsim.flengine.HistoryStore.append
 
-        def failing_append(store, record):
-            if record.round_idx == 12:
+        def failing_append(store, round_idx, model, updates):
+            if round_idx == 12:
                 raise OSError("injected write failure")
-            append(store, record)
+            append(store, round_idx, model, updates)
 
         monkeypatch.setattr(fedsim.flengine.HistoryStore, "append", failing_append)
         assert main(["train", "-c", str(cfg_path)]) == 1
@@ -252,10 +252,9 @@ class TestRecoverCommand:
         rewritten = HistoryStore.create(
             path, store.d, store.n, store.total_rounds, store.config_hash
         )
-        for rec in store.records:
-            if rec.round_idx == 7:
-                rec.updates[3][0] = np.nan
-            rewritten.append(rec)
+        store.updates[7, 3, 0] = np.nan
+        for t in range(store.total_rounds):
+            rewritten.append(t, store.models[t], dict(enumerate(store.updates[t])))
         assert main(["recover", "-c", str(cfg_path), "--method", method]) == 1
         assert "round 7 holds non-finite values" in capsys.readouterr().err
 
@@ -298,6 +297,27 @@ class TestReport:
         with pytest.raises(Exception) as err:
             cmd_report([str(empty)])
         assert "summary" in str(err.value)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ('{"command": "train", "rounds": 3, "asr": null, "config_hash": "%s"}' % ("0" * 64),
+             "at /: 'ter' is a required property"),
+            ("[1, 2]", "at /: [1, 2] is not of type 'object'"),
+            ('{"command": "train", "rounds": 3, "ter": "low", "asr": null, "config_hash": "%s"}'
+             % ("0" * 64), "at /ter: 'low' is not of type 'number'"),
+            ('{"command": "train", ', "not a JSON summary"),
+        ],
+        ids=["missing-ter", "list", "ter-not-a-number", "not-json"],
+    )
+    def test_bad_summary_is_error_exit(self, tmp_path, capsys, text, message):
+        run = tmp_path / "run"
+        run.mkdir()
+        (run / "summary_train.json").write_text(text)
+        assert main(["report", str(run)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "summary_train.json" in err
+        assert message in err
 
     def test_report_idempotent(self, run_env):
         root, cfg_path = run_env

@@ -10,6 +10,8 @@ from fedsim.config import (
     _KEYS,
     _REQUIRED,
     _applies,
+    _to_finite,
+    _to_float,
     ConfigError,
     build_datasets,
     build_setup,
@@ -450,6 +452,8 @@ class TestKeyTable:
             texts.append(_edited(home, row.section, row.key, None))
         if row.conv is not str:  # any string parses as a str key
             texts.append(_edited(home, row.section, row.key, "abc"))
+        if row.conv in (_to_float, _to_finite):  # -inf would serialize as inf
+            texts.append(_edited(home, row.section, row.key, "-inf"))
         if row.when is not None:
             # A base where no row of this key applies; a key read in every
             # variant must there keep its default, so give it another value.
@@ -476,6 +480,10 @@ class TestKeyTable:
             ("patch", "recovery", "tau", "abc"),
             ("patch", "finetune", "beta", "abc"),
             ("patch", "finetune", "beta", "nan"),
+            ("patch", "recovery", "tau", "-inf"),
+            ("patch", "finetune", "beta", "-inf"),
+            ("patch", "attack", "trigger_value", "inf"),
+            ("kth", "attack", "trigger_value", "-inf"),
             ("mnist", "attack", "trim_b", "0.5"),
             ("kth", "attack", "scale", "0"),
             ("kth", "attack", "trigger_k", "0"),

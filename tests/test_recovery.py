@@ -1,4 +1,7 @@
+import copy
 import math
+import os
+import tempfile
 from unittest import mock
 
 import numpy as np
@@ -6,8 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import CHASH, build_setup
 from fedsim import recovery
-from fedsim.flengine import HistoryStore, RoundRecord
+from fedsim.aggregation import AggregationRule
+from fedsim.attacks import AttackConfig, Trigger
+from fedsim.data import gen_synthetic
+from fedsim.flengine import HistoryStore, train
+from fedsim.models import ModelSpec
 from fedsim.numcore import RngStream, as_vector
 from fedsim.recovery import (
     LbfgsBuffers,
@@ -322,13 +330,13 @@ class TestExactQuadraticHvp:
 
 
 class FakeHistory:
-    """Minimal stand-in with just .records for threshold tests."""
+    """Minimal stand-in for threshold tests: per round, client 0's stored
+    update is that round's pool. Pools may differ in size between rounds,
+    so the rounds are a list of (1, len(pool)) arrays rather than one
+    (T, n, d) array."""
 
     def __init__(self, pools):
-        self.records = [
-            RoundRecord(t, np.zeros(len(pool)), {0: np.array(pool, dtype=float)})
-            for t, pool in enumerate(pools)
-        ]
+        self.updates = [np.array([pool], dtype=float) for pool in pools]
 
 
 def threshold_predicate_oracle(pool, alpha):
@@ -513,9 +521,7 @@ class TestFedrecover:
         assert result.measured_m is not None and result.measured_m >= 0.0
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_nonfinite_estimate_falls_back_to_exact(
-        self, ridge_trim_scenario, tmp_path, monkeypatch
-    ):
+    def test_nonfinite_estimate_falls_back_to_exact(self, ridge_trim_scenario, monkeypatch):
         """g + Hv overflowing to inf is an abnormality, not a crash, and it
         is never counted as an accepted estimate."""
         sc = ridge_trim_scenario
@@ -524,14 +530,8 @@ class TestFedrecover:
         remaining = sorted(set(sc["setup"].client_ids) - sc["malicious"])
         # round 6 is the first estimated round; its first estimate is for remaining[0]
         t0, c0 = params.warmup_rounds, remaining[0]
-        history = HistoryStore(
-            tmp_path / "unused.bin", store.d, store.n, store.total_rounds, bytes(32)
-        )
-        history.records = list(store.records)
-        rec = store.records[t0]
-        history.records[t0] = RoundRecord(
-            t0, rec.global_model, {**rec.updates, c0: np.full(store.d, 1.7e308)}
-        )
+        history = copy.deepcopy(store)
+        history.updates[t0, c0] = 1.7e308
         real_hvp, real_linf = recovery.lbfgs_hvp, recovery.linf_norm
         hvp_calls, accepted = [], []
 
@@ -560,7 +560,7 @@ class TestFedrecover:
     def test_requires_full_history(self, ridge_trim_scenario, tmp_path):
         sc = ridge_trim_scenario
         partial = HistoryStore.create(tmp_path / "p.bin", sc["store"].d, sc["store"].n, 10, bytes(32))
-        partial.append(sc["store"].records[0])
+        partial.append(0, sc["store"].models[0], dict(enumerate(sc["store"].updates[0])))
         with pytest.raises(ValueError):
             fedrecover(partial, sc["malicious"], sc["setup"], recovery_params())
 
@@ -657,6 +657,84 @@ class TestFedrecoverProperties:
             assert again.abnormality_count == result.abnormality_count
 
 
+@st.composite
+def period_one_cases(draw):
+    """A small trained scenario (model kind, local steps, rule, attack) and
+    a detected set that holds every malicious client, plus recovery
+    parameters with correction_period = 1."""
+    n_clients = draw(st.integers(3, 5))
+    attack = draw(st.sampled_from([None, "trim", "backdoor"]))
+    clients = st.integers(0, n_clients - 1)
+    malicious = set()
+    if attack:
+        malicious = set(draw(st.lists(clients, min_size=1, max_size=n_clients - 1)))
+    detected = malicious | set(draw(st.lists(clients, max_size=n_clients - 1)))
+    if len(detected) == n_clients:
+        detected.discard(max(set(range(n_clients)) - malicious))
+    rule = draw(st.sampled_from(["fedavg", "median", "trimmed_mean"]))
+    k = 1 if rule == "trimmed_mean" and n_clients - len(detected) >= 3 else 0
+    buffer_size = draw(st.integers(1, 2))
+    warmup = draw(st.integers(buffer_size + 1, buffer_size + 3))
+    final = draw(st.integers(0, 2))
+    scenario = dict(
+        kind=draw(st.sampled_from(["logreg", "ridge", "mlp"])),
+        l=draw(st.integers(1, 2)),
+        n_clients=n_clients,
+        rule=AggregationRule(rule, k),
+        attack=attack,
+        adaptive=draw(st.booleans()),
+        malicious=malicious,
+        rounds=draw(st.integers(warmup + final, warmup + final + 4)),
+        seed=draw(st.integers(0, 10_000)),
+    )
+    params = RecoveryParams(
+        warmup_rounds=warmup,
+        correction_period=1,
+        final_tuning_rounds=final,
+        buffer_size=buffer_size,
+        tau=draw(st.sampled_from([None, math.inf])),
+    )
+    return scenario, sorted(detected), params
+
+
+class TestPeriodOneIsRetraining:
+    @settings(max_examples=25, deadline=None)
+    @given(case=period_one_cases())
+    def test_equals_train_from_scratch(self, case):
+        """With correction_period = 1 every round is exact and no detected
+        client is asked, so the recovery retraces retraining bit for bit."""
+        sc, detected, params = case
+        dataset = gen_synthetic(3, 4, 30, 3.0, seed=sc["seed"])
+        attack = None
+        if sc["attack"] == "trim":
+            attack = AttackConfig(kind="trim", b=2.0)
+        elif sc["attack"] == "backdoor":
+            trigger = Trigger(kind="every_kth", k=2, value=1.0)
+            attack = AttackConfig(
+                kind="backdoor", trigger=trigger, target_label=0, lam=5.0, adaptive=sc["adaptive"]
+            )
+        setup = build_setup(
+            spec=ModelSpec(sc["kind"], 4, 3, hidden=3 if sc["kind"] == "mlp" else 0, l2=0.05),
+            dataset=dataset,
+            n_clients=sc["n_clients"],
+            rule=sc["rule"],
+            eta=0.2,
+            batch_size=8,
+            seed=sc["seed"],
+            attack=attack,
+            malicious=sc["malicious"],
+            l=sc["l"],
+        )
+        with tempfile.TemporaryDirectory() as tmp:
+            store, _ = train(setup, sc["rounds"], os.path.join(tmp, "h.bin"), CHASH)
+        result = fedrecover(store, detected, setup, params)
+        remaining = sorted(set(setup.client_ids) - set(detected))
+        _, trace = train_from_scratch(setup, remaining, sc["rounds"])
+        assert len(result.per_round_models) == len(trace) == sc["rounds"] + 1
+        for w_hat, w in zip(result.per_round_models, trace):
+            assert np.array_equal(w_hat, w)
+
+
 class TestBaselines:
     def test_historical_replay_identity(self, ridge_trim_scenario):
         sc = ridge_trim_scenario
@@ -666,7 +744,7 @@ class TestBaselines:
         )
         # replaying every stored update must land on the original final model
         np.testing.assert_array_equal(model, sc["final"])
-        np.testing.assert_array_equal(trace[0], sc["store"].records[0].global_model)
+        np.testing.assert_array_equal(trace[0], sc["store"].models[0])
 
     def test_scratch_with_nothing_detected_is_benign_original(self, tmp_path):
         from conftest import CHASH, build_setup

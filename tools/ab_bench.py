@@ -13,6 +13,13 @@ the distance between the quartiles of the base runs. The last line is one
 JSON object with every run's metrics. Exits 1 if any run reports
 `"correct": false` or prints no result. The exported copy is removed at
 the end.
+
+The summary is also kept in `BENCH_<short-sha>.json` at the repository
+root, named after the working tree's commit (`-dirty` when the files the
+benchmark runs differ from it), under `workloads.<W>`, so one file holds
+every workload run against that tree: each side's environment line (from
+its first run), the table above per metric, the number of incorrect runs
+and each side's `src/fedsim/*.py` line count.
 """
 
 from __future__ import annotations
@@ -36,18 +43,41 @@ def export(ref: str, dest: Path) -> None:
     subprocess.run(["tar", "-x", "-C", str(dest)], input=archive.stdout, check=True)
 
 
-def run_bench(root: Path, workload: str, seed: int, seconds: float) -> dict | None:
-    """One benchmark run from the checkout at root; its result line, or None."""
+def run_bench(root: Path, workload: str, seed: int, seconds: float) -> tuple:
+    """One benchmark run from the checkout at root: its environment and its
+    result line, each None when absent."""
     cmd = [
         sys.executable, str(root / "perfbench" / "run.py"), "--workload", workload,
         "--seed", str(seed), "--seconds", str(seconds), "--trace", "0",
     ]
     proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True)
+    lines = proc.stdout.strip().splitlines()
     try:
-        return json.loads(proc.stdout.strip().splitlines()[-1])
+        env = json.loads(lines[0]).get("environment")
+    except (IndexError, json.JSONDecodeError):
+        env = None
+    try:
+        return env, json.loads(lines[-1])
     except (IndexError, json.JSONDecodeError):
         sys.stderr.write(proc.stderr)
-        return None
+        return env, None
+
+
+def src_lines(root: Path) -> int:
+    """Lines in the checkout's src/fedsim/*.py."""
+    return sum(len(p.read_bytes().splitlines()) for p in (root / "src" / "fedsim").glob("*.py"))
+
+
+def bench_path() -> Path:
+    """BENCH_<short-sha>.json for the working tree's commit, `-dirty` when
+    what the benchmark runs (src/, perfbench/, BENCHMARK.json) differs
+    from that commit."""
+    git = ["git", "-C", str(ROOT)]
+    sha = subprocess.run(git + ["rev-parse", "--short", "HEAD"], check=True, capture_output=True,
+                         text=True).stdout.strip()
+    measured = ["src", "perfbench", "BENCHMARK.json"]
+    dirty = subprocess.run(git + ["diff", "--quiet", "HEAD", "--"] + measured).returncode != 0
+    return ROOT / f"BENCH_{sha}{'-dirty' if dirty else ''}.json"
 
 
 def iqr(values: list[float]) -> float:
@@ -69,16 +99,19 @@ def main(argv=None) -> int:
     with open(ROOT / "BENCHMARK.json", encoding="utf-8") as f:
         metrics = json.load(f)["end_to_end"]
     runs: dict = {"base": [], "change": []}
+    envs: dict = {}
     bad = 0
     with tempfile.TemporaryDirectory(prefix="ab_bench-") as tmp:
         base_root = Path(tmp)
         export(args.base_ref, base_root)
         roots = {"base": base_root, "change": ROOT}
+        lines = {side: src_lines(root) for side, root in roots.items()}
         for i in range(args.pairs):
             seed = args.first_seed + i
             order = ("base", "change") if i % 2 == 0 else ("change", "base")
             for side in order:
-                result = run_bench(roots[side], args.workload, seed, args.seconds)
+                env, result = run_bench(roots[side], args.workload, seed, args.seconds)
+                envs.setdefault(side, env)
                 ok = bool(result and result.get("correct"))
                 bad += not ok
                 values = {n: m["value"] for n, m in (result or {}).get("metrics", {}).items()}
@@ -88,6 +121,7 @@ def main(argv=None) -> int:
 
     row = "{:24s} {:>12} {:>12} {:>9} {:>6} {:>10}"
     print(row.format("metric", "base_med", "change_med", "ratio", "won", "base_iqr"))
+    table: dict = {}
     for m in metrics:
         name, lower = m["name"], m["better"] == "lower"
         pairs = [
@@ -102,12 +136,34 @@ def main(argv=None) -> int:
         change = [c for _, c in pairs]
         ratios = [c / b for b, c in pairs if b]
         won = sum((c < b) if lower else (c > b) for b, c in pairs)
+        table[name] = {
+            "base_median": statistics.median(base),
+            "change_median": statistics.median(change),
+            "median_ratio": statistics.median(ratios) if ratios else None,
+            "won": won,
+            "pairs": len(pairs),
+            "base_iqr": iqr(base),
+        }
         print(row.format(
             name, f"{statistics.median(base):.4g}", f"{statistics.median(change):.4g}",
             f"{statistics.median(ratios):.4f}" if ratios else "-", f"{won}/{len(pairs)}",
             f"{iqr(base):.4g}",
         ))
     print(f"{bad} of {2 * args.pairs} runs not correct")
+    path = bench_path()
+    bench = json.loads(path.read_text(encoding="utf-8")) if path.exists() else {"workloads": {}}
+    bench["workloads"][args.workload] = {
+        "base_ref": args.base_ref,
+        "pairs": args.pairs,
+        "seconds": args.seconds,
+        "first_seed": args.first_seed,
+        "environment": envs,
+        "metrics": table,
+        "incorrect_runs": bad,
+        "src_fedsim_lines": lines,
+    }
+    path.write_text(json.dumps(bench, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    print(f"wrote {path.name}")
     print(json.dumps(runs))
     return 1 if bad else 0
 
