@@ -111,7 +111,8 @@ def main(argv=None) -> int:
             order = ("base", "change") if i % 2 == 0 else ("change", "base")
             for side in order:
                 env, result = run_bench(roots[side], args.workload, seed, args.seconds)
-                envs.setdefault(side, env)
+                if env is not None:
+                    envs.setdefault(side, env)
                 ok = bool(result and result.get("correct"))
                 bad += not ok
                 values = {n: m["value"] for n, m in (result or {}).get("metrics", {}).items()}
@@ -136,7 +137,7 @@ def main(argv=None) -> int:
         change = [c for _, c in pairs]
         ratios = [c / b for b, c in pairs if b]
         won = sum((c < b) if lower else (c > b) for b, c in pairs)
-        table[name] = {
+        t = table[name] = {
             "base_median": statistics.median(base),
             "change_median": statistics.median(change),
             "median_ratio": statistics.median(ratios) if ratios else None,
@@ -145,9 +146,9 @@ def main(argv=None) -> int:
             "base_iqr": iqr(base),
         }
         print(row.format(
-            name, f"{statistics.median(base):.4g}", f"{statistics.median(change):.4g}",
-            f"{statistics.median(ratios):.4f}" if ratios else "-", f"{won}/{len(pairs)}",
-            f"{iqr(base):.4g}",
+            name, f"{t['base_median']:.4g}", f"{t['change_median']:.4g}",
+            f"{t['median_ratio']:.4f}" if ratios else "-", f"{won}/{len(pairs)}",
+            f"{t['base_iqr']:.4g}",
         ))
     print(f"{bad} of {2 * args.pairs} runs not correct")
     path = bench_path()
