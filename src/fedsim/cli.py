@@ -2,8 +2,8 @@
 
 A run directory (resolved against $FEDSIM_OUTPUT_ROOT) holds the canonical
 config, the binary training history, the final model, per-round metric
-CSVs, and schema-validated JSON summaries. All outputs are byte-stable
-for a fixed config and seed.
+CSVs, and JSON summaries checked against `schemas/summary.schema.json`.
+All outputs are byte-stable for a fixed config and seed.
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ import argparse
 import csv
 import functools
 import hashlib
-import importlib.resources
 import json
 import math
 import os
@@ -20,7 +19,6 @@ import struct
 import sys
 from contextlib import contextmanager, suppress
 
-import jsonschema
 import numpy as np
 
 from . import config as config_mod
@@ -28,6 +26,7 @@ from . import metrics, models, recovery
 from .attacks import simulate_detection
 from .flengine import HistoryStore, train
 from .numcore import STREAM_DETECT, RngStream, derive_seed
+from .schema import check_schema, schema_errors
 
 OUTPUT_ROOT_ENV = "FEDSIM_OUTPUT_ROOT"
 HISTORY_FILE = "history.bin"
@@ -116,17 +115,18 @@ def load_model(path) -> np.ndarray:
     return np.frombuffer(payload, dtype="<f8", count=d, offset=8).astype(np.float64)
 
 
-def _summary_schema() -> dict:
-    text = importlib.resources.files("fedsim.schemas").joinpath("summary.schema.json").read_text()
-    return json.loads(text)
+class SummaryError(ValueError):
+    """A summary that does not match the schema; names its file and field."""
 
 
 @functools.lru_cache(maxsize=1)
-def _summary_validator():
-    """The summary schema's validator, built once; the schema itself is
-    checked against its metaschema by the tests, not on every write."""
-    schema = _summary_schema()
-    return jsonschema.validators.validator_for(schema)(schema)
+def _summary_schema() -> dict:
+    """The summary schema, read and checked for unsupported keywords once."""
+    path = os.path.join(os.path.dirname(__file__), "schemas", "summary.schema.json")
+    with open(path, "r", encoding="utf-8") as f:
+        schema = json.load(f)
+    check_schema(schema)
+    return schema
 
 
 def _summary_error(summary):
@@ -136,17 +136,21 @@ def _summary_error(summary):
     fails, the one it misses by the fewest errors is the one it meant,
     so its first error is the one that names the bad field.
     """
-    error = next(_summary_validator().iter_errors(summary), None)
-    if error is None or not error.context:
+    error = next(schema_errors(_summary_schema(), summary), None)
+    if error is None or not error.branches:
         return error
-    branches: dict = {}
-    for sub in error.context:
-        branches.setdefault(sub.relative_schema_path[0], []).append(sub)
-    return min(branches.values(), key=len)[0]
+    return min(error.branches, key=len)[0]
+
+
+def _check_summary(path, summary) -> None:
+    error = _summary_error(summary)
+    if error is not None:
+        where = "/" + "/".join(str(p) for p in error.absolute_path)
+        raise SummaryError(f"{path}: bad summary at {where}: {error.message}")
 
 
 def write_summary(path, summary: dict) -> None:
-    _summary_validator().validate(summary)
+    _check_summary(path, summary)
     with open(path, "w", encoding="utf-8") as f:
         json.dump(summary, f, sort_keys=True, indent=2)
         f.write("\n")
@@ -351,10 +355,7 @@ def cmd_report(run_dirs, out_stream=None) -> int:
                     summary = json.load(f)
             except ValueError as exc:  # not UTF-8, or not JSON
                 raise CliError(f"{path}: not a JSON summary: {exc}") from exc
-            error = _summary_error(summary)
-            if error is not None:
-                where = "/" + "/".join(str(p) for p in error.absolute_path)
-                raise CliError(f"{path}: bad summary at {where}: {error.message}")
+            _check_summary(path, summary)
             label = summary.get("method", summary["command"])
             rows.append(
                 (

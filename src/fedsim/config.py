@@ -1,8 +1,8 @@
 """Experiment configuration: INI-style parsing with strict validation,
 canonical serialization (so config hashes are portable), and builders that
 turn a config into concrete datasets and a federated setup. Every key is
-one row of `_KEYS` (section, name, converter, default, variant), which
-both the parser and the canonical form walk in order.
+one row of `_KEYS` (section, name, converter, default, variant, least
+value), which both the parser and the canonical form walk in order.
 """
 
 from __future__ import annotations
@@ -127,6 +127,7 @@ class _Key(NamedTuple):
     when: tuple | None  # (selector key of the same section, value): the variant it applies to
     attr: str  # dotted path of the value in ExperimentConfig
     anywhere: bool = False  # read in every variant (keeping its default), written in its own
+    low: int | None = None  # the least value the key accepts
 
 
 _SYNTHETIC, _MNIST, _MLP = ("kind", "synthetic"), ("kind", "mnist"), ("kind", "mlp")
@@ -145,12 +146,12 @@ _KEYS = (
     _Key("experiment", "malicious_count", int, None, None, "malicious_count"),
     _Key("experiment", "noniid_degree", _to_float, 0.5, None, "noniid_degree"),
     _Key("experiment", "aggregation", str, _REQUIRED, None, "rule.kind"),
-    _Key("experiment", "trim_k", int, 0, ("aggregation", "trimmed_mean"), "rule.k", anywhere=True),
+    _Key("experiment", "trim_k", int, 0, ("aggregation", "trimmed_mean"), "rule.k", anywhere=True, low=0),
     _Key("experiment", "output_dir", str, _REQUIRED, None, "output_dir"),
     _Key("dataset", "kind", _one_of("synthetic", "mnist"), _REQUIRED, None, "dataset.kind"),
-    _Key("dataset", "num_classes", int, 10, _SYNTHETIC, "dataset.num_classes"),
-    _Key("dataset", "dim", int, 20, _SYNTHETIC, "dataset.dim"),
-    _Key("dataset", "per_class", int, 100, _SYNTHETIC, "dataset.per_class"),
+    _Key("dataset", "num_classes", int, 10, _SYNTHETIC, "dataset.num_classes", low=2),
+    _Key("dataset", "dim", int, 20, _SYNTHETIC, "dataset.dim", low=1),
+    _Key("dataset", "per_class", int, 100, _SYNTHETIC, "dataset.per_class", low=1),
     _Key("dataset", "test_per_class", int, 50, _SYNTHETIC, "dataset.test_per_class"),
     _Key("dataset", "separation", _to_float, 3.0, _SYNTHETIC, "dataset.separation"),
     _Key("dataset", "train_images", str, _REQUIRED, _MNIST, "dataset.train_images"),
@@ -159,7 +160,7 @@ _KEYS = (
     _Key("dataset", "test_labels", str, _REQUIRED, _MNIST, "dataset.test_labels"),
     _Key("model", "kind", str, _REQUIRED, None, "model.kind"),
     _Key("model", "hidden", int, 0, _MLP, "model.hidden", anywhere=True),
-    _Key("model", "l2", _to_float, 0.0, None, "model.l2"),
+    _Key("model", "l2", _to_float, 0.0, None, "model.l2", low=0),
     _Key("attack", "kind", _one_of("none", "trim", "backdoor"), "none", None, "attack.kind"),
     _Key("attack", "trim_b", _to_float, 2.0, _TRIM, "attack.b"),
     _Key("attack", "trigger", _one_of("pixel_patch", "every_kth"), _REQUIRED, _BACKDOOR, "attack.trigger.kind"),
@@ -174,12 +175,12 @@ _KEYS = (
     _Key("detection", "fnr", _to_float, 0.0, None, "fnr"),
     _Key("detection", "fpr", _to_float, 0.0, None, "fpr"),
     _Key("recovery", "warmup_rounds", int, 20, None, "recovery.warmup_rounds"),
-    _Key("recovery", "correction_period", int, 10, None, "recovery.correction_period"),
-    _Key("recovery", "final_tuning_rounds", int, 5, None, "recovery.final_tuning_rounds"),
-    _Key("recovery", "buffer_size", int, 2, None, "recovery.buffer_size"),
+    _Key("recovery", "correction_period", int, 10, None, "recovery.correction_period", low=1),
+    _Key("recovery", "final_tuning_rounds", int, 5, None, "recovery.final_tuning_rounds", low=0),
+    _Key("recovery", "buffer_size", int, 2, None, "recovery.buffer_size", low=1),
     _Key("recovery", "tolerance_rate", _to_float, 1e-6, None, "recovery.tolerance_rate"),
     _Key("recovery", "tau", _to_float, None, None, "recovery.tau"),
-    _Key("recovery", "hvp_mode", str, "lbfgs", None, "recovery.hvp_mode"),
+    _Key("recovery", "hvp_mode", _one_of("lbfgs", "exact_quadratic"), "lbfgs", None, "recovery.hvp_mode"),
     _Key("recovery", "bound_check", _to_bool, False, None, "bound_check"),
     _Key("finetune", "epochs", int, 100, None, "finetune.epochs"),
     _Key("finetune", "n_examples", int, 1000, None, "finetune.n_examples"),
@@ -225,6 +226,8 @@ def _parse(f) -> ExperimentConfig:
             section[k.key] = k.conv(raw)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"{k.section}.{k.key}", f"cannot parse {raw!r}: {exc}") from exc
+        if k.low is not None and section[k.key] < k.low:
+            raise ConfigError(f"{k.section}.{k.key}", f"must be >= {k.low}")
     for sec_name, leftover in given.items():
         for key in leftover:
             raise ConfigError(f"{sec_name}.{key}", "unknown key")
@@ -269,6 +272,8 @@ def _build(values: dict) -> ExperimentConfig:
             raise ConfigError("attack.target_label", "target label outside the class range")
         kwargs = {"target_label": atk["target_label"], "lam": atk["scale"], "adaptive": atk["adaptive"]}
         attack = _make("attack.scale", AttackConfig, kind="backdoor", trigger=trigger, **kwargs)
+    if rec["tau"] is None and not 0.0 < rec["tolerance_rate"] <= 1.0:
+        raise ConfigError("recovery.tolerance_rate", "must lie in (0, 1] when tau is not given")
     bound_check = rec.pop("bound_check")
     return ExperimentConfig(
         **exp,
@@ -322,11 +327,8 @@ def _validate(cfg: ExperimentConfig) -> None:
         )
     if cfg.fnr < 0 or cfg.fnr > 1 or cfg.fpr < 0 or cfg.fpr > 1:
         raise ConfigError("detection.fnr", "fnr and fpr must lie in [0, 1]")
-    if cfg.dataset.kind == "synthetic":
-        if min(cfg.dataset.num_classes, cfg.dataset.dim, cfg.dataset.per_class) < 1:
-            raise ConfigError("dataset.per_class", "synthetic sizes must be positive")
-        if cfg.dataset.separation <= 0:
-            raise ConfigError("dataset.separation", "separation must be > 0")
+    if cfg.dataset.kind == "synthetic" and cfg.dataset.separation <= 0:
+        raise ConfigError("dataset.separation", "separation must be > 0")
 
 
 def _fmt(value) -> str:

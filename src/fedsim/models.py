@@ -232,22 +232,6 @@ def glorot_bound(spec: ModelSpec, layer: int) -> float:
     raise ValueError("layer must be 1 or 2")
 
 
-def smoothness_bound(spec: ModelSpec, inputs: np.ndarray) -> float:
-    """Upper bound on the smoothness constant L of the loss over the given
-    inputs (bias feature included). Only meaningful for the convex kinds.
-    """
-    x = np.asarray(inputs, dtype=np.float64)
-    if spec.kind == "logreg":
-        # softmax Jacobian has spectral norm <= 1/2
-        max_sq = float(np.max(np.sum(x * x, axis=1))) + 1.0
-        return spec.l2 + 0.5 * max_sq
-    if spec.kind == "ridge":
-        xt = np.hstack([x, np.ones((x.shape[0], 1))])
-        m = xt.T @ xt / x.shape[0]
-        return spec.l2 + float(np.linalg.eigvalsh(m)[-1])
-    raise ValueError("smoothness bound is not available for non-convex kinds")
-
-
 def quadratic_hessian(spec: ModelSpec, inputs: np.ndarray) -> np.ndarray:
     """Explicit (d x d) Hessian of the ridge loss on the given inputs.
 

@@ -1,5 +1,5 @@
-"""Dense vector helpers, deterministic counter-based RNG streams, and
-finite-difference oracles shared by the rest of the simulator.
+"""Dense vector helpers and deterministic counter-based RNG streams
+shared by the rest of the simulator.
 
 All model parameters and updates are flat 1-D float64 arrays. Randomness
 everywhere flows through :class:`RngStream`, an explicit splitmix64-style
@@ -9,7 +9,6 @@ generator, so that a run is a pure function of its seed.
 from __future__ import annotations
 
 import math
-from typing import Callable
 
 import numpy as np
 
@@ -166,24 +165,3 @@ def linf_norm(v) -> float:
     if not math.isfinite(m):
         raise ValueError("linf_norm argument contains non-finite entries")
     return m
-
-
-def finite_diff_gradient(f: Callable[[np.ndarray], float], w, h: float) -> np.ndarray:
-    """Central-difference gradient oracle: (f(w+h e_j) - f(w-h e_j)) / 2h.
-
-    Raises if any evaluation of f is non-finite, which signals a broken
-    loss surface rather than a numerics issue here.
-    """
-    if h <= 0:
-        raise ValueError("step h must be positive")
-    w = as_vector(w, name="w")
-    grad = np.empty_like(w)
-    for j in range(w.size):
-        e = np.zeros_like(w)
-        e[j] = h
-        fp = float(f(w + e))
-        fm = float(f(w - e))
-        if not (np.isfinite(fp) and np.isfinite(fm)):
-            raise ValueError(f"non-finite loss evaluation at coordinate {j}")
-        grad[j] = (fp - fm) / (2.0 * h)
-    return grad

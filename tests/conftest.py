@@ -1,13 +1,61 @@
+from typing import Callable
+
+import jsonschema
 import numpy as np
 import pytest
 
 from fedsim.aggregation import AggregationRule
 from fedsim.attacks import AttackConfig, Trigger
+from fedsim.cli import _summary_error, _summary_schema
 from fedsim.data import gen_synthetic, partition_noniid
 from fedsim.flengine import FlSetup, train
 from fedsim.models import ModelSpec
+from fedsim.numcore import as_vector
 
 CHASH = bytes(32)
+
+
+def assert_both_accept(summary):
+    """The summary passes the schema, by the CLI's check and by jsonschema."""
+    jsonschema.validate(summary, _summary_schema())
+    assert _summary_error(summary) is None
+
+
+def finite_diff_gradient(f: Callable[[np.ndarray], float], w, h: float) -> np.ndarray:
+    """Central-difference gradient oracle: (f(w+h e_j) - f(w-h e_j)) / 2h.
+
+    Raises if any evaluation of f is non-finite, which signals a broken
+    loss surface rather than a numerics issue here.
+    """
+    if h <= 0:
+        raise ValueError("step h must be positive")
+    w = as_vector(w, name="w")
+    grad = np.empty_like(w)
+    for j in range(w.size):
+        e = np.zeros_like(w)
+        e[j] = h
+        fp = float(f(w + e))
+        fm = float(f(w - e))
+        if not (np.isfinite(fp) and np.isfinite(fm)):
+            raise ValueError(f"non-finite loss evaluation at coordinate {j}")
+        grad[j] = (fp - fm) / (2.0 * h)
+    return grad
+
+
+def smoothness_bound(spec: ModelSpec, inputs: np.ndarray) -> float:
+    """Upper bound on the smoothness constant L of the loss over the given
+    inputs (bias feature included). Only meaningful for the convex kinds.
+    """
+    x = np.asarray(inputs, dtype=np.float64)
+    if spec.kind == "logreg":
+        # softmax Jacobian has spectral norm <= 1/2
+        max_sq = float(np.max(np.sum(x * x, axis=1))) + 1.0
+        return spec.l2 + 0.5 * max_sq
+    if spec.kind == "ridge":
+        xt = np.hstack([x, np.ones((x.shape[0], 1))])
+        m = xt.T @ xt / x.shape[0]
+        return spec.l2 + float(np.linalg.eigvalsh(m)[-1])
+    raise ValueError("smoothness bound is not available for non-convex kinds")
 
 
 def build_setup(

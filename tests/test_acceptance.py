@@ -9,6 +9,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
+from conftest import assert_both_accept, finite_diff_gradient, smoothness_bound
 from fedsim.aggregation import AggregationRule, coord_median, trimmed_mean
 from fedsim.attacks import AttackConfig, Trigger, adaptive_scale, simulate_detection
 from fedsim.cli import main as cli_main
@@ -21,13 +22,11 @@ from fedsim.models import (
     ModelSpec,
     gradient,
     loss,
-    smoothness_bound,
 )
 from fedsim.numcore import (
     STREAM_DETECT,
     RngStream,
     derive_seed,
-    finite_diff_gradient,
     linf_norm,
 )
 from fedsim.recovery import (
@@ -374,5 +373,7 @@ def test_criterion_10_determinism(backdoor_run, tmp_path, monkeypatch):
                 }
             )
         assert artifacts[0] == artifacts[1]
+        for name in ("summary_train.json", "summary_fedrecover.json"):
+            assert_both_accept(json.loads(artifacts[0][name].decode()))
         summary = json.loads(artifacts[0]["summary_fedrecover.json"].decode())
         assert summary["method"] == "fedrecover"

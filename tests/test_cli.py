@@ -1,5 +1,7 @@
+import copy
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -7,8 +9,14 @@ import sys
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import assert_both_accept
+import fedsim
 from fedsim.cli import (
+    SummaryError,
+    _summary_error,
     _summary_schema,
     cmd_report,
     load_model,
@@ -17,6 +25,7 @@ from fedsim.cli import (
     write_summary,
 )
 from fedsim.flengine import HistoryStore
+from fedsim.schema import check_schema, schema_errors
 
 CFG_TEMPLATE = """
 [experiment]
@@ -81,7 +90,7 @@ class TestTrainCommand:
         assert summary["command"] == "train"
         assert 0.0 <= summary["ter"] <= 1.0
         assert summary["asr"] is not None
-        jsonschema.validate(summary, _summary_schema())
+        assert_both_accept(summary)
 
     def test_train_metrics_csv_shape(self, run_env):
         root, cfg_path = run_env
@@ -198,7 +207,7 @@ class TestRecoverCommand:
         assert main(["recover", "-c", str(cfg_path), "--method", method]) == 0
         run_dir = root / "runs" / "exp"
         summary = json.loads((run_dir / f"summary_{method}.json").read_text())
-        jsonschema.validate(summary, _summary_schema())
+        assert_both_accept(summary)
         assert summary["method"] == method
         assert (run_dir / f"recover_{method}_metrics.csv").exists()
 
@@ -272,6 +281,7 @@ class TestBoundCheck:
         main(["train", "-c", str(cfg_path)])
         assert main(["recover", "-c", str(cfg_path), "--method", "fedrecover"]) == 0
         summary = json.loads((tmp_path / "runs" / "bc" / "summary_fedrecover.json").read_text())
+        assert_both_accept(summary)
         block = summary["bound_check"]
         assert block is not None
         assert block["mu"] == 0.05
@@ -334,9 +344,176 @@ def test_summary_schema_is_valid():
 
 
 def test_write_summary_validates_every_summary(tmp_path):
-    with pytest.raises(jsonschema.ValidationError):
+    with pytest.raises(SummaryError, match="s.json: bad summary at /: 'rounds' is a required"):
         write_summary(tmp_path / "s.json", {"command": "train"})
     assert not (tmp_path / "s.json").exists()
+
+
+def test_cli_import_leaves_jsonschema_out():
+    src = os.path.dirname(os.path.dirname(fedsim.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = "import sys, fedsim.cli; print(sorted(m for m in sys.modules if 'jsonschema' in m))"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert proc.stdout == "[]\n"
+
+
+def _reference_error(summary):
+    """jsonschema's error for the summary, from the oneOf branch it misses
+    by the fewest errors (the first such branch), or None when valid."""
+    validator = jsonschema.Draft202012Validator(_summary_schema())
+    error = next(validator.iter_errors(summary), None)
+    if error is None or not error.context:
+        return error
+    branches: dict = {}
+    for sub in error.context:
+        branches.setdefault(sub.relative_schema_path[0], []).append(sub)
+    return min(branches.values(), key=len)[0]
+
+
+_HASHES = st.text("0123456789abcdef", min_size=64, max_size=64)
+_UNIT = st.floats(0.0, 1.0)
+_PERCENT = st.floats(0.0, 100.0)
+_TRAIN = st.fixed_dictionaries(
+    {
+        "command": st.just("train"),
+        "rounds": st.integers(1, 10**6),
+        "ter": _UNIT,
+        "asr": st.none() | _UNIT,
+        "config_hash": _HASHES,
+    }
+)
+_BOUND_CHECK = st.fixed_dictionaries(
+    {
+        "mu": st.floats(0.0, 10.0, exclude_min=True),
+        "m_measured": st.floats(0.0, 1e6),
+        "max_violation": st.floats(-1e6, 1e6),
+    }
+)
+_RECOVER = st.fixed_dictionaries(
+    {
+        "command": st.just("recover"),
+        "method": st.sampled_from(["scratch", "historical", "fedrecover", "finetune"]),
+        "rounds": st.integers(1, 10**6),
+        "ter": _UNIT,
+        "asr": st.none() | _UNIT,
+        "acp": _PERCENT,
+        "cp_min": _PERCENT,
+        "cp_max": _PERCENT,
+        "abnormality_count": st.integers(0, 10**6),
+        "config_hash": _HASHES,
+        "bound_check": st.none() | _BOUND_CHECK,
+    }
+)
+# Values a single mutation writes: each type the schema names and the
+# edges of every bound it sets.
+_ODD_VALUES = st.sampled_from(
+    [
+        True, False, None, 0, 1, -1, 1.0, 0.5, -0.0, 2, 100, 100.5, 101, 10**30, -(10**30),
+        1e300, math.nan, math.inf, -math.inf, "train", "recover", "scratch", "fedrecover",
+        "Fedrecover", "0" * 64, "0" * 64 + "\n", "A" * 64, "0" * 63, "", [], {}, [1, 2],
+        {"mu": 1.0, "m_measured": 0.0, "max_violation": 0.0},
+    ]
+) | st.floats() | st.integers()
+_KNOWN_KEYS = sorted(
+    set(_TRAIN.wrapped_strategy.mapping) | set(_RECOVER.wrapped_strategy.mapping)
+    | {"mu", "m_measured", "max_violation", "extra"}
+)
+
+
+@st.composite
+def _summaries(draw):
+    """A valid summary of either command, then up to two single mutations:
+    a key dropped, added or given an odd value, at the top or inside
+    `bound_check`, or the whole summary replaced by a non-object."""
+    summary = draw(_TRAIN | _RECOVER)
+    for _ in range(draw(st.integers(0, 2))):
+        if not isinstance(summary, dict):
+            break
+        target = summary
+        if isinstance(summary.get("bound_check"), dict) and draw(st.booleans()):
+            target = summary["bound_check"]
+        kind = draw(st.sampled_from(["drop", "set", "set", "set", "top"]))
+        if kind == "drop" and target:
+            del target[draw(st.sampled_from(sorted(target)))]
+        elif kind == "set":
+            own = st.sampled_from(sorted(target)) if target else st.nothing()
+            target[draw(own | st.sampled_from(_KNOWN_KEYS))] = draw(_ODD_VALUES)
+        elif kind == "top":
+            summary = draw(st.sampled_from([[], [1, 2], "summary", 3, None, list(summary)]))
+    return summary
+
+
+@settings(max_examples=600, deadline=None)
+@given(_summaries())
+def test_summary_check_agrees_with_jsonschema(summary):
+    ours, theirs = _summary_error(summary), _reference_error(summary)
+    assert (ours is None) == (theirs is None)
+    if ours is not None:
+        assert list(ours.absolute_path) == list(theirs.absolute_path)
+        assert ours.message == theirs.message
+
+
+@pytest.mark.parametrize(
+    "schema, instance",
+    [
+        ({"type": "number"}, True),
+        ({"type": "integer"}, False),
+        ({"type": "integer"}, 1.0),
+        ({"type": "integer"}, 1.5),
+        ({"type": "integer", "minimum": 10**30}, 10**30 + 1),
+        ({"type": "integer", "maximum": 10**30}, 10**30 + 1),
+        ({"type": "number", "minimum": 0, "maximum": 1}, math.nan),
+        ({"exclusiveMinimum": 0}, math.nan),
+        ({"exclusiveMinimum": 0}, 0.0),
+        ({"const": 1}, True),
+        ({"const": True}, 1),
+        ({"const": 1}, 1.0),
+        ({"enum": [0, "a"]}, False),
+        ({"enum": [[1, True]]}, [1, 1]),
+        ({"const": {"a": 1}}, {"a": 1.0}),
+        ({"pattern": "^a$"}, "a\n"),
+        ({"pattern": "b"}, "abc"),
+        ({"pattern": "b"}, 3),
+        ({"type": ["object", "null"], "required": ["a"]}, None),
+        ({"properties": {"b": {}}, "additionalProperties": False}, {"d": 1, "b": 2, "c": 3}),
+        ({"oneOf": [{"type": "number"}, {"type": "integer"}]}, 1),
+    ],
+)
+def test_keyword_semantics_match_jsonschema(schema, instance):
+    check_schema(schema)
+    ours = [(list(e.absolute_path), e.message) for e in schema_errors(schema, instance)]
+    validator = jsonschema.Draft202012Validator(schema)
+    theirs = [(list(e.absolute_path), e.message) for e in validator.iter_errors(instance)]
+    assert ours == theirs
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda s: s.update(allOf=[]), "unsupported schema keyword 'allOf'"),
+        (lambda s: s["oneOf"][0].update(patternProperties={}), "keyword 'patternProperties'"),
+        (
+            lambda s: s["oneOf"][1]["properties"]["bound_check"]["properties"]["mu"].update(
+                multipleOf=2
+            ),
+            "#/oneOf/1/properties/bound_check/properties/mu: unsupported schema keyword",
+        ),
+        (lambda s: s["oneOf"][0].update(additionalProperties={}), "additionalProperties: false"),
+        (lambda s: s["oneOf"][0]["properties"]["ter"].update(type="float"), "type 'float'"),
+        (
+            lambda s: s.update({"$schema": "http://json-schema.org/draft-04/schema#"}),
+            "unsupported \\$schema",
+        ),
+    ],
+    ids=["top", "branch", "nested", "additional-schema", "type-name", "draft"],
+)
+def test_unsupported_schema_raises(edit, message):
+    schema = copy.deepcopy(_summary_schema())
+    edit(schema)
+    with pytest.raises(ValueError, match=message):
+        check_schema(schema)
 
 
 def test_model_file_roundtrip(tmp_path):

@@ -1,3 +1,4 @@
+import configparser
 import math
 import pathlib
 import re
@@ -495,6 +496,35 @@ class TestKeyTable:
         with pytest.raises(ConfigError) as err:
             parse_config_string(_edited(base, section, key, value))
         assert err.value.field == f"{section}.{key}"
+
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [
+            ("model", "l2", "-1"),
+            ("dataset", "dim", "0"),
+            ("dataset", "num_classes", "1"),
+            ("dataset", "per_class", "0"),
+            ("experiment", "trim_k", "-1"),
+            ("recovery", "buffer_size", "0"),
+            ("recovery", "correction_period", "0"),
+            ("recovery", "final_tuning_rounds", "-1"),
+            ("recovery", "hvp_mode", "foo"),
+            ("recovery", "tolerance_rate", "2"),
+            ("recovery", "tolerance_rate", "0"),
+        ],
+    )
+    def test_range_fault_in_minimal_names_its_key(self, section, key, value):
+        parser = configparser.ConfigParser(interpolation=None)
+        parser.read_string(MINIMAL)
+        sections = {sec: dict(parser.items(sec)) for sec in parser.sections()}
+        sections.setdefault(section, {})[key] = value
+        with pytest.raises(ConfigError) as err:
+            parse_config_string(_render(sections))
+        assert err.value.field == f"{section}.{key}"
+
+    def test_tolerance_rate_unchecked_when_tau_is_given(self):
+        cfg = parse_config_string(MINIMAL + "\n[recovery]\ntau = 0.5\ntolerance_rate = 2\n")
+        assert cfg.recovery.tolerance_rate == 2.0
 
     def test_cross_field_recovery_error_names_the_section(self):
         with pytest.raises(ConfigError) as err:

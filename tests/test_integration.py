@@ -8,7 +8,7 @@ import struct
 import numpy as np
 import pytest
 
-from conftest import CHASH, build_setup
+from conftest import CHASH, assert_both_accept, build_setup
 from fedsim.aggregation import AggregationRule
 from fedsim.attacks import AttackConfig
 from fedsim.cli import main as cli_main
@@ -145,5 +145,6 @@ def test_mnist_config_pipeline(tmp_path, monkeypatch):
     assert cli_main(["train", "-c", str(cfg)]) == 0
     assert cli_main(["recover", "-c", str(cfg), "--method", "fedrecover"]) == 0
     summary = json.loads((tmp_path / "runs" / "mnist" / "summary_fedrecover.json").read_text())
+    assert_both_accept(summary)
     assert summary["method"] == "fedrecover"
     assert 0.0 <= summary["ter"] <= 1.0

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import finite_diff_gradient, smoothness_bound
 from fedsim.models import (
     _check_batch,
     _check_params,
@@ -19,9 +20,8 @@ from fedsim.models import (
     predict,
     quadratic_hessian,
     scores,
-    smoothness_bound,
 )
-from fedsim.numcore import RngStream, finite_diff_gradient, linf_norm
+from fedsim.numcore import RngStream, linf_norm
 
 LOGREG = ModelSpec("logreg", input_dim=5, num_classes=3, l2=0.0)
 LOGREG_REG = ModelSpec("logreg", input_dim=5, num_classes=3, l2=1.0)

@@ -3,10 +3,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import finite_diff_gradient
 from fedsim.numcore import (
     RngStream,
     derive_seed,
-    finite_diff_gradient,
     linf_norm,
     mix64,
 )
