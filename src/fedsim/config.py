@@ -152,7 +152,7 @@ _KEYS = (
     _Key("dataset", "num_classes", int, 10, _SYNTHETIC, "dataset.num_classes", low=2),
     _Key("dataset", "dim", int, 20, _SYNTHETIC, "dataset.dim", low=1),
     _Key("dataset", "per_class", int, 100, _SYNTHETIC, "dataset.per_class", low=1),
-    _Key("dataset", "test_per_class", int, 50, _SYNTHETIC, "dataset.test_per_class"),
+    _Key("dataset", "test_per_class", int, 50, _SYNTHETIC, "dataset.test_per_class", low=1),
     _Key("dataset", "separation", _to_float, 3.0, _SYNTHETIC, "dataset.separation"),
     _Key("dataset", "train_images", str, _REQUIRED, _MNIST, "dataset.train_images"),
     _Key("dataset", "train_labels", str, _REQUIRED, _MNIST, "dataset.train_labels"),

@@ -221,17 +221,6 @@ def init_params(spec: ModelSpec, seed: int) -> np.ndarray:
     return np.concatenate([W1, np.zeros(h), W2, np.zeros(c)])
 
 
-def glorot_bound(spec: ModelSpec, layer: int) -> float:
-    """Uniform-init bound a for the given mlp layer (1 or 2)."""
-    if spec.kind != "mlp":
-        raise ValueError("glorot_bound applies to mlp specs only")
-    if layer == 1:
-        return float(np.sqrt(6.0 / (spec.input_dim + spec.hidden)))
-    if layer == 2:
-        return float(np.sqrt(6.0 / (spec.hidden + spec.num_classes)))
-    raise ValueError("layer must be 1 or 2")
-
-
 def quadratic_hessian(spec: ModelSpec, inputs: np.ndarray) -> np.ndarray:
     """Explicit (d x d) Hessian of the ridge loss on the given inputs.
 

@@ -42,6 +42,17 @@ def finite_diff_gradient(f: Callable[[np.ndarray], float], w, h: float) -> np.nd
     return grad
 
 
+def glorot_bound(spec: ModelSpec, layer: int) -> float:
+    """Uniform-init bound a for the given mlp layer (1 or 2)."""
+    if spec.kind != "mlp":
+        raise ValueError("glorot_bound applies to mlp specs only")
+    if layer == 1:
+        return float(np.sqrt(6.0 / (spec.input_dim + spec.hidden)))
+    if layer == 2:
+        return float(np.sqrt(6.0 / (spec.hidden + spec.num_classes)))
+    raise ValueError("layer must be 1 or 2")
+
+
 def smoothness_bound(spec: ModelSpec, inputs: np.ndarray) -> float:
     """Upper bound on the smoothness constant L of the loss over the given
     inputs (bias feature included). Only meaningful for the convex kinds.

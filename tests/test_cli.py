@@ -359,11 +359,13 @@ def test_cli_import_leaves_jsonschema_out():
     assert proc.stdout == "[]\n"
 
 
+_REFERENCE = jsonschema.Draft202012Validator(_summary_schema())
+
+
 def _reference_error(summary):
     """jsonschema's error for the summary, from the oneOf branch it misses
     by the fewest errors (the first such branch), or None when valid."""
-    validator = jsonschema.Draft202012Validator(_summary_schema())
-    error = next(validator.iter_errors(summary), None)
+    error = next(_REFERENCE.iter_errors(summary), None)
     if error is None or not error.context:
         return error
     branches: dict = {}

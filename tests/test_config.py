@@ -504,6 +504,7 @@ class TestKeyTable:
             ("dataset", "dim", "0"),
             ("dataset", "num_classes", "1"),
             ("dataset", "per_class", "0"),
+            ("dataset", "test_per_class", "0"),
             ("experiment", "trim_k", "-1"),
             ("recovery", "buffer_size", "0"),
             ("recovery", "correction_period", "0"),
@@ -565,7 +566,7 @@ def _valid_configs(draw) -> str:
         classes = put("dataset", "num_classes", st.integers(2, 6), 10)
         put("dataset", "dim", st.integers(1, 30), 20)
         put("dataset", "per_class", st.integers(1, 50), 100)
-        put("dataset", "test_per_class", st.integers(0, 20), 50)
+        put("dataset", "test_per_class", st.integers(1, 20), 50)
         put("dataset", "separation", real(0.0, 10.0, exclude_min=True), 3.0)
     n = put("experiment", "n_clients", st.integers(classes, classes + 10))
     put("experiment", "seed", st.integers(0, 2**31))

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import finite_diff_gradient, smoothness_bound
+from conftest import finite_diff_gradient, glorot_bound, smoothness_bound
 from fedsim.models import (
     _check_batch,
     _check_params,
@@ -13,7 +13,6 @@ from fedsim.models import (
     _split_mlp,
     Batch,
     ModelSpec,
-    glorot_bound,
     gradient,
     init_params,
     loss,
