@@ -6,8 +6,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numcore import as_vector, check_same_dim
-
 RULE_KINDS = ("fedavg", "median", "trimmed_mean")
 
 
@@ -78,11 +76,8 @@ def aggregate(rule: AggregationRule, updates, sizes) -> np.ndarray:
     return trimmed_mean(updates, rule.k)
 
 
-def apply_update(w, aggregated, eta: float) -> np.ndarray:
-    """One global step: w - eta * aggregated."""
-    w = as_vector(w, name="w")
-    g = as_vector(aggregated, name="aggregated")
-    check_same_dim(w, g)
-    if eta <= 0:
-        raise ValueError("learning rate must be positive")
-    return w - eta * g
+def apply_update(w: np.ndarray, aggregated: np.ndarray, eta: float) -> np.ndarray:
+    """One global step: w - eta * aggregated. `aggregated` comes from
+    `aggregate`, whose `_stack` checked every update, and the config
+    guarantees eta > 0."""
+    return w - eta * aggregated

@@ -11,7 +11,7 @@ import numpy as np
 
 from . import models
 from .clients import BatchSampler, client_local_update
-from .numcore import RngStream, as_vector
+from .numcore import RngStream
 
 
 @dataclass(frozen=True)
@@ -118,9 +118,8 @@ def backdoor_update(
     eta: float,
     lam: float,
 ) -> np.ndarray:
-    """lam times the benign-procedure update computed on poisoned data."""
-    if lam <= 0:
-        raise ValueError("scaling factor must be > 0")
+    """lam times the benign-procedure update computed on poisoned data.
+    `AttackConfig` and `adaptive_scale` guarantee lam > 0."""
     u = client_local_update(
         spec, w, poisoned_inputs, poisoned_labels, sampler, round_idx, l, eta
     )
@@ -152,7 +151,7 @@ def trim_attack_updates(
         raise ValueError("need at least one malicious client")
     if b <= 1.0:
         raise ValueError("deviation factor b must be > 1")
-    mat = np.stack([as_vector(u) for u in benign_updates])
+    mat = np.stack(benign_updates)
     mu = mat.mean(axis=0)
     hi = mat.max(axis=0)
     lo = mat.min(axis=0)

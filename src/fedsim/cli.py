@@ -104,6 +104,8 @@ def save_model(path, w: np.ndarray) -> None:
 
 
 def load_model(path) -> np.ndarray:
+    """The model in a file `save_model` wrote: the file boundary of a
+    stored model, which must hold exactly d finite float64 values."""
     with open(path, "rb") as f:
         blob = f.read()
     if blob[:4] != _MODEL_MAGIC:
@@ -111,8 +113,15 @@ def load_model(path) -> np.ndarray:
     payload, digest = blob[4:-8], blob[-8:]
     if hashlib.blake2b(payload, digest_size=8).digest() != digest:
         raise CliError(f"{path} failed its checksum")
+    if len(payload) < 8:
+        raise CliError(f"{path} is too short to name its model dim")
     (d,) = struct.unpack_from("<Q", payload)
-    return np.frombuffer(payload, dtype="<f8", count=d, offset=8).astype(np.float64)
+    if len(payload) != 8 + 8 * d:
+        raise CliError(f"{path} holds {len(payload) - 8} value bytes, not 8 d = {8 * d}")
+    w = np.frombuffer(payload, dtype="<f8", offset=8).astype(np.float64)
+    if not np.isfinite(w).all():
+        raise CliError(f"{path} holds non-finite values")
+    return w
 
 
 class SummaryError(ValueError):
@@ -296,7 +305,13 @@ def cmd_recover(cfg_path: str, method: str) -> int:
                 _, scratch_trace = recovery.train_from_scratch(setup, remaining, cfg.rounds)
                 bound_block = _bound_check(cfg, setup, result, scratch_trace)
         else:  # finetune
-            poisoned = load_model(os.path.join(run_dir, MODEL_FILE))
+            model_path = os.path.join(run_dir, MODEL_FILE)
+            poisoned = load_model(model_path)
+            if poisoned.size != cfg.model.param_dim:
+                raise CliError(
+                    f"{model_path} holds a model of dim {poisoned.size}, "
+                    f"the config's model has {cfg.model.param_dim}"
+                )
             ft = cfg.finetune
             model = recovery.fine_tune(
                 cfg.model, poisoned, train_set, ft.epochs, cfg.learning_rate,

@@ -65,16 +65,14 @@ def client_local_update(
 
     l = 1 returns the mini-batch gradient at w. l > 1 runs l local SGD
     steps with rate eta and returns (w - w_after) / eta, which coincides
-    with the gradient definition at l = 1.
+    with the gradient definition at l = 1. The config guarantees l >= 1.
     """
-    if l < 1:
-        raise ValueError("l must be >= 1")
     batches = sampler.round_batches(round_idx, l)
     if l == 1:
         idx = batches[0]
-        return models.gradient(spec, w, models.Batch(inputs[idx], labels[idx]))
+        return models.gradient(spec, w, inputs[idx], labels[idx])
     cur = w
     for idx in batches:
-        g = models.gradient(spec, cur, models.Batch(inputs[idx], labels[idx]))
+        g = models.gradient(spec, cur, inputs[idx], labels[idx])
         cur = cur - eta * g
     return (w - cur) / eta

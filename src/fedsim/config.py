@@ -136,12 +136,12 @@ _PATCH, _KTH = ("trigger", "pixel_patch"), ("trigger", "every_kth")
 
 # In canonical order; a variant's selector comes before the keys it selects.
 _KEYS = (
-    _Key("experiment", "seed", int, _REQUIRED, None, "seed"),
-    _Key("experiment", "rounds", int, _REQUIRED, None, "rounds"),
+    _Key("experiment", "seed", int, _REQUIRED, None, "seed", low=0),
+    _Key("experiment", "rounds", int, _REQUIRED, None, "rounds", low=1),
     _Key("experiment", "learning_rate", _to_float, _REQUIRED, None, "learning_rate"),
-    _Key("experiment", "batch_size", int, 32, None, "batch_size"),
-    _Key("experiment", "local_steps", int, 1, None, "local_steps"),
-    _Key("experiment", "n_clients", int, _REQUIRED, None, "n_clients"),
+    _Key("experiment", "batch_size", int, 32, None, "batch_size", low=1),
+    _Key("experiment", "local_steps", int, 1, None, "local_steps", low=1),
+    _Key("experiment", "n_clients", int, _REQUIRED, None, "n_clients", low=1),
     _Key("experiment", "malicious_fraction", _to_float, None, None, "malicious_fraction"),
     _Key("experiment", "malicious_count", int, None, None, "malicious_count"),
     _Key("experiment", "noniid_degree", _to_float, 0.5, None, "noniid_degree"),
@@ -182,10 +182,10 @@ _KEYS = (
     _Key("recovery", "tau", _to_float, None, None, "recovery.tau"),
     _Key("recovery", "hvp_mode", _one_of("lbfgs", "exact_quadratic"), "lbfgs", None, "recovery.hvp_mode"),
     _Key("recovery", "bound_check", _to_bool, False, None, "bound_check"),
-    _Key("finetune", "epochs", int, 100, None, "finetune.epochs"),
-    _Key("finetune", "n_examples", int, 1000, None, "finetune.n_examples"),
+    _Key("finetune", "epochs", int, 100, None, "finetune.epochs", low=0),
+    _Key("finetune", "n_examples", int, 1000, None, "finetune.n_examples", low=1),
     _Key("finetune", "beta", _to_float, math.inf, None, "finetune.beta"),
-    _Key("finetune", "batch_size", int, 32, None, "finetune.batch_size"),
+    _Key("finetune", "batch_size", int, 32, None, "finetune.batch_size", low=1),
 )
 _SECTIONS = tuple(dict.fromkeys(k.section for k in _KEYS))
 
@@ -289,18 +289,8 @@ def _build(values: dict) -> ExperimentConfig:
 
 
 def _validate(cfg: ExperimentConfig) -> None:
-    if cfg.seed < 0:
-        raise ConfigError("experiment.seed", "seed must be >= 0")
-    if cfg.rounds < 1:
-        raise ConfigError("experiment.rounds", "rounds must be >= 1")
     if cfg.learning_rate <= 0:
         raise ConfigError("experiment.learning_rate", "learning rate must be > 0")
-    if cfg.batch_size < 1:
-        raise ConfigError("experiment.batch_size", "batch size must be >= 1")
-    if cfg.local_steps < 1:
-        raise ConfigError("experiment.local_steps", "local_steps must be >= 1")
-    if cfg.n_clients < 1:
-        raise ConfigError("experiment.n_clients", "need at least one client")
     if cfg.malicious_fraction is not None and cfg.malicious_count is not None:
         raise ConfigError(
             "experiment.malicious_fraction", "give malicious_fraction or malicious_count, not both"
@@ -325,10 +315,13 @@ def _validate(cfg: ExperimentConfig) -> None:
         raise ConfigError(
             "recovery.warmup_rounds", "warmup + final tuning rounds exceed total rounds"
         )
-    if cfg.fnr < 0 or cfg.fnr > 1 or cfg.fpr < 0 or cfg.fpr > 1:
-        raise ConfigError("detection.fnr", "fnr and fpr must lie in [0, 1]")
+    for name, rate in (("fnr", cfg.fnr), ("fpr", cfg.fpr)):
+        if not 0 <= rate <= 1:
+            raise ConfigError(f"detection.{name}", f"{name} must lie in [0, 1]")
     if cfg.dataset.kind == "synthetic" and cfg.dataset.separation <= 0:
         raise ConfigError("dataset.separation", "separation must be > 0")
+    if cfg.finetune.beta <= 0:
+        raise ConfigError("finetune.beta", "beta must be > 0 (inf: uniform classes)")
 
 
 def _fmt(value) -> str:

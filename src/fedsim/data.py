@@ -47,6 +47,8 @@ class Dataset:
             raise ValueError("dataset inputs must be a nonempty 2-D array")
         if y.shape != (x.shape[0],):
             raise ValueError("label count must match input count")
+        if not np.isfinite(x).all():
+            raise ValueError("dataset inputs contain non-finite values")
         if np.any(y < 0) or np.any(y >= self.num_classes):
             raise ValueError("labels out of range")
         object.__setattr__(self, "inputs", x)

@@ -170,6 +170,26 @@ class HistoryStore:
             raise HistoryError("history config hash does not match the supplied config")
 
 
+def _checked_shard(spec: models.ModelSpec, where: str, inputs, labels):
+    """A shard as float64 inputs (n_i, input_dim), finite, and int64 labels
+    (n_i,) in [0, num_classes), so that `models.gradient` can trust it."""
+    x = np.asarray(inputs, dtype=np.float64)
+    y = np.asarray(labels, dtype=np.int64)
+    if x.ndim != 2 or x.shape[1] != spec.input_dim:
+        raise ValueError(
+            f"{where} has inputs of shape {x.shape}, but the model's input_dim is {spec.input_dim}"
+        )
+    if x.shape[0] == 0:
+        raise ValueError(f"{where} has an empty shard")
+    if y.shape != (x.shape[0],):
+        raise ValueError(f"{where} has {y.size} labels for {x.shape[0]} inputs")
+    if not np.isfinite(x).all():
+        raise ValueError(f"{where} has non-finite inputs")
+    if (y < 0).any() or (y >= spec.num_classes).any():
+        raise ValueError(f"{where} has labels out of range [0, {spec.num_classes})")
+    return x, y
+
+
 @dataclass
 class FlSetup:
     """Everything the round loop needs, resolved once up front."""
@@ -192,11 +212,14 @@ class FlSetup:
     poisoned_samplers: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        """Check every shard once against the spec. This is the data
+        boundary of the round loop: the client path trusts the shards."""
+        inputs, labels = self.local_inputs, self.local_labels
+        self.local_inputs, self.local_labels = {}, {}
         for cid in self.client_ids:
-            n_i = self.local_inputs[cid].shape[0]
-            if n_i == 0:
-                raise ValueError(f"client {cid} has an empty shard")
-            self.samplers[cid] = BatchSampler(self.seed, cid, n_i, self.batch_size)
+            x, y = _checked_shard(self.spec, f"client {cid}", inputs[cid], labels[cid])
+            self.local_inputs[cid], self.local_labels[cid] = x, y
+            self.samplers[cid] = BatchSampler(self.seed, cid, x.shape[0], self.batch_size)
         if self.attack is not None and self.attack.kind == "backdoor":
             for cid in sorted(self.malicious):
                 px, py = attacks.poison_shard_backdoor(
@@ -205,6 +228,7 @@ class FlSetup:
                     self.attack.trigger,
                     self.attack.target_label,
                 )
+                px, py = _checked_shard(self.spec, f"client {cid} (poisoned)", px, py)
                 self.poisoned_inputs[cid] = px
                 self.poisoned_labels[cid] = py
                 self.poisoned_samplers[cid] = BatchSampler(

@@ -56,37 +56,6 @@ class ModelSpec:
         return self.kind == "ridge"
 
 
-@dataclass(frozen=True)
-class Batch:
-    inputs: np.ndarray
-    labels: np.ndarray
-
-    def __post_init__(self):
-        x = np.asarray(self.inputs, dtype=np.float64)
-        y = np.asarray(self.labels, dtype=np.int64)
-        if x.ndim != 2 or x.shape[0] < 1:
-            raise ValueError("batch inputs must be a nonempty 2-D array")
-        if y.shape != (x.shape[0],):
-            raise ValueError("labels must be 1-D and match the batch size")
-        if not np.isfinite(x).all():
-            raise ValueError("batch inputs contain non-finite values")
-        object.__setattr__(self, "inputs", x)
-        object.__setattr__(self, "labels", y)
-
-    @property
-    def size(self) -> int:
-        return self.inputs.shape[0]
-
-
-def _check_batch(spec: ModelSpec, batch: Batch) -> None:
-    if batch.inputs.shape[1] != spec.input_dim:
-        raise ValueError(
-            f"batch feature dim {batch.inputs.shape[1]} != spec input_dim {spec.input_dim}"
-        )
-    if (batch.labels < 0).any() or (batch.labels >= spec.num_classes).any():
-        raise ValueError("labels out of range")
-
-
 def _check_params(spec: ModelSpec, w: np.ndarray) -> np.ndarray:
     w = as_vector(w, name="params")
     if w.size != spec.param_dim:
@@ -138,38 +107,42 @@ def _log_softmax(s: np.ndarray) -> np.ndarray:
     return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
 
 
-def loss(spec: ModelSpec, w, batch: Batch) -> float:
-    """Mean per-example loss plus (l2/2) * ||w||^2."""
-    w = _check_params(spec, w)
-    _check_batch(spec, batch)
-    s = _forward(spec, w, batch.inputs)[0]
-    n = batch.size
+def loss(spec: ModelSpec, w: np.ndarray, x: np.ndarray, y: np.ndarray) -> float:
+    """Mean per-example loss plus (l2/2) * ||w||^2.
+
+    Trusts its inputs, as :func:`gradient` does.
+    """
+    s = _forward(spec, w, x)[0]
+    n = x.shape[0]
     if spec.kind == "ridge":
         target = np.zeros_like(s)
-        target[np.arange(n), batch.labels] = 1.0
+        target[np.arange(n), y] = 1.0
         data_term = 0.5 * float(np.sum((s - target) ** 2)) / n
     else:
         logp = _log_softmax(s)
-        data_term = -float(logp[np.arange(n), batch.labels].mean())
+        data_term = -float(logp[np.arange(n), y].mean())
     return data_term + 0.5 * spec.l2 * float(w @ w)
 
 
-def gradient(spec: ModelSpec, w, batch: Batch) -> np.ndarray:
-    """Analytic gradient of :func:`loss` with respect to w."""
-    w = _check_params(spec, w)
-    _check_batch(spec, batch)
-    x = batch.inputs
-    n = batch.size
+def gradient(spec: ModelSpec, w: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Analytic gradient of :func:`loss` with respect to w.
+
+    Trusts its inputs, which are checked where they enter the program:
+    `w` is a finite float64 vector of `spec.param_dim` entries, `x` holds
+    (B, input_dim) float64 rows of a validated shard, and `y` their B int64
+    labels in [0, num_classes).
+    """
+    n = x.shape[0]
     s, z1, a1 = _forward(spec, w, x)
     if spec.kind == "ridge":
         err = s.copy()
-        err[np.arange(n), batch.labels] -= 1.0
+        err[np.arange(n), y] -= 1.0
         err /= n
     else:
         shifted = s - s.max(axis=1, keepdims=True)
         e = np.exp(shifted)
         err = e / e.sum(axis=1, keepdims=True)
-        err[np.arange(n), batch.labels] -= 1.0
+        err[np.arange(n), y] -= 1.0
         err /= n
 
     if spec.kind == "mlp":

@@ -150,11 +150,6 @@ def as_vector(values, *, name: str = "vector") -> np.ndarray:
     return v
 
 
-def check_same_dim(a: np.ndarray, b: np.ndarray) -> None:
-    if a.shape != b.shape:
-        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-
-
 def linf_norm(v) -> float:
     """Max absolute coordinate of a nonempty vector.
 

@@ -34,8 +34,6 @@ from .numcore import (
     STREAM_FINETUNE,
     STREAM_INIT,
     RngStream,
-    as_vector,
-    check_same_dim,
     derive_seed,
     linf_norm,
 )
@@ -123,29 +121,14 @@ def lbfgs_hvp(system: CompactSystem, v: np.ndarray) -> np.ndarray:
     return out
 
 
-def estimate_update(g_stored: np.ndarray, hvp_result: np.ndarray) -> np.ndarray:
-    """Estimated update: stored original update plus the HVP correction.
-
-    Both are float64 vectors: the stored update was validated when the
-    history was loaded, and the correction by `lbfgs_hvp`. The caller
-    checks the sum, which can overflow, for finiteness.
-    """
-    check_same_dim(g_stored, hvp_result)
-    return g_stored + hvp_result
-
-
-def exact_integrated_hvp_quadratic(hessian: np.ndarray, v) -> np.ndarray:
-    """H v for an explicit (quadratic-loss) Hessian.
+def exact_integrated_hvp_quadratic(hessian: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """H v for an explicit (d x d) quadratic-loss Hessian and a d-vector v.
 
     For a quadratic loss the integrated Hessian along any segment equals
     the constant Hessian, so this is the zero-error reference for the
     L-BFGS approximation.
     """
-    h = np.asarray(hessian, dtype=np.float64)
-    v = as_vector(v, name="v")
-    if h.ndim != 2 or h.shape[0] != h.shape[1] or h.shape[0] != v.size:
-        raise ValueError(f"hessian shape {h.shape} incompatible with v of dim {v.size}")
-    return h @ v
+    return hessian @ v
 
 
 def compute_threshold(history: HistoryStore, remaining_clients, alpha: float) -> float:
@@ -385,11 +368,12 @@ def fedrecover(
                         hv = exact_integrated_hvp_quadratic(hessian_for(c, t), v)
                     else:
                         hv = buffers.hvp(c, v)
-                    est = estimate_update(g_bar[c], hv)
                 except LbfgsSingularError:
                     fix.append(c)
                     continue
-                # g + Hv can overflow even when both terms are finite
+                # the estimate: stored update plus the HVP correction, which
+                # can overflow even when both terms are finite
+                est = g_bar[c] + hv
                 if not np.isfinite(est).all() or linf_norm(est) > tau:
                     fix.append(c)
                 else:
@@ -482,9 +466,11 @@ def fine_tune(
     """Fine-tune a (poisoned) model on a clean sample of the dataset.
 
     Class proportions follow a symmetric Dirichlet(beta); beta = inf means
-    uniform. Raises when a class cannot supply its drawn count.
+    uniform. `w` must be a finite vector of `spec.param_dim` entries (see
+    `cli.load_model`). Raises when a class cannot supply its drawn count.
     """
-    w = as_vector(w, name="model")
+    if dataset.dim != spec.input_dim:
+        raise ValueError(f"dataset feature dim {dataset.dim} != spec input_dim {spec.input_dim}")
     if n_examples < 1 or n_examples > dataset.size:
         raise ValueError("n_examples must lie in [1, dataset size]")
     rng = RngStream(derive_seed(seed, STREAM_FINETUNE, 0, 0))
@@ -514,6 +500,6 @@ def fine_tune(
         perm = rng.permutation(n)
         for lo in range(0, n, bs):
             sel = perm[lo : lo + bs]
-            g = models.gradient(spec, w, models.Batch(x[sel], y[sel]))
+            g = models.gradient(spec, w, x[sel], y[sel])
             w = w - eta * g
     return w

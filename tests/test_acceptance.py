@@ -18,7 +18,6 @@ from fedsim.flengine import FlSetup, train
 from fedsim.metrics import attack_success_rate, cost_saving
 from fedsim.metrics import test_error_rate as error_rate
 from fedsim.models import (
-    Batch,
     ModelSpec,
     gradient,
     loss,
@@ -226,9 +225,8 @@ def test_criterion_6_gradient_checks():
                 y = np.array(
                     [rng.randint_below(spec.num_classes) for _ in range(6)], dtype=np.int64
                 )
-                batch = Batch(x, y)
-                fd = finite_diff_gradient(lambda u: loss(spec, u, batch), w, 1e-5)
-                g = gradient(spec, w, batch)
+                fd = finite_diff_gradient(lambda u: loss(spec, u, x, y), w, 1e-5)
+                g = gradient(spec, w, x, y)
                 rel = linf_norm(g - fd) / (1.0 + linf_norm(g))
                 assert rel <= 1e-5, f"{spec.kind}: relative error {rel}"
 

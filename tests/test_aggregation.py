@@ -149,10 +149,6 @@ class TestApplyUpdate:
         once = apply_update(apply_update(w, agg, 0.25), agg, 0.25)
         np.testing.assert_allclose(once, w - 2 * 0.25 * agg, atol=0)
 
-    def test_bad_eta(self):
-        with pytest.raises(ValueError):
-            apply_update(np.zeros(2), np.zeros(2), 0.0)
-
 
 @settings(max_examples=60)
 @given(

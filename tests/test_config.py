@@ -512,6 +512,22 @@ class TestKeyTable:
             ("recovery", "hvp_mode", "foo"),
             ("recovery", "tolerance_rate", "2"),
             ("recovery", "tolerance_rate", "0"),
+            ("experiment", "seed", "-1"),
+            ("experiment", "rounds", "0"),
+            ("experiment", "learning_rate", "0"),
+            ("experiment", "learning_rate", "-1"),
+            ("experiment", "batch_size", "0"),
+            ("experiment", "local_steps", "0"),
+            ("experiment", "n_clients", "0"),
+            ("detection", "fnr", "2"),
+            ("detection", "fnr", "-1"),
+            ("detection", "fpr", "2"),
+            ("detection", "fpr", "-1"),
+            ("finetune", "batch_size", "0"),
+            ("finetune", "n_examples", "0"),
+            ("finetune", "epochs", "-1"),
+            ("finetune", "beta", "-1"),
+            ("finetune", "beta", "0"),
         ],
     )
     def test_range_fault_in_minimal_names_its_key(self, section, key, value):
@@ -617,7 +633,7 @@ def _valid_configs(draw) -> str:
     put("recovery", "bound_check", st.sampled_from(["true", "false"]), "false")
     put("finetune", "epochs", st.integers(1, 200), 100)
     put("finetune", "n_examples", st.integers(1, 2000), 1000)
-    put("finetune", "beta", st.sampled_from(["inf"]) | real(0.0, 100.0), "inf")
+    put("finetune", "beta", st.sampled_from(["inf"]) | real(0.0, 100.0, exclude_min=True), "inf")
     put("finetune", "batch_size", st.integers(1, 64), 32)
     return _render(sections)
 

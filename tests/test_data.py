@@ -12,7 +12,7 @@ from fedsim.data import (
     load_mnist_idx,
     partition_noniid,
 )
-from fedsim.models import Batch, ModelSpec, gradient, predict
+from fedsim.models import ModelSpec, gradient, predict
 from fedsim.numcore import RngStream
 
 
@@ -91,7 +91,7 @@ class TestSynthetic:
         rng = RngStream(6)
         for _ in range(400):
             idx = rng.choice(train.size, 64)
-            w = w - 0.5 * gradient(spec, w, Batch(train.inputs[idx], train.labels[idx]))
+            w = w - 0.5 * gradient(spec, w, train.inputs[idx], train.labels[idx])
         acc = float(np.mean(predict(spec, w, test.inputs) == test.labels))
         assert acc >= 0.95
 
@@ -168,3 +168,11 @@ class TestPartition:
 def test_dataset_validation():
     with pytest.raises(ValueError):
         Dataset(np.zeros((3, 2)), np.array([0, 1, 5]), num_classes=3)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_dataset_rejects_non_finite_inputs(bad):
+    x = np.zeros((3, 2))
+    x[1, 0] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        Dataset(x, np.array([0, 1, 2]), num_classes=3)

@@ -21,7 +21,7 @@ from fedsim.flengine import (
     run_round,
     train,
 )
-from fedsim.models import Batch, ModelSpec, gradient
+from fedsim.models import ModelSpec, gradient
 from fedsim.numcore import RngStream
 
 CHASH = bytes(range(32))
@@ -305,6 +305,63 @@ class TestRecordLayout:
             HistoryStore.load(path)
 
 
+class TestSetupChecksShards:
+    """`FlSetup` is the data boundary of the round loop: it checks every
+    shard once, so the client path can trust what it reads."""
+
+    def resetup(self, setup, inputs, labels):
+        return FlSetup(
+            spec=setup.spec,
+            rule=setup.rule,
+            eta=setup.eta,
+            batch_size=setup.batch_size,
+            l=setup.l,
+            seed=setup.seed,
+            client_ids=setup.client_ids,
+            local_inputs={**setup.local_inputs, 1: inputs},
+            local_labels={**setup.local_labels, 1: labels},
+            sizes=setup.sizes,
+        )
+
+    @pytest.mark.parametrize(
+        "fault, message",
+        [
+            ("wide", "shape .*input_dim is 6"),
+            ("nan", "non-finite inputs"),
+            ("label_low", r"labels out of range \[0, 3\)"),
+            ("label_high", r"labels out of range \[0, 3\)"),
+        ],
+        ids=["wide", "nan", "label_low", "label_high"],
+    )
+    def test_bad_shard_rejected(self, fault, message):
+        setup, _ = small_setup()
+        x, y = setup.local_inputs[1].copy(), setup.local_labels[1].copy()
+        if fault == "wide":
+            x = np.hstack([x, x[:, :1]])
+        elif fault == "nan":
+            x[2, 3] = np.nan
+        else:
+            y[0] = -1 if fault == "label_low" else setup.spec.num_classes
+        with pytest.raises(ValueError, match=f"client 1 .*{message}"):
+            self.resetup(setup, x, y)
+
+    def test_bad_poisoned_shard_rejected(self):
+        # a target label the spec has no class for reaches only the
+        # poisoned copy of a shard
+        atk = AttackConfig(kind="backdoor", trigger=Trigger("every_kth", k=2), target_label=3)
+        with pytest.raises(ValueError, match=r"client 2 \(poisoned\) has labels out of range"):
+            small_setup(attack=atk, malicious=(2,))
+
+    def test_shards_converted_once(self):
+        setup, _ = small_setup()
+        x = setup.local_inputs[1].astype(np.float32)
+        y = setup.local_labels[1].astype(np.int32)
+        again = self.resetup(setup, x, y)
+        assert again.local_inputs[1].dtype == np.float64
+        assert again.local_labels[1].dtype == np.int64
+        np.testing.assert_array_equal(again.local_labels[1], y)
+
+
 class TestRunRound:
     def test_loss_decreases_single_client(self):
         # 1 client, FedAvg: plain gradient descent on a convex loss
@@ -313,7 +370,6 @@ class TestRunRound:
         cid = one[0]
         x, y = setup.local_inputs[cid], setup.local_labels[cid]
         w = np.zeros(setup.spec.param_dim)
-        batch = Batch(x, y)
         from fedsim.models import loss
 
         sub = FlSetup(
@@ -328,10 +384,10 @@ class TestRunRound:
             local_labels={cid: y},
             sizes={cid: len(y)},
         )
-        losses = [loss(sub.spec, w, batch)]
+        losses = [loss(sub.spec, w, x, y)]
         for t in range(10):
             w, _ = run_round(sub, w, t)
-            losses.append(loss(sub.spec, w, batch))
+            losses.append(loss(sub.spec, w, x, y))
         assert all(b < a for a, b in zip(losses, losses[1:]))
 
     def test_attack_with_empty_malicious_is_noop(self):
@@ -396,6 +452,5 @@ class TestTrain:
             sizes=setup.sizes,
         )
         store, final = train(full, 400, tmp_path / "h.bin", CHASH)
-        batch = Batch(ds.inputs, ds.labels)
-        g = gradient(full.spec, final, batch)
+        g = gradient(full.spec, final, ds.inputs, ds.labels)
         assert float(np.linalg.norm(g)) < 1e-4

@@ -3,6 +3,7 @@ multi-step local updates through training and recovery, the MNIST config
 branch, and the median rule inside recovery."""
 
 import json
+import re
 import struct
 
 import numpy as np
@@ -18,14 +19,15 @@ from fedsim.models import ModelSpec
 from fedsim.recovery import RecoveryParams, fedrecover, train_from_scratch
 
 
-def write_idx(dir_path, n, seed):
-    """Small random 28x28 IDX pair in the real wire format."""
+def write_idx(dir_path, n, seed, side=28):
+    """Small random side x side (MNIST: 28 x 28) IDX pair in the real wire
+    format."""
     rng = np.random.default_rng(seed)
-    pixels = rng.integers(0, 256, size=(n, 28, 28), dtype=np.uint8)
+    pixels = rng.integers(0, 256, size=(n, side, side), dtype=np.uint8)
     labels = rng.integers(0, 10, size=n, dtype=np.uint8)
     img = dir_path / f"images_{seed}.idx"
     lab = dir_path / f"labels_{seed}.idx"
-    img.write_bytes(struct.pack(">IIII", 0x803, n, 28, 28) + pixels.tobytes())
+    img.write_bytes(struct.pack(">IIII", 0x803, n, side, side) + pixels.tobytes())
     lab.write_bytes(struct.pack(">II", 0x801, n) + labels.tobytes())
     return img, lab
 
@@ -148,3 +150,18 @@ def test_mnist_config_pipeline(tmp_path, monkeypatch):
     assert_both_accept(summary)
     assert summary["method"] == "fedrecover"
     assert 0.0 <= summary["ter"] <= 1.0
+
+
+def test_mnist_images_of_the_wrong_size_are_error_exit(tmp_path, monkeypatch, capsys):
+    # 3 x 3 images against the 784 inputs of an MNIST model: the shards
+    # are rejected where they enter, naming both dims
+    ti, tl = write_idx(tmp_path, 400, seed=1, side=3)
+    vi, vl = write_idx(tmp_path, 100, seed=2, side=3)
+    cfg = tmp_path / "mnist.ini"
+    no_attack = re.sub(r"\[attack\].*?\n\n", "", MNIST_CFG, flags=re.S)
+    cfg.write_text(no_attack.format(ti=ti, tl=tl, vi=vi, vl=vl))
+    monkeypatch.setenv("FEDSIM_OUTPUT_ROOT", str(tmp_path))
+    assert cli_main(["train", "-c", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert re.search(r"\b9\b", err) and re.search(r"\b784\b", err), err

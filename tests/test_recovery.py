@@ -23,7 +23,6 @@ from fedsim.recovery import (
     RecoveryParams,
     compact_system,
     compute_threshold,
-    estimate_update,
     exact_integrated_hvp_quadratic,
     fedrecover,
     fine_tune,
@@ -281,20 +280,6 @@ class TestLbfgsBuffersCache:
             buffers.push_client(0, dg)
         with pytest.raises(LbfgsSingularError):
             buffers.hvp(0, rng.normals(d))
-
-
-class TestEstimateUpdate:
-    def test_zero_displacement(self):
-        g = np.array([1.0, -2.0])
-        np.testing.assert_array_equal(estimate_update(g, np.zeros(2)), g)
-
-    def test_zero_stored(self):
-        h = np.array([0.5, 0.5])
-        np.testing.assert_array_equal(estimate_update(np.zeros(2), h), h)
-
-    def test_dim_mismatch(self):
-        with pytest.raises(ValueError):
-            estimate_update(np.zeros(2), np.zeros(3))
 
 
 class TestExactQuadraticHvp:
