@@ -14,12 +14,6 @@ class AggregationRule:
     kind: str
     k: int = 0  # trimmed_mean only
 
-    def __post_init__(self):
-        if self.kind not in RULE_KINDS:
-            raise ValueError(f"unknown aggregation rule {self.kind!r}")
-        if self.k < 0:
-            raise ValueError("k must be >= 0")
-
 
 def _stack(updates) -> np.ndarray:
     """The updates as the rows of one finite float64 matrix.

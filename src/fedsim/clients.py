@@ -19,10 +19,8 @@ class BatchSampler:
     """Deterministic without-replacement mini-batch plan for one client."""
 
     def __init__(self, global_seed: int, client_id: int, n_examples: int, batch_size: int):
-        if n_examples < 1:
-            raise ValueError("client shard is empty")
-        if batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
+        """`FlSetup` checks that the shard is nonempty, the config that
+        batch_size >= 1."""
         self.global_seed = global_seed
         self.client_id = client_id
         self.n = n_examples

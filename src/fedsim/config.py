@@ -15,10 +15,10 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 from . import data as data_mod
-from .aggregation import AggregationRule
+from .aggregation import RULE_KINDS, AggregationRule
 from .attacks import AttackConfig, Trigger
 from .flengine import FlSetup
-from .models import ModelSpec
+from .models import KINDS, ModelSpec
 from .numcore import STREAM_DATAGEN, STREAM_MALICIOUS, RngStream, derive_seed
 from .recovery import RecoveryParams
 
@@ -138,14 +138,14 @@ _PATCH, _KTH = ("trigger", "pixel_patch"), ("trigger", "every_kth")
 _KEYS = (
     _Key("experiment", "seed", int, _REQUIRED, None, "seed", low=0),
     _Key("experiment", "rounds", int, _REQUIRED, None, "rounds", low=1),
-    _Key("experiment", "learning_rate", _to_float, _REQUIRED, None, "learning_rate"),
+    _Key("experiment", "learning_rate", _to_finite, _REQUIRED, None, "learning_rate"),
     _Key("experiment", "batch_size", int, 32, None, "batch_size", low=1),
     _Key("experiment", "local_steps", int, 1, None, "local_steps", low=1),
     _Key("experiment", "n_clients", int, _REQUIRED, None, "n_clients", low=1),
-    _Key("experiment", "malicious_fraction", _to_float, None, None, "malicious_fraction"),
+    _Key("experiment", "malicious_fraction", _to_finite, None, None, "malicious_fraction"),
     _Key("experiment", "malicious_count", int, None, None, "malicious_count"),
-    _Key("experiment", "noniid_degree", _to_float, 0.5, None, "noniid_degree"),
-    _Key("experiment", "aggregation", str, _REQUIRED, None, "rule.kind"),
+    _Key("experiment", "noniid_degree", _to_finite, 0.5, None, "noniid_degree"),
+    _Key("experiment", "aggregation", _one_of(*RULE_KINDS), _REQUIRED, None, "rule.kind"),
     _Key("experiment", "trim_k", int, 0, ("aggregation", "trimmed_mean"), "rule.k", anywhere=True, low=0),
     _Key("experiment", "output_dir", str, _REQUIRED, None, "output_dir"),
     _Key("dataset", "kind", _one_of("synthetic", "mnist"), _REQUIRED, None, "dataset.kind"),
@@ -153,32 +153,32 @@ _KEYS = (
     _Key("dataset", "dim", int, 20, _SYNTHETIC, "dataset.dim", low=1),
     _Key("dataset", "per_class", int, 100, _SYNTHETIC, "dataset.per_class", low=1),
     _Key("dataset", "test_per_class", int, 50, _SYNTHETIC, "dataset.test_per_class", low=1),
-    _Key("dataset", "separation", _to_float, 3.0, _SYNTHETIC, "dataset.separation"),
+    _Key("dataset", "separation", _to_finite, 3.0, _SYNTHETIC, "dataset.separation"),
     _Key("dataset", "train_images", str, _REQUIRED, _MNIST, "dataset.train_images"),
     _Key("dataset", "train_labels", str, _REQUIRED, _MNIST, "dataset.train_labels"),
     _Key("dataset", "test_images", str, _REQUIRED, _MNIST, "dataset.test_images"),
     _Key("dataset", "test_labels", str, _REQUIRED, _MNIST, "dataset.test_labels"),
-    _Key("model", "kind", str, _REQUIRED, None, "model.kind"),
+    _Key("model", "kind", _one_of(*KINDS), _REQUIRED, None, "model.kind"),
     _Key("model", "hidden", int, 0, _MLP, "model.hidden", anywhere=True),
-    _Key("model", "l2", _to_float, 0.0, None, "model.l2", low=0),
+    _Key("model", "l2", _to_finite, 0.0, None, "model.l2", low=0),
     _Key("attack", "kind", _one_of("none", "trim", "backdoor"), "none", None, "attack.kind"),
-    _Key("attack", "trim_b", _to_float, 2.0, _TRIM, "attack.b"),
+    _Key("attack", "trim_b", _to_finite, 2.0, _TRIM, "attack.b"),
     _Key("attack", "trigger", _one_of("pixel_patch", "every_kth"), _REQUIRED, _BACKDOOR, "attack.trigger.kind"),
-    _Key("attack", "trigger_rows", int, 4, _PATCH, "attack.trigger.rows"),
-    _Key("attack", "trigger_cols", int, 4, _PATCH, "attack.trigger.cols"),
-    _Key("attack", "trigger_k", int, _REQUIRED, _KTH, "attack.trigger.k"),
+    _Key("attack", "trigger_rows", int, 4, _PATCH, "attack.trigger.rows", low=1),
+    _Key("attack", "trigger_cols", int, 4, _PATCH, "attack.trigger.cols", low=1),
+    _Key("attack", "trigger_k", int, _REQUIRED, _KTH, "attack.trigger.k", low=1),
     _Key("attack", "trigger_value", _to_finite, 1.0, _PATCH, "attack.trigger.value"),
     _Key("attack", "trigger_value", _to_finite, 0.0, _KTH, "attack.trigger.value"),
     _Key("attack", "target_label", int, 0, _BACKDOOR, "attack.target_label"),
-    _Key("attack", "scale", _to_float, 1.0, _BACKDOOR, "attack.lam"),
+    _Key("attack", "scale", _to_finite, 1.0, _BACKDOOR, "attack.lam"),
     _Key("attack", "adaptive", _to_bool, False, _BACKDOOR, "attack.adaptive"),
-    _Key("detection", "fnr", _to_float, 0.0, None, "fnr"),
-    _Key("detection", "fpr", _to_float, 0.0, None, "fpr"),
+    _Key("detection", "fnr", _to_finite, 0.0, None, "fnr"),
+    _Key("detection", "fpr", _to_finite, 0.0, None, "fpr"),
     _Key("recovery", "warmup_rounds", int, 20, None, "recovery.warmup_rounds"),
     _Key("recovery", "correction_period", int, 10, None, "recovery.correction_period", low=1),
     _Key("recovery", "final_tuning_rounds", int, 5, None, "recovery.final_tuning_rounds", low=0),
     _Key("recovery", "buffer_size", int, 2, None, "recovery.buffer_size", low=1),
-    _Key("recovery", "tolerance_rate", _to_float, 1e-6, None, "recovery.tolerance_rate"),
+    _Key("recovery", "tolerance_rate", _to_finite, 1e-6, None, "recovery.tolerance_rate"),
     _Key("recovery", "tau", _to_float, None, None, "recovery.tau"),
     _Key("recovery", "hvp_mode", _one_of("lbfgs", "exact_quadratic"), "lbfgs", None, "recovery.hvp_mode"),
     _Key("recovery", "bound_check", _to_bool, False, None, "bound_check"),
@@ -205,7 +205,14 @@ def parse_config_string(text: str) -> ExperimentConfig:
 
 def _parse(f) -> ExperimentConfig:
     parser = configparser.ConfigParser(interpolation=None)
-    parser.read_file(f)
+    try:
+        parser.read_file(f)
+    except configparser.DuplicateOptionError as exc:
+        raise ConfigError(f"{exc.section}.{exc.option}", "key given twice") from exc
+    except configparser.DuplicateSectionError as exc:
+        raise ConfigError(exc.section, "section given twice") from exc
+    except configparser.Error as exc:  # a line outside any section, or not `key = value`
+        raise ConfigError("file", " ".join(str(exc).split())) from exc
     given = {name: dict(parser.items(name)) for name in parser.sections()}
     for sec in given:
         if sec not in _SECTIONS:
@@ -236,44 +243,29 @@ def _parse(f) -> ExperimentConfig:
     return cfg
 
 
-def _make(field: str, cls, *args, **kwargs):
-    try:
-        return cls(*args, **kwargs)
-    except ValueError as exc:
-        raise ConfigError(field, str(exc)) from exc
-
-
 def _build(values: dict) -> ExperimentConfig:
     """The config the parsed `values` describe; consumes them."""
     exp, ds, mdl, atk, rec = (values[s] for s in ("experiment", "dataset", "model", "attack", "recovery"))
-    rule = _make("experiment.aggregation", AggregationRule, exp["aggregation"], exp["trim_k"])
     for k in _KEYS:  # a key read outside its variant must keep its default there
         if k.anywhere and not _applies(k, values[k.section]) and values[k.section][k.key] != k.default:
             raise ConfigError(f"{k.section}.{k.key}", f"applies to {k.when[0]} = {k.when[1]} only")
-    del exp["aggregation"], exp["trim_k"]
+    rule = AggregationRule(exp.pop("aggregation"), exp.pop("trim_k"))
     if ds["kind"] == "mnist":
         ds["num_classes"] = 10
     dataset = DatasetConfig(**ds)
-    if mdl["kind"] == "mlp" and mdl["hidden"] < 1:
-        raise ConfigError("model.hidden", "mlp model requires hidden >= 1")
     dim = dataset.dim if dataset.kind == "synthetic" else 784
-    model = _make("model.kind", ModelSpec, mdl["kind"], dim, dataset.num_classes, mdl["hidden"], mdl["l2"])
+    model = ModelSpec(mdl["kind"], dim, dataset.num_classes, mdl["hidden"], mdl["l2"])
     attack = None
     if atk["kind"] == "trim":
-        attack = _make("attack.trim_b", AttackConfig, kind="trim", b=atk["trim_b"])
+        attack = AttackConfig(kind="trim", b=atk["trim_b"])
     elif atk["kind"] == "backdoor":
-        rows, cols, value = atk["trigger_rows"], atk["trigger_cols"], atk["trigger_value"]
         if atk["trigger"] == "pixel_patch":
-            bad = "attack.trigger_rows" if rows < 1 else "attack.trigger_cols"
-            trigger = _make(bad, Trigger, "pixel_patch", rows=rows, cols=cols, value=value)
+            shape = {"rows": atk["trigger_rows"], "cols": atk["trigger_cols"]}
         else:
-            trigger = _make("attack.trigger_k", Trigger, "every_kth", k=atk["trigger_k"], value=value)
-        if not (0 <= atk["target_label"] < dataset.num_classes):
-            raise ConfigError("attack.target_label", "target label outside the class range")
+            shape = {"k": atk["trigger_k"]}
+        trigger = Trigger(atk["trigger"], value=atk["trigger_value"], **shape)
         kwargs = {"target_label": atk["target_label"], "lam": atk["scale"], "adaptive": atk["adaptive"]}
-        attack = _make("attack.scale", AttackConfig, kind="backdoor", trigger=trigger, **kwargs)
-    if rec["tau"] is None and not 0.0 < rec["tolerance_rate"] <= 1.0:
-        raise ConfigError("recovery.tolerance_rate", "must lie in (0, 1] when tau is not given")
+        attack = AttackConfig(kind="backdoor", trigger=trigger, **kwargs)
     bound_check = rec.pop("bound_check")
     return ExperimentConfig(
         **exp,
@@ -282,13 +274,30 @@ def _build(values: dict) -> ExperimentConfig:
         dataset=dataset,
         model=model,
         attack=attack,
-        recovery=_make("recovery", RecoveryParams, **rec),
+        recovery=RecoveryParams(**rec),
         bound_check=bound_check,
         finetune=FinetuneConfig(**values["finetune"]),
     )
 
 
 def _validate(cfg: ExperimentConfig) -> None:
+    """Every range that involves more than one key, or that a `_KEYS` row
+    cannot state, each reported under the key to change. The library
+    (models, attacks, recovery, ...) trusts what passes."""
+    model, attack, rec = cfg.model, cfg.attack, cfg.recovery
+    if model.kind == "mlp" and model.hidden < 1:
+        raise ConfigError("model.hidden", "mlp model requires hidden >= 1")
+    if attack is not None and attack.kind == "trim" and attack.b <= 1.0:
+        raise ConfigError("attack.trim_b", "trim attack needs trim_b > 1")
+    if attack is not None and attack.kind == "backdoor":
+        if not (0 <= attack.target_label < cfg.dataset.num_classes):
+            raise ConfigError("attack.target_label", "target label outside the class range")
+        if attack.lam <= 0:
+            raise ConfigError("attack.scale", "backdoor scale must be > 0")
+    if rec.tau is None and not 0.0 < rec.tolerance_rate <= 1.0:
+        raise ConfigError("recovery.tolerance_rate", "must lie in (0, 1] when tau is not given")
+    if rec.warmup_rounds <= rec.buffer_size:
+        raise ConfigError("recovery.warmup_rounds", "warmup_rounds must exceed buffer_size")
     if cfg.learning_rate <= 0:
         raise ConfigError("experiment.learning_rate", "learning rate must be > 0")
     if cfg.malicious_fraction is not None and cfg.malicious_count is not None:
@@ -302,7 +311,7 @@ def _validate(cfg: ExperimentConfig) -> None:
             "experiment.malicious_count",
             f"malicious clients ({cfg.n_malicious}) must be fewer than n_clients ({cfg.n_clients})",
         )
-    if cfg.attack is not None and cfg.n_malicious == 0:
+    if attack is not None and cfg.n_malicious == 0:
         raise ConfigError("attack.kind", "attack configured but no malicious clients")
     if cfg.rule.kind == "trimmed_mean" and 2 * cfg.rule.k >= cfg.n_clients:
         raise ConfigError("experiment.trim_k", f"need 2k < n_clients, got k={cfg.rule.k}")
@@ -311,7 +320,7 @@ def _validate(cfg: ExperimentConfig) -> None:
         raise ConfigError("experiment.noniid_degree", f"must lie in [1/{c}, 1]")
     if cfg.n_clients < c:
         raise ConfigError("experiment.n_clients", f"need at least num_classes={c} clients")
-    if cfg.recovery.warmup_rounds + cfg.recovery.final_tuning_rounds > cfg.rounds:
+    if rec.warmup_rounds + rec.final_tuning_rounds > cfg.rounds:
         raise ConfigError(
             "recovery.warmup_rounds", "warmup + final tuning rounds exceed total rounds"
         )
@@ -322,6 +331,19 @@ def _validate(cfg: ExperimentConfig) -> None:
         raise ConfigError("dataset.separation", "separation must be > 0")
     if cfg.finetune.beta <= 0:
         raise ConfigError("finetune.beta", "beta must be > 0 (inf: uniform classes)")
+    if rec.hvp_mode == "exact_quadratic" and (model.kind != "ridge" or cfg.local_steps != 1):
+        raise ConfigError(
+            "recovery.hvp_mode", "exact_quadratic needs the ridge model and local_steps = 1"
+        )
+    if cfg.bound_check:  # the preconditions of recovery.theoretical_bound
+        for holds, need in (
+            (cfg.rule.kind == "fedavg", "the fedavg aggregation rule"),
+            (rec.tau == math.inf, "tau = inf (abnormality fixing disabled)"),
+            (model.kind != "mlp" and model.l2 > 0, "a strongly convex model (logreg or ridge, l2 > 0)"),
+            (cfg.learning_rate * model.l2 <= 1.0, "learning_rate * l2 <= 1"),
+        ):
+            if not holds:
+                raise ConfigError("recovery.bound_check", f"bound_check requires {need}")
 
 
 def _fmt(value) -> str:

@@ -133,8 +133,6 @@ def gen_synthetic(
     Class c is N(separation * mu_c, I) with unit-norm centers mu_c; the
     whole construction is deterministic given the seed.
     """
-    if min(num_classes, dim, n_per_class) < 1 or separation <= 0:
-        raise ValueError("num_classes, dim, n_per_class, and separation must be positive")
     centers = _class_centers(num_classes, dim)
     sample_rng = RngStream(derive_seed(seed, STREAM_DATAGEN, 1, 0))
     noise = sample_rng.normals(num_classes * n_per_class * dim)
@@ -153,13 +151,10 @@ def partition_noniid(dataset: Dataset, n_clients: int, q: float, seed: int) -> l
     An example with label l goes to group l with probability q and to each
     other group with probability (1 - q) / (num_classes - 1), then to a
     uniformly random client inside the chosen group. q = 1/num_classes is
-    the iid point; q = 1 gives each group only its own label.
+    the iid point; q = 1 gives each group only its own label. The config
+    guarantees n_clients >= num_classes and q in [1/num_classes, 1].
     """
     c = dataset.num_classes
-    if n_clients < c:
-        raise ValueError(f"need at least num_classes={c} clients, got {n_clients}")
-    if not (1.0 / c - 1e-12 <= q <= 1.0 + 1e-12):
-        raise ValueError(f"q must lie in [1/num_classes, 1], got {q}")
     bounds = [(g * n_clients) // c for g in range(c + 1)]
     rng = RngStream(derive_seed(seed, STREAM_PARTITION, 0, 0))
     n = dataset.size

@@ -2,40 +2,11 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import models
 from .attacks import Trigger, embed_trigger
 from .data import Dataset
-
-
-@dataclass(frozen=True)
-class MetricsReport:
-    ter: float
-    asr: float | None  # None outside backdoor runs
-    acp: float
-    cp_per_client: dict
-
-    def __post_init__(self):
-        if not (0.0 <= self.ter <= 1.0):
-            raise ValueError("ter must lie in [0, 1]")
-        if self.asr is not None and not (0.0 <= self.asr <= 1.0):
-            raise ValueError("asr must lie in [0, 1]")
-        if not self.cp_per_client:
-            raise ValueError("cp_per_client must be nonempty")
-        mean_cp = float(np.mean(list(self.cp_per_client.values())))
-        if abs(self.acp - mean_cp) > 1e-9:
-            raise ValueError("acp must equal the mean per-client cost saving")
-
-    @property
-    def cp_min(self) -> float:
-        return min(self.cp_per_client.values())
-
-    @property
-    def cp_max(self) -> float:
-        return max(self.cp_per_client.values())
 
 
 def test_error_rate(spec: models.ModelSpec, w, test: Dataset) -> float:

@@ -142,13 +142,10 @@ def compute_threshold(history: HistoryStore, remaining_clients, alpha: float) ->
 
     With N pooled values and k = floor(alpha N), that value is the
     ascending pool's element at index max(N - 1 - k, 0), found by
-    selection rather than a full sort.
+    selection rather than a full sort. The config guarantees alpha in
+    (0, 1], and `HistoryStore.load` at least one round.
     """
-    if not (0.0 < alpha <= 1.0):
-        raise ValueError("tolerance rate alpha must lie in (0, 1]")
     remaining = sorted(remaining_clients)
-    if len(history.updates) == 0:
-        raise ValueError("history is empty")
     tau = -math.inf
     for round_updates in history.updates:
         pool = round_updates[remaining].ravel()
@@ -172,8 +169,6 @@ class LbfgsBuffers:
     """
 
     def __init__(self, capacity: int, client_ids):
-        if capacity < 1:
-            raise ValueError("capacity must be >= 1")
         self.capacity = capacity
         self.global_diffs: deque = deque(maxlen=capacity)
         self.update_diffs = {c: deque(maxlen=capacity) for c in client_ids}
@@ -203,21 +198,7 @@ class RecoveryParams:
     buffer_size: int = 2
     tolerance_rate: float = 1e-6
     tau: float | None = None  # explicit override; math.inf disables fixing
-    hvp_mode: str = "lbfgs"  # lbfgs | exact_quadratic
-
-    def __post_init__(self):
-        if self.buffer_size < 1:
-            raise ValueError("buffer_size must be >= 1")
-        if self.warmup_rounds <= self.buffer_size:
-            raise ValueError("warmup_rounds must exceed buffer_size")
-        if self.correction_period < 1:
-            raise ValueError("correction_period must be >= 1")
-        if self.final_tuning_rounds < 0:
-            raise ValueError("final_tuning_rounds must be >= 0")
-        if self.tau is None and not (0.0 < self.tolerance_rate <= 1.0):
-            raise ValueError("tolerance_rate must lie in (0, 1] when tau is not given")
-        if self.hvp_mode not in ("lbfgs", "exact_quadratic"):
-            raise ValueError(f"unknown hvp_mode {self.hvp_mode!r}")
+    hvp_mode: str = "lbfgs"  # lbfgs | exact_quadratic (ridge model, one local step)
 
 
 @dataclass
@@ -249,14 +230,9 @@ def theoretical_bound(eta: float, mu: float, m_bound: float, t: int, d0: float) 
     """Upper bound on the recovered-vs-scratch model gap after t rounds.
 
     With r = sqrt(1 - eta * mu): r**t * d0 + (1 - r**t) / (1 - r) * eta * M.
-    Requires 0 < eta * mu <= 1.
+    Requires 0 < eta * mu <= 1, which the config checks for `bound_check`.
     """
-    prod = eta * mu
-    if not (0.0 < prod <= 1.0):
-        raise ValueError(f"eta * mu must lie in (0, 1], got {prod}")
-    if t < 0:
-        raise ValueError("t must be >= 0")
-    r = math.sqrt(1.0 - prod)
+    r = math.sqrt(1.0 - eta * mu)
     rt = r**t
     geo = (1.0 - rt) / (1.0 - r) if r < 1.0 else float(t)
     return rt * d0 + geo * eta * m_bound
@@ -288,16 +264,14 @@ def fedrecover(
     difference buffers refresh from full-cohort exact rounds (global and
     per-client) and additionally from single-client fixes (per-client
     only).
+
+    Trusts its inputs: `HistoryStore.load` reads all T records, the config
+    checks `params` against T and the model, and the caller leaves at
+    least one client undetected.
     """
     total = history.total_rounds
-    if history.n_records != total:
-        raise ValueError(f"history has {history.n_records} records but covers T={total} rounds")
-    if params.warmup_rounds + params.final_tuning_rounds > total:
-        raise ValueError("warmup + final tuning exceed the training length")
     detected = frozenset(detected)
     remaining = sorted(set(setup.client_ids) - detected)
-    if not remaining:
-        raise ValueError("no clients remain after detection")
 
     undetected = sorted(set(setup.malicious) - detected) if setup.attack else []
     lam = None
@@ -306,11 +280,6 @@ def fedrecover(
         if setup.attack.adaptive:
             lam = adaptive_scale(lam, len(setup.malicious), len(undetected))
     trim_residual = bool(undetected) and setup.attack.kind == "trim"
-    if params.hvp_mode == "exact_quadratic":
-        if not setup.spec.is_quadratic:
-            raise ValueError("exact_quadratic mode needs the quadratic (ridge) model kind")
-        if setup.l != 1:
-            raise ValueError("exact_quadratic mode is defined for single-batch updates (l=1)")
 
     tau = params.tau if params.tau is not None else compute_threshold(
         history, remaining, params.tolerance_rate
@@ -409,8 +378,6 @@ def train_from_scratch(
     """Retrain over the remaining clients only; every client computes an
     exact update every round. Returns the final model and the full trace."""
     remaining = sorted(remaining_clients)
-    if not remaining:
-        raise ValueError("no clients remain")
     w = models.init_params(setup.spec, derive_seed(setup.seed, STREAM_INIT, 0, 0))
     trace = [w]
     for t in range(total_rounds):
@@ -429,8 +396,6 @@ def historical_only(
     """
     detected = frozenset(detected)
     remaining = sorted(set(range(history.n)) - detected)
-    if not remaining:
-        raise ValueError("no clients remain")
     w = history.models[0].copy()
     trace = [w]
     weights = [sizes[c] for c in remaining]
@@ -467,19 +432,18 @@ def fine_tune(
 
     Class proportions follow a symmetric Dirichlet(beta); beta = inf means
     uniform. `w` must be a finite vector of `spec.param_dim` entries (see
-    `cli.load_model`). Raises when a class cannot supply its drawn count.
+    `cli.load_model`); the config guarantees beta > 0 and n_examples >= 1.
+    Raises when a class cannot supply its drawn count.
     """
     if dataset.dim != spec.input_dim:
         raise ValueError(f"dataset feature dim {dataset.dim} != spec input_dim {spec.input_dim}")
-    if n_examples < 1 or n_examples > dataset.size:
-        raise ValueError("n_examples must lie in [1, dataset size]")
+    if n_examples > dataset.size:
+        raise ValueError(f"n_examples = {n_examples} exceeds the dataset size {dataset.size}")
     rng = RngStream(derive_seed(seed, STREAM_FINETUNE, 0, 0))
     c = dataset.num_classes
     if math.isinf(beta):
         proportions = np.full(c, 1.0 / c)
     else:
-        if beta <= 0:
-            raise ValueError("beta must be positive or inf")
         proportions = rng.dirichlet(beta, c)
     counts = _largest_remainder_counts(proportions, n_examples)
     picked = []

@@ -185,14 +185,15 @@ class TestTrainCommand:
         assert main(["train", "-c", str(cfg_path)]) == 1
         assert "experiment.seed" in capsys.readouterr().err
 
+    @pytest.mark.filterwarnings("error")
     def test_diverging_run_is_error_exit(self, tmp_path, monkeypatch, capsys):
         # the server's check of the client reports stops a run whose model
-        # overflows; no partial history is left behind
+        # overflows, with no numpy warning before the error line; no partial
+        # history is left behind
         monkeypatch.setenv("FEDSIM_OUTPUT_ROOT", str(tmp_path))
         cfg_path = tmp_path / "diverge.ini"
         cfg_path.write_text(MINIMAL.replace("learning_rate = 0.1", "learning_rate = 1e300"))
-        with np.errstate(all="ignore"):
-            assert main(["train", "-c", str(cfg_path)]) == 1
+        assert main(["train", "-c", str(cfg_path)]) == 1
         assert capsys.readouterr().err.startswith("error:")
         assert sorted(os.listdir(tmp_path / "runs" / "demo")) == ["config.ini"]
 
@@ -282,6 +283,22 @@ class TestRecoverCommand:
         assert main(["recover", "-c", str(cfg_path), "--method", method]) == 1
         assert "round 7 holds non-finite values" in capsys.readouterr().err
 
+
+    @pytest.mark.parametrize("method", ["scratch", "historical", "fedrecover", "finetune"])
+    def test_no_client_left_after_detection_is_error_exit(
+        self, tmp_path, monkeypatch, capsys, method
+    ):
+        # fpr = 1 flags every client; each method stops before it reads the
+        # history or recovers anything
+        monkeypatch.setenv("FEDSIM_OUTPUT_ROOT", str(tmp_path))
+        cfg_path = tmp_path / "exp.ini"
+        cfg_path.write_text(CFG_TEMPLATE.format(out="runs/exp") + "\n[detection]\nfpr = 1\n")
+        assert main(["train", "-c", str(cfg_path)]) == 0
+        run_dir = tmp_path / "runs" / "exp"
+        (run_dir / "history.bin").write_bytes(b"not read")
+        assert main(["recover", "-c", str(cfg_path), "--method", method]) == 1
+        assert capsys.readouterr().err == "error: detection flagged all 8 clients; none remain\n"
+        assert not (run_dir / f"summary_{method}.json").exists()
 
     @pytest.mark.parametrize("fault", ["short", "trailing", "nan", "inf", "wrong_dim"])
     def test_malformed_model_file_is_error_exit(self, trained, capsys, fault):

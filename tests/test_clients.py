@@ -39,10 +39,6 @@ class TestBatchSampler:
         b = BatchSampler(7, 1, 50, 8)
         assert not np.array_equal(a.batch(0), b.batch(0))
 
-    def test_empty_shard_rejected(self):
-        with pytest.raises(ValueError):
-            BatchSampler(7, 0, 0, 8)
-
     @settings(max_examples=300, deadline=None)
     @given(
         seed=st.integers(0, 2**63),

@@ -332,7 +332,7 @@ _COMMON = {
         "tolerance_rate": "0.001",
         "tau": "0.5",
         "hvp_mode": "lbfgs",
-        "bound_check": "true",
+        "bound_check": "false",
     },
     "finetune": {"epochs": "3", "n_examples": "40", "beta": "2.5", "batch_size": "8"},
 }
@@ -391,9 +391,10 @@ _BASES = {
             "test_images": "test-images",
             "test_labels": "test-labels",
         },
-        "model": {"kind": "logreg", "l2": "0.0"},
+        "model": {"kind": "logreg", "l2": "0.01"},
         "attack": {"kind": "trim", "trim_b": "3.0"},
         **_COMMON,
+        "recovery": {**_COMMON["recovery"], "tau": "inf", "bound_check": "true"},
     },
     "kth": {
         "experiment": {
@@ -417,6 +418,7 @@ _BASES = {
             "adaptive": "true",
         },
         **_COMMON,
+        "recovery": {**_COMMON["recovery"], "hvp_mode": "exact_quadratic"},
     },
 }
 
@@ -429,6 +431,21 @@ def _edited(base: str, section: str, key: str, value) -> str:
     else:
         sections[section][key] = value
     return _render(sections)
+
+
+def _minimal_with(edits: dict) -> str:
+    """MINIMAL with keys set, given as {section: {key: value}}."""
+    parser = configparser.ConfigParser(interpolation=None)
+    parser.read_string(MINIMAL)
+    sections = {sec: dict(parser.items(sec)) for sec in parser.sections()}
+    for section, keys in edits.items():
+        sections.setdefault(section, {}).update(keys)
+    return _render(sections)
+
+
+# MINIMAL edits that meet every precondition of bound_check / exact_quadratic
+_BOUNDED = {"recovery": {"tau": "inf", "bound_check": "true"}}
+_QUADRATIC = {"model": {"kind": "ridge"}, "recovery": {"hvp_mode": "exact_quadratic"}}
 
 
 def _row_id(row) -> str:
@@ -455,6 +472,8 @@ class TestKeyTable:
             texts.append(_edited(home, row.section, row.key, "abc"))
         if row.conv in (_to_float, _to_finite):  # -inf would serialize as inf
             texts.append(_edited(home, row.section, row.key, "-inf"))
+        if row.conv is _to_finite:
+            texts.append(_edited(home, row.section, row.key, "inf"))
         if row.when is not None:
             # A base where no row of this key applies; a key read in every
             # variant must there keep its default, so give it another value.
@@ -486,6 +505,8 @@ class TestKeyTable:
             ("patch", "attack", "trigger_value", "inf"),
             ("kth", "attack", "trigger_value", "-inf"),
             ("mnist", "attack", "trim_b", "0.5"),
+            ("mnist", "attack", "trim_b", "1"),
+            ("patch", "model", "hidden", "0"),
             ("kth", "attack", "scale", "0"),
             ("kth", "attack", "trigger_k", "0"),
             ("patch", "attack", "trigger_rows", "0"),
@@ -528,25 +549,63 @@ class TestKeyTable:
             ("finetune", "epochs", "-1"),
             ("finetune", "beta", "-1"),
             ("finetune", "beta", "0"),
+            ("dataset", "separation", "0"),
+            ("experiment", "n_clients", "3"),
+            ("recovery", "hvp_mode", "exact_quadratic"),
+            ("recovery", "bound_check", "true"),
         ],
     )
     def test_range_fault_in_minimal_names_its_key(self, section, key, value):
-        parser = configparser.ConfigParser(interpolation=None)
-        parser.read_string(MINIMAL)
-        sections = {sec: dict(parser.items(sec)) for sec in parser.sections()}
-        sections.setdefault(section, {})[key] = value
         with pytest.raises(ConfigError) as err:
-            parse_config_string(_render(sections))
+            parse_config_string(_minimal_with({section: {key: value}}))
         assert err.value.field == f"{section}.{key}"
+
+    @pytest.mark.parametrize(
+        "edits, field",
+        [
+            (_BOUNDED, None),
+            ({**_BOUNDED, "experiment": {"aggregation": "median"}}, "recovery.bound_check"),
+            ({**_BOUNDED, "model": {"kind": "mlp", "hidden": "3"}}, "recovery.bound_check"),
+            ({**_BOUNDED, "model": {"l2": "0"}}, "recovery.bound_check"),
+            ({**_BOUNDED, "experiment": {"learning_rate": "200"}}, "recovery.bound_check"),
+            (_QUADRATIC, None),
+            ({**_QUADRATIC, "experiment": {"local_steps": "2"}}, "recovery.hvp_mode"),
+        ],
+    )
+    def test_mode_precondition_names_the_mode(self, edits, field):
+        """bound_check and exact_quadratic are refused at parse, under their
+        own key, unless every precondition of the mode holds."""
+        text = _minimal_with(edits)
+        if field is None:
+            parse_config_string(text)
+            return
+        with pytest.raises(ConfigError) as err:
+            parse_config_string(text)
+        assert err.value.field == field
+
+    @pytest.mark.parametrize(
+        "text, field",
+        [
+            (MINIMAL.replace("seed = 7", "seed = 7\nseed = 8"), "experiment.seed"),
+            (MINIMAL + "\n[model]\nhidden = 2\n", "model"),
+            ("seed = 7\n" + MINIMAL, "file"),
+        ],
+        ids=["duplicate_key", "duplicate_section", "no_section_header"],
+    )
+    def test_ini_syntax_fault_is_config_error(self, text, field):
+        with pytest.raises(ConfigError) as err:
+            parse_config_string(text)
+        assert err.value.field == field
 
     def test_tolerance_rate_unchecked_when_tau_is_given(self):
         cfg = parse_config_string(MINIMAL + "\n[recovery]\ntau = 0.5\ntolerance_rate = 2\n")
         assert cfg.recovery.tolerance_rate == 2.0
 
     def test_cross_field_recovery_error_names_the_section(self):
+        # warmup_rounds <= buffer_size is reported under the key to raise
         with pytest.raises(ConfigError) as err:
             parse_config_string(_edited("patch", "recovery", "warmup_rounds", "2"))
-        assert err.value.field == "recovery"
+        assert err.value.field == "recovery.warmup_rounds"
 
     def test_readme_config_reference_lists_every_key(self):
         readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
@@ -586,9 +645,9 @@ def _valid_configs(draw) -> str:
         put("dataset", "separation", real(0.0, 10.0, exclude_min=True), 3.0)
     n = put("experiment", "n_clients", st.integers(classes, classes + 10))
     put("experiment", "seed", st.integers(0, 2**31))
-    put("experiment", "learning_rate", real(0.0, 1e3, exclude_min=True))
+    rate = put("experiment", "learning_rate", real(0.0, 1e3, exclude_min=True))
     put("experiment", "batch_size", st.integers(1, 64), 32)
-    put("experiment", "local_steps", st.integers(1, 4), 1)
+    steps = put("experiment", "local_steps", st.integers(1, 4), 1)
     put("experiment", "noniid_degree", real(1.0 / classes, 1.0), 0.5)
     put("experiment", "output_dir", st.sampled_from(["runs/x", "out", "a b/c"]))
     attack = put("attack", "kind", st.sampled_from(["none", "trim", "backdoor"]), "none")
@@ -607,7 +666,7 @@ def _valid_configs(draw) -> str:
         put("model", "hidden", st.integers(1, 8))
     else:
         put("model", "hidden", st.just(0), 0)
-    put("model", "l2", real(0.0, 1.0), 0.0)
+    l2 = put("model", "l2", real(0.0, 1.0), 0.0)
     if attack == "trim":
         put("attack", "trim_b", real(1.0, 10.0, exclude_min=True), 2.0)
     elif attack == "backdoor":
@@ -628,9 +687,12 @@ def _valid_configs(draw) -> str:
     put("experiment", "rounds", st.integers(warmup + final, warmup + final + 20))
     put("recovery", "correction_period", st.integers(1, 12), 10)
     put("recovery", "tolerance_rate", real(0.0, 1.0, exclude_min=True), 1e-6)
-    put("recovery", "tau", st.sampled_from(["inf"]) | real(0.0, 100.0), None)
-    put("recovery", "hvp_mode", st.sampled_from(["lbfgs", "exact_quadratic"]), "lbfgs")
-    put("recovery", "bound_check", st.sampled_from(["true", "false"]), "false")
+    tau = put("recovery", "tau", st.sampled_from(["inf"]) | real(0.0, 100.0), None)
+    # each mode only where its preconditions hold, so that both values stay drawn
+    modes = ["lbfgs", "exact_quadratic"] if kind == "ridge" and steps == 1 else ["lbfgs"]
+    put("recovery", "hvp_mode", st.sampled_from(modes), "lbfgs")
+    bounded = rule == "fedavg" and tau == "inf" and kind != "mlp" and 0 < l2 and rate * l2 <= 1
+    put("recovery", "bound_check", st.sampled_from(["true", "false"] if bounded else ["false"]), "false")
     put("finetune", "epochs", st.integers(1, 200), 100)
     put("finetune", "n_examples", st.integers(1, 2000), 1000)
     put("finetune", "beta", st.sampled_from(["inf"]) | real(0.0, 100.0, exclude_min=True), "inf")

@@ -330,8 +330,9 @@ class TestSetupChecksShards:
             ("nan", "non-finite inputs"),
             ("label_low", r"labels out of range \[0, 3\)"),
             ("label_high", r"labels out of range \[0, 3\)"),
+            ("empty", "empty shard"),
         ],
-        ids=["wide", "nan", "label_low", "label_high"],
+        ids=["wide", "nan", "label_low", "label_high", "empty"],
     )
     def test_bad_shard_rejected(self, fault, message):
         setup, _ = small_setup()
@@ -340,6 +341,8 @@ class TestSetupChecksShards:
             x = np.hstack([x, x[:, :1]])
         elif fault == "nan":
             x[2, 3] = np.nan
+        elif fault == "empty":
+            x, y = x[:0], y[:0]
         else:
             y[0] = -1 if fault == "label_low" else setup.spec.num_classes
         with pytest.raises(ValueError, match=f"client 1 .*{message}"):

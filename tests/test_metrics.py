@@ -120,22 +120,3 @@ class TestCostSaving:
             cost_saving(10, {0: 11})
         with pytest.raises(ValueError):
             cost_saving(0, {0: 0})
-
-
-class TestMetricsReport:
-    def test_acp_must_be_mean_of_cp(self):
-        from fedsim.metrics import MetricsReport
-
-        cp, acp = cost_saving(100, {0: 10, 1: 30})
-        report = MetricsReport(ter=0.1, asr=None, acp=acp, cp_per_client=cp)
-        assert report.cp_min == 70.0 and report.cp_max == 90.0
-        with pytest.raises(ValueError):
-            MetricsReport(ter=0.1, asr=None, acp=acp + 5.0, cp_per_client=cp)
-
-    def test_rejects_out_of_range_rates(self):
-        from fedsim.metrics import MetricsReport
-
-        with pytest.raises(ValueError):
-            MetricsReport(ter=1.5, asr=None, acp=0.0, cp_per_client={0: 0.0})
-        with pytest.raises(ValueError):
-            MetricsReport(ter=0.5, asr=-0.1, acp=0.0, cp_per_client={0: 0.0})
