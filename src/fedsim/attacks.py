@@ -33,18 +33,12 @@ class AttackConfig:
     adaptive: bool = False
 
 
-@dataclass(frozen=True)
-class DetectionOutcome:
-    detected: frozenset
-    fnr: float
-    fpr: float
-
-
 def embed_trigger(inputs: np.ndarray, trigger: Trigger) -> np.ndarray:
     """Return a triggered copy of one input (1-D) or a batch (2-D).
 
     pixel_patch treats each input as a square image and overwrites the
-    bottom-right rows x cols block; every_kth overwrites coordinates
+    bottom-right rows x cols block (the config guarantees that the dim is
+    square and the block fits); every_kth overwrites coordinates
     k-1, 2k-1, ... . Embedding is idempotent.
     """
     x = np.asarray(inputs, dtype=np.float64)
@@ -55,10 +49,6 @@ def embed_trigger(inputs: np.ndarray, trigger: Trigger) -> np.ndarray:
     dim = x.shape[1]
     if trigger.kind == "pixel_patch":
         side = math.isqrt(dim)
-        if side * side != dim:
-            raise ValueError(f"pixel_patch trigger needs a square input dim, got {dim}")
-        if trigger.rows > side or trigger.cols > side:
-            raise ValueError("trigger patch exceeds image bounds")
         img = x.reshape(-1, side, side)
         img[:, side - trigger.rows :, side - trigger.cols :] = trigger.value
         x = img.reshape(-1, dim)
@@ -142,8 +132,8 @@ def _round_half_up(x: float) -> int:
 
 def simulate_detection(
     truth_malicious, all_clients, fnr: float, fpr: float, rng: RngStream
-) -> DetectionOutcome:
-    """Detector with exact miss/false-alarm counts.
+) -> frozenset:
+    """The clients a detector with exact miss/false-alarm counts flags.
 
     Exactly round(fnr * m) malicious clients are dropped from the detected
     set and exactly round(fpr * (n - m)) benign clients are added, both
@@ -156,5 +146,4 @@ def simulate_detection(
     n_false = _round_half_up(fpr * len(benign))
     missed = {truth[i] for i in rng.choice(len(truth), n_miss)} if truth else set()
     falsely = {benign[i] for i in rng.choice(len(benign), n_false)} if benign else set()
-    detected = (set(truth) - missed) | falsely
-    return DetectionOutcome(frozenset(detected), fnr, fpr)
+    return frozenset((set(truth) - missed) | falsely)

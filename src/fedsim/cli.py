@@ -183,12 +183,13 @@ def _evaluate(cfg, w, test) -> tuple[float, float | None]:
     return ter, asr
 
 
-def _write_metrics_csv(path, cfg, trace_lookup, test, rounds) -> None:
+def _write_metrics_csv(path, cfg, trace, test, rounds) -> None:
+    """TER and ASR of `trace[t]`, the global model after t rounds, for each t in `rounds`."""
     with open(path, "w", encoding="utf-8", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(["round", "ter", "asr"])
         for t in rounds:
-            ter, asr = _evaluate(cfg, trace_lookup(t), test)
+            ter, asr = _evaluate(cfg, trace[t], test)
             writer.writerow([t, repr(ter), "" if asr is None else repr(asr)])
 
 
@@ -206,23 +207,19 @@ def cmd_train(cfg_path: str) -> int:
         outputs = [os.path.join(run_dir, name) for name in (HISTORY_FILE, MODEL_FILE)]
         temps = [path + ".tmp" for path in outputs]
         try:
-            store, final_model = train(setup, cfg.rounds, temps[0], chash)
-            save_model(temps[1], final_model)
+            trace = train(setup, cfg.rounds, temps[0], chash)
+            save_model(temps[1], trace[-1])
             for temp, path in zip(temps, outputs):
                 os.replace(temp, path)
         finally:
             for temp in temps:
                 if os.path.exists(temp):
                     os.unlink(temp)
-
-        def trace_lookup(t):
-            return final_model if t >= cfg.rounds else store.models[t]
-
         _write_metrics_csv(
-            os.path.join(run_dir, "train_metrics.csv"), cfg, trace_lookup, test_set,
+            os.path.join(run_dir, "train_metrics.csv"), cfg, trace, test_set,
             _eval_rounds(cfg.rounds),
         )
-        ter, asr = _evaluate(cfg, final_model, test_set)
+        ter, asr = _evaluate(cfg, trace[-1], test_set)
         write_summary(
             os.path.join(run_dir, "summary_train.json"),
             {
@@ -238,8 +235,7 @@ def cmd_train(cfg_path: str) -> int:
 
 def _detection(cfg, setup):
     rng = RngStream(derive_seed(cfg.seed, STREAM_DETECT, 0, 0))
-    outcome = simulate_detection(setup.malicious, setup.client_ids, cfg.fnr, cfg.fpr, rng)
-    return outcome.detected
+    return simulate_detection(setup.malicious, setup.client_ids, cfg.fnr, cfg.fpr, rng)
 
 
 def _bound_check(cfg, result, scratch_trace) -> dict:
@@ -284,6 +280,7 @@ def cmd_recover(cfg_path: str, method: str) -> int:
 
         abnormality_count = 0
         bound_block = None
+        rounds = _eval_rounds(cfg.rounds)
         if method == "scratch":
             model, trace = recovery.train_from_scratch(setup, remaining, cfg.rounds)
             exact_rounds = {c: cfg.rounds for c in remaining}
@@ -303,6 +300,12 @@ def cmd_recover(cfg_path: str, method: str) -> int:
                 _, scratch_trace = recovery.train_from_scratch(setup, remaining, cfg.rounds)
                 bound_block = _bound_check(cfg, result, scratch_trace)
         else:  # finetune
+            ft = cfg.finetune
+            if ft.n_examples > train_set.size:
+                raise config_mod.ConfigError(
+                    "finetune.n_examples",
+                    f"{ft.n_examples} exceeds the training set's {train_set.size} examples",
+                )
             model_path = os.path.join(run_dir, MODEL_FILE)
             poisoned = load_model(model_path)
             if poisoned.size != cfg.model.param_dim:
@@ -310,24 +313,19 @@ def cmd_recover(cfg_path: str, method: str) -> int:
                     f"{model_path} holds a model of dim {poisoned.size}, "
                     f"the config's model has {cfg.model.param_dim}"
                 )
-            ft = cfg.finetune
             model = recovery.fine_tune(
                 cfg.model, poisoned, train_set, ft.epochs, cfg.learning_rate,
                 ft.beta, ft.n_examples, ft.batch_size, cfg.seed,
             )
-            trace = None
+            trace, rounds = {cfg.rounds: model}, [cfg.rounds]  # the final model only
             exact_rounds = {c: 0 for c in remaining}
 
         cp, acp = metrics.cost_saving(cfg.rounds, exact_rounds)
         ter, asr = _evaluate(cfg, model, test_set)
 
-        csv_path = os.path.join(run_dir, f"recover_{method}_metrics.csv")
-        if trace is not None:
-            _write_metrics_csv(
-                csv_path, cfg, lambda t: trace[t], test_set, _eval_rounds(cfg.rounds)
-            )
-        else:
-            _write_metrics_csv(csv_path, cfg, lambda t: model, test_set, [cfg.rounds])
+        _write_metrics_csv(
+            os.path.join(run_dir, f"recover_{method}_metrics.csv"), cfg, trace, test_set, rounds
+        )
 
         write_summary(
             os.path.join(run_dir, f"summary_{method}.json"),

@@ -143,7 +143,7 @@ _KEYS = (
     _Key("experiment", "local_steps", int, 1, None, "local_steps", low=1),
     _Key("experiment", "n_clients", int, _REQUIRED, None, "n_clients", low=1),
     _Key("experiment", "malicious_fraction", _to_finite, None, None, "malicious_fraction"),
-    _Key("experiment", "malicious_count", int, None, None, "malicious_count"),
+    _Key("experiment", "malicious_count", int, None, None, "malicious_count", low=0),
     _Key("experiment", "noniid_degree", _to_finite, 0.5, None, "noniid_degree"),
     _Key("experiment", "aggregation", _one_of(*RULE_KINDS), _REQUIRED, None, "rule.kind"),
     _Key("experiment", "trim_k", int, 0, ("aggregation", "trimmed_mean"), "rule.k", anywhere=True, low=0),
@@ -294,6 +294,12 @@ def _validate(cfg: ExperimentConfig) -> None:
             raise ConfigError("attack.target_label", "target label outside the class range")
         if attack.lam <= 0:
             raise ConfigError("attack.scale", "backdoor scale must be > 0")
+        trig, side = attack.trigger, math.isqrt(model.input_dim)
+        if trig.kind == "pixel_patch" and side * side != model.input_dim:
+            raise ConfigError("attack.trigger", f"pixel_patch needs a square input dim, got {model.input_dim}")
+        for key, size in (("trigger_rows", trig.rows), ("trigger_cols", trig.cols)):  # 0 for every_kth
+            if size > side:
+                raise ConfigError(f"attack.{key}", f"patch exceeds the {side}x{side} image")
     if rec.tau is None and not 0.0 < rec.tolerance_rate <= 1.0:
         raise ConfigError("recovery.tolerance_rate", "must lie in (0, 1] when tau is not given")
     if rec.warmup_rounds <= rec.buffer_size:

@@ -69,13 +69,15 @@ class HistoryStore:
 
     Layout: a fixed header (magic, version, d, n, T, 32-byte config hash)
     followed by one fixed-size record per round (see `_record_buffer`),
-    appended in round order. In memory the store holds two float64
+    appended in round order. `load` reads the records into two float64
     arrays: `models` (T, d), the model broadcast at each round, and
     `updates` (T, n, d), client c's update as reported at round t in row
-    [t, c]. The first `n_records` rows are filled.
+    [t, c]. Both arrays are empty in a store from `create` or
+    `load_header`, and hold all T rounds in one from `load`. `n_records`
+    counts the records appended or read.
     """
 
-    def __init__(self, path, d: int, n: int, total_rounds: int, config_hash: bytes, rows=0):
+    def __init__(self, path, d: int, n: int, total_rounds: int, config_hash: bytes):
         if len(config_hash) != 32:
             raise ValueError("config hash must be 32 bytes")
         self.path = os.fspath(path)
@@ -83,13 +85,15 @@ class HistoryStore:
         self.n = n
         self.total_rounds = total_rounds
         self.config_hash = bytes(config_hash)
-        self.models = np.empty((rows, d))
-        self.updates = np.empty((rows, n, d))
+        self.models = np.empty((0, d))
+        self.updates = np.empty((0, n, d))
         self.n_records = 0
 
     @classmethod
     def create(cls, path, d: int, n: int, total_rounds: int, config_hash: bytes) -> "HistoryStore":
-        store = cls(path, d, n, total_rounds, config_hash, rows=total_rounds)
+        """A new file holding only the header; `append` writes the records."""
+        store = cls(path, d, n, total_rounds, config_hash)
+        store._buf, store._rec = _record_buffer(d, n)
         with open(store.path, "wb") as f:
             f.write(_HEADER.pack(MAGIC, VERSION, d, n, total_rounds))
             f.write(store.config_hash)
@@ -99,20 +103,19 @@ class HistoryStore:
         """Write round `round_idx`: the model broadcast at that round and
         each client's update as reported, keyed by client id 0..n-1."""
         t = self.n_records
-        if round_idx != t or t == len(self.models):
-            raise HistoryError(f"cannot append round {round_idx} after {t} of {len(self.models)}")
+        if round_idx != t or t == self.total_rounds:
+            raise HistoryError(f"cannot append round {round_idx} after {t} of {self.total_rounds}")
         if sorted(updates) != list(range(self.n)):
             raise HistoryError(f"round {round_idx} needs updates from clients 0..{self.n - 1}")
         mat = np.array([updates[c] for c in range(self.n)], dtype=np.float64)
         if np.shape(model) != (self.d,) or mat.shape != (self.n, self.d):
             raise HistoryError(f"round {round_idx} holds vectors not of store dim {self.d}")
-        buf, rec = _record_buffer(self.d, self.n)
+        buf, rec = self._buf, self._rec
         rec["round"], rec["model"], rec["count"] = round_idx, model, self.n
         rec["clients"]["id"], rec["clients"]["u"] = np.arange(self.n), mat
         rec["checksum"] = _checksum(buf[:-8])
         with open(self.path, "ab") as f:
             f.write(buf)
-        self.models[t], self.updates[t] = model, mat
         self.n_records = t + 1
 
     @classmethod
@@ -135,7 +138,8 @@ class HistoryStore:
             buf, rec = _record_buffer(d, n)
             # Rows for the complete records the file can hold, at most T.
             rows = min(total, (os.fstat(f.fileno()).st_size - f.tell()) // buf.size)
-            store = cls(path, d, n, total, config_hash, rows=rows)
+            store = cls(path, d, n, total, config_hash)
+            store.models, store.updates = np.empty((rows, d)), np.empty((rows, n, d))
             ids = np.arange(n)
             t = 0
             while got := f.readinto(buf):
@@ -306,17 +310,17 @@ def run_round(setup: FlSetup, w: np.ndarray, round_idx: int) -> tuple[np.ndarray
     return setup.aggregate_step(w, reported), reported
 
 
-def train(
-    setup: FlSetup, total_rounds: int, history_path, config_hash: bytes
-) -> tuple[HistoryStore, np.ndarray]:
+def train(setup: FlSetup, total_rounds: int, history_path, config_hash: bytes) -> list:
     """Run the original training for total_rounds rounds, appending every
-    round to a fresh history store at history_path."""
+    round to a fresh history store at history_path. Returns the T+1 global
+    models, the last of them the final model."""
     w = models.init_params(setup.spec, derive_seed(setup.seed, STREAM_INIT, 0, 0))
     store = HistoryStore.create(
         history_path, setup.spec.param_dim, len(setup.client_ids), total_rounds, config_hash
     )
+    trace = [w]
     for round_idx in range(total_rounds):
-        w_next, reported = run_round(setup, w, round_idx)
-        store.append(round_idx, w, reported)
-        w = w_next
-    return store, w
+        w, reported = run_round(setup, trace[-1], round_idx)
+        store.append(round_idx, trace[-1], reported)
+        trace.append(w)
+    return trace

@@ -432,13 +432,12 @@ def fine_tune(
 
     Class proportions follow a symmetric Dirichlet(beta); beta = inf means
     uniform. `w` must be a finite vector of `spec.param_dim` entries (see
-    `cli.load_model`); the config guarantees beta > 0 and n_examples >= 1.
+    `cli.load_model`); the config guarantees beta > 0 and n_examples >= 1,
+    and `cli.cmd_recover` that n_examples <= dataset.size.
     Raises when a class cannot supply its drawn count.
     """
     if dataset.dim != spec.input_dim:
         raise ValueError(f"dataset feature dim {dataset.dim} != spec input_dim {spec.input_dim}")
-    if n_examples > dataset.size:
-        raise ValueError(f"n_examples = {n_examples} exceeds the dataset size {dataset.size}")
     rng = RngStream(derive_seed(seed, STREAM_FINETUNE, 0, 0))
     c = dataset.num_classes
     if math.isinf(beta):

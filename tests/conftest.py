@@ -8,7 +8,7 @@ from fedsim.aggregation import AggregationRule
 from fedsim.attacks import AttackConfig, Trigger
 from fedsim.cli import _summary_error, _summary_schema
 from fedsim.data import gen_synthetic, partition_noniid
-from fedsim.flengine import FlSetup, train
+from fedsim.flengine import FlSetup, HistoryStore, train
 from fedsim.models import ModelSpec
 from fedsim.numcore import as_vector
 
@@ -121,7 +121,8 @@ def ridge_trim_scenario(tmp_path_factory):
         malicious=malicious,
     )
     path = tmp_path_factory.mktemp("ridge") / "history.bin"
-    store, final_model = train(setup, 60, path, CHASH)
+    final_model = train(setup, 60, path, CHASH)[-1]
+    store = HistoryStore.load(path)
     return {
         "dataset": dataset,
         "setup": setup,
@@ -153,7 +154,8 @@ def logreg_backdoor_scenario(tmp_path_factory):
         malicious=malicious,
     )
     path = tmp_path_factory.mktemp("backdoor") / "history.bin"
-    store, final_model = train(setup, 50, path, CHASH)
+    final_model = train(setup, 50, path, CHASH)[-1]
+    store = HistoryStore.load(path)
     return {
         "dataset": dataset,
         "setup": setup,

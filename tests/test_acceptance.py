@@ -14,7 +14,7 @@ from fedsim.aggregation import AggregationRule, coord_median, trimmed_mean
 from fedsim.attacks import AttackConfig, Trigger, adaptive_scale, simulate_detection
 from fedsim.cli import main as cli_main
 from fedsim.data import gen_synthetic, partition_noniid
-from fedsim.flengine import FlSetup, train
+from fedsim.flengine import FlSetup, HistoryStore, train
 from fedsim.metrics import attack_success_rate, cost_saving
 from fedsim.metrics import test_error_rate as error_rate
 from fedsim.models import (
@@ -94,7 +94,8 @@ def backdoor_run(tmp_path_factory):
         s["eta"], s["batch"], s["seed"], s["q"], attack, s["malicious"],
     )
     path = tmp_path_factory.mktemp("bd") / "history.bin"
-    store, poisoned = train(setup, s["rounds"], path, bytes(32))
+    poisoned = train(setup, s["rounds"], path, bytes(32))[-1]
+    store = HistoryStore.load(path)
     params = RecoveryParams(
         warmup_rounds=10, correction_period=10, final_tuning_rounds=5,
         buffer_size=2, tolerance_rate=1e-6,
@@ -118,7 +119,8 @@ def test_criterion_1_exact_hvp_recovery_is_exact(tmp_path):
             dataset, spec, 10, AggregationRule("fedavg"), 0.1, 32, seed,
             1.0 / classes, attack, (0, 5),
         )
-        store, _ = train(setup, 200, tmp_path / "h.bin", bytes(32))
+        train(setup, 200, tmp_path / "h.bin", bytes(32))
+        store = HistoryStore.load(tmp_path / "h.bin")
         params = RecoveryParams(
             warmup_rounds=5, correction_period=10, final_tuning_rounds=5,
             buffer_size=2, tau=math.inf, hvp_mode="exact_quadratic",
@@ -147,7 +149,8 @@ def test_criterion_2_recovery_gap_bound_holds(tmp_path):
             dataset, spec, 10, AggregationRule("fedavg"), eta, 10**6, seed,
             1.0 / classes, attack, (1, 7),
         )
-        store, _ = train(setup, 300, tmp_path / "h.bin", bytes(32))
+        train(setup, 300, tmp_path / "h.bin", bytes(32))
+        store = HistoryStore.load(tmp_path / "h.bin")
         params = RecoveryParams(
             warmup_rounds=20, correction_period=10, final_tuning_rounds=5,
             buffer_size=2, tau=math.inf,
@@ -262,9 +265,7 @@ def test_criterion_8_imperfect_detection(backdoor_run):
         _, acp_perfect = cost_saving(S7["rounds"], result_perfect.exact_rounds_per_client)
 
         rng = RngStream(derive_seed(S7["seed"], STREAM_DETECT, 0, 0))
-        detected = simulate_detection(
-            sc["malicious"], setup.client_ids, 0.25, 0.0, rng
-        ).detected
+        detected = simulate_detection(sc["malicious"], setup.client_ids, 0.25, 0.0, rng)
         assert len(sc["malicious"] - detected) == 1
         assert adaptive_scale(S7["lam"], 4, 1) == 40.0
 
@@ -287,7 +288,8 @@ def test_criterion_9_equivalence_degenerations(tmp_path):
             dataset, spec, 5, AggregationRule("fedavg"), 0.2, 16, seed,
             1.0 / 3, attack, (2,),
         )
-        store, final = train(setup, 20, tmp_path / "h.bin", bytes(32))
+        final = train(setup, 20, tmp_path / "h.bin", bytes(32))[-1]
+        store = HistoryStore.load(tmp_path / "h.bin")
 
         params = RecoveryParams(
             warmup_rounds=4, correction_period=1, final_tuning_rounds=3,

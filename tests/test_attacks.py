@@ -1,5 +1,4 @@
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -45,10 +44,6 @@ class TestEmbedTrigger:
         x = np.zeros(16)
         embed_trigger(x, Trigger(kind="pixel_patch", rows=2, cols=2, value=1.0))
         assert x.sum() == 0.0
-
-    def test_non_square_rejected(self):
-        with pytest.raises(ValueError):
-            embed_trigger(np.zeros(27), PATCH)
 
     def test_batch_form(self):
         x = np.zeros((3, 16))
@@ -180,18 +175,18 @@ class TestDetection:
         self.malicious = set(range(5))
 
     def test_perfect(self):
-        out = simulate_detection(self.malicious, self.clients, 0.0, 0.0, RngStream(14))
-        assert out.detected == frozenset(self.malicious)
+        detected = simulate_detection(self.malicious, self.clients, 0.0, 0.0, RngStream(14))
+        assert detected == frozenset(self.malicious)
 
     def test_total_miss(self):
-        out = simulate_detection(self.malicious, self.clients, 1.0, 0.0, RngStream(15))
-        assert not (out.detected & self.malicious)
+        detected = simulate_detection(self.malicious, self.clients, 1.0, 0.0, RngStream(15))
+        assert not (detected & self.malicious)
 
     def test_counts_m20_fnr04(self):
         truth = set(range(20))
         everyone = set(range(100))
-        out = simulate_detection(truth, everyone, 0.4, 0.0, RngStream(16))
-        assert len(out.detected & truth) == 12
+        detected = simulate_detection(truth, everyone, 0.4, 0.0, RngStream(16))
+        assert len(detected & truth) == 12
 
     @settings(max_examples=50)
     @given(
@@ -204,7 +199,7 @@ class TestDetection:
     def test_cardinalities_exact(self, m, n, fnr, fpr, seed):
         truth = set(range(m))
         everyone = set(range(n))
-        out = simulate_detection(truth, everyone, fnr, fpr, RngStream(seed))
-        assert len(truth - out.detected) == int(np.floor(fnr * m + 0.5))
-        assert len(out.detected - truth) == int(np.floor(fpr * (n - m) + 0.5))
-        assert out.detected <= everyone
+        detected = simulate_detection(truth, everyone, fnr, fpr, RngStream(seed))
+        assert len(truth - detected) == int(np.floor(fnr * m + 0.5))
+        assert len(detected - truth) == int(np.floor(fpr * (n - m) + 0.5))
+        assert detected <= everyone

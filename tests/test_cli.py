@@ -267,6 +267,23 @@ class TestRecoverCommand:
         assert capsys.readouterr().err.startswith("error:")
 
 
+    def test_finetune_sample_beyond_the_training_set_names_its_key(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        # MINIMAL's 5 x 40 training examples are fewer than the default
+        # n_examples = 1000: the config trains, and only finetune refuses it
+        monkeypatch.setenv("FEDSIM_OUTPUT_ROOT", str(tmp_path))
+        cfg_path = tmp_path / "minimal.ini"
+        cfg_path.write_text(MINIMAL)
+        assert main(["train", "-c", str(cfg_path)]) == 0
+        assert main(["recover", "-c", str(cfg_path), "--method", "historical"]) == 0
+        capsys.readouterr()
+        assert main(["recover", "-c", str(cfg_path), "--method", "finetune"]) == 1
+        assert capsys.readouterr().err == (
+            "error: config field [finetune.n_examples]: 1000 exceeds the training set's 200 examples\n"
+        )
+        assert not (tmp_path / "runs" / "demo" / "recover_finetune_metrics.csv").exists()
+
     @pytest.mark.parametrize("method", ["historical", "fedrecover"])
     def test_non_finite_history_is_error_exit(self, trained, capsys, method):
         # a record with a valid checksum that holds a NaN update

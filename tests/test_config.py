@@ -146,6 +146,30 @@ class TestParse:
         assert "trigger_k" not in serialize_config(cfg)
         assert parse_config_string(serialize_config(cfg)) == cfg
 
+    def test_negative_malicious_count_rejected(self):
+        # -1 would make pick_malicious draw permutation(n)[:-1], n - 1 clients
+        text = _minimal_with({"experiment": {"malicious_count": "-1"}, "attack": {"kind": "trim"}})
+        with pytest.raises(ConfigError) as err:
+            parse_config_string(text)
+        assert err.value.field == "experiment.malicious_count"
+
+    def test_pixel_patch_on_non_square_dim_rejected(self):
+        # MINIMAL's dim = 6 is no square image
+        backdoor = {"kind": "backdoor", "trigger": "pixel_patch"}
+        text = _minimal_with({"experiment": {"malicious_count": "2"}, "attack": backdoor})
+        with pytest.raises(ConfigError) as err:
+            parse_config_string(text)
+        assert err.value.field == "attack.trigger"
+
+    @pytest.mark.parametrize("key", ["trigger_rows", "trigger_cols"])
+    def test_pixel_patch_larger_than_the_image_names_its_key(self, key):
+        backdoor = {"kind": "backdoor", "trigger": "pixel_patch"}
+        fits = {"experiment": {"malicious_count": "2"}, "dataset": {"dim": "16"}, "attack": backdoor}
+        parse_config_string(_minimal_with(fits))  # the default 4x4 patch fills the 4x4 image
+        with pytest.raises(ConfigError) as err:
+            parse_config_string(_minimal_with({**fits, "attack": {**backdoor, key: "5"}}))
+        assert err.value.field == f"attack.{key}"
+
     def test_file_roundtrip(self, tmp_path):
         p = tmp_path / "cfg.ini"
         p.write_text(MINIMAL)
@@ -634,12 +658,12 @@ def _valid_configs(draw) -> str:
     mnist = draw(st.booleans())
     put("dataset", "kind", st.just("mnist" if mnist else "synthetic"))
     if mnist:
-        classes = 10
+        classes, dim = 10, 784
         for key in ("train_images", "train_labels", "test_images", "test_labels"):
             put("dataset", key, st.sampled_from(["a", "dir/b", "c d"]))
     else:
         classes = put("dataset", "num_classes", st.integers(2, 6), 10)
-        put("dataset", "dim", st.integers(1, 30), 20)
+        dim = put("dataset", "dim", st.integers(1, 30), 20)
         put("dataset", "per_class", st.integers(1, 50), 100)
         put("dataset", "test_per_class", st.integers(1, 20), 50)
         put("dataset", "separation", real(0.0, 10.0, exclude_min=True), 3.0)
@@ -670,9 +694,12 @@ def _valid_configs(draw) -> str:
     if attack == "trim":
         put("attack", "trim_b", real(1.0, 10.0, exclude_min=True), 2.0)
     elif attack == "backdoor":
-        if put("attack", "trigger", st.sampled_from(["pixel_patch", "every_kth"])) == "pixel_patch":
-            put("attack", "trigger_rows", st.integers(1, 5), 4)
-            put("attack", "trigger_cols", st.integers(1, 5), 4)
+        # a pixel patch only on a square image it fits; the default patch is 4x4
+        side = math.isqrt(dim)
+        triggers = ["pixel_patch", "every_kth"] if side * side == dim else ["every_kth"]
+        if put("attack", "trigger", st.sampled_from(triggers)) == "pixel_patch":
+            for key in ("trigger_rows", "trigger_cols"):
+                put("attack", key, st.integers(1, min(side, 5)), 4 if side >= 4 else _REQUIRED)
         else:
             put("attack", "trigger_k", st.integers(1, 9))
         put("attack", "trigger_value", real(-3.0, 3.0), 0.0)

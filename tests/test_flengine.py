@@ -2,6 +2,7 @@ import hashlib
 import io
 import struct
 import tempfile
+import tracemalloc
 from pathlib import Path
 from typing import NamedTuple
 
@@ -11,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from conftest import build_setup
 from fedsim.aggregation import AggregationRule
 from fedsim.attacks import AttackConfig, Trigger
 from fedsim.data import gen_synthetic, partition_noniid
@@ -56,14 +58,16 @@ class TestHistoryStore:
     def test_roundtrip_bit_exact(self, tmp_path):
         path = tmp_path / "h.bin"
         store = HistoryStore.create(path, 5, 3, 3, CHASH)
-        for rec in self.make_records():
+        recs = self.make_records()
+        for rec in recs:
             store.append(*rec)
+        assert store.n_records == 3 and store.updates.shape == (0, 3, 5)  # written, not kept
         loaded = HistoryStore.load(path)
         assert loaded.d == 5 and loaded.n == 3 and loaded.total_rounds == 3
         assert loaded.config_hash == CHASH
         assert loaded.n_records == 3
-        np.testing.assert_array_equal(store.models, loaded.models)
-        np.testing.assert_array_equal(store.updates, loaded.updates)
+        np.testing.assert_array_equal(loaded.models, [model for _, model, _ in recs])
+        np.testing.assert_array_equal(loaded.updates, [[u[c] for c in range(3)] for _, _, u in recs])
 
     def test_out_of_order_append(self, tmp_path):
         store = HistoryStore.create(tmp_path / "h.bin", 5, 3, 3, CHASH)
@@ -424,7 +428,7 @@ class TestTrain:
     def test_history_written_and_reloadable(self, tmp_path):
         setup, _ = small_setup()
         path = tmp_path / "h.bin"
-        store, final = train(setup, 5, path, CHASH)
+        train(setup, 5, path, CHASH)
         loaded = HistoryStore.load(path)
         assert loaded.n_records == 5
         assert loaded.d == setup.spec.param_dim
@@ -454,6 +458,38 @@ class TestTrain:
             local_labels=setup.local_labels,
             sizes=setup.sizes,
         )
-        store, final = train(full, 400, tmp_path / "h.bin", CHASH)
+        final = train(full, 400, tmp_path / "h.bin", CHASH)[-1]
         g = gradient(full.spec, final, ds.inputs, ds.labels)
         assert float(np.linalg.norm(g)) < 1e-4
+
+    def test_keeps_only_the_model_trace(self, tmp_path):
+        # the shapes of the benchmark's backdoor-logreg workload (d = 610,
+        # n = 20) over 60 rounds: the history goes to disk, and what train
+        # holds is the (T + 1, d) trace, far below the file's (T, n + 1, d)
+        dataset = gen_synthetic(10, 60, 30, 5.0, seed=3)
+        trigger = Trigger(kind="every_kth", k=2, value=1.0)
+        setup = build_setup(
+            spec=ModelSpec("logreg", 60, 10, l2=0.01),
+            dataset=dataset,
+            n_clients=20,
+            rule=AggregationRule("trimmed_mean", 4),
+            eta=0.08,
+            batch_size=56,
+            seed=3,
+            q=0.1,
+            attack=AttackConfig(kind="backdoor", trigger=trigger, lam=10.0, adaptive=True),
+            malicious=(1, 6, 11, 16),
+        )
+        path = tmp_path / "h.bin"
+        tracemalloc.start()
+        try:
+            trace = train(setup, 60, path, CHASH)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < path.stat().st_size / 4
+        loaded = HistoryStore.load(path)
+        assert len(trace) == 61
+        np.testing.assert_array_equal(trace[:-1], loaded.models)
+        final_round, _ = run_round(setup, loaded.models[-1], 59)
+        np.testing.assert_array_equal(trace[-1], final_round)

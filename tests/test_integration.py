@@ -14,7 +14,7 @@ from fedsim.aggregation import AggregationRule
 from fedsim.attacks import AttackConfig
 from fedsim.cli import main as cli_main
 from fedsim.data import gen_synthetic
-from fedsim.flengine import train
+from fedsim.flengine import HistoryStore, train
 from fedsim.models import ModelSpec
 from fedsim.recovery import RecoveryParams, fedrecover, train_from_scratch
 
@@ -49,13 +49,14 @@ class TestMultiStepLocalUpdates:
         )
 
     def test_training_runs_and_changes_with_l(self, tmp_path):
-        _, final1 = train(self.make(1), 10, tmp_path / "l1.bin", CHASH)
-        _, final3 = train(self.make(3), 10, tmp_path / "l3.bin", CHASH)
+        final1 = train(self.make(1), 10, tmp_path / "l1.bin", CHASH)[-1]
+        final3 = train(self.make(3), 10, tmp_path / "l3.bin", CHASH)[-1]
         assert not np.array_equal(final1, final3)
 
     def test_recovery_period_one_matches_scratch_with_l3(self, tmp_path):
         setup = self.make(3, attack=AttackConfig(kind="trim", b=2.0), malicious=(1,))
-        store, _ = train(setup, 16, tmp_path / "h.bin", CHASH)
+        train(setup, 16, tmp_path / "h.bin", CHASH)
+        store = HistoryStore.load(tmp_path / "h.bin")
         params = RecoveryParams(
             warmup_rounds=3, correction_period=1, final_tuning_rounds=2, buffer_size=2,
             tau=float("inf"),
@@ -68,7 +69,8 @@ class TestMultiStepLocalUpdates:
 
     def test_estimation_mode_works_with_l3(self, tmp_path):
         setup = self.make(3, attack=AttackConfig(kind="trim", b=2.0), malicious=(1,))
-        store, _ = train(setup, 30, tmp_path / "h.bin", CHASH)
+        train(setup, 30, tmp_path / "h.bin", CHASH)
+        store = HistoryStore.load(tmp_path / "h.bin")
         params = RecoveryParams(
             warmup_rounds=5, correction_period=5, final_tuning_rounds=3, buffer_size=2,
             tolerance_rate=1e-6,
@@ -90,7 +92,8 @@ def test_median_rule_through_recovery(tmp_path):
         attack=AttackConfig(kind="trim", b=2.0),
         malicious=(0, 3),
     )
-    store, _ = train(setup, 24, tmp_path / "h.bin", CHASH)
+    train(setup, 24, tmp_path / "h.bin", CHASH)
+    store = HistoryStore.load(tmp_path / "h.bin")
     params = RecoveryParams(
         warmup_rounds=4, correction_period=1, final_tuning_rounds=2, buffer_size=2,
         tau=float("inf"),

@@ -14,7 +14,7 @@ from fedsim import recovery
 from fedsim.aggregation import AggregationRule
 from fedsim.attacks import AttackConfig, Trigger
 from fedsim.data import gen_synthetic
-from fedsim.flengine import train
+from fedsim.flengine import HistoryStore, train
 from fedsim.models import ModelSpec
 from fedsim.numcore import RngStream, as_vector
 from fedsim.recovery import (
@@ -696,7 +696,8 @@ class TestPeriodOneIsRetraining:
             l=sc["l"],
         )
         with tempfile.TemporaryDirectory() as tmp:
-            store, _ = train(setup, sc["rounds"], os.path.join(tmp, "h.bin"), CHASH)
+            train(setup, sc["rounds"], os.path.join(tmp, "h.bin"), CHASH)
+            store = HistoryStore.load(os.path.join(tmp, "h.bin"))
         result = fedrecover(store, detected, setup, params)
         remaining = sorted(set(setup.client_ids) - set(detected))
         _, trace = train_from_scratch(setup, remaining, sc["rounds"])
@@ -733,7 +734,7 @@ class TestBaselines:
             batch_size=16,
             seed=9,
         )
-        store, final = train(setup, 12, tmp_path / "h.bin", CHASH)
+        final = train(setup, 12, tmp_path / "h.bin", CHASH)[-1]
         model, trace = train_from_scratch(setup, setup.client_ids, 12)
         np.testing.assert_array_equal(model, final)
 
@@ -803,7 +804,8 @@ class TestHistoricalOnlyUnderAttack:
             attack=AttackConfig(kind="trim", b=2.0),
             malicious=(0, 1, 2),
         )
-        store, _ = train(setup, 300, tmp_path / "h.bin", CHASH)
+        train(setup, 300, tmp_path / "h.bin", CHASH)
+        store = HistoryStore.load(tmp_path / "h.bin")
         model, _ = historical_only(store, {0, 1, 2}, setup.rule, setup.eta, setup.sizes)
         ter = test_error_rate(setup.spec, model, test_set)
         assert ter >= 0.5
