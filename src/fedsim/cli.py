@@ -198,17 +198,18 @@ def cmd_train(cfg_path: str) -> int:
     run_dir = _run_dir(cfg)
     with _locked(run_dir):
         chash = config_mod.config_hash(cfg)
-        with open(os.path.join(run_dir, CONFIG_FILE), "w", encoding="utf-8") as f:
-            f.write(config_mod.serialize_config(cfg))
         train_set, test_set = config_mod.build_datasets(cfg)
         setup = config_mod.build_setup(cfg, train_set)
-        # Both files appear under their names only once the last round is
-        # done, so a failed or killed train never leaves a partial run.
-        outputs = [os.path.join(run_dir, name) for name in (HISTORY_FILE, MODEL_FILE)]
+        # The history, the model and the config appear under their names only
+        # once the last round is done, so a failed or killed train never leaves
+        # a partial run, nor a config that does not match the run's history.
+        outputs = [os.path.join(run_dir, name) for name in (HISTORY_FILE, MODEL_FILE, CONFIG_FILE)]
         temps = [path + ".tmp" for path in outputs]
         try:
             trace = train(setup, cfg.rounds, temps[0], chash)
             save_model(temps[1], trace[-1])
+            with open(temps[2], "w", encoding="utf-8") as f:
+                f.write(config_mod.serialize_config(cfg))
             for temp, path in zip(temps, outputs):
                 os.replace(temp, path)
         finally:
@@ -313,10 +314,15 @@ def cmd_recover(cfg_path: str, method: str) -> int:
                     f"{model_path} holds a model of dim {poisoned.size}, "
                     f"the config's model has {cfg.model.param_dim}"
                 )
-            model = recovery.fine_tune(
-                cfg.model, poisoned, train_set, ft.epochs, cfg.learning_rate,
-                ft.beta, ft.n_examples, ft.batch_size, cfg.seed,
-            )
+            try:
+                model = recovery.fine_tune(
+                    cfg.model, poisoned, train_set, ft.epochs, cfg.learning_rate,
+                    ft.beta, ft.n_examples, ft.batch_size, cfg.seed,
+                )
+            except recovery.ClassDrawError as exc:
+                raise config_mod.ConfigError(
+                    "finetune.n_examples", f"{exc}; a larger finetune.beta evens the draw"
+                ) from exc
             trace, rounds = {cfg.rounds: model}, [cfg.rounds]  # the final model only
             exact_rounds = {c: 0 for c in remaining}
 

@@ -69,12 +69,9 @@ class HistoryStore:
 
     Layout: a fixed header (magic, version, d, n, T, 32-byte config hash)
     followed by one fixed-size record per round (see `_record_buffer`),
-    appended in round order. `load` reads the records into two float64
-    arrays: `models` (T, d), the model broadcast at each round, and
-    `updates` (T, n, d), client c's update as reported at round t in row
-    [t, c]. Both arrays are empty in a store from `create` or
-    `load_header`, and hold all T rounds in one from `load`. `n_records`
-    counts the records appended or read.
+    appended in round order. The store holds no records in memory:
+    `rounds()` reads them back one at a time. `n_records` counts the
+    records appended, or, after `load`, the records the file holds.
     """
 
     def __init__(self, path, d: int, n: int, total_rounds: int, config_hash: bytes):
@@ -85,8 +82,6 @@ class HistoryStore:
         self.n = n
         self.total_rounds = total_rounds
         self.config_hash = bytes(config_hash)
-        self.models = np.empty((0, d))
-        self.updates = np.empty((0, n, d))
         self.n_records = 0
 
     @classmethod
@@ -126,43 +121,48 @@ class HistoryStore:
 
     @classmethod
     def load(cls, path) -> "HistoryStore":
-        """Every record, checksums verified; exactly T of them.
-
-        This is where stored vectors are validated: a record holding a
-        non-finite value, or other clients than 0..n-1, is rejected, so
-        recovery can trust what it reads. Records are read one at a time
-        into a one-record buffer and copied into the store's arrays.
-        """
+        """The header, and a check of the file size: exactly T complete
+        records follow it. `rounds()` checks each record as it reads it."""
         with open(path, "rb") as f:
-            d, n, total, config_hash = _read_header(f)
-            buf, rec = _record_buffer(d, n)
-            # Rows for the complete records the file can hold, at most T.
-            rows = min(total, (os.fstat(f.fileno()).st_size - f.tell()) // buf.size)
-            store = cls(path, d, n, total, config_hash)
-            store.models, store.updates = np.empty((rows, d)), np.empty((rows, n, d))
-            ids = np.arange(n)
-            t = 0
-            while got := f.readinto(buf):
-                if got != buf.size:
+            store = cls(path, *_read_header(f))
+            size = os.fstat(f.fileno()).st_size - f.tell()
+        store.n_records, partial = divmod(size, _record_buffer(store.d, store.n)[0].size)
+        if partial:
+            raise HistoryError("truncated record")
+        if store.n_records != store.total_rounds:
+            raise HistoryError(
+                f"history holds {store.n_records} complete records, header says T={store.total_rounds}"
+            )
+        return store
+
+    def rounds(self):
+        """Each round's (model, updates) in round order, as fresh aligned
+        float64 arrays: the model broadcast at that round (d,), and row c
+        of updates (n, d) client c's update as reported.
+
+        The one reader of records, and where they are validated: each is
+        read into a one-record buffer, and one whose checksum fails, that
+        holds other clients than 0..n-1 or a non-finite value, or that is
+        out of round order raises HistoryError, so recovery can trust it.
+        """
+        buf, rec = _record_buffer(self.d, self.n)
+        ids = np.arange(self.n)
+        with open(self.path, "rb") as f:
+            f.seek(_HEADER.size + 32)
+            for t in range(self.total_rounds):
+                if f.readinto(buf) != buf.size:
                     raise HistoryError("truncated record")
                 if _checksum(buf[:-8]) != rec["checksum"]:
                     raise HistoryError("record checksum mismatch")
                 round_idx, clients = int(rec["round"]), rec["clients"]
                 where = f"record for round {round_idx}"
-                if rec["count"] != n or not np.array_equal(clients["id"], ids):
-                    raise HistoryError(f"{where} does not hold clients 0..{n - 1}")
+                if rec["count"] != self.n or not np.array_equal(clients["id"], ids):
+                    raise HistoryError(f"{where} does not hold clients 0..{self.n - 1}")
                 if not (np.isfinite(rec["model"]).all() and np.isfinite(clients["u"]).all()):
                     raise HistoryError(f"{where} holds non-finite values")
                 if round_idx != t:
                     raise HistoryError(f"{where} where {t} expected")
-                if t < rows:
-                    store.models[t] = rec["model"]
-                    store.updates[t] = clients["u"]
-                t += 1
-        if t != total:
-            raise HistoryError(f"history holds {t} complete records, header says T={total}")
-        store.n_records = t
-        return store
+                yield np.array(rec["model"], np.float64), np.array(clients["u"], np.float64)
 
     def check_meta(self, d: int, n: int, total_rounds: int, config_hash: bytes) -> None:
         if (self.d, self.n, self.total_rounds) != (d, n, total_rounds):

@@ -43,6 +43,10 @@ class LbfgsSingularError(ValueError):
     """The buffered system cannot produce a Hessian-vector product."""
 
 
+class ClassDrawError(ValueError):
+    """A fine-tuning class cannot supply the examples its draw asks for."""
+
+
 class CompactSystem(NamedTuple):
     """The compact L-BFGS system of one client's buffers.
 
@@ -143,11 +147,11 @@ def compute_threshold(history: HistoryStore, remaining_clients, alpha: float) ->
     With N pooled values and k = floor(alpha N), that value is the
     ascending pool's element at index max(N - 1 - k, 0), found by
     selection rather than a full sort. The config guarantees alpha in
-    (0, 1], and `HistoryStore.load` at least one round.
+    (0, 1] and at least one round.
     """
     remaining = sorted(remaining_clients)
     tau = -math.inf
-    for round_updates in history.updates:
+    for _, round_updates in history.rounds():
         pool = round_updates[remaining].ravel()
         m = max(pool.size - 1 - math.floor(alpha * pool.size), 0)
         tau = max(tau, float(np.partition(pool, m)[m]))
@@ -169,7 +173,6 @@ class LbfgsBuffers:
     """
 
     def __init__(self, capacity: int, client_ids):
-        self.capacity = capacity
         self.global_diffs: deque = deque(maxlen=capacity)
         self.update_diffs = {c: deque(maxlen=capacity) for c in client_ids}
         self._systems: dict = {}
@@ -265,9 +268,9 @@ def fedrecover(
     per-client) and additionally from single-client fixes (per-client
     only).
 
-    Trusts its inputs: `HistoryStore.load` reads all T records, the config
-    checks `params` against T and the model, and the caller leaves at
-    least one client undetected.
+    Trusts its inputs: `HistoryStore.rounds` checks each record as it
+    reads it, the config checks `params` against T and the model, and
+    the caller leaves at least one client undetected.
     """
     total = history.total_rounds
     detected = frozenset(detected)
@@ -290,13 +293,8 @@ def fedrecover(
     abnormality_count = 0
     errors = []
 
-    w_hat = history.models[0].copy()
-    trace = [w_hat]
-
     def full_exact_reports(w, t):
         return setup.reported_updates(w, t, remaining, undetected, lam_override=lam)
-
-    undetected_set = set(undetected)
 
     def exact_single(c, w, t, memo):
         """What client c would report if asked at round t of the recovery.
@@ -304,7 +302,7 @@ def fedrecover(
         For the trim residual attack the crafted values depend on the whole
         cohort, so those are computed once per round and memoized.
         """
-        if c in undetected_set:
+        if c in undetected:
             if trim_residual:
                 if memo.get("full") is None:
                     memo["full"] = full_exact_reports(w, t)
@@ -316,9 +314,11 @@ def fedrecover(
         idx = setup.samplers[cid].round_batches(t, 1)[0]
         return models.quadratic_hessian(setup.spec, setup.local_inputs[cid][idx])
 
-    for t in range(total):
-        w_bar = history.models[t]
-        g_bar = history.updates[t]  # row c: client c's stored update
+    trace = []
+    for t, (w_bar, g_bar) in enumerate(history.rounds()):  # g_bar row c: client c's update
+        if not trace:  # the first stored model is the start model
+            trace.append(w_bar)
+        w_hat = trace[-1]
         if _is_exact_round(t, total, params):
             reported = full_exact_reports(w_hat, t)
             for c in remaining:
@@ -396,15 +396,15 @@ def historical_only(
     """
     detected = frozenset(detected)
     remaining = sorted(set(range(history.n)) - detected)
-    w = history.models[0].copy()
-    trace = [w]
     weights = [sizes[c] for c in remaining]
-    for round_updates in history.updates:
+    trace = []
+    for model, round_updates in history.rounds():
+        if not trace:  # the first stored model is the start model
+            trace.append(model)
         # row views: a fancy index would copy the (remaining, d) block once more
         agg = aggregate(rule, [round_updates[c] for c in remaining], weights)
-        w = apply_update(w, agg, eta)
-        trace.append(w)
-    return w, trace
+        trace.append(apply_update(trace[-1], agg, eta))
+    return trace[-1], trace
 
 
 def _largest_remainder_counts(proportions: np.ndarray, n: int) -> np.ndarray:
@@ -434,7 +434,7 @@ def fine_tune(
     uniform. `w` must be a finite vector of `spec.param_dim` entries (see
     `cli.load_model`); the config guarantees beta > 0 and n_examples >= 1,
     and `cli.cmd_recover` that n_examples <= dataset.size.
-    Raises when a class cannot supply its drawn count.
+    Raises ClassDrawError when a class cannot supply its drawn count.
     """
     if dataset.dim != spec.input_dim:
         raise ValueError(f"dataset feature dim {dataset.dim} != spec input_dim {spec.input_dim}")
@@ -449,7 +449,7 @@ def fine_tune(
     for cls in range(c):
         pool = np.flatnonzero(dataset.labels == cls)
         if counts[cls] > pool.size:
-            raise ValueError(
+            raise ClassDrawError(
                 f"class {cls} needs {counts[cls]} examples but only {pool.size} are available"
             )
         if counts[cls] > 0:

@@ -135,7 +135,30 @@ class TestTrainCommand:
         monkeypatch.setattr(fedsim.flengine.HistoryStore, "append", failing_append)
         assert main(["train", "-c", str(cfg_path)]) == 1
         run_dir = root / "runs" / "exp"
-        assert sorted(os.listdir(run_dir)) == ["config.ini"]
+        assert os.listdir(run_dir) == []
+
+    def test_failed_retrain_keeps_the_run_config(self, tmp_path, monkeypatch, capsys):
+        # a second config with the same output_dir whose data cannot be
+        # built: the first run's config stays beside its history, so the
+        # run still recovers from its own config.ini
+        monkeypatch.setenv("FEDSIM_OUTPUT_ROOT", str(tmp_path))
+        first = tmp_path / "minimal.ini"
+        first.write_text(MINIMAL)
+        assert main(["train", "-c", str(first)]) == 0
+        run_dir = tmp_path / "runs" / "demo"
+        config = (run_dir / "config.ini").read_bytes()
+        mnist = "kind = mnist\n" + "".join(
+            f"{key} = {tmp_path / 'missing'}\n"
+            for key in ("train_images", "train_labels", "test_images", "test_labels")
+        )
+        second = tmp_path / "mnist.ini"
+        second.write_text(MINIMAL.replace("kind = synthetic\nnum_classes = 5\ndim = 6\nper_class = 40\n", mnist))
+        capsys.readouterr()
+        assert main(["train", "-c", str(second)]) == 1
+        assert capsys.readouterr().err.startswith("error:")
+        assert (run_dir / "config.ini").read_bytes() == config
+        assert not list(run_dir.glob("*.tmp"))
+        assert main(["recover", "-c", str(run_dir / "config.ini"), "--method", "historical"]) == 0
 
     def test_lock_excludes_concurrent_use(self, run_env):
         root, cfg_path = run_env
@@ -195,7 +218,7 @@ class TestTrainCommand:
         cfg_path.write_text(MINIMAL.replace("learning_rate = 0.1", "learning_rate = 1e300"))
         assert main(["train", "-c", str(cfg_path)]) == 1
         assert capsys.readouterr().err.startswith("error:")
-        assert sorted(os.listdir(tmp_path / "runs" / "demo")) == ["config.ini"]
+        assert os.listdir(tmp_path / "runs" / "demo") == []
 
     def test_unwritable_output_dir_is_error_exit(self, run_env, capsys):
         root, cfg_path = run_env
@@ -284,21 +307,52 @@ class TestRecoverCommand:
         )
         assert not (tmp_path / "runs" / "demo" / "recover_finetune_metrics.csv").exists()
 
+    def test_finetune_class_draw_beyond_a_class_names_its_keys(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        # 150 examples fit MINIMAL's training set of 5 x 40, but the
+        # Dirichlet(0.5) draw asks one class for more than its 40
+        monkeypatch.setenv("FEDSIM_OUTPUT_ROOT", str(tmp_path))
+        cfg_path = tmp_path / "minimal.ini"
+        cfg_path.write_text(MINIMAL + "\n[finetune]\nn_examples = 150\nbeta = 0.5\nepochs = 1\n")
+        assert main(["train", "-c", str(cfg_path)]) == 0
+        capsys.readouterr()
+        assert main(["recover", "-c", str(cfg_path), "--method", "finetune"]) == 1
+        assert capsys.readouterr().err == (
+            "error: config field [finetune.n_examples]: class 4 needs 94 examples but only 40 "
+            "are available; a larger finetune.beta evens the draw\n"
+        )
+        assert not (tmp_path / "runs" / "demo" / "summary_finetune.json").exists()
+
     @pytest.mark.parametrize("method", ["historical", "fedrecover"])
     def test_non_finite_history_is_error_exit(self, trained, capsys, method):
-        # a record with a valid checksum that holds a NaN update
+        # a record with a valid checksum that holds a NaN update, and a byte
+        # flipped in the last record: `load` passes both files, the record
+        # check stops the recovery, and it writes no metrics and no summary
         root, cfg_path = trained
-        path = root / "runs" / "exp" / "history.bin"
+        run_dir = root / "runs" / "exp"
+        path = run_dir / "history.bin"
+        flipped = bytearray(path.read_bytes())
+        flipped[-100] ^= 0xFF
         store = HistoryStore.load(path)
+        rounds = list(store.rounds())
+        rounds[7][1][3, 0] = np.nan
         path.unlink()
         rewritten = HistoryStore.create(
             path, store.d, store.n, store.total_rounds, store.config_hash
         )
-        store.updates[7, 3, 0] = np.nan
-        for t in range(store.total_rounds):
-            rewritten.append(t, store.models[t], dict(enumerate(store.updates[t])))
-        assert main(["recover", "-c", str(cfg_path), "--method", method]) == 1
-        assert "round 7 holds non-finite values" in capsys.readouterr().err
+        for t, (model, updates) in enumerate(rounds):
+            rewritten.append(t, model, dict(enumerate(updates)))
+        faults = [
+            (path.read_bytes(), "record for round 7 holds non-finite values"),
+            (bytes(flipped), "record checksum mismatch"),
+        ]
+        for blob, message in faults:
+            path.write_bytes(blob)
+            assert main(["recover", "-c", str(cfg_path), "--method", method]) == 1
+            assert message in capsys.readouterr().err
+            assert not (run_dir / f"recover_{method}_metrics.csv").exists()
+            assert not (run_dir / f"summary_{method}.json").exists()
 
 
     @pytest.mark.parametrize("method", ["scratch", "historical", "fedrecover", "finetune"])

@@ -25,6 +25,7 @@ from fedsim.flengine import (
 )
 from fedsim.models import ModelSpec, gradient
 from fedsim.numcore import RngStream
+from fedsim.recovery import RecoveryParams, fedrecover, historical_only
 
 CHASH = bytes(range(32))
 
@@ -49,6 +50,25 @@ def small_setup(attack=None, malicious=(), *, rule=None, n_clients=4, l2=0.05, s
     ), ds
 
 
+def backdoor_logreg_shapes():
+    """A setup with the shapes of the benchmark's backdoor-logreg workload:
+    d = 610, n = 20, 4 of them backdoor attackers."""
+    dataset = gen_synthetic(10, 60, 30, 5.0, seed=3)
+    trigger = Trigger(kind="every_kth", k=2, value=1.0)
+    return build_setup(
+        spec=ModelSpec("logreg", 60, 10, l2=0.01),
+        dataset=dataset,
+        n_clients=20,
+        rule=AggregationRule("trimmed_mean", 4),
+        eta=0.08,
+        batch_size=56,
+        seed=3,
+        q=0.1,
+        attack=AttackConfig(kind="backdoor", trigger=trigger, lam=10.0, adaptive=True),
+        malicious=(1, 6, 11, 16),
+    )
+
+
 class TestHistoryStore:
     def make_records(self, d=5, n=3, t=3):
         """(round, model, updates by client id) per round."""
@@ -61,13 +81,14 @@ class TestHistoryStore:
         recs = self.make_records()
         for rec in recs:
             store.append(*rec)
-        assert store.n_records == 3 and store.updates.shape == (0, 3, 5)  # written, not kept
+        assert store.n_records == 3 and not hasattr(store, "updates")  # written, not kept
         loaded = HistoryStore.load(path)
         assert loaded.d == 5 and loaded.n == 3 and loaded.total_rounds == 3
         assert loaded.config_hash == CHASH
         assert loaded.n_records == 3
-        np.testing.assert_array_equal(loaded.models, [model for _, model, _ in recs])
-        np.testing.assert_array_equal(loaded.updates, [[u[c] for c in range(3)] for _, _, u in recs])
+        models, updates = zip(*loaded.rounds())
+        np.testing.assert_array_equal(models, [model for _, model, _ in recs])
+        np.testing.assert_array_equal(updates, [[u[c] for c in range(3)] for _, _, u in recs])
 
     def test_out_of_order_append(self, tmp_path):
         store = HistoryStore.create(tmp_path / "h.bin", 5, 3, 3, CHASH)
@@ -98,8 +119,8 @@ class TestHistoryStore:
         blob = bytearray(path.read_bytes())
         blob[200] ^= 0xFF  # somewhere inside a record payload
         path.write_bytes(bytes(blob))
-        with pytest.raises(HistoryError):
-            HistoryStore.load(path)
+        with pytest.raises(HistoryError, match="record checksum mismatch"):
+            list(HistoryStore.load(path).rounds())
 
     def test_truncation_detected(self, tmp_path):
         path = tmp_path / "h.bin"
@@ -108,8 +129,19 @@ class TestHistoryStore:
             store.append(*rec)
         blob = path.read_bytes()
         path.write_bytes(blob[:-7])
-        with pytest.raises(HistoryError):
+        with pytest.raises(HistoryError, match="truncated record"):
             HistoryStore.load(path)
+
+    def test_rounds_checks_its_own_reads(self, tmp_path):
+        # a file cut after load has checked its size
+        path = tmp_path / "h.bin"
+        store = HistoryStore.create(path, 5, 3, 3, CHASH)
+        for rec in self.make_records():
+            store.append(*rec)
+        loaded = HistoryStore.load(path)
+        path.write_bytes(path.read_bytes()[:-7])
+        with pytest.raises(HistoryError, match="truncated record"):
+            list(loaded.rounds())
 
     def test_fewer_records_than_header_rounds(self, tmp_path):
         # a killed train leaves k < T complete records
@@ -141,7 +173,7 @@ class TestHistoryStore:
         header = HistoryStore.load_header(path)
         assert (header.d, header.n, header.total_rounds) == (5, 3, 3)
         assert header.config_hash == CHASH
-        assert header.n_records == 0 and header.updates.shape == (0, 3, 5)
+        assert header.n_records == 0 and not hasattr(header, "updates")
 
     def test_load_header_checks_magic(self, tmp_path):
         path = tmp_path / "h.bin"
@@ -164,17 +196,19 @@ class TestHistoryStore:
         for rec in recs:
             store.append(*rec)
         with pytest.raises(HistoryError, match="round 1 holds non-finite values"):
-            HistoryStore.load(path)
+            list(HistoryStore.load(path).rounds())
 
     def test_updates_are_rows_of_one_float64_matrix(self, tmp_path):
         path = tmp_path / "h.bin"
         store = HistoryStore.create(path, 5, 3, 3, CHASH)
         for rec in self.make_records():
             store.append(*rec)
-        loaded = HistoryStore.load(path)
-        assert loaded.updates.shape == (3, 3, 5) and loaded.models.shape == (3, 5)
-        for arr in (loaded.models, loaded.updates):
-            assert arr.dtype == np.float64 and arr.flags.aligned and arr.flags.c_contiguous
+        rounds = list(HistoryStore.load(path).rounds())
+        assert len(rounds) == 3
+        for model, updates in rounds:
+            assert updates.shape == (3, 5) and model.shape == (5,)
+            for arr in (model, updates):
+                assert arr.dtype == np.float64 and arr.flags.aligned and arr.flags.c_contiguous
 
     def test_meta_mismatch(self, tmp_path):
         path = tmp_path / "h.bin"
@@ -274,6 +308,7 @@ class TestRecordLayout:
                 store.append(rec.round_idx, rec.global_model, rec.updates)
             blob = path.read_bytes()
             loaded = HistoryStore.load(path)
+            rounds = list(loaded.rounds())
         header = struct.pack("<4sIQII", b"FRH1", 1, d, n, total) + CHASH
         assert blob == header + b"".join(_seed_encode(rec) for rec in seed)
         parsed = _seed_read_records(io.BytesIO(blob[_HEADER_BYTES:]), d)
@@ -282,11 +317,11 @@ class TestRecordLayout:
             assert sorted(rec.updates) == list(range(n))
             assert np.array_equal(rec.global_model, values[t, 0])
             assert all(np.array_equal(rec.updates[c], values[t, 1 + c]) for c in range(n))
-        assert loaded.n_records == total
-        assert np.array_equal(loaded.models, values[:, 0])
-        assert np.array_equal(loaded.updates, values[:, 1:])
-        for t in range(total):
-            for row in (loaded.models[t], *loaded.updates[t]):
+        assert loaded.n_records == len(rounds) == total
+        for t, (model, updates) in enumerate(rounds):
+            assert np.array_equal(model, values[t, 0])
+            assert np.array_equal(updates, values[t, 1:])
+            for row in (model, *updates):
                 assert row.dtype == np.float64 and row.flags.aligned
 
     @pytest.mark.parametrize("fault", ["ids", "count"])
@@ -306,7 +341,7 @@ class TestRecordLayout:
         path.write_bytes(header + b"".join(blobs))
         round_idx = 0 if fault == "ids" else 1
         with pytest.raises(HistoryError, match=f"round {round_idx} does not hold clients 0..2"):
-            HistoryStore.load(path)
+            list(HistoryStore.load(path).rounds())
 
 
 class TestSetupChecksShards:
@@ -432,7 +467,8 @@ class TestTrain:
         loaded = HistoryStore.load(path)
         assert loaded.n_records == 5
         assert loaded.d == setup.spec.param_dim
-        assert loaded.models.shape == (5, setup.spec.param_dim)
+        models = [model for model, _ in loaded.rounds()]
+        assert np.shape(models) == (5, setup.spec.param_dim)
 
     def test_same_seed_byte_identical(self, tmp_path):
         setup1, _ = small_setup()
@@ -463,23 +499,9 @@ class TestTrain:
         assert float(np.linalg.norm(g)) < 1e-4
 
     def test_keeps_only_the_model_trace(self, tmp_path):
-        # the shapes of the benchmark's backdoor-logreg workload (d = 610,
-        # n = 20) over 60 rounds: the history goes to disk, and what train
-        # holds is the (T + 1, d) trace, far below the file's (T, n + 1, d)
-        dataset = gen_synthetic(10, 60, 30, 5.0, seed=3)
-        trigger = Trigger(kind="every_kth", k=2, value=1.0)
-        setup = build_setup(
-            spec=ModelSpec("logreg", 60, 10, l2=0.01),
-            dataset=dataset,
-            n_clients=20,
-            rule=AggregationRule("trimmed_mean", 4),
-            eta=0.08,
-            batch_size=56,
-            seed=3,
-            q=0.1,
-            attack=AttackConfig(kind="backdoor", trigger=trigger, lam=10.0, adaptive=True),
-            malicious=(1, 6, 11, 16),
-        )
+        # the history goes to disk, and what train holds is the (T + 1, d)
+        # trace, far below the file's (T, n + 1, d)
+        setup = backdoor_logreg_shapes()
         path = tmp_path / "h.bin"
         tracemalloc.start()
         try:
@@ -488,8 +510,32 @@ class TestTrain:
         finally:
             tracemalloc.stop()
         assert peak < path.stat().st_size / 4
-        loaded = HistoryStore.load(path)
+        models = [model for model, _ in HistoryStore.load(path).rounds()]
         assert len(trace) == 61
-        np.testing.assert_array_equal(trace[:-1], loaded.models)
-        final_round, _ = run_round(setup, loaded.models[-1], 59)
+        np.testing.assert_array_equal(trace[:-1], models)
+        final_round, _ = run_round(setup, models[-1], 59)
         np.testing.assert_array_equal(trace[-1], final_round)
+
+    @pytest.mark.parametrize("method", ["fedrecover", "historical"])
+    def test_recovery_keeps_no_copy_of_the_history(self, tmp_path, method):
+        # load reads the header only and recovery reads one record at a
+        # time: what it holds is the (T + 1, d) trace and, for fedrecover,
+        # the L-BFGS windows of s rounds, far below the file's (T, n + 1, d)
+        setup = backdoor_logreg_shapes()
+        path = tmp_path / "h.bin"
+        train(setup, 60, path, CHASH)
+        params = RecoveryParams(warmup_rounds=10, correction_period=10, final_tuning_rounds=5)
+        tracemalloc.start()
+        try:
+            history = HistoryStore.load(path)
+            if method == "fedrecover":
+                trace = fedrecover(history, setup.malicious, setup, params).per_round_models
+            else:
+                _, trace = historical_only(
+                    history, setup.malicious, setup.rule, setup.eta, setup.sizes
+                )
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(trace) == 61
+        assert peak < path.stat().st_size / 4

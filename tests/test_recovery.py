@@ -1,4 +1,3 @@
-import copy
 import math
 import os
 import tempfile
@@ -317,11 +316,15 @@ class TestExactQuadraticHvp:
 class FakeHistory:
     """Minimal stand-in for threshold tests: per round, client 0's stored
     update is that round's pool. Pools may differ in size between rounds,
-    so the rounds are a list of (1, len(pool)) arrays rather than one
-    (T, n, d) array."""
+    so each round's updates are a (1, len(pool)) array, and no model is
+    stored."""
 
     def __init__(self, pools):
-        self.updates = [np.array([pool], dtype=float) for pool in pools]
+        self.pools = pools
+
+    def rounds(self):
+        for pool in self.pools:
+            yield None, np.array([pool], dtype=float)
 
 
 def threshold_predicate_oracle(pool, alpha):
@@ -498,7 +501,9 @@ class TestFedrecover:
         assert result.measured_m is not None and result.measured_m >= 0.0
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_nonfinite_estimate_falls_back_to_exact(self, ridge_trim_scenario, monkeypatch):
+    def test_nonfinite_estimate_falls_back_to_exact(
+        self, ridge_trim_scenario, monkeypatch, tmp_path
+    ):
         """g + Hv overflowing to inf is an abnormality, not a crash, and it
         is never counted as an accepted estimate."""
         sc = ridge_trim_scenario
@@ -507,8 +512,15 @@ class TestFedrecover:
         remaining = sorted(set(sc["setup"].client_ids) - sc["malicious"])
         # round 6 is the first estimated round; its first estimate is for remaining[0]
         t0, c0 = params.warmup_rounds, remaining[0]
-        history = copy.deepcopy(store)
-        history.updates[t0, c0] = 1.7e308
+        path = tmp_path / "h.bin"
+        rewritten = HistoryStore.create(
+            path, store.d, store.n, store.total_rounds, store.config_hash
+        )
+        for t, (model, updates) in enumerate(store.rounds()):
+            if t == t0:
+                updates[c0] = 1.7e308
+            rewritten.append(t, model, dict(enumerate(updates)))
+        history = HistoryStore.load(path)
         real_hvp, real_linf = recovery.lbfgs_hvp, recovery.linf_norm
         hvp_calls, accepted = [], []
 
@@ -698,7 +710,7 @@ class TestPeriodOneIsRetraining:
         with tempfile.TemporaryDirectory() as tmp:
             train(setup, sc["rounds"], os.path.join(tmp, "h.bin"), CHASH)
             store = HistoryStore.load(os.path.join(tmp, "h.bin"))
-        result = fedrecover(store, detected, setup, params)
+            result = fedrecover(store, detected, setup, params)
         remaining = sorted(set(setup.client_ids) - set(detected))
         _, trace = train_from_scratch(setup, remaining, sc["rounds"])
         assert len(result.per_round_models) == len(trace) == sc["rounds"] + 1
@@ -715,7 +727,8 @@ class TestBaselines:
         )
         # replaying every stored update must land on the original final model
         np.testing.assert_array_equal(model, sc["final"])
-        np.testing.assert_array_equal(trace[0], sc["store"].models[0])
+        first_model, _ = next(sc["store"].rounds())
+        np.testing.assert_array_equal(trace[0], first_model)
 
     def test_scratch_with_nothing_detected_is_benign_original(self, tmp_path):
         from conftest import CHASH, build_setup

@@ -8,11 +8,13 @@ turns. Pair i runs seed K + i on both sides, and the side that runs first
 alternates from pair to pair, so a drift of the machine's speed hits both
 sides alike. For each end-to-end metric of `BENCHMARK.json` it prints the
 base median, the change median, the median of the per-pair ratios
-change/base, how many pairs the change won (ties count for neither) and
-the distance between the quartiles of the base runs. The last line is one
-JSON object with every run's metrics. Exits 1 if any run reports
-`"correct": false` or prints no result. The exported copy is removed at
-the end.
+change/base, how many pairs the change won (ties count for neither), the
+distance between the quartiles of the base runs, and `past_bound`: whether
+the change median is worse than the base median by more than the metric's
+`bound` (a share of the base median), the rule the benchmark's gate
+applies. The last line is one JSON object with every run's metrics.
+Exits 1 if any run reports `"correct": false` or prints no result. The
+exported copy is removed at the end.
 
 The summary is also kept in `BENCH_<short-sha>.json` at the repository
 root, named after the working tree's commit (`-dirty` when the files the
@@ -87,6 +89,13 @@ def iqr(values: list[float]) -> float:
     return q3 - q1
 
 
+def past_bound(base: float, change: float, bound: float, lower: bool) -> bool:
+    """Whether the change median is worse than the base median by more than
+    `bound` times the base median."""
+    margin = bound * abs(base)
+    return change > base + margin if lower else change < base - margin
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("base_ref")
@@ -120,8 +129,8 @@ def main(argv=None) -> int:
                 print(f"pair {i + 1}/{args.pairs} seed {seed} {side:6s} correct={str(ok).lower()}",
                       flush=True)
 
-    row = "{:24s} {:>12} {:>12} {:>9} {:>6} {:>10}"
-    print(row.format("metric", "base_med", "change_med", "ratio", "won", "base_iqr"))
+    row = "{:24s} {:>12} {:>12} {:>9} {:>6} {:>10} {:>10}"
+    print(row.format("metric", "base_med", "change_med", "ratio", "won", "base_iqr", "past_bound"))
     table: dict = {}
     for m in metrics:
         name, lower = m["name"], m["better"] == "lower"
@@ -131,7 +140,7 @@ def main(argv=None) -> int:
             if name in b["metrics"] and name in c["metrics"]
         ]
         if not pairs:
-            print(row.format(name, "-", "-", "-", "-", "-"))
+            print(row.format(name, "-", "-", "-", "-", "-", "-"))
             continue
         base = [b for b, _ in pairs]
         change = [c for _, c in pairs]
@@ -145,10 +154,11 @@ def main(argv=None) -> int:
             "pairs": len(pairs),
             "base_iqr": iqr(base),
         }
+        t["past_bound"] = past_bound(t["base_median"], t["change_median"], m["bound"], lower)
         print(row.format(
             name, f"{t['base_median']:.4g}", f"{t['change_median']:.4g}",
             f"{t['median_ratio']:.4f}" if ratios else "-", f"{won}/{len(pairs)}",
-            f"{t['base_iqr']:.4g}",
+            f"{t['base_iqr']:.4g}", str(t["past_bound"]).lower(),
         ))
     print(f"{bad} of {2 * args.pairs} runs not correct")
     path = bench_path()
