@@ -153,8 +153,8 @@ class TestHistoryStore:
             HistoryStore.load(path)
 
     def test_header_t_beyond_the_file_allocates_no_rows(self, tmp_path):
-        # a corrupt T is not trusted for the arrays' size: rows are
-        # allocated only for the records the file can hold
+        # a corrupt T is refused from the file size, before any record is
+        # read or anything is sized by it
         path = tmp_path / "h.bin"
         store = HistoryStore.create(path, 5, 3, 3, CHASH)
         for rec in self.make_records(t=2):
