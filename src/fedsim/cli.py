@@ -96,6 +96,23 @@ def _locked(run_dir: str):
         os.unlink(lock_path)
 
 
+@contextmanager
+def _atomic(*paths):
+    """Temporary paths (`name.tmp`) to write `paths` through. They replace
+    `paths` together only when the block ends without error, and are
+    removed either way, so an interrupted write leaves every earlier file
+    whole and no partial file under a run's names."""
+    temps = [path + ".tmp" for path in paths]
+    try:
+        yield temps
+        for temp, path in zip(temps, paths):
+            os.replace(temp, path)
+    finally:
+        for temp in temps:
+            with suppress(FileNotFoundError):
+                os.unlink(temp)
+
+
 def save_model(path, w: np.ndarray) -> None:
     payload = struct.pack("<Q", w.size) + np.ascontiguousarray(w, dtype="<f8").tobytes()
     digest = hashlib.blake2b(payload, digest_size=8).digest()
@@ -160,7 +177,7 @@ def _check_summary(path, summary) -> None:
 
 def write_summary(path, summary: dict) -> None:
     _check_summary(path, summary)
-    with open(path, "w", encoding="utf-8") as f:
+    with _atomic(path) as (temp,), open(temp, "w", encoding="utf-8") as f:
         json.dump(summary, f, sort_keys=True, indent=2)
         f.write("\n")
 
@@ -185,7 +202,7 @@ def _evaluate(cfg, w, test) -> tuple[float, float | None]:
 
 def _write_metrics_csv(path, cfg, trace, test, rounds) -> None:
     """TER and ASR of `trace[t]`, the global model after t rounds, for each t in `rounds`."""
-    with open(path, "w", encoding="utf-8", newline="") as f:
+    with _atomic(path) as (temp,), open(temp, "w", encoding="utf-8", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(["round", "ter", "asr"])
         for t in rounds:
@@ -204,18 +221,11 @@ def cmd_train(cfg_path: str) -> int:
         # once the last round is done, so a failed or killed train never leaves
         # a partial run, nor a config that does not match the run's history.
         outputs = [os.path.join(run_dir, name) for name in (HISTORY_FILE, MODEL_FILE, CONFIG_FILE)]
-        temps = [path + ".tmp" for path in outputs]
-        try:
-            trace = train(setup, cfg.rounds, temps[0], chash)
-            save_model(temps[1], trace[-1])
-            with open(temps[2], "w", encoding="utf-8") as f:
+        with _atomic(*outputs) as (history_temp, model_temp, config_temp):
+            trace = train(setup, cfg.rounds, history_temp, chash)
+            save_model(model_temp, trace[-1])
+            with open(config_temp, "w", encoding="utf-8") as f:
                 f.write(config_mod.serialize_config(cfg))
-            for temp, path in zip(temps, outputs):
-                os.replace(temp, path)
-        finally:
-            for temp in temps:
-                if os.path.exists(temp):
-                    os.unlink(temp)
         _write_metrics_csv(
             os.path.join(run_dir, "train_metrics.csv"), cfg, trace, test_set,
             _eval_rounds(cfg.rounds),
@@ -269,6 +279,13 @@ def cmd_recover(cfg_path: str, method: str) -> int:
         remaining = sorted(set(setup.client_ids) - set(detected))
         if not remaining:
             raise CliError(f"detection flagged all {cfg.n_clients} clients; none remain")
+        k = cfg.rule.k
+        if method != "finetune" and cfg.rule.kind == "trimmed_mean" and len(remaining) <= 2 * k:
+            raise config_mod.ConfigError(
+                "experiment.trim_k",
+                f"trimmed_mean with k={k} needs more than 2k={2 * k} clients, "
+                f"but detection leaves {len(remaining)}",
+            )
 
         # scratch and finetune use no records: they read only the header.
         history = None
@@ -283,22 +300,20 @@ def cmd_recover(cfg_path: str, method: str) -> int:
         bound_block = None
         rounds = _eval_rounds(cfg.rounds)
         if method == "scratch":
-            model, trace = recovery.train_from_scratch(setup, remaining, cfg.rounds)
+            trace = recovery.train_from_scratch(setup, remaining, cfg.rounds)
             exact_rounds = {c: cfg.rounds for c in remaining}
         elif method == "historical":
-            model, trace = recovery.historical_only(
-                history, detected, cfg.rule, cfg.learning_rate, setup.sizes
-            )
+            trace = recovery.historical_only(history, detected, setup)
             exact_rounds = {c: 0 for c in remaining}
         elif method == "fedrecover":
             result = recovery.fedrecover(
                 history, detected, setup, cfg.recovery, instrument=cfg.bound_check
             )
-            model, trace = result.recovered_model, result.per_round_models
+            trace = result.per_round_models
             exact_rounds = result.exact_rounds_per_client
             abnormality_count = result.abnormality_count
             if cfg.bound_check:
-                _, scratch_trace = recovery.train_from_scratch(setup, remaining, cfg.rounds)
+                scratch_trace = recovery.train_from_scratch(setup, remaining, cfg.rounds)
                 bound_block = _bound_check(cfg, result, scratch_trace)
         else:  # finetune
             ft = cfg.finetune
@@ -327,7 +342,7 @@ def cmd_recover(cfg_path: str, method: str) -> int:
             exact_rounds = {c: 0 for c in remaining}
 
         cp, acp = metrics.cost_saving(cfg.rounds, exact_rounds)
-        ter, asr = _evaluate(cfg, model, test_set)
+        ter, asr = _evaluate(cfg, trace[cfg.rounds], test_set)
 
         _write_metrics_csv(
             os.path.join(run_dir, f"recover_{method}_metrics.csv"), cfg, trace, test_set, rounds

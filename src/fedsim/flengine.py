@@ -265,36 +265,35 @@ class FlSetup:
         )
 
     def reported_updates(
-        self, w: np.ndarray, round_idx: int, participants, attackers, lam_override=None
+        self, w: np.ndarray, round_idx: int, participants, attackers, lam=None, asked=None
     ) -> dict:
-        """Updates the server receives from `participants` at this round.
+        """Updates the server receives at this round from the `asked`
+        clients, all of `participants` when not given.
 
-        Clients in `attackers` substitute crafted updates; the trim attack
-        is computed in the full-knowledge setting from the participants'
-        honest updates.
+        Clients in `attackers` substitute crafted updates. The trim attack
+        is computed in the full-knowledge setting from every participant's
+        honest update, so asking any trim attacker computes them all once;
+        otherwise only the asked clients compute, a backdoor attacker
+        scaling its update by `lam` (the attack's own scale when not given).
         """
         participants = sorted(participants)
-        attackers = sorted(set(attackers) & set(participants))
-        honest_needed = (
-            participants
-            if (self.attack is None or self.attack.kind == "trim" or not attackers)
-            else [c for c in participants if c not in attackers]
-        )
-        reported = {cid: self.honest_update(cid, w, round_idx) for cid in honest_needed}
-        if not attackers or self.attack is None:
-            return reported
-        if self.attack.kind == "trim":
+        asked = participants if asked is None else asked
+        attackers = sorted(set(attackers) & set(participants)) if self.attack else []
+        if self.attack and self.attack.kind == "trim" and not set(attackers).isdisjoint(asked):
+            reported = {cid: self.honest_update(cid, w, round_idx) for cid in participants}
             rng = RngStream(derive_seed(self.seed, STREAM_ATTACK, 0, round_idx))
             crafted = attacks.trim_attack_updates(
                 [reported[cid] for cid in participants], len(attackers), self.attack.b, rng
             )
-            for cid, u in zip(attackers, crafted):
-                reported[cid] = u
-        else:
-            lam = self.attack.lam if lam_override is None else lam_override
-            for cid in attackers:
-                reported[cid] = self.backdoor_update(cid, w, round_idx, lam)
-        return reported
+            reported.update(zip(attackers, crafted))
+            return {cid: reported[cid] for cid in asked}
+        if lam is None and attackers:
+            lam = self.attack.lam
+        return {
+            cid: self.backdoor_update(cid, w, round_idx, lam) if cid in attackers
+            else self.honest_update(cid, w, round_idx)
+            for cid in asked
+        }
 
     def aggregate_step(self, w: np.ndarray, reported: dict) -> np.ndarray:
         ids = sorted(reported)

@@ -27,7 +27,6 @@ from typing import NamedTuple
 import numpy as np
 
 from . import models
-from .aggregation import aggregate, apply_update
 from .attacks import adaptive_scale
 from .flengine import FlSetup, HistoryStore
 from .numcore import (
@@ -125,16 +124,6 @@ def lbfgs_hvp(system: CompactSystem, v: np.ndarray) -> np.ndarray:
     return out
 
 
-def exact_integrated_hvp_quadratic(hessian: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """H v for an explicit (d x d) quadratic-loss Hessian and a d-vector v.
-
-    For a quadratic loss the integrated Hessian along any segment equals
-    the constant Hessian, so this is the zero-error reference for the
-    L-BFGS approximation.
-    """
-    return hessian @ v
-
-
 def compute_threshold(history: HistoryStore, remaining_clients, alpha: float) -> float:
     """Abnormality threshold derived from stored updates.
 
@@ -206,10 +195,9 @@ class RecoveryParams:
 
 @dataclass
 class RecoveryResult:
-    recovered_model: np.ndarray
     exact_rounds_per_client: dict
     abnormality_count: int
-    per_round_models: list
+    per_round_models: list  # the T+1 global models, the last of them the recovered model
     tau: float
     estimate_errors: list = field(default_factory=list)  # instrumentation only
 
@@ -276,13 +264,11 @@ def fedrecover(
     detected = frozenset(detected)
     remaining = sorted(set(setup.client_ids) - detected)
 
-    undetected = sorted(set(setup.malicious) - detected) if setup.attack else []
+    # undetected attackers attack when asked; with no attack configured they report honestly
+    undetected = set(setup.malicious) - detected
     lam = None
-    if undetected and setup.attack.kind == "backdoor":
-        lam = setup.attack.lam
-        if setup.attack.adaptive:
-            lam = adaptive_scale(lam, len(setup.malicious), len(undetected))
-    trim_residual = bool(undetected) and setup.attack.kind == "trim"
+    if undetected and setup.attack and setup.attack.adaptive:
+        lam = adaptive_scale(setup.attack.lam, len(setup.malicious), len(undetected))
 
     tau = params.tau if params.tau is not None else compute_threshold(
         history, remaining, params.tolerance_rate
@@ -293,34 +279,13 @@ def fedrecover(
     abnormality_count = 0
     errors = []
 
-    def full_exact_reports(w, t):
-        return setup.reported_updates(w, t, remaining, undetected, lam_override=lam)
-
-    def exact_single(c, w, t, memo):
-        """What client c would report if asked at round t of the recovery.
-
-        For the trim residual attack the crafted values depend on the whole
-        cohort, so those are computed once per round and memoized.
-        """
-        if c in undetected:
-            if trim_residual:
-                if memo.get("full") is None:
-                    memo["full"] = full_exact_reports(w, t)
-                return memo["full"][c]
-            return setup.backdoor_update(c, w, t, lam)
-        return setup.honest_update(c, w, t)
-
-    def hessian_for(cid, t):
-        idx = setup.samplers[cid].round_batches(t, 1)[0]
-        return models.quadratic_hessian(setup.spec, setup.local_inputs[cid][idx])
-
     trace = []
     for t, (w_bar, g_bar) in enumerate(history.rounds()):  # g_bar row c: client c's update
         if not trace:  # the first stored model is the start model
             trace.append(w_bar)
         w_hat = trace[-1]
         if _is_exact_round(t, total, params):
-            reported = full_exact_reports(w_hat, t)
+            reported = setup.reported_updates(w_hat, t, remaining, undetected, lam)
             for c in remaining:
                 exact_rounds[c] += 1
             buffers.push_global(w_hat - w_bar)
@@ -334,7 +299,9 @@ def fedrecover(
             for c in remaining:
                 try:
                     if params.hvp_mode == "exact_quadratic":
-                        hv = exact_integrated_hvp_quadratic(hessian_for(c, t), v)
+                        # a quadratic loss's integrated Hessian is its constant Hessian
+                        idx = setup.samplers[c].round_batches(t, 1)[0]
+                        hv = models.quadratic_hessian(setup.spec, setup.local_inputs[c][idx]) @ v
                     else:
                         hv = buffers.hvp(c, v)
                 except LbfgsSingularError:
@@ -347,23 +314,22 @@ def fedrecover(
                     fix.append(c)
                 else:
                     chosen[c] = est
-            memo = {}
+            exact = setup.reported_updates(
+                w_hat, t, remaining, undetected, lam, asked=remaining if instrument else fix
+            )
             for c in fix:
-                g_exact = exact_single(c, w_hat, t, memo)
-                chosen[c] = g_exact
+                chosen[c] = exact[c]
                 exact_rounds[c] += 1
                 abnormality_count += 1
-                buffers.push_client(c, g_exact - g_bar[c])
+                buffers.push_client(c, exact[c] - g_bar[c])
             if instrument:
                 for c in remaining:
                     if c not in fix:
-                        err = float(np.linalg.norm(chosen[c] - exact_single(c, w_hat, t, memo)))
-                        errors.append((c, t, err))
+                        errors.append((c, t, float(np.linalg.norm(chosen[c] - exact[c]))))
             w_hat = setup.aggregate_step(w_hat, chosen)
         trace.append(w_hat)
 
     return RecoveryResult(
-        recovered_model=w_hat,
         exact_rounds_per_client=exact_rounds,
         abnormality_count=abnormality_count,
         per_round_models=trace,
@@ -372,39 +338,31 @@ def fedrecover(
     )
 
 
-def train_from_scratch(
-    setup: FlSetup, remaining_clients, total_rounds: int
-) -> tuple[np.ndarray, list]:
+def train_from_scratch(setup: FlSetup, remaining_clients, total_rounds: int) -> list:
     """Retrain over the remaining clients only; every client computes an
-    exact update every round. Returns the final model and the full trace."""
-    remaining = sorted(remaining_clients)
+    exact, honest update every round. Returns the T+1 global models."""
     w = models.init_params(setup.spec, derive_seed(setup.seed, STREAM_INIT, 0, 0))
     trace = [w]
     for t in range(total_rounds):
-        reported = {c: setup.honest_update(c, w, t) for c in remaining}
-        w = setup.aggregate_step(w, reported)
-        trace.append(w)
-    return w, trace
+        reported = setup.reported_updates(trace[-1], t, remaining_clients, ())
+        trace.append(setup.aggregate_step(trace[-1], reported))
+    return trace
 
 
-def historical_only(
-    history: HistoryStore, detected, rule, eta: float, sizes: dict
-) -> tuple[np.ndarray, list]:
+def historical_only(history: HistoryStore, detected, setup: FlSetup) -> list:
     """Replay the stored updates of the remaining clients; zero client cost.
+    Returns the T+1 global models.
 
     With nothing detected this reproduces the original trajectory exactly.
     """
-    detected = frozenset(detected)
-    remaining = sorted(set(range(history.n)) - detected)
-    weights = [sizes[c] for c in remaining]
+    remaining = sorted(set(range(history.n)) - frozenset(detected))
     trace = []
     for model, round_updates in history.rounds():
         if not trace:  # the first stored model is the start model
             trace.append(model)
         # row views: a fancy index would copy the (remaining, d) block once more
-        agg = aggregate(rule, [round_updates[c] for c in remaining], weights)
-        trace.append(apply_update(trace[-1], agg, eta))
-    return trace[-1], trace
+        trace.append(setup.aggregate_step(trace[-1], {c: round_updates[c] for c in remaining}))
+    return trace
 
 
 def _largest_remainder_counts(proportions: np.ndarray, n: int) -> np.ndarray:

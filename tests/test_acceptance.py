@@ -127,7 +127,7 @@ def test_criterion_1_exact_hvp_recovery_is_exact(tmp_path):
         )
         result = fedrecover(store, {0, 5}, setup, params)
         remaining = sorted(set(setup.client_ids) - {0, 5})
-        _, trace = train_from_scratch(setup, remaining, 200)
+        trace = train_from_scratch(setup, remaining, 200)
         gap = max(
             float(np.max(np.abs(a - b)))
             for a, b in zip(result.per_round_models, trace)
@@ -157,7 +157,7 @@ def test_criterion_2_recovery_gap_bound_holds(tmp_path):
         )
         result = fedrecover(store, {1, 7}, setup, params, instrument=True)
         remaining = sorted(set(setup.client_ids) - {1, 7})
-        _, trace = train_from_scratch(setup, remaining, 300)
+        trace = train_from_scratch(setup, remaining, 300)
         m_measured = result.measured_m
         assert m_measured is not None
         d0 = float(np.linalg.norm(result.per_round_models[0] - trace[0]))
@@ -243,14 +243,14 @@ def test_criterion_7_end_to_end_recovery(backdoor_run):
         assert p_asr >= 0.8, f"poisoned ASR {p_asr}"
 
         remaining = sorted(set(setup.client_ids) - sc["malicious"])
-        scratch_model, _ = train_from_scratch(setup, remaining, S7["rounds"])
+        scratch_model = train_from_scratch(setup, remaining, S7["rounds"])[-1]
         s_ter = error_rate(spec, scratch_model, test_set)
         s_asr = attack_success_rate(spec, scratch_model, test_set, trigger, 0)
         assert s_asr <= 0.1, f"scratch ASR {s_asr}"
 
         result = fedrecover(sc["store"], sc["malicious"], setup, sc["params"])
-        r_ter = error_rate(spec, result.recovered_model, test_set)
-        r_asr = attack_success_rate(spec, result.recovered_model, test_set, trigger, 0)
+        r_ter = error_rate(spec, result.per_round_models[-1], test_set)
+        r_asr = attack_success_rate(spec, result.per_round_models[-1], test_set, trigger, 0)
         _, acp = cost_saving(S7["rounds"], result.exact_rounds_per_client)
         assert r_asr <= 0.1, f"recovered ASR {r_asr}"
         assert abs(r_ter - s_ter) <= 0.02, f"TER gap {abs(r_ter - s_ter)}"
@@ -271,7 +271,7 @@ def test_criterion_8_imperfect_detection(backdoor_run):
 
         result = fedrecover(sc["store"], detected, setup, sc["params"])
         r_asr = attack_success_rate(
-            setup.spec, result.recovered_model, test_set, trigger, 0
+            setup.spec, result.per_round_models[-1], test_set, trigger, 0
         )
         _, acp = cost_saving(S7["rounds"], result.exact_rounds_per_client)
         assert r_asr <= 0.2, f"recovered ASR {r_asr}"
@@ -297,12 +297,12 @@ def test_criterion_9_equivalence_degenerations(tmp_path):
         )
         result = fedrecover(store, {2}, setup, params)
         remaining = sorted(set(setup.client_ids) - {2})
-        _, trace = train_from_scratch(setup, remaining, 20)
+        trace = train_from_scratch(setup, remaining, 20)
         for w_hat, w_t in zip(result.per_round_models, trace):
             np.testing.assert_array_equal(w_hat, w_t)
 
-        replay, _ = historical_only(store, frozenset(), setup.rule, setup.eta, setup.sizes)
-        np.testing.assert_array_equal(replay, final)
+        replay = historical_only(store, frozenset(), setup)
+        np.testing.assert_array_equal(replay[-1], final)
 
 
 CLI_CFG = """

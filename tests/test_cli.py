@@ -371,6 +371,51 @@ class TestRecoverCommand:
         assert capsys.readouterr().err == "error: detection flagged all 8 clients; none remain\n"
         assert not (run_dir / f"summary_{method}.json").exists()
 
+    def test_trimmed_mean_detection_cannot_meet_names_its_key(self, tmp_path, monkeypatch, capsys):
+        # 10 clients train under trim_k = 4; detection drops the 3 attackers,
+        # and the 7 left cannot fill a trimmed mean that drops 8. Each
+        # aggregating method refuses before it reads the history; finetune
+        # does not aggregate
+        monkeypatch.setenv("FEDSIM_OUTPUT_ROOT", str(tmp_path))
+        cfg_path = tmp_path / "exp.ini"
+        cfg_path.write_text(
+            CFG_TEMPLATE.format(out="runs/exp")
+            .replace("n_clients = 8\nmalicious_count = 2", "n_clients = 10\nmalicious_count = 3")
+            .replace("trim_k = 2", "trim_k = 4")
+            .replace("kind = backdoor\ntrigger = every_kth\ntrigger_k = 2\ntrigger_value = 1.0\n"
+                     "scale = 8.0\n", "kind = trim\n")
+        )
+        assert main(["train", "-c", str(cfg_path)]) == 0
+        assert main(["recover", "-c", str(cfg_path), "--method", "finetune"]) == 0
+        run_dir = tmp_path / "runs" / "exp"
+        (run_dir / "history.bin").write_bytes(b"not read")
+        capsys.readouterr()
+        for method in ("scratch", "historical", "fedrecover"):
+            assert main(["recover", "-c", str(cfg_path), "--method", method]) == 1
+            assert capsys.readouterr().err == (
+                "error: config field [experiment.trim_k]: trimmed_mean with k=4 needs more "
+                "than 2k=8 clients, but detection leaves 7\n"
+            )
+            assert not (run_dir / f"summary_{method}.json").exists()
+
+    def test_failed_summary_write_keeps_the_earlier_summary(self, trained, monkeypatch):
+        import fedsim.cli
+
+        root, cfg_path = trained
+        run_dir = root / "runs" / "exp"
+        assert main(["recover", "-c", str(cfg_path), "--method", "historical"]) == 0
+        before = {p.name: p.read_bytes() for p in run_dir.iterdir()}
+
+        def cut_dump(obj, f, **kwargs):
+            f.write('{"command": "rec')
+            raise OSError("injected write failure")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(fedsim.cli.json, "dump", cut_dump)
+            assert main(["recover", "-c", str(cfg_path), "--method", "historical"]) == 1
+        assert {p.name: p.read_bytes() for p in run_dir.iterdir()} == before
+        assert main(["report", str(run_dir)]) == 0
+
     @pytest.mark.parametrize("fault", ["short", "trailing", "nan", "inf", "wrong_dim"])
     def test_malformed_model_file_is_error_exit(self, trained, capsys, fault):
         root, cfg_path = trained

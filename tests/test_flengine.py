@@ -459,6 +459,72 @@ class TestRunRound:
             assert sorted(reported) == sorted(setup.client_ids)
 
 
+REPORT_ATTACKS = {
+    "none": None,
+    "trim": AttackConfig(kind="trim", b=2.0),
+    "backdoor": AttackConfig(
+        kind="backdoor", trigger=Trigger("every_kth", k=2), target_label=0, lam=10.0
+    ),
+}
+REPORT_CLIENTS = 6
+# every client may be asked to attack, so each backdoor setup poisons every shard
+REPORT_SETUPS = {
+    kind: small_setup(attack=atk, malicious=range(REPORT_CLIENTS), n_clients=REPORT_CLIENTS)[0]
+    for kind, atk in REPORT_ATTACKS.items()
+}
+
+
+@st.composite
+def report_cases(draw):
+    """An attack kind, participants, attackers among them, an asked subset
+    of the participants in any order, a round, and lam (None = the attack's
+    own, or an adaptive rescale of it)."""
+    kind = draw(st.sampled_from(sorted(REPORT_SETUPS)))
+    participants = draw(
+        st.lists(st.integers(0, REPORT_CLIENTS - 1), min_size=1, unique=True)
+    )
+    attackers = draw(st.lists(st.sampled_from(participants), unique=True))
+    asked = draw(st.lists(st.sampled_from(participants), unique=True))
+    lam = draw(st.one_of(st.none(), st.floats(0.5, 40.0)))
+    return kind, participants, attackers, asked, draw(st.integers(0, 6)), lam
+
+
+class TestReportedUpdates:
+    @settings(max_examples=80, deadline=None)
+    @given(case=report_cases(), seed=st.integers(0, 2**16))
+    def test_asked_is_the_full_call_restricted(self, case, seed):
+        """Asking a subset S returns, in S's order, exactly the rows the
+        full call reports for S, and runs |S| local updates, or one per
+        participant when S holds a trim attacker."""
+        from unittest import mock
+
+        from fedsim import attacks, clients, flengine
+
+        kind, participants, attackers, asked, t, lam = case
+        setup = REPORT_SETUPS[kind]
+        w = RngStream(seed).normals(setup.spec.param_dim)
+        full = setup.reported_updates(w, t, participants, attackers, lam)
+        assert sorted(full) == sorted(participants)
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return clients.client_local_update(*args)
+
+        with mock.patch.object(flengine, "client_local_update", counted), \
+                mock.patch.object(attacks, "client_local_update", counted):
+            part = setup.reported_updates(w, t, participants, attackers, lam, asked=asked)
+        assert list(part) == asked
+        for c in asked:
+            assert np.array_equal(part[c], full[c])
+        trim_cohort = kind == "trim" and bool(set(attackers) & set(asked))
+        assert len(calls) == (len(participants) if trim_cohort else len(asked))
+        if kind == "none":  # with no attack, malicious clients report honestly
+            honest = setup.reported_updates(w, t, participants, ())
+            for c in participants:
+                assert np.array_equal(full[c], honest[c])
+
+
 class TestTrain:
     def test_history_written_and_reloadable(self, tmp_path):
         setup, _ = small_setup()
@@ -531,9 +597,7 @@ class TestTrain:
             if method == "fedrecover":
                 trace = fedrecover(history, setup.malicious, setup, params).per_round_models
             else:
-                _, trace = historical_only(
-                    history, setup.malicious, setup.rule, setup.eta, setup.sizes
-                )
+                trace = historical_only(history, setup.malicious, setup)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

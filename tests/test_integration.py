@@ -63,7 +63,7 @@ class TestMultiStepLocalUpdates:
         )
         result = fedrecover(store, {1}, setup, params)
         remaining = sorted(set(setup.client_ids) - {1})
-        _, trace = train_from_scratch(setup, remaining, 16)
+        trace = train_from_scratch(setup, remaining, 16)
         for w_hat, w_t in zip(result.per_round_models, trace):
             np.testing.assert_array_equal(w_hat, w_t)
 
@@ -76,7 +76,7 @@ class TestMultiStepLocalUpdates:
             tolerance_rate=1e-6,
         )
         result = fedrecover(store, {1}, setup, params)
-        assert np.all(np.isfinite(result.recovered_model))
+        assert np.all(np.isfinite(result.per_round_models[-1]))
 
 
 def test_median_rule_through_recovery(tmp_path):
@@ -100,8 +100,8 @@ def test_median_rule_through_recovery(tmp_path):
     )
     result = fedrecover(store, {0, 3}, setup, params)
     remaining = sorted(set(setup.client_ids) - {0, 3})
-    _, trace = train_from_scratch(setup, remaining, 24)
-    np.testing.assert_array_equal(result.recovered_model, trace[-1])
+    trace = train_from_scratch(setup, remaining, 24)
+    np.testing.assert_array_equal(result.per_round_models[-1], trace[-1])
 
 
 MNIST_CFG = """

@@ -22,7 +22,6 @@ from fedsim.recovery import (
     RecoveryParams,
     compact_system,
     compute_threshold,
-    exact_integrated_hvp_quadratic,
     fedrecover,
     fine_tune,
     historical_only,
@@ -282,16 +281,6 @@ class TestLbfgsBuffersCache:
 
 
 class TestExactQuadraticHvp:
-    def test_identity(self):
-        v = np.array([1.0, -2.0, 3.0])
-        np.testing.assert_array_equal(exact_integrated_hvp_quadratic(np.eye(3), v), v)
-
-    def test_diagonal(self):
-        h = np.array([[2.0, 0.0], [0.0, 4.0]])
-        np.testing.assert_array_equal(
-            exact_integrated_hvp_quadratic(h, np.array([1.0, 1.0])), [2.0, 4.0]
-        )
-
     def test_lbfgs_recovers_quadratic_with_conjugate_pairs(self):
         # with d exact pairs that are mutually H-conjugate, the buffered
         # approximation reproduces H exactly
@@ -308,7 +297,7 @@ class TestExactQuadraticHvp:
         dg = [h @ w for w in conj]
         for _ in range(5):
             v = rng.normals(d)
-            exact = exact_integrated_hvp_quadratic(h, v)
+            exact = h @ v
             approx = lbfgs_hvp(compact_system(conj, dg), v)
             assert np.max(np.abs(approx - exact)) <= 1e-6 * (1.0 + np.max(np.abs(exact)))
 
@@ -466,7 +455,7 @@ class TestFedrecover:
         params = recovery_params(correction_period=1)
         result = fedrecover(sc["store"], sc["malicious"], sc["setup"], params)
         remaining = sorted(set(sc["setup"].client_ids) - sc["malicious"])
-        model, trace = train_from_scratch(sc["setup"], remaining, sc["rounds"])
+        trace = train_from_scratch(sc["setup"], remaining, sc["rounds"])
         assert len(result.per_round_models) == len(trace)
         for w_hat, w in zip(result.per_round_models, trace):
             np.testing.assert_array_equal(w_hat, w)
@@ -476,7 +465,7 @@ class TestFedrecover:
         params = recovery_params(hvp_mode="exact_quadratic")
         result = fedrecover(sc["store"], sc["malicious"], sc["setup"], params)
         remaining = sorted(set(sc["setup"].client_ids) - sc["malicious"])
-        _, trace = train_from_scratch(sc["setup"], remaining, sc["rounds"])
+        trace = train_from_scratch(sc["setup"], remaining, sc["rounds"])
         gaps = [
             np.max(np.abs(w_hat - w)) for w_hat, w in zip(result.per_round_models, trace)
         ]
@@ -487,8 +476,8 @@ class TestFedrecover:
         params = recovery_params()
         result = fedrecover(sc["store"], sc["malicious"], sc["setup"], params)
         remaining = sorted(set(sc["setup"].client_ids) - sc["malicious"])
-        model, trace = train_from_scratch(sc["setup"], remaining, sc["rounds"])
-        gap = float(np.linalg.norm(result.recovered_model - model))
+        model = train_from_scratch(sc["setup"], remaining, sc["rounds"])[-1]
+        gap = float(np.linalg.norm(result.per_round_models[-1] - model))
         assert gap < 0.05 * (1.0 + float(np.linalg.norm(model)))
 
     def test_instrumentation_measures_estimated_rounds(self, ridge_trim_scenario):
@@ -544,7 +533,7 @@ class TestFedrecover:
         assert sum(result.exact_rounds_per_client.values()) == (
             expected * len(remaining) + result.abnormality_count
         )
-        assert np.all(np.isfinite(result.recovered_model))
+        assert np.all(np.isfinite(result.per_round_models[-1]))
 
 
 def _observed_fedrecover(history, detected, setup, params):
@@ -634,7 +623,7 @@ class TestFedrecoverProperties:
                 assert result.abnormality_count == 0
             # the order of `detected` does not matter
             again = fedrecover(store, detected[::-1], setup, params)
-            np.testing.assert_array_equal(again.recovered_model, result.recovered_model)
+            np.testing.assert_array_equal(again.per_round_models[-1], result.per_round_models[-1])
             assert again.exact_rounds_per_client == result.exact_rounds_per_client
             assert again.abnormality_count == result.abnormality_count
 
@@ -712,7 +701,7 @@ class TestPeriodOneIsRetraining:
             store = HistoryStore.load(os.path.join(tmp, "h.bin"))
             result = fedrecover(store, detected, setup, params)
         remaining = sorted(set(setup.client_ids) - set(detected))
-        _, trace = train_from_scratch(setup, remaining, sc["rounds"])
+        trace = train_from_scratch(setup, remaining, sc["rounds"])
         assert len(result.per_round_models) == len(trace) == sc["rounds"] + 1
         for w_hat, w in zip(result.per_round_models, trace):
             assert np.array_equal(w_hat, w)
@@ -722,11 +711,9 @@ class TestBaselines:
     def test_historical_replay_identity(self, ridge_trim_scenario):
         sc = ridge_trim_scenario
         setup = sc["setup"]
-        model, trace = historical_only(
-            sc["store"], frozenset(), setup.rule, setup.eta, setup.sizes
-        )
+        trace = historical_only(sc["store"], frozenset(), setup)
         # replaying every stored update must land on the original final model
-        np.testing.assert_array_equal(model, sc["final"])
+        np.testing.assert_array_equal(trace[-1], sc["final"])
         first_model, _ = next(sc["store"].rounds())
         np.testing.assert_array_equal(trace[0], first_model)
 
@@ -748,8 +735,8 @@ class TestBaselines:
             seed=9,
         )
         final = train(setup, 12, tmp_path / "h.bin", CHASH)[-1]
-        model, trace = train_from_scratch(setup, setup.client_ids, 12)
-        np.testing.assert_array_equal(model, final)
+        trace = train_from_scratch(setup, setup.client_ids, 12)
+        np.testing.assert_array_equal(trace[-1], final)
 
     def test_historical_cost_is_zero_by_definition(self, ridge_trim_scenario):
         from fedsim.metrics import cost_saving
@@ -771,13 +758,13 @@ class TestBaselines:
 class TestResidualAttackers:
     def test_undetected_trim_attacker_is_deterministic(self, ridge_trim_scenario):
         # one trim attacker escapes detection and keeps attacking in every
-        # exact round; crafting is memoized per round, so reruns agree
+        # exact round; each round's crafting is seeded by the round, so reruns agree
         sc = ridge_trim_scenario
         detected = frozenset({0})  # client 1 stays malicious
         params = recovery_params(tau=None, tolerance_rate=0.05)
         a = fedrecover(sc["store"], detected, sc["setup"], params)
         b = fedrecover(sc["store"], detected, sc["setup"], params)
-        np.testing.assert_array_equal(a.recovered_model, b.recovered_model)
+        np.testing.assert_array_equal(a.per_round_models[-1], b.per_round_models[-1])
         assert a.exact_rounds_per_client == b.exact_rounds_per_client
         floor = predicted_cost(sc["rounds"], 6, 5, 3)
         assert all(tr >= floor for tr in a.exact_rounds_per_client.values())
@@ -788,7 +775,37 @@ class TestResidualAttackers:
         params = recovery_params(warmup_rounds=5, correction_period=5, final_tuning_rounds=3)
         result = fedrecover(sc["store"], detected, sc["setup"], params)
         assert 5 in result.exact_rounds_per_client
-        assert np.all(np.isfinite(result.recovered_model))
+        assert np.all(np.isfinite(result.per_round_models[-1]))
+
+    def test_malicious_clients_without_an_attack_report_honestly(self, tmp_path):
+        # a config may name malicious clients and no attack: they train,
+        # and are asked in recovery, exactly as benign clients
+        def run(malicious, name):
+            setup = build_setup(
+                spec=ModelSpec("logreg", 4, 3, l2=0.05),
+                dataset=gen_synthetic(3, 4, 40, 3.0, seed=7),
+                n_clients=6,
+                rule=AggregationRule("fedavg"),
+                eta=0.2,
+                batch_size=8,
+                seed=7,
+                malicious=malicious,
+            )
+            path = tmp_path / name
+            train(setup, 24, path, CHASH)
+            params = recovery_params(tau=None, tolerance_rate=0.05)
+            result = fedrecover(HistoryStore.load(path), {1}, setup, params, instrument=True)
+            return path.read_bytes(), result
+
+        history, result = run((1, 3, 4), "named.bin")
+        history_benign, benign = run((), "benign.bin")
+        assert history == history_benign
+        assert len(result.per_round_models) == 25
+        for w, w_benign in zip(result.per_round_models, benign.per_round_models):
+            assert np.array_equal(w, w_benign)
+        assert result.exact_rounds_per_client == benign.exact_rounds_per_client
+        assert result.abnormality_count == benign.abnormality_count
+        assert result.estimate_errors == benign.estimate_errors
 
 
 class TestHistoricalOnlyUnderAttack:
@@ -819,7 +836,7 @@ class TestHistoricalOnlyUnderAttack:
         )
         train(setup, 300, tmp_path / "h.bin", CHASH)
         store = HistoryStore.load(tmp_path / "h.bin")
-        model, _ = historical_only(store, {0, 1, 2}, setup.rule, setup.eta, setup.sizes)
+        model = historical_only(store, {0, 1, 2}, setup)[-1]
         ter = test_error_rate(setup.spec, model, test_set)
         assert ter >= 0.5
 
