@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import fcntl
 import functools
 import hashlib
 import json
@@ -47,53 +48,24 @@ def _run_dir(cfg) -> str:
     return path if os.path.isabs(path) else os.path.join(root, path)
 
 
-def _lock_owner_gone(lock_path: str) -> bool:
-    """Whether the lock names a pid whose process no longer exists."""
-    try:
-        with open(lock_path, "r", encoding="ascii") as f:
-            pid = int(f.read())
-    except (OSError, ValueError):
-        return False
-    if pid <= 0:
-        return False
-    try:
-        os.kill(pid, 0)
-    except ProcessLookupError:
-        return True
-    except OSError:  # alive, but another user's
-        pass
-    return False
-
-
-def _create_lock(lock_path: str) -> int | None:
-    try:
-        return os.open(lock_path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-    except FileExistsError:
-        return None
-
-
 @contextmanager
 def _locked(run_dir: str):
-    """Hold the run directory's `.lock`, which holds this process's pid.
+    """Hold an exclusive `flock` on the run directory itself while the block runs.
 
-    A lock left by a process that no longer exists (a killed command) is
-    removed and taken once; a lock with a live pid, or with none, refuses.
+    The kernel releases it when the descriptor closes, however the process
+    ends, so a killed command never leaves the directory locked and no lock
+    file is ever written. POSIX only.
     """
     os.makedirs(run_dir, exist_ok=True)
-    lock_path = os.path.join(run_dir, ".lock")
-    fd = _create_lock(lock_path)
-    if fd is None and _lock_owner_gone(lock_path):
-        with suppress(FileNotFoundError):
-            os.unlink(lock_path)
-        fd = _create_lock(lock_path)
-    if fd is None:
-        raise CliError(f"run directory {run_dir} is locked by another command")
+    fd = os.open(run_dir, os.O_RDONLY)
     try:
-        os.write(fd, f"{os.getpid()}\n".encode("ascii"))
-        os.close(fd)
+        try:
+            fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        except BlockingIOError:
+            raise CliError(f"run directory {run_dir} is locked by another command") from None
         yield
     finally:
-        os.unlink(lock_path)
+        os.close(fd)
 
 
 @contextmanager
@@ -379,6 +351,10 @@ def cmd_report(run_dirs, out_stream=None) -> int:
         )
         if not summaries:
             raise CliError(f"{run_dir} contains no summary files")
+        # a run trained from config.ini: a summary of any other config is stale
+        run_hash = None
+        with suppress(FileNotFoundError), open(os.path.join(run_dir, CONFIG_FILE), "rb") as f:
+            run_hash = hashlib.sha256(f.read()).hexdigest()
         for name in summaries:
             path = os.path.join(run_dir, name)
             try:
@@ -387,6 +363,10 @@ def cmd_report(run_dirs, out_stream=None) -> int:
             except ValueError as exc:  # not UTF-8, or not JSON
                 raise CliError(f"{path}: not a JSON summary: {exc}") from exc
             _check_summary(path, summary)
+            if run_hash is not None and summary["config_hash"] != run_hash:
+                raise CliError(
+                    f"{path}: the summary belongs to another config than the run's {CONFIG_FILE}"
+                )
             label = summary.get("method", summary["command"])
             rows.append(
                 (

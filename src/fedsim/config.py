@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import configparser
 import hashlib
-import io
 import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
@@ -197,10 +196,6 @@ def _applies(k: _Key, section_values: dict) -> bool:
 def parse_config(path) -> ExperimentConfig:
     with open(path, "r", encoding="utf-8") as f:
         return _parse(f)
-
-
-def parse_config_string(text: str) -> ExperimentConfig:
-    return _parse(io.StringIO(text))
 
 
 def _parse(f) -> ExperimentConfig:

@@ -96,12 +96,6 @@ class RngStream:
         out = np.concatenate([r * np.cos(theta), r * np.sin(theta)])
         return out[:n]
 
-    def randint_below(self, n: int) -> int:
-        """Integer in [0, n) via 64-bit multiply-shift."""
-        if n <= 0:
-            raise ValueError("randint_below needs n >= 1")
-        return (self.next_u64() * n) >> 64
-
     def permutation(self, n: int) -> np.ndarray:
         """Uniform permutation of range(n), via argsort of 64-bit keys."""
         keys = self._next_block(n)

@@ -284,17 +284,12 @@ def fedrecover(
         if not trace:  # the first stored model is the start model
             trace.append(w_bar)
         w_hat = trace[-1]
-        if _is_exact_round(t, total, params):
-            reported = setup.reported_updates(w_hat, t, remaining, undetected, lam)
-            for c in remaining:
-                exact_rounds[c] += 1
-            buffers.push_global(w_hat - w_bar)
-            for c in remaining:
-                buffers.push_client(c, reported[c] - g_bar[c])
-            w_hat = setup.aggregate_step(w_hat, reported)
+        v = w_hat - w_bar
+        chosen = {}
+        exact_round = _is_exact_round(t, total, params)
+        if exact_round:
+            fix = remaining  # the clients asked for an exact update: here, all of them
         else:
-            v = w_hat - w_bar
-            chosen = {}
             fix = []
             for c in remaining:
                 try:
@@ -314,19 +309,21 @@ def fedrecover(
                     fix.append(c)
                 else:
                     chosen[c] = est
-            exact = setup.reported_updates(
-                w_hat, t, remaining, undetected, lam, asked=remaining if instrument else fix
-            )
-            for c in fix:
-                chosen[c] = exact[c]
-                exact_rounds[c] += 1
-                abnormality_count += 1
-                buffers.push_client(c, exact[c] - g_bar[c])
-            if instrument:
-                for c in remaining:
-                    if c not in fix:
-                        errors.append((c, t, float(np.linalg.norm(chosen[c] - exact[c]))))
-            w_hat = setup.aggregate_step(w_hat, chosen)
+            abnormality_count += len(fix)
+        exact = setup.reported_updates(
+            w_hat, t, remaining, undetected, lam, asked=remaining if instrument else fix
+        )
+        for c in fix:
+            chosen[c] = exact[c]
+            exact_rounds[c] += 1
+            buffers.push_client(c, exact[c] - g_bar[c])
+        if exact_round:
+            buffers.push_global(v)
+        if instrument:
+            for c in remaining:
+                if c not in fix:
+                    errors.append((c, t, float(np.linalg.norm(chosen[c] - exact[c]))))
+        w_hat = setup.aggregate_step(w_hat, chosen)
         trace.append(w_hat)
 
     return RecoveryResult(

@@ -21,6 +21,11 @@ def assert_both_accept(summary):
     assert _summary_error(summary) is None
 
 
+def randint_below(rng, n: int) -> int:
+    """Integer in [0, n) from one 64-bit draw of `rng`, by multiply-shift."""
+    return (rng.next_u64() * n) >> 64
+
+
 def finite_diff_gradient(f: Callable[[np.ndarray], float], w, h: float) -> np.ndarray:
     """Central-difference gradient oracle: (f(w+h e_j) - f(w-h e_j)) / 2h.
 

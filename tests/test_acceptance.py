@@ -9,7 +9,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from conftest import assert_both_accept, finite_diff_gradient, smoothness_bound
+from conftest import assert_both_accept, finite_diff_gradient, randint_below, smoothness_bound
 from fedsim.aggregation import AggregationRule, coord_median, trimmed_mean
 from fedsim.attacks import AttackConfig, Trigger, adaptive_scale, simulate_detection
 from fedsim.cli import main as cli_main
@@ -226,7 +226,7 @@ def test_criterion_6_gradient_checks():
                 w = rng.normals(spec.param_dim) * 0.5
                 x = rng.uniforms(6 * spec.input_dim).reshape(6, spec.input_dim)
                 y = np.array(
-                    [rng.randint_below(spec.num_classes) for _ in range(6)], dtype=np.int64
+                    [randint_below(rng, spec.num_classes) for _ in range(6)], dtype=np.int64
                 )
                 fd = finite_diff_gradient(lambda u: loss(spec, u, x, y), w, 1e-5)
                 g = gradient(spec, w, x, y)

@@ -2,6 +2,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import randint_below
 from fedsim.attacks import (
     Trigger,
     adaptive_scale,
@@ -87,7 +88,7 @@ class TestBackdoorUpdate:
         self.spec = ModelSpec("logreg", input_dim=16, num_classes=3, l2=0.01)
         rng = RngStream(5)
         x = rng.uniforms(12 * 16).reshape(12, 16)
-        y = np.array([rng.randint_below(3) for _ in range(12)], dtype=np.int64)
+        y = np.array([randint_below(rng, 3) for _ in range(12)], dtype=np.int64)
         self.px, self.py = poison_shard_backdoor(x, y, PATCH_SMALL, target_label=0)
         self.sampler = BatchSampler(99, 0, self.px.shape[0], 8)
         self.w = rng.normals(self.spec.param_dim) * 0.1

@@ -4,9 +4,11 @@ import io
 import json
 import math
 import os
+import signal
 import struct
 import subprocess
 import sys
+from contextlib import contextmanager
 
 import jsonschema
 import numpy as np
@@ -79,6 +81,29 @@ def run_env(tmp_path, monkeypatch):
     cfg_path = tmp_path / "exp.ini"
     cfg_path.write_text(CFG_TEMPLATE.format(out="runs/exp"))
     return tmp_path, cfg_path
+
+
+@contextmanager
+def _flock_held(run_dir):
+    """A process that holds the run directory's `flock` from its ready line
+    until it is killed, which the block's end does."""
+    run_dir.mkdir(parents=True, exist_ok=True)
+    code = (
+        "import fcntl, os, sys, time\n"
+        "fd = os.open(sys.argv[1], os.O_RDONLY)\n"
+        "fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)\n"
+        "print('ready', flush=True)\n"
+        "time.sleep(120)\n"
+    )
+    with subprocess.Popen(
+        [sys.executable, "-c", code, str(run_dir)], stdout=subprocess.PIPE, text=True
+    ) as holder:
+        try:
+            assert holder.stdout.readline() == "ready\n"
+            yield holder
+        finally:
+            holder.kill()
+            holder.wait()
 
 
 class TestTrainCommand:
@@ -160,47 +185,29 @@ class TestTrainCommand:
         assert not list(run_dir.glob("*.tmp"))
         assert main(["recover", "-c", str(run_dir / "config.ini"), "--method", "historical"]) == 0
 
-    def test_lock_excludes_concurrent_use(self, run_env):
+    def test_lock_excludes_concurrent_use(self, run_env, capsys):
         root, cfg_path = run_env
-        run_dir = root / "runs" / "exp"
-        run_dir.mkdir(parents=True)
-        (run_dir / ".lock").touch()
-        assert main(["train", "-c", str(cfg_path)]) == 1
-
-    def test_lock_of_a_dead_process_is_broken(self, run_env):
-        # what a killed command leaves behind: a lock naming a gone pid
-        root, cfg_path = run_env
-        run_dir = root / "runs" / "exp"
-        run_dir.mkdir(parents=True)
-        gone = subprocess.Popen([sys.executable, "-c", "pass"])
-        gone.wait()
-        (run_dir / ".lock").write_text(f"{gone.pid}\n")
-        assert main(["train", "-c", str(cfg_path)]) == 0
-        assert not (run_dir / ".lock").exists()
-
-    def test_lock_of_a_live_process_refuses(self, run_env, capsys):
-        root, cfg_path = run_env
-        run_dir = root / "runs" / "exp"
-        run_dir.mkdir(parents=True)
-        (run_dir / ".lock").write_text(f"{os.getpid()}\n")
-        assert main(["train", "-c", str(cfg_path)]) == 1
+        with _flock_held(root / "runs" / "exp"):
+            assert main(["train", "-c", str(cfg_path)]) == 1
         assert "locked" in capsys.readouterr().err
-        assert (run_dir / ".lock").exists()
 
-    def test_lock_holds_the_owner_pid(self, run_env, monkeypatch):
-        import fedsim.flengine
-
+    def test_lock_of_a_killed_holder_is_released(self, run_env):
         root, cfg_path = run_env
-        seen = []
-        train = fedsim.flengine.train
+        with _flock_held(root / "runs" / "exp") as holder:
+            holder.send_signal(signal.SIGKILL)
+            holder.wait()
+            assert main(["train", "-c", str(cfg_path)]) == 0
 
-        def spying_train(*args):
-            seen.append((root / "runs" / "exp" / ".lock").read_text())
-            return train(*args)
-
-        monkeypatch.setattr("fedsim.cli.train", spying_train)
-        assert main(["train", "-c", str(cfg_path)]) == 0
-        assert seen == [f"{os.getpid()}\n"]
+    def test_leftover_lock_file_does_not_block(self, run_env):
+        # the pid-file lock of earlier versions: neither an empty one nor one
+        # naming a live process keeps a command out, and none is touched
+        root, cfg_path = run_env
+        lock = root / "runs" / "exp" / ".lock"
+        lock.parent.mkdir(parents=True)
+        for text in ("", f"{os.getpid()}\n"):
+            lock.write_text(text)
+            assert main(["train", "-c", str(cfg_path)]) == 0
+            assert lock.read_text() == text
 
     def test_bad_config_is_error_exit(self, run_env, capsys):
         root, cfg_path = run_env
@@ -495,6 +502,19 @@ class TestReport:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "summary_train.json" in err
         assert message in err
+
+    def test_summary_of_another_config_is_refused(self, run_env, capsys):
+        # a second train into the same directory leaves the first config's
+        # recovery summary beside it
+        root, cfg_path = run_env
+        assert main(["train", "-c", str(cfg_path)]) == 0
+        assert main(["recover", "-c", str(cfg_path), "--method", "historical"]) == 0
+        cfg_path.write_text(CFG_TEMPLATE.format(out="runs/exp").replace("seed = 5", "seed = 6"))
+        assert main(["train", "-c", str(cfg_path)]) == 0
+        capsys.readouterr()
+        assert main(["report", str(root / "runs" / "exp")]) == 1
+        err = capsys.readouterr().err
+        assert "summary_historical.json" in err and "another config" in err
 
     def test_report_idempotent(self, run_env):
         root, cfg_path = run_env

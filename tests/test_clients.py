@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import randint_below
 from fedsim.clients import BatchSampler, client_local_update
 from fedsim.models import ModelSpec, gradient, quadratic_hessian
 from fedsim.numcore import STREAM_BATCH, RngStream, derive_seed
@@ -12,7 +13,7 @@ RIDGE = ModelSpec("ridge", input_dim=3, num_classes=2, l2=0.2)
 
 def make_local(rng, n=20, dim=3, classes=2):
     x = rng.uniforms(n * dim).reshape(n, dim)
-    y = np.array([rng.randint_below(classes) for _ in range(n)], dtype=np.int64)
+    y = np.array([randint_below(rng, classes) for _ in range(n)], dtype=np.int64)
     return x, y
 
 

@@ -1,4 +1,5 @@
 import configparser
+import io
 import math
 import pathlib
 import re
@@ -11,6 +12,7 @@ from fedsim.config import (
     _KEYS,
     _REQUIRED,
     _applies,
+    _parse,
     _to_finite,
     _to_float,
     ConfigError,
@@ -18,10 +20,14 @@ from fedsim.config import (
     build_setup,
     config_hash,
     parse_config,
-    parse_config_string,
     pick_malicious,
     serialize_config,
 )
+
+
+def parse_config_string(text: str):
+    return _parse(io.StringIO(text))
+
 
 MINIMAL = """
 [experiment]

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import finite_diff_gradient, glorot_bound, smoothness_bound
+from conftest import finite_diff_gradient, glorot_bound, randint_below, smoothness_bound
 from fedsim.models import (
     _check_params,
     _split_linear,
@@ -28,7 +28,7 @@ RIDGE = ModelSpec("ridge", input_dim=5, num_classes=3, l2=0.5)
 
 def random_batch(spec, rng, size=8):
     x = rng.uniforms(size * spec.input_dim).reshape(size, spec.input_dim)
-    y = np.array([rng.randint_below(spec.num_classes) for _ in range(size)], dtype=np.int64)
+    y = np.array([randint_below(rng, spec.num_classes) for _ in range(size)], dtype=np.int64)
     return x, y
 
 
@@ -185,7 +185,7 @@ class TestSmoothness:
         spec = ModelSpec("logreg", input_dim=4, num_classes=3, l2=0.1)
         rng = RngStream(10)
         x = rng.uniforms(40).reshape(10, 4)
-        y = np.array([rng.randint_below(3) for _ in range(10)], dtype=np.int64)
+        y = np.array([randint_below(rng, 3) for _ in range(10)], dtype=np.int64)
         batch = (x, y)
         bound = smoothness_bound(spec, x)
         for _ in range(20):
