@@ -339,10 +339,26 @@ def cmd_recover(cfg_path: str, method: str) -> int:
     return 0
 
 
+def _scenario_labels(run_dirs) -> list:
+    """Each run directory's shortest trailing path that no other given
+    directory ends with: a unique basename stays as it is, and `a/run`
+    and `b/run` keep their parents."""
+    parts = [tuple(os.path.normpath(d).split(os.sep)) for d in run_dirs]
+    labels = []
+    for mine in parts:
+        others = [p for p in parts if p != mine]
+        k = next(
+            (k for k in range(1, len(mine)) if all(p[-k:] != mine[-k:] for p in others)),
+            len(mine),
+        )
+        labels.append(os.sep.join(mine[-k:]))
+    return labels
+
+
 def cmd_report(run_dirs, out_stream=None) -> int:
     out = out_stream or sys.stdout
     rows = []
-    for run_dir in run_dirs:
+    for run_dir, scenario in zip(run_dirs, _scenario_labels(run_dirs)):
         if not os.path.isdir(run_dir):
             raise CliError(f"{run_dir} is not a run directory")
         summaries = sorted(
@@ -370,7 +386,7 @@ def cmd_report(run_dirs, out_stream=None) -> int:
             label = summary.get("method", summary["command"])
             rows.append(
                 (
-                    os.path.basename(os.path.normpath(run_dir)),
+                    scenario,
                     label,
                     summary["ter"],
                     summary["asr"],

@@ -153,31 +153,29 @@ def partition_noniid(dataset: Dataset, n_clients: int, q: float, seed: int) -> l
     uniformly random client inside the chosen group. q = 1/num_classes is
     the iid point; q = 1 gives each group only its own label. The config
     guarantees n_clients >= num_classes and q in [1/num_classes, 1].
+
+    Example i draws two uniforms, one for its group and one for its
+    client; the picks are integer arithmetic on whole arrays, and one
+    stable argsort by client lists each shard's examples in dataset order.
     """
     c = dataset.num_classes
-    bounds = [(g * n_clients) // c for g in range(c + 1)]
+    bounds = np.array([(g * n_clients) // c for g in range(c + 1)], dtype=np.int64)
     rng = RngStream(derive_seed(seed, STREAM_PARTITION, 0, 0))
     n = dataset.size
     u_group = rng.uniforms(n)
     u_client = rng.uniforms(n)
+    labels = dataset.labels
 
-    assigned = [[] for _ in range(n_clients)]
+    # group pick: the label's group owns mass q, the other c - 1 groups share 1 - q
     off = (1.0 - q) / (c - 1) if c > 1 else 0.0
-    for i in range(n):
-        label = int(dataset.labels[i])
-        u = u_group[i]
-        # group pick: label group owns mass q, the others share 1 - q
-        if u < q:
-            g = label
-        else:
-            slot = int((u - q) / off) if off > 0 else 0
-            slot = min(slot, c - 2)
-            g = slot if slot < label else slot + 1
-        lo, hi = bounds[g], bounds[g + 1]
-        member = lo + int(u_client[i] * (hi - lo))
-        member = min(member, hi - 1)
-        assigned[member].append(i)
+    # astype truncates toward zero: the floor of every pick that counts (u >= q)
+    slot = ((u_group - q) / off).astype(np.int64) if off > 0 else np.zeros(n, dtype=np.int64)
+    slot = np.minimum(slot, c - 2)  # a negative slot (u < q) is masked by the label pick
+    group = np.where(u_group < q, labels, np.where(slot < labels, slot, slot + 1))
+    lo, hi = bounds[group], bounds[group + 1]
+    member = np.minimum(lo + (u_client * (hi - lo)).astype(np.int64), hi - 1)
+    order = np.argsort(member, kind="stable")
+    sizes = np.bincount(member, minlength=n_clients)
     return [
-        ClientShard(cid, np.array(idx, dtype=np.int64))
-        for cid, idx in enumerate(assigned)
+        ClientShard(cid, idx) for cid, idx in enumerate(np.split(order, np.cumsum(sizes)[:-1]))
     ]

@@ -5,10 +5,12 @@ estimating their per-round updates from stored history: the estimate is
 the stored update plus an approximate integrated-Hessian-vector product
 along the gap between the recovered and original global models. The
 Hessian-vector product comes from a compact direct L-BFGS form fed by
-buffers of global-model and update differences. Each client's compact
-system changes only when its buffers do (an exact round, or a fix of that
-client), so it is built once per buffer change and cached in
-`LbfgsBuffers`; estimated rounds only solve it. Exact client updates are
+buffers of global-model and update differences. The global window is the
+same for every client, so `LbfgsBuffers` stacks it and forms its Gram
+matrix once per exact round. Each client's compact system changes only
+when its buffers do (an exact round, or a fix of that client), so it is
+assembled from that shared window once per buffer change and cached;
+estimated rounds only solve it. Exact client updates are
 requested only for warm-up, periodic correction, abnormality fixing, and
 final tuning, which is where the client-side savings come from.
 
@@ -82,6 +84,12 @@ def compact_system(dw_list, dg_list) -> CompactSystem:
     G = np.column_stack(dg_list)
     if W.shape[0] != G.shape[0]:
         raise ValueError("global and update differences differ in dimension")
+    return _assemble(W, W.T @ W, G)
+
+
+def _assemble(W: np.ndarray, WtW: np.ndarray, G: np.ndarray) -> CompactSystem:
+    """The compact system of the global window W (with its Gram matrix
+    W^T W, which every client shares) and one client's window G."""
     sw = W[:, -1]
     denom = float(sw @ sw)
     if denom == 0.0:
@@ -94,7 +102,7 @@ def compact_system(dw_list, dg_list) -> CompactSystem:
     K[:s, :s] = -np.diag(np.diag(A))  # -D with its -0.0s, as the reference kernel builds it
     K[:s, s:] = Lo.T
     K[s:, :s] = Lo
-    K[s:, s:] = sigma * (W.T @ W)
+    K[s:, s:] = sigma * WtW
     return CompactSystem(W, G, sigma, K)
 
 
@@ -105,7 +113,9 @@ def lbfgs_hvp(system: CompactSystem, v: np.ndarray) -> np.ndarray:
     sigma v - [dG | sigma dW] p. `v` must be a finite float64 vector of
     the buffers' dimension. Raises LbfgsSingularError when the most recent
     global difference is zero or the block system is singular, in which
-    case the caller falls back to an exact update.
+    case the caller falls back to an exact update. Only the output is
+    checked: a non-finite solution p makes every product with it, and so
+    the output, non-finite.
     """
     W, G, sigma, K = system
     if K is None:
@@ -116,8 +126,6 @@ def lbfgs_hvp(system: CompactSystem, v: np.ndarray) -> np.ndarray:
         p = np.linalg.solve(K, rhs)
     except np.linalg.LinAlgError as exc:
         raise LbfgsSingularError(f"singular buffer system: {exc}") from exc
-    if not np.isfinite(p).all():
-        raise LbfgsSingularError("non-finite solution for buffer system")
     out = sigma * v - (G @ p[:s] + sigma * (W @ p[s:]))
     if not np.isfinite(out).all():
         raise LbfgsSingularError("non-finite Hessian-vector product")
@@ -155,19 +163,25 @@ class LbfgsBuffers:
     client computed an exact update; a client's own window additionally
     advances after a single-client abnormality fix.
 
-    Each client's compact system is built on its first `hvp` after a
-    change to its windows and reused until the next one: `push_global`
-    drops every client's system, `push_client` only that client's. Between
-    exact rounds, `hvp` therefore does only the per-vector solve.
+    Every client shares the global window, so `push_global` stacks it
+    into W and forms W^T W once; each client's compact system is then
+    assembled from those two arrays and its own window. A client's system
+    is built on its first `hvp` after a change to its windows and reused
+    until the next one: `push_global` drops every client's system,
+    `push_client` only that client's. Between exact rounds, `hvp`
+    therefore does only the per-vector solve.
     """
 
     def __init__(self, capacity: int, client_ids):
         self.global_diffs: deque = deque(maxlen=capacity)
         self.update_diffs = {c: deque(maxlen=capacity) for c in client_ids}
+        self._window = None  # (W, W^T W) of the global window, once it holds a difference
         self._systems: dict = {}
 
     def push_global(self, dw: np.ndarray) -> None:
         self.global_diffs.append(dw)
+        W = np.column_stack(self.global_diffs)
+        self._window = (W, W.T @ W)
         self._systems.clear()
 
     def push_client(self, client_id, dg: np.ndarray) -> None:
@@ -177,7 +191,10 @@ class LbfgsBuffers:
     def hvp(self, client_id, v: np.ndarray) -> np.ndarray:
         system = self._systems.get(client_id)
         if system is None:
-            system = compact_system(self.global_diffs, self.update_diffs[client_id])
+            dg_list = self.update_diffs[client_id]
+            if self._window is None or len(dg_list) != len(self.global_diffs):
+                raise ValueError("need equally many (>=1) global and update differences")
+            system = _assemble(*self._window, np.column_stack(dg_list))
             self._systems[client_id] = system
         return lbfgs_hvp(system, v)
 
@@ -279,6 +296,13 @@ def fedrecover(
     abnormality_count = 0
     errors = []
 
+    def quadratic_hvp(c, v):
+        # a quadratic loss's integrated Hessian is its constant Hessian; t is the running round
+        idx = setup.samplers[c].round_batches(t, 1)[0]
+        return models.quadratic_hessian(setup.spec, setup.local_inputs[c][idx]) @ v
+
+    hvp = quadratic_hvp if params.hvp_mode == "exact_quadratic" else buffers.hvp
+
     trace = []
     for t, (w_bar, g_bar) in enumerate(history.rounds()):  # g_bar row c: client c's update
         if not trace:  # the first stored model is the start model
@@ -293,19 +317,18 @@ def fedrecover(
             fix = []
             for c in remaining:
                 try:
-                    if params.hvp_mode == "exact_quadratic":
-                        # a quadratic loss's integrated Hessian is its constant Hessian
-                        idx = setup.samplers[c].round_batches(t, 1)[0]
-                        hv = models.quadratic_hessian(setup.spec, setup.local_inputs[c][idx]) @ v
-                    else:
-                        hv = buffers.hvp(c, v)
+                    hv = hvp(c, v)
                 except LbfgsSingularError:
                     fix.append(c)
                     continue
                 # the estimate: stored update plus the HVP correction, which
                 # can overflow even when both terms are finite
                 est = g_bar[c] + hv
-                if not np.isfinite(est).all() or linf_norm(est) > tau:
+                try:
+                    over = linf_norm(est) > tau
+                except ValueError:  # linf_norm refuses a non-finite estimate
+                    over = True
+                if over:
                     fix.append(c)
                 else:
                     chosen[c] = est

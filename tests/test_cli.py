@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import shutil
 import signal
 import struct
 import subprocess
@@ -474,6 +475,21 @@ class TestReport:
         assert lines[0] == "scenario,method,ter,asr,acp"
         assert len(lines) == 3  # train + historical
         assert lines[1].startswith("exp,")
+
+    def test_same_basename_runs_are_told_apart(self, run_env):
+        # two run directories that share their last component keep their
+        # parents in the label; a unique basename stays bare
+        root, cfg_path = run_env
+        assert main(["train", "-c", str(cfg_path)]) == 0
+        for parent in ("a", "b"):
+            shutil.copytree(root / "runs" / "exp", root / parent / "run")
+        buf = io.StringIO()
+        cmd_report(
+            [str(root / "a" / "run"), str(root / "b" / "run"), str(root / "runs" / "exp")],
+            out_stream=buf,
+        )
+        scenarios = [line.split(",")[0] for line in buf.getvalue().splitlines()[1:]]
+        assert scenarios == [os.path.join("a", "run"), os.path.join("b", "run"), "exp"]
 
     def test_missing_summary_named_error(self, tmp_path):
         empty = tmp_path / "empty"

@@ -2,6 +2,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fedsim.data import (
     BadMagicError,
@@ -13,7 +15,7 @@ from fedsim.data import (
     partition_noniid,
 )
 from fedsim.models import ModelSpec, gradient, predict
-from fedsim.numcore import RngStream
+from fedsim.numcore import STREAM_PARTITION, RngStream, derive_seed
 
 
 def write_idx_pair(tmp_path, pixels, labels, *, image_magic=0x803, label_magic=0x801):
@@ -101,7 +103,63 @@ def label_distribution(ds, idx, c):
     return h / max(h.sum(), 1.0)
 
 
+def loop_partition(dataset, n_clients, q, seed):
+    """The partition one example at a time, as it was first written: the
+    oracle the array form must match shard for shard."""
+    c = dataset.num_classes
+    bounds = [(g * n_clients) // c for g in range(c + 1)]
+    rng = RngStream(derive_seed(seed, STREAM_PARTITION, 0, 0))
+    n = dataset.size
+    u_group = rng.uniforms(n)
+    u_client = rng.uniforms(n)
+
+    assigned = [[] for _ in range(n_clients)]
+    off = (1.0 - q) / (c - 1) if c > 1 else 0.0
+    for i in range(n):
+        label = int(dataset.labels[i])
+        u = u_group[i]
+        # group pick: label group owns mass q, the others share 1 - q
+        if u < q:
+            g = label
+        else:
+            slot = int((u - q) / off) if off > 0 else 0
+            slot = min(slot, c - 2)
+            g = slot if slot < label else slot + 1
+        lo, hi = bounds[g], bounds[g + 1]
+        member = lo + int(u_client[i] * (hi - lo))
+        member = min(member, hi - 1)
+        assigned[member].append(i)
+    return [np.array(idx, dtype=np.int64) for idx in assigned]
+
+
+@st.composite
+def partition_inputs(draw):
+    """A shuffled label vector with uneven (possibly empty) class counts, a
+    client count from num_classes up (not always a multiple of it), and q
+    at the iid point, at 1, or between."""
+    c = draw(st.integers(1, 6))
+    counts = draw(st.lists(st.integers(0, 25), min_size=c, max_size=c).filter(sum))
+    labels = np.repeat(np.arange(c), counts)
+    order = draw(st.permutations(range(labels.size)))
+    n_clients = draw(st.integers(c, 3 * c + 2))
+    q = draw(st.one_of(st.just(1.0 / c), st.just(1.0), st.floats(1.0 / c, 1.0)))
+    seed = draw(st.integers(0, 2**32 - 1))
+    dataset = Dataset(np.zeros((labels.size, 1)), labels[list(order)], num_classes=c)
+    return dataset, n_clients, q, seed
+
+
 class TestPartition:
+    @settings(max_examples=300, deadline=None)
+    @given(partition_inputs())
+    def test_matches_the_per_example_loop(self, inputs):
+        dataset, n_clients, q, seed = inputs
+        shards = partition_noniid(dataset, n_clients, q, seed)
+        want = loop_partition(dataset, n_clients, q, seed)
+        assert [s.client_id for s in shards] == list(range(n_clients))
+        for shard, idx in zip(shards, want):
+            assert shard.indices.dtype == np.int64
+            assert np.array_equal(shard.indices, idx)
+
     def test_exact_partition_any_q(self):
         ds = gen_synthetic(4, 3, 100, 2.0, seed=2)
         for q in (0.25, 0.4, 0.7, 1.0):

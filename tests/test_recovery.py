@@ -202,6 +202,20 @@ class TestLbfgsHvp:
         with pytest.raises(LbfgsSingularError):
             lbfgs_hvp(compact_system(dw, dg), np.ones(2))
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_solve_raises(self):
+        # K = diag(-1e-300, 1e-300) is regular, but its solve for v = 1e200
+        # overflows: p is non-finite while sigma v is not
+        dw, dg, v = [np.array([1e-150])], [np.array([1e-150])], np.array([1e200])
+        system = compact_system(dw, dg)
+        rhs = np.concatenate([system.G.T @ v, system.sigma * (system.W.T @ v)])
+        assert not np.isfinite(np.linalg.solve(system.K, rhs)).any()
+        assert np.isfinite(system.sigma * v).all()
+        with pytest.raises(LbfgsSingularError):
+            lbfgs_hvp(system, v)
+        with pytest.raises(LbfgsSingularError):
+            _seed_lbfgs_hvp(dw, dg, v)
+
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             lbfgs_hvp(compact_system([np.ones(2)], []), np.ones(2))
@@ -231,7 +245,8 @@ class TestLbfgsBuffersCache:
     )
     def test_cached_systems_follow_the_windows(self, capacity, seed, ops):
         """After every push, each client's cached HVP equals one built
-        fresh from its current windows. Single-client fixes leave that
+        fresh from its current windows, and the seed kernel's, which shares
+        no assembly code with the buffers. Single-client fixes leave that
         client's window ahead of the global one; a zero global difference
         makes the cached system singular until it leaves the window."""
         rng = RngStream(seed)
@@ -245,8 +260,9 @@ class TestLbfgsBuffersCache:
 
         def check():
             for c in clients:
-                fresh = compact_system(list(buffers.global_diffs), list(buffers.update_diffs[c]))
-                want = _outcome(lbfgs_hvp, fresh, v)
+                dw, dg = list(buffers.global_diffs), list(buffers.update_diffs[c])
+                want = _outcome(lbfgs_hvp, compact_system(dw, dg), v)
+                _assert_same_outcome(_outcome(_seed_lbfgs_hvp, dw, dg, v), want)
                 _assert_same_outcome(_outcome(buffers.hvp, c, v), want)
                 _assert_same_outcome(_outcome(buffers.hvp, c, v), want)  # served from cache
 
