@@ -280,6 +280,9 @@ def _validate(cfg: ExperimentConfig) -> None:
     cannot state, each reported under the key to change. The library
     (models, attacks, recovery, ...) trusts what passes."""
     model, attack, rec = cfg.model, cfg.attack, cfg.recovery
+    for key, value in (("rounds", cfg.rounds), ("n_clients", cfg.n_clients)):
+        if value >= 2**32:  # the history header stores T and n as u32
+            raise ConfigError(f"experiment.{key}", "must be < 2**32")
     if model.kind == "mlp" and model.hidden < 1:
         raise ConfigError("model.hidden", "mlp model requires hidden >= 1")
     if attack is not None and attack.kind == "trim" and attack.b <= 1.0:
@@ -407,10 +410,13 @@ def pick_malicious(cfg: ExperimentConfig) -> frozenset:
 
 
 def build_setup(cfg: ExperimentConfig, train) -> FlSetup:
-    shards = data_mod.partition_noniid(train, cfg.n_clients, cfg.noniid_degree, cfg.seed)
-    local_inputs = {s.client_id: train.inputs[s.indices] for s in shards}
-    local_labels = {s.client_id: train.labels[s.indices] for s in shards}
-    sizes = {s.client_id: s.size for s in shards}
+    parts = data_mod.partition_noniid(train, cfg.n_clients, cfg.noniid_degree, cfg.seed)
+    for cid, idx in enumerate(parts):
+        if idx.size == 0:
+            raise ConfigError(
+                "experiment.n_clients",
+                f"the partition leaves client {cid} with no example; use fewer clients",
+            )
     return FlSetup(
         spec=cfg.model,
         rule=cfg.rule,
@@ -418,10 +424,7 @@ def build_setup(cfg: ExperimentConfig, train) -> FlSetup:
         batch_size=cfg.batch_size,
         l=cfg.local_steps,
         seed=cfg.seed,
-        client_ids=[s.client_id for s in shards],
-        local_inputs=local_inputs,
-        local_labels=local_labels,
-        sizes=sizes,
+        shards=[(train.inputs[idx], train.labels[idx]) for idx in parts],
         attack=cfg.attack,
         malicious=pick_malicious(cfg),
     )

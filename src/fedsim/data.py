@@ -63,20 +63,6 @@ class Dataset:
         return self.inputs.shape[1]
 
 
-@dataclass(frozen=True)
-class ClientShard:
-    client_id: int
-    indices: np.ndarray
-
-    def __post_init__(self):
-        idx = np.asarray(self.indices, dtype=np.int64)
-        object.__setattr__(self, "indices", idx)
-
-    @property
-    def size(self) -> int:
-        return int(self.indices.size)
-
-
 def _read_exact(f, n: int, what: str) -> bytes:
     buf = f.read(n)
     if len(buf) != n:
@@ -144,8 +130,9 @@ def gen_synthetic(
     return Dataset(inputs, labels, num_classes)
 
 
-def partition_noniid(dataset: Dataset, n_clients: int, q: float, seed: int) -> list[ClientShard]:
-    """Split a dataset into client shards with tunable label skew.
+def partition_noniid(dataset: Dataset, n_clients: int, q: float, seed: int) -> list[np.ndarray]:
+    """Split a dataset into client shards with tunable label skew: entry c
+    holds client c's example indices (int64), possibly none.
 
     Clients are divided into num_classes groups as evenly as possible.
     An example with label l goes to group l with probability q and to each
@@ -176,6 +163,4 @@ def partition_noniid(dataset: Dataset, n_clients: int, q: float, seed: int) -> l
     member = np.minimum(lo + (u_client * (hi - lo)).astype(np.int64), hi - 1)
     order = np.argsort(member, kind="stable")
     sizes = np.bincount(member, minlength=n_clients)
-    return [
-        ClientShard(cid, idx) for cid, idx in enumerate(np.split(order, np.cumsum(sizes)[:-1]))
-    ]
+    return np.split(order, np.cumsum(sizes)[:-1])

@@ -11,7 +11,7 @@ from __future__ import annotations
 import hashlib
 import os
 import struct
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
@@ -196,7 +196,14 @@ def _checked_shard(spec: models.ModelSpec, where: str, inputs, labels):
 
 @dataclass
 class FlSetup:
-    """Everything the round loop needs, resolved once up front."""
+    """Everything the round loop needs, resolved once up front.
+
+    `shards[c]` is client c's clean `(inputs, labels)`; the client ids are
+    0..n-1. Each client's record is `clients[c]`, `(inputs, labels,
+    sampler)` as `client_local_update` takes them, and each backdoor
+    attacker's poisoned copy is `poisoned[c]`. FedAvg weighs a client by
+    its shard length.
+    """
 
     spec: models.ModelSpec
     rule: AggregationRule
@@ -204,65 +211,26 @@ class FlSetup:
     batch_size: int
     l: int
     seed: int
-    client_ids: list
-    local_inputs: dict  # client_id -> inputs (clean)
-    local_labels: dict
-    sizes: dict  # client_id -> |D_i| used for FedAvg weighting
+    shards: InitVar[list]
     attack: attacks.AttackConfig | None = None
     malicious: frozenset = frozenset()
-    poisoned_inputs: dict = field(default_factory=dict)
-    poisoned_labels: dict = field(default_factory=dict)
-    samplers: dict = field(default_factory=dict)
-    poisoned_samplers: dict = field(default_factory=dict)
+    client_ids: range = field(init=False)
+    clients: list = field(init=False, repr=False)
+    poisoned: dict = field(init=False, repr=False)
 
-    def __post_init__(self):
+    def __post_init__(self, shards):
         """Check every shard once against the spec. This is the data
-        boundary of the round loop: the client path trusts the shards."""
-        inputs, labels = self.local_inputs, self.local_labels
-        self.local_inputs, self.local_labels = {}, {}
-        for cid in self.client_ids:
-            x, y = _checked_shard(self.spec, f"client {cid}", inputs[cid], labels[cid])
-            self.local_inputs[cid], self.local_labels[cid] = x, y
-            self.samplers[cid] = BatchSampler(self.seed, cid, x.shape[0], self.batch_size)
-        if self.attack is not None and self.attack.kind == "backdoor":
-            for cid in sorted(self.malicious):
-                px, py = attacks.poison_shard_backdoor(
-                    self.local_inputs[cid],
-                    self.local_labels[cid],
-                    self.attack.trigger,
-                    self.attack.target_label,
-                )
+        boundary of the round loop: the client path trusts the records."""
+        self.client_ids = range(len(shards))
+        self.clients, self.poisoned = [], {}
+        atk, size = self.attack, self.batch_size
+        for cid, (inputs, labels) in enumerate(shards):
+            x, y = _checked_shard(self.spec, f"client {cid}", inputs, labels)
+            self.clients.append((x, y, BatchSampler(self.seed, cid, len(y), size)))
+            if atk is not None and atk.kind == "backdoor" and cid in self.malicious:
+                px, py = attacks.poison_shard_backdoor(x, y, atk.trigger, atk.target_label)
                 px, py = _checked_shard(self.spec, f"client {cid} (poisoned)", px, py)
-                self.poisoned_inputs[cid] = px
-                self.poisoned_labels[cid] = py
-                self.poisoned_samplers[cid] = BatchSampler(
-                    self.seed, cid, px.shape[0], self.batch_size
-                )
-
-    def honest_update(self, cid, w: np.ndarray, round_idx: int) -> np.ndarray:
-        return client_local_update(
-            self.spec,
-            w,
-            self.local_inputs[cid],
-            self.local_labels[cid],
-            self.samplers[cid],
-            round_idx,
-            self.l,
-            self.eta,
-        )
-
-    def backdoor_update(self, cid, w: np.ndarray, round_idx: int, lam: float) -> np.ndarray:
-        return attacks.backdoor_update(
-            self.spec,
-            w,
-            self.poisoned_inputs[cid],
-            self.poisoned_labels[cid],
-            self.poisoned_samplers[cid],
-            round_idx,
-            self.l,
-            self.eta,
-            lam,
-        )
+                self.poisoned[cid] = (px, py, BatchSampler(self.seed, cid, len(py), size))
 
     def reported_updates(
         self, w: np.ndarray, round_idx: int, participants, attackers, lam=None, asked=None
@@ -279,8 +247,12 @@ class FlSetup:
         participants = sorted(participants)
         asked = participants if asked is None else asked
         attackers = sorted(set(attackers) & set(participants)) if self.attack else []
+        spec, l, eta = self.spec, self.l, self.eta
         if self.attack and self.attack.kind == "trim" and not set(attackers).isdisjoint(asked):
-            reported = {cid: self.honest_update(cid, w, round_idx) for cid in participants}
+            reported = {
+                cid: client_local_update(spec, w, *self.clients[cid], round_idx, l, eta)
+                for cid in participants
+            }
             rng = RngStream(derive_seed(self.seed, STREAM_ATTACK, 0, round_idx))
             crafted = attacks.trim_attack_updates(
                 [reported[cid] for cid in participants], len(attackers), self.attack.b, rng
@@ -290,14 +262,16 @@ class FlSetup:
         if lam is None and attackers:
             lam = self.attack.lam
         return {
-            cid: self.backdoor_update(cid, w, round_idx, lam) if cid in attackers
-            else self.honest_update(cid, w, round_idx)
+            cid: attacks.backdoor_update(spec, w, *self.poisoned[cid], round_idx, l, eta, lam)
+            if cid in attackers
+            else client_local_update(spec, w, *self.clients[cid], round_idx, l, eta)
             for cid in asked
         }
 
     def aggregate_step(self, w: np.ndarray, reported: dict) -> np.ndarray:
         ids = sorted(reported)
-        agg = aggregate(self.rule, [reported[c] for c in ids], [self.sizes[c] for c in ids])
+        sizes = [len(self.clients[c][1]) for c in ids]
+        agg = aggregate(self.rule, [reported[c] for c in ids], sizes)
         return apply_update(w, agg, self.eta)
 
 

@@ -298,8 +298,8 @@ def fedrecover(
 
     def quadratic_hvp(c, v):
         # a quadratic loss's integrated Hessian is its constant Hessian; t is the running round
-        idx = setup.samplers[c].round_batches(t, 1)[0]
-        return models.quadratic_hessian(setup.spec, setup.local_inputs[c][idx]) @ v
+        inputs, _, sampler = setup.clients[c]
+        return models.quadratic_hessian(setup.spec, inputs[sampler.round_batches(t, 1)[0]]) @ v
 
     hvp = quadratic_hvp if params.hvp_mode == "exact_quadratic" else buffers.hvp
 

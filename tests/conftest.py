@@ -89,7 +89,7 @@ def build_setup(
     l=1,
 ):
     q = q if q is not None else 1.0 / dataset.num_classes
-    shards = partition_noniid(dataset, n_clients, q, seed)
+    parts = partition_noniid(dataset, n_clients, q, seed)
     return FlSetup(
         spec=spec,
         rule=rule,
@@ -97,10 +97,7 @@ def build_setup(
         batch_size=batch_size,
         l=l,
         seed=seed,
-        client_ids=[s.client_id for s in shards],
-        local_inputs={s.client_id: dataset.inputs[s.indices] for s in shards},
-        local_labels={s.client_id: dataset.labels[s.indices] for s in shards},
-        sizes={s.client_id: s.size for s in shards},
+        shards=[(dataset.inputs[idx], dataset.labels[idx]) for idx in parts],
         attack=attack,
         malicious=frozenset(malicious),
     )

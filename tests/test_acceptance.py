@@ -51,7 +51,7 @@ def criterion(num, label):
 
 
 def make_setup(dataset, spec, n_clients, rule, eta, batch_size, seed, q, attack, malicious, l=1):
-    shards = partition_noniid(dataset, n_clients, q, seed)
+    parts = partition_noniid(dataset, n_clients, q, seed)
     return FlSetup(
         spec=spec,
         rule=rule,
@@ -59,10 +59,7 @@ def make_setup(dataset, spec, n_clients, rule, eta, batch_size, seed, q, attack,
         batch_size=batch_size,
         l=l,
         seed=seed,
-        client_ids=[s.client_id for s in shards],
-        local_inputs={s.client_id: dataset.inputs[s.indices] for s in shards},
-        local_labels={s.client_id: dataset.labels[s.indices] for s in shards},
-        sizes={s.client_id: s.size for s in shards},
+        shards=[(dataset.inputs[idx], dataset.labels[idx]) for idx in parts],
         attack=attack,
         malicious=frozenset(malicious),
     )

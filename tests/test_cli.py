@@ -228,6 +228,19 @@ class TestTrainCommand:
         assert capsys.readouterr().err.startswith("error:")
         assert os.listdir(tmp_path / "runs" / "demo") == []
 
+    def test_client_without_examples_names_its_key(self, tmp_path, monkeypatch, capsys):
+        # 10 training examples cannot give each of 30 clients a shard
+        monkeypatch.setenv("FEDSIM_OUTPUT_ROOT", str(tmp_path))
+        cfg_path = tmp_path / "sparse.ini"
+        text = MINIMAL.replace("n_clients = 10", "n_clients = 30")
+        text = text.replace("num_classes = 5", "num_classes = 2").replace("per_class = 40", "per_class = 5")
+        cfg_path.write_text(text)
+        assert main(["train", "-c", str(cfg_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: config field [experiment.n_clients]: the partition leaves client ")
+        assert err.endswith(" with no example; use fewer clients\n"), err
+        assert os.listdir(tmp_path / "runs" / "demo") == []
+
     def test_unwritable_output_dir_is_error_exit(self, run_env, capsys):
         root, cfg_path = run_env
         (root / "runs").mkdir()

@@ -232,9 +232,9 @@ class TestBuilders:
         train, _ = build_datasets(cfg)
         setup = build_setup(cfg, train)
         assert len(setup.client_ids) == 10
-        assert sum(setup.sizes.values()) == train.size
+        assert sum(len(y) for _, y, _ in setup.clients) == train.size
         assert len(setup.malicious) == 2
-        assert set(setup.poisoned_inputs) == set(setup.malicious)
+        assert set(setup.poisoned) == set(setup.malicious)
 
     def test_malicious_pick_deterministic(self):
         cfg = parse_config_string(BACKDOOR)
@@ -581,6 +581,8 @@ class TestKeyTable:
             ("finetune", "beta", "0"),
             ("dataset", "separation", "0"),
             ("experiment", "n_clients", "3"),
+            ("experiment", "rounds", str(2**32)),
+            ("experiment", "n_clients", str(2**32)),
             ("recovery", "hvp_mode", "exact_quadratic"),
             ("recovery", "bound_check", "true"),
         ],
@@ -589,6 +591,13 @@ class TestKeyTable:
         with pytest.raises(ConfigError) as err:
             parse_config_string(_minimal_with({section: {key: value}}))
         assert err.value.field == f"{section}.{key}"
+
+    @pytest.mark.parametrize("key", ["rounds", "n_clients"])
+    def test_largest_history_header_count_parses(self, key):
+        # the history header stores T and n as u32; parse only, since a
+        # setup with 2**32 - 1 clients would not fit in memory
+        cfg = parse_config_string(_minimal_with({"experiment": {key: str(2**32 - 1)}}))
+        assert getattr(cfg, key) == 2**32 - 1
 
     @pytest.mark.parametrize(
         "edits, field",

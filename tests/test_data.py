@@ -155,16 +155,16 @@ class TestPartition:
         dataset, n_clients, q, seed = inputs
         shards = partition_noniid(dataset, n_clients, q, seed)
         want = loop_partition(dataset, n_clients, q, seed)
-        assert [s.client_id for s in shards] == list(range(n_clients))
+        assert len(shards) == len(want) == n_clients  # position = client id
         for shard, idx in zip(shards, want):
-            assert shard.indices.dtype == np.int64
-            assert np.array_equal(shard.indices, idx)
+            assert shard.dtype == np.int64
+            assert np.array_equal(shard, idx)
 
     def test_exact_partition_any_q(self):
         ds = gen_synthetic(4, 3, 100, 2.0, seed=2)
         for q in (0.25, 0.4, 0.7, 1.0):
             shards = partition_noniid(ds, 8, q, seed=3)
-            all_idx = np.concatenate([s.indices for s in shards])
+            all_idx = np.concatenate(shards)
             assert len(all_idx) == ds.size
             assert len(np.unique(all_idx)) == ds.size
 
@@ -173,7 +173,7 @@ class TestPartition:
         a = partition_noniid(ds, 6, 0.5, seed=11)
         b = partition_noniid(ds, 6, 0.5, seed=11)
         for sa, sb in zip(a, b):
-            np.testing.assert_array_equal(sa.indices, sb.indices)
+            np.testing.assert_array_equal(sa, sb)
 
     def test_iid_point_close_to_multinomial(self):
         c, per = 5, 400
@@ -184,15 +184,15 @@ class TestPartition:
         p = 1.0 / c
         sigma = np.sqrt(n_label * p * (1 - p))
         for shard in shards:
-            h = np.bincount(ds.labels[shard.indices], minlength=c)
+            h = np.bincount(ds.labels[shard], minlength=c)
             assert np.all(np.abs(h - n_label * p) <= 3.0 * sigma + 1e-9)
 
     def test_degenerate_q_one(self):
         ds = gen_synthetic(10, 3, 30, 2.0, seed=4)
         shards = partition_noniid(ds, 10, 1.0, seed=5)
-        for shard in shards:
-            labels = set(ds.labels[shard.indices].tolist())
-            assert labels == {shard.client_id}
+        for cid, shard in enumerate(shards):
+            labels = set(ds.labels[shard].tolist())
+            assert labels == {cid}
 
     def test_skew_monotone_in_q(self):
         c = 5
@@ -205,9 +205,7 @@ class TestPartition:
                 shards = partition_noniid(ds, 10, q, seed=seed)
                 for s in shards:
                     if s.size:
-                        tvs.append(
-                            0.5 * np.abs(label_distribution(ds, s.indices, c) - global_dist).sum()
-                        )
+                        tvs.append(0.5 * np.abs(label_distribution(ds, s, c) - global_dist).sum())
             mean_tv.append(np.mean(tvs))
         assert all(a <= b + 1e-6 for a, b in zip(mean_tv, mean_tv[1:]))
 

@@ -14,7 +14,7 @@ from hypothesis.extra import numpy as hnp
 
 from conftest import build_setup
 from fedsim.aggregation import AggregationRule
-from fedsim.attacks import AttackConfig, Trigger
+from fedsim.attacks import AttackConfig, Trigger, backdoor_update
 from fedsim.data import gen_synthetic, partition_noniid
 from fedsim.flengine import (
     FlSetup,
@@ -32,7 +32,7 @@ CHASH = bytes(range(32))
 
 def small_setup(attack=None, malicious=(), *, rule=None, n_clients=4, l2=0.05, seed=11):
     ds = gen_synthetic(3, 6, 40, 3.0, seed=4)
-    shards = partition_noniid(ds, n_clients, 1.0 / 3, seed=5)
+    parts = partition_noniid(ds, n_clients, 1.0 / 3, seed=5)
     spec = ModelSpec("logreg", 6, 3, l2=l2)
     return FlSetup(
         spec=spec,
@@ -41,10 +41,7 @@ def small_setup(attack=None, malicious=(), *, rule=None, n_clients=4, l2=0.05, s
         batch_size=16,
         l=1,
         seed=seed,
-        client_ids=[s.client_id for s in shards],
-        local_inputs={s.client_id: ds.inputs[s.indices] for s in shards},
-        local_labels={s.client_id: ds.labels[s.indices] for s in shards},
-        sizes={s.client_id: s.size for s in shards},
+        shards=[(ds.inputs[idx], ds.labels[idx]) for idx in parts],
         attack=attack,
         malicious=frozenset(malicious),
     ), ds
@@ -356,10 +353,9 @@ class TestSetupChecksShards:
             batch_size=setup.batch_size,
             l=setup.l,
             seed=setup.seed,
-            client_ids=setup.client_ids,
-            local_inputs={**setup.local_inputs, 1: inputs},
-            local_labels={**setup.local_labels, 1: labels},
-            sizes=setup.sizes,
+            shards=[
+                (inputs, labels) if c == 1 else (x, y) for c, (x, y, _) in enumerate(setup.clients)
+            ],
         )
 
     @pytest.mark.parametrize(
@@ -375,7 +371,7 @@ class TestSetupChecksShards:
     )
     def test_bad_shard_rejected(self, fault, message):
         setup, _ = small_setup()
-        x, y = setup.local_inputs[1].copy(), setup.local_labels[1].copy()
+        x, y = setup.clients[1][0].copy(), setup.clients[1][1].copy()
         if fault == "wide":
             x = np.hstack([x, x[:, :1]])
         elif fault == "nan":
@@ -396,21 +392,44 @@ class TestSetupChecksShards:
 
     def test_shards_converted_once(self):
         setup, _ = small_setup()
-        x = setup.local_inputs[1].astype(np.float32)
-        y = setup.local_labels[1].astype(np.int32)
-        again = self.resetup(setup, x, y)
-        assert again.local_inputs[1].dtype == np.float64
-        assert again.local_labels[1].dtype == np.int64
-        np.testing.assert_array_equal(again.local_labels[1], y)
+        x = setup.clients[1][0].astype(np.float32)
+        y = setup.clients[1][1].astype(np.int32)
+        again_x, again_y, _ = self.resetup(setup, x, y).clients[1]
+        assert again_x.dtype == np.float64
+        assert again_y.dtype == np.int64
+        np.testing.assert_array_equal(again_y, y)
+
+
+class TestAggregateStep:
+    def test_fedavg_weighs_each_client_by_its_shard_length(self):
+        ds = gen_synthetic(3, 6, 10, 3.0, seed=4)
+        ends = np.cumsum([1, 4, 9])
+        setup = FlSetup(
+            spec=ModelSpec("logreg", 6, 3),
+            rule=AggregationRule("fedavg"),
+            eta=0.3,
+            batch_size=4,
+            l=1,
+            seed=0,
+            shards=[(ds.inputs[a:b], ds.labels[a:b]) for a, b in zip([0, *ends], ends)],
+        )
+        d = setup.spec.param_dim
+        w = RngStream(1).normals(d)
+        u = [RngStream(10 + c).normals(d) for c in range(3)]
+        # a subset of the clients, in any order, weighs only its own shards
+        for reported, want in (
+            ({0: u[0], 1: u[1], 2: u[2]}, (1 * u[0] + 4 * u[1] + 9 * u[2]) / 14),
+            ({2: u[2], 0: u[0]}, (1 * u[0] + 9 * u[2]) / 10),
+        ):
+            got = setup.aggregate_step(w, reported)
+            np.testing.assert_allclose(got, w - 0.3 * want, rtol=1e-12)
 
 
 class TestRunRound:
     def test_loss_decreases_single_client(self):
         # 1 client, FedAvg: plain gradient descent on a convex loss
         setup, ds = small_setup(n_clients=3)
-        one = [setup.client_ids[0]]
-        cid = one[0]
-        x, y = setup.local_inputs[cid], setup.local_labels[cid]
+        x, y, _ = setup.clients[0]
         w = np.zeros(setup.spec.param_dim)
         from fedsim.models import loss
 
@@ -421,10 +440,7 @@ class TestRunRound:
             batch_size=10_000,
             l=1,
             seed=setup.seed,
-            client_ids=one,
-            local_inputs={cid: x},
-            local_labels={cid: y},
-            sizes={cid: len(y)},
+            shards=[(x, y)],
         )
         losses = [loss(sub.spec, w, x, y)]
         for t in range(10):
@@ -448,7 +464,7 @@ class TestRunRound:
         setup, _ = small_setup(attack=atk, malicious=(1,))
         w = np.zeros(setup.spec.param_dim)
         _, reported = run_round(setup, w, 0)
-        base = setup.backdoor_update(1, w, 0, 1.0)
+        base = backdoor_update(setup.spec, w, *setup.poisoned[1], 0, setup.l, setup.eta, 1.0)
         np.testing.assert_array_equal(reported[1], 10.0 * base)
 
     def test_every_round_has_all_clients(self):
@@ -555,10 +571,7 @@ class TestTrain:
             batch_size=1_000_000,
             l=1,
             seed=setup.seed,
-            client_ids=setup.client_ids,
-            local_inputs=setup.local_inputs,
-            local_labels=setup.local_labels,
-            sizes=setup.sizes,
+            shards=[(x, y) for x, y, _ in setup.clients],
         )
         final = train(full, 400, tmp_path / "h.bin", CHASH)[-1]
         g = gradient(full.spec, final, ds.inputs, ds.labels)

@@ -3,10 +3,10 @@
 renames one of them breaks `perfbench/run.py --trace 1`; this test makes
 that show up in the tier-1 suite, without importing the benchmark here.
 
-The traced recovery checks the call-count identities `perfbench/run.py`
-requires of a traced `fedrecover`, so a call site that bypasses a wrapped
-function (an HVP or a threshold check the tracer cannot see) fails here
-too."""
+The traced train and recovery check the call-count identities
+`perfbench/run.py` requires of them, so a call site that bypasses a
+wrapped function (a client update, an HVP or a threshold check the tracer
+cannot see) fails here too."""
 
 import json
 import os
@@ -79,16 +79,20 @@ def test_tracer_installs_on_every_wrapped_name():
 
 def test_traced_fedrecover_keeps_the_call_count_identities(tmp_path):
     (tmp_path / "exp.ini").write_text(CONFIG)
+    tracer = str(ROOT / "perfbench" / "tracer.py")
     for cmd in (
-        ["-m", "fedsim.cli", "train", "-c", "exp.ini"],
-        [str(ROOT / "perfbench" / "tracer.py"), "trace.json",
-         "recover", "-c", "exp.ini", "--method", "fedrecover"],
+        [tracer, "train.json", "train", "-c", "exp.ini"],
+        [tracer, "trace.json", "recover", "-c", "exp.ini", "--method", "fedrecover"],
     ):
         proc = subprocess.run(
             [sys.executable, *cmd], cwd=tmp_path, env=_env(tmp_path),
             capture_output=True, text=True,
         )
         assert proc.returncode == 0, proc.stderr
+    # every client computes one local update a round, an attacker's through backdoor_update
+    train = json.loads((tmp_path / "train.json").read_text())["spans"]
+    assert train["clients.local_update"]["calls"] == ROUNDS * N_CLIENTS
+    assert train["attacks.backdoor_update"]["calls"] == ROUNDS * MALICIOUS
     trace = json.loads((tmp_path / "trace.json").read_text())
     summary = json.loads((tmp_path / "run" / "summary_fedrecover.json").read_text())
     abnormal = summary["abnormality_count"]
