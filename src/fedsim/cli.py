@@ -1,8 +1,8 @@
 """Command-line front end: `sim train`, `sim recover`, `sim report`.
 
 A run directory (resolved against $FEDSIM_OUTPUT_ROOT) holds the canonical
-config, the binary training history, the final model, per-round metric
-CSVs, and JSON summaries checked against `schemas/summary.schema.json`.
+config, the binary training history, per-round metric CSVs, and JSON
+summaries checked against `schemas/summary.schema.json`.
 All outputs are byte-stable for a fixed config and seed.
 """
 
@@ -16,7 +16,6 @@ import hashlib
 import json
 import math
 import os
-import struct
 import sys
 from contextlib import contextmanager, suppress
 
@@ -31,9 +30,7 @@ from .schema import check_schema, schema_errors
 
 OUTPUT_ROOT_ENV = "FEDSIM_OUTPUT_ROOT"
 HISTORY_FILE = "history.bin"
-MODEL_FILE = "model_final.bin"
 CONFIG_FILE = "config.ini"
-_MODEL_MAGIC = b"FRM1"
 
 METHODS = ("scratch", "historical", "fedrecover", "finetune")
 
@@ -83,34 +80,6 @@ def _atomic(*paths):
         for temp in temps:
             with suppress(FileNotFoundError):
                 os.unlink(temp)
-
-
-def save_model(path, w: np.ndarray) -> None:
-    payload = struct.pack("<Q", w.size) + np.ascontiguousarray(w, dtype="<f8").tobytes()
-    digest = hashlib.blake2b(payload, digest_size=8).digest()
-    with open(path, "wb") as f:
-        f.write(_MODEL_MAGIC + payload + digest)
-
-
-def load_model(path) -> np.ndarray:
-    """The model in a file `save_model` wrote: the file boundary of a
-    stored model, which must hold exactly d finite float64 values."""
-    with open(path, "rb") as f:
-        blob = f.read()
-    if blob[:4] != _MODEL_MAGIC:
-        raise CliError(f"{path} is not a model file")
-    payload, digest = blob[4:-8], blob[-8:]
-    if hashlib.blake2b(payload, digest_size=8).digest() != digest:
-        raise CliError(f"{path} failed its checksum")
-    if len(payload) < 8:
-        raise CliError(f"{path} is too short to name its model dim")
-    (d,) = struct.unpack_from("<Q", payload)
-    if len(payload) != 8 + 8 * d:
-        raise CliError(f"{path} holds {len(payload) - 8} value bytes, not 8 d = {8 * d}")
-    w = np.frombuffer(payload, dtype="<f8", offset=8).astype(np.float64)
-    if not np.isfinite(w).all():
-        raise CliError(f"{path} holds non-finite values")
-    return w
 
 
 class SummaryError(ValueError):
@@ -172,14 +141,16 @@ def _evaluate(cfg, w, test) -> tuple[float, float | None]:
     return ter, asr
 
 
-def _write_metrics_csv(path, cfg, trace, test, rounds) -> None:
-    """TER and ASR of `trace[t]`, the global model after t rounds, for each t in `rounds`."""
+def _write_metrics_csv(path, cfg, trace, test, rounds) -> tuple[float, float | None]:
+    """TER and ASR of `trace[t]`, the global model after t rounds, for each
+    t in `rounds`. Returns those of the last round, the final model's."""
     with _atomic(path) as (temp,), open(temp, "w", encoding="utf-8", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(["round", "ter", "asr"])
         for t in rounds:
             ter, asr = _evaluate(cfg, trace[t], test)
             writer.writerow([t, repr(ter), "" if asr is None else repr(asr)])
+    return ter, asr
 
 
 def cmd_train(cfg_path: str) -> int:
@@ -189,20 +160,18 @@ def cmd_train(cfg_path: str) -> int:
         chash = config_mod.config_hash(cfg)
         train_set, test_set = config_mod.build_datasets(cfg)
         setup = config_mod.build_setup(cfg, train_set)
-        # The history, the model and the config appear under their names only
-        # once the last round is done, so a failed or killed train never leaves
-        # a partial run, nor a config that does not match the run's history.
-        outputs = [os.path.join(run_dir, name) for name in (HISTORY_FILE, MODEL_FILE, CONFIG_FILE)]
-        with _atomic(*outputs) as (history_temp, model_temp, config_temp):
+        # The history and the config appear under their names only once the
+        # last round is done, so a failed or killed train never leaves a
+        # partial run, nor a config that does not match the run's history.
+        outputs = [os.path.join(run_dir, name) for name in (HISTORY_FILE, CONFIG_FILE)]
+        with _atomic(*outputs) as (history_temp, config_temp):
             trace = train(setup, cfg.rounds, history_temp, chash)
-            save_model(model_temp, trace[-1])
             with open(config_temp, "w", encoding="utf-8") as f:
                 f.write(config_mod.serialize_config(cfg))
-        _write_metrics_csv(
+        ter, asr = _write_metrics_csv(
             os.path.join(run_dir, "train_metrics.csv"), cfg, trace, test_set,
             _eval_rounds(cfg.rounds),
         )
-        ter, asr = _evaluate(cfg, trace[-1], test_set)
         write_summary(
             os.path.join(run_dir, "summary_train.json"),
             {
@@ -259,13 +228,9 @@ def cmd_recover(cfg_path: str, method: str) -> int:
                 f"but detection leaves {len(remaining)}",
             )
 
-        # scratch and finetune use no records: they read only the header.
         history = None
         if os.path.exists(history_path):
-            if method in ("historical", "fedrecover"):
-                history = HistoryStore.load(history_path)
-            else:
-                history = HistoryStore.load_header(history_path)
+            history = HistoryStore.load(history_path)
             history.check_meta(cfg.model.param_dim, cfg.n_clients, cfg.rounds, chash)
 
         abnormality_count = 0
@@ -294,13 +259,9 @@ def cmd_recover(cfg_path: str, method: str) -> int:
                     "finetune.n_examples",
                     f"{ft.n_examples} exceeds the training set's {train_set.size} examples",
                 )
-            model_path = os.path.join(run_dir, MODEL_FILE)
-            poisoned = load_model(model_path)
-            if poisoned.size != cfg.model.param_dim:
-                raise CliError(
-                    f"{model_path} holds a model of dim {poisoned.size}, "
-                    f"the config's model has {cfg.model.param_dim}"
-                )
+            # the poisoned final model: the last round applied to its record
+            broadcast, updates = next(history.rounds(first=cfg.rounds - 1))
+            poisoned = setup.aggregate_step(broadcast, dict(enumerate(updates)))
             try:
                 model = recovery.fine_tune(
                     cfg.model, poisoned, train_set, ft.epochs, cfg.learning_rate,
@@ -314,9 +275,7 @@ def cmd_recover(cfg_path: str, method: str) -> int:
             exact_rounds = {c: 0 for c in remaining}
 
         cp, acp = metrics.cost_saving(cfg.rounds, exact_rounds)
-        ter, asr = _evaluate(cfg, trace[cfg.rounds], test_set)
-
-        _write_metrics_csv(
+        ter, asr = _write_metrics_csv(
             os.path.join(run_dir, f"recover_{method}_metrics.csv"), cfg, trace, test_set, rounds
         )
 

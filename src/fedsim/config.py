@@ -410,6 +410,12 @@ def pick_malicious(cfg: ExperimentConfig) -> frozenset:
 
 
 def build_setup(cfg: ExperimentConfig, train) -> FlSetup:
+    if cfg.n_clients > train.size:
+        raise ConfigError(
+            "experiment.n_clients",
+            f"{cfg.n_clients} clients exceed the training set's {train.size} examples; "
+            "use fewer clients",
+        )
     parts = data_mod.partition_noniid(train, cfg.n_clients, cfg.noniid_degree, cfg.seed)
     for cid, idx in enumerate(parts):
         if idx.size == 0:

@@ -114,12 +114,6 @@ class HistoryStore:
         self.n_records = t + 1
 
     @classmethod
-    def load_header(cls, path) -> "HistoryStore":
-        """The store's header (d, n, T, config hash) with no records read."""
-        with open(path, "rb") as f:
-            return cls(path, *_read_header(f))
-
-    @classmethod
     def load(cls, path) -> "HistoryStore":
         """The header, and a check of the file size: exactly T complete
         records follow it. `rounds()` checks each record as it reads it."""
@@ -135,10 +129,11 @@ class HistoryStore:
             )
         return store
 
-    def rounds(self):
-        """Each round's (model, updates) in round order, as fresh aligned
-        float64 arrays: the model broadcast at that round (d,), and row c
-        of updates (n, d) client c's update as reported.
+    def rounds(self, first: int = 0):
+        """Each round's (model, updates) in round order from round `first`
+        on, as fresh aligned float64 arrays: the model broadcast at that
+        round (d,), and row c of updates (n, d) client c's update as
+        reported. The records before `first` are skipped unread.
 
         The one reader of records, and where they are validated: each is
         read into a one-record buffer, and one whose checksum fails, that
@@ -148,8 +143,8 @@ class HistoryStore:
         buf, rec = _record_buffer(self.d, self.n)
         ids = np.arange(self.n)
         with open(self.path, "rb") as f:
-            f.seek(_HEADER.size + 32)
-            for t in range(self.total_rounds):
+            f.seek(_HEADER.size + 32 + first * buf.size)
+            for t in range(first, self.total_rounds):
                 if f.readinto(buf) != buf.size:
                     raise HistoryError("truncated record")
                 if _checksum(buf[:-8]) != rec["checksum"]:

@@ -409,8 +409,9 @@ def fine_tune(
     """Fine-tune a (poisoned) model on a clean sample of the dataset.
 
     Class proportions follow a symmetric Dirichlet(beta); beta = inf means
-    uniform. `w` must be a finite vector of `spec.param_dim` entries (see
-    `cli.load_model`); the config guarantees beta > 0 and n_examples >= 1,
+    uniform. `w` is a vector of `spec.param_dim` entries: in `sim recover`,
+    the history's last record, checked by `HistoryStore.rounds`, put through
+    `FlSetup.aggregate_step`. The config guarantees beta > 0 and n_examples >= 1,
     and `cli.cmd_recover` that n_examples <= dataset.size.
     Raises ClassDrawError when a class cannot supply its drawn count.
     """

@@ -1,12 +1,10 @@
 import copy
-import hashlib
 import io
 import json
 import math
 import os
 import shutil
 import signal
-import struct
 import subprocess
 import sys
 from contextlib import contextmanager
@@ -26,9 +24,7 @@ from fedsim.cli import (
     _summary_error,
     _summary_schema,
     cmd_report,
-    load_model,
     main,
-    save_model,
     write_summary,
 )
 from fedsim.flengine import HistoryStore
@@ -113,7 +109,7 @@ class TestTrainCommand:
         assert main(["train", "-c", str(cfg_path)]) == 0
         run_dir = root / "runs" / "exp"
         assert (run_dir / "history.bin").exists()
-        assert (run_dir / "model_final.bin").exists()
+        assert not (run_dir / "model_final.bin").exists()
         assert (run_dir / "train_metrics.csv").exists()
         assert not list(run_dir.glob("*.tmp"))
         summary = json.loads((run_dir / "summary_train.json").read_text())
@@ -141,8 +137,7 @@ class TestTrainCommand:
             outputs.append(
                 {
                     name: (run_dir / name).read_bytes()
-                    for name in ("history.bin", "model_final.bin", "summary_train.json",
-                                 "train_metrics.csv")
+                    for name in ("history.bin", "summary_train.json", "train_metrics.csv")
                 }
             )
         assert outputs[0] == outputs[1]
@@ -229,16 +224,37 @@ class TestTrainCommand:
         assert os.listdir(tmp_path / "runs" / "demo") == []
 
     def test_client_without_examples_names_its_key(self, tmp_path, monkeypatch, capsys):
-        # 10 training examples cannot give each of 30 clients a shard
+        # 10 training examples could give each of 10 clients one, but the
+        # partition's random draw leaves a client without any
         monkeypatch.setenv("FEDSIM_OUTPUT_ROOT", str(tmp_path))
         cfg_path = tmp_path / "sparse.ini"
-        text = MINIMAL.replace("n_clients = 10", "n_clients = 30")
-        text = text.replace("num_classes = 5", "num_classes = 2").replace("per_class = 40", "per_class = 5")
+        text = MINIMAL.replace("num_classes = 5", "num_classes = 2").replace("per_class = 40", "per_class = 5")
         cfg_path.write_text(text)
         assert main(["train", "-c", str(cfg_path)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: config field [experiment.n_clients]: the partition leaves client ")
         assert err.endswith(" with no example; use fewer clients\n"), err
+        assert os.listdir(tmp_path / "runs" / "demo") == []
+
+    def test_more_clients_than_examples_is_refused_before_the_partition(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        import fedsim.data
+
+        def no_partition(*args):
+            raise AssertionError("partition_noniid called")
+
+        monkeypatch.setattr(fedsim.data, "partition_noniid", no_partition)
+        monkeypatch.setenv("FEDSIM_OUTPUT_ROOT", str(tmp_path))
+        cfg_path = tmp_path / "crowded.ini"
+        text = MINIMAL.replace("n_clients = 10", "n_clients = 500000")
+        text = text.replace("num_classes = 5", "num_classes = 2").replace("per_class = 40", "per_class = 5")
+        cfg_path.write_text(text)
+        assert main(["train", "-c", str(cfg_path)]) == 1
+        assert capsys.readouterr().err == (
+            "error: config field [experiment.n_clients]: 500000 clients exceed the training "
+            "set's 10 examples; use fewer clients\n"
+        )
         assert os.listdir(tmp_path / "runs" / "demo") == []
 
     def test_unwritable_output_dir_is_error_exit(self, run_env, capsys):
@@ -300,15 +316,21 @@ class TestRecoverCommand:
         assert "hash" in capsys.readouterr().err
 
     def test_history_cut_at_record_boundary_is_error_exit(self, trained, capsys):
-        # what a train killed after 20 of its 30 rounds leaves behind
+        # what a train killed after 20 of its 30 rounds leaves behind: every
+        # method that finds a history refuses it, scratch and finetune too
         root, cfg_path = trained
-        path = root / "runs" / "exp" / "history.bin"
+        run_dir = root / "runs" / "exp"
+        path = run_dir / "history.bin"
         blob = path.read_bytes()
         header = 4 + 4 + 8 + 4 + 4 + 32
         record = (len(blob) - header) // 30
         path.write_bytes(blob[: header + 20 * record])
-        assert main(["recover", "-c", str(cfg_path), "--method", "historical"]) == 1
-        assert capsys.readouterr().err.startswith("error:")
+        for method in ("scratch", "historical", "fedrecover", "finetune"):
+            assert main(["recover", "-c", str(cfg_path), "--method", method]) == 1
+            assert capsys.readouterr().err == (
+                "error: history holds 20 complete records, header says T=30\n"
+            )
+            assert not (run_dir / f"summary_{method}.json").exists()
 
 
     def test_finetune_sample_beyond_the_training_set_names_its_key(
@@ -345,11 +367,12 @@ class TestRecoverCommand:
         )
         assert not (tmp_path / "runs" / "demo" / "summary_finetune.json").exists()
 
-    @pytest.mark.parametrize("method", ["historical", "fedrecover"])
+    @pytest.mark.parametrize("method", ["historical", "fedrecover", "finetune"])
     def test_non_finite_history_is_error_exit(self, trained, capsys, method):
         # a record with a valid checksum that holds a NaN update, and a byte
         # flipped in the last record: `load` passes both files, the record
-        # check stops the recovery, and it writes no metrics and no summary
+        # check stops the recovery, and it writes no metrics and no summary.
+        # finetune reads only the last record, so only the flipped byte stops it
         root, cfg_path = trained
         run_dir = root / "runs" / "exp"
         path = run_dir / "history.bin"
@@ -368,6 +391,8 @@ class TestRecoverCommand:
             (path.read_bytes(), "record for round 7 holds non-finite values"),
             (bytes(flipped), "record checksum mismatch"),
         ]
+        if method == "finetune":
+            faults = faults[1:]
         for blob, message in faults:
             path.write_bytes(blob)
             assert main(["recover", "-c", str(cfg_path), "--method", method]) == 1
@@ -396,7 +421,7 @@ class TestRecoverCommand:
         # 10 clients train under trim_k = 4; detection drops the 3 attackers,
         # and the 7 left cannot fill a trimmed mean that drops 8. Each
         # aggregating method refuses before it reads the history; finetune
-        # does not aggregate
+        # aggregates only the stored last round, over all 10 clients
         monkeypatch.setenv("FEDSIM_OUTPUT_ROOT", str(tmp_path))
         cfg_path = tmp_path / "exp.ini"
         cfg_path.write_text(
@@ -436,25 +461,6 @@ class TestRecoverCommand:
             assert main(["recover", "-c", str(cfg_path), "--method", "historical"]) == 1
         assert {p.name: p.read_bytes() for p in run_dir.iterdir()} == before
         assert main(["report", str(run_dir)]) == 0
-
-    @pytest.mark.parametrize("fault", ["short", "trailing", "nan", "inf", "wrong_dim"])
-    def test_malformed_model_file_is_error_exit(self, trained, capsys, fault):
-        root, cfg_path = trained
-        path = root / "runs" / "exp" / "model_final.bin"
-        w = load_model(path)
-        if fault == "short":
-            _write_model_payload(path, b"\x01\x02\x03\x04")
-        elif fault == "trailing":
-            _write_model_payload(path, struct.pack("<Q", w.size) + np.append(w, 1.0).tobytes())
-        elif fault == "wrong_dim":
-            save_model(path, np.append(w, 1.0))
-        else:
-            w[3] = np.nan if fault == "nan" else np.inf
-            save_model(path, w)
-        assert main(["recover", "-c", str(cfg_path), "--method", "finetune"]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error:") and "model_final.bin" in err, err
-
 
 class TestBoundCheck:
     def test_bound_check_block(self, tmp_path, monkeypatch):
@@ -732,46 +738,3 @@ def test_unsupported_schema_raises(edit, message):
     edit(schema)
     with pytest.raises(ValueError, match=message):
         check_schema(schema)
-
-
-def test_model_file_roundtrip(tmp_path):
-    import numpy as np
-
-    w = np.linspace(-1, 1, 17)
-    path = tmp_path / "m.bin"
-    save_model(path, w)
-    np.testing.assert_array_equal(load_model(path), w)
-
-
-def _write_model_payload(path, payload: bytes) -> None:
-    """A model file around any payload, with a checksum that holds."""
-    path.write_bytes(b"FRM1" + payload + hashlib.blake2b(payload, digest_size=8).digest())
-
-
-@pytest.mark.parametrize(
-    "payload, message",
-    [
-        (b"\x02\x00\x00\x00", "too short"),
-        (struct.pack("<Q3d", 2, 1.0, 2.0, 3.0), "24 value bytes, not 8 d = 16"),
-        (struct.pack("<Q2d", 2, 1.0, math.nan), "non-finite"),
-        (struct.pack("<Q2d", 2, -math.inf, 1.0), "non-finite"),
-    ],
-    ids=["short", "trailing", "nan", "inf"],
-)
-def test_model_file_must_hold_exactly_d_finite_values(tmp_path, payload, message):
-    path = tmp_path / "m.bin"
-    _write_model_payload(path, payload)
-    with pytest.raises(CliError, match=message):
-        load_model(path)
-
-
-def test_model_file_checksum(tmp_path):
-    import numpy as np
-
-    path = tmp_path / "m.bin"
-    save_model(path, np.ones(4))
-    blob = bytearray(path.read_bytes())
-    blob[10] ^= 1
-    path.write_bytes(bytes(blob))
-    with pytest.raises(Exception):
-        load_model(path)

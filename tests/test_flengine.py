@@ -162,24 +162,38 @@ class TestHistoryStore:
         with pytest.raises(HistoryError, match="2 complete records, header says T=4294967295"):
             HistoryStore.load(path)
 
-    def test_load_header_skips_records(self, tmp_path):
-        path = tmp_path / "h.bin"
-        store = HistoryStore.create(path, 5, 3, 3, CHASH)
-        for rec in self.make_records(t=2):
-            store.append(*rec)
-        header = HistoryStore.load_header(path)
-        assert (header.d, header.n, header.total_rounds) == (5, 3, 3)
-        assert header.config_hash == CHASH
-        assert header.n_records == 0 and not hasattr(header, "updates")
-
     def test_load_header_checks_magic(self, tmp_path):
         path = tmp_path / "h.bin"
-        HistoryStore.create(path, 5, 3, 3, CHASH)
+        store = HistoryStore.create(path, 5, 3, 3, CHASH)
+        for rec in self.make_records():
+            store.append(*rec)
         blob = bytearray(path.read_bytes())
         blob[0] ^= 0xFF
         path.write_bytes(bytes(blob))
         with pytest.raises(HistoryError, match="magic"):
-            HistoryStore.load_header(path)
+            HistoryStore.load(path)
+
+    def test_rounds_from_first_are_the_tail(self, tmp_path):
+        path = tmp_path / "h.bin"
+        store = HistoryStore.create(path, 5, 3, 4, CHASH)
+        for rec in self.make_records(t=4):
+            store.append(*rec)
+        loaded = HistoryStore.load(path)
+        every = list(loaded.rounds())
+        for k in range(5):
+            tail = list(loaded.rounds(first=k))
+            assert len(tail) == 4 - k
+            for (model, updates), (model_k, updates_k) in zip(tail, every[k:]):
+                assert np.array_equal(model, model_k) and np.array_equal(updates, updates_k)
+        # a flipped byte in record 1 stops every read that starts at or before it
+        blob = bytearray(path.read_bytes())
+        header = 4 + 4 + 8 + 4 + 4 + 32
+        blob[header + (len(blob) - header) // 4 + 10] ^= 0xFF
+        path.write_bytes(bytes(blob))
+        for k in (0, 1):
+            with pytest.raises(HistoryError, match="record checksum mismatch"):
+                list(loaded.rounds(first=k))
+        assert len(list(loaded.rounds(first=2))) == 2
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("where", ["model", "update"])
@@ -594,6 +608,19 @@ class TestTrain:
         np.testing.assert_array_equal(trace[:-1], models)
         final_round, _ = run_round(setup, models[-1], 59)
         np.testing.assert_array_equal(trace[-1], final_round)
+
+    @pytest.mark.parametrize("attack", sorted(REPORT_ATTACKS))
+    @pytest.mark.parametrize("rule", ["fedavg", "median", "trimmed_mean"])
+    def test_last_record_gives_the_final_model(self, tmp_path, rule, attack):
+        # the final model is the last stored round put through its aggregation
+        setup, _ = small_setup(
+            REPORT_ATTACKS[attack], malicious=(1, 4), n_clients=6,
+            rule=AggregationRule(rule, 1 if rule == "trimmed_mean" else 0),
+        )
+        path = tmp_path / "h.bin"
+        trace = train(setup, 5, path, CHASH)
+        model, updates = next(HistoryStore.load(path).rounds(first=4))
+        assert np.array_equal(setup.aggregate_step(model, dict(enumerate(updates))), trace[-1])
 
     @pytest.mark.parametrize("method", ["fedrecover", "historical"])
     def test_recovery_keeps_no_copy_of_the_history(self, tmp_path, method):
