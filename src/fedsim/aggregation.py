@@ -18,14 +18,11 @@ class AggregationRule:
 def _stack(updates) -> np.ndarray:
     """The updates as the rows of one finite float64 matrix.
 
-    Stacks first and checks the whole matrix in one pass; only when that
+    Every round reports at least one d-vector per client, so only the
+    values are checked: the whole matrix in one pass, and only when that
     check fails does it look for the update to name.
     """
-    if len(updates) == 0:
-        raise ValueError("no updates to aggregate")
-    mat = np.asarray(np.stack(updates), dtype=np.float64)  # ValueError on mixed shapes
-    if mat.ndim != 2 or mat.shape[1] == 0:
-        raise ValueError(f"updates must be nonempty 1-D arrays, got shape {mat.shape[1:]}")
+    mat = np.asarray(np.stack(updates), dtype=np.float64)
     if not np.isfinite(mat).all():
         bad = next(i for i, row in enumerate(mat) if not np.isfinite(row).all())
         raise ValueError(f"update[{bad}] contains non-finite entries")
@@ -33,13 +30,10 @@ def _stack(updates) -> np.ndarray:
 
 
 def fedavg(updates, sizes) -> np.ndarray:
-    """Average weighted by local dataset sizes."""
+    """Average weighted by local dataset sizes: one shard length per
+    update, each >= 1 as `config.build_setup` guarantees."""
     mat = _stack(updates)
     w = np.asarray(sizes, dtype=np.float64)
-    if w.shape != (mat.shape[0],):
-        raise ValueError("need one size per update")
-    if np.any(w <= 0):
-        raise ValueError("sizes must be positive")
     w = w / w.sum()
     return w @ mat
 
@@ -51,11 +45,10 @@ def coord_median(updates) -> np.ndarray:
 
 
 def trimmed_mean(updates, k: int) -> np.ndarray:
-    """Per coordinate: sort, drop the k largest and k smallest, average."""
+    """Per coordinate: sort, drop the k largest and k smallest, average.
+    The config guarantees more than 2k updates, and so does `cmd_recover`."""
     mat = _stack(updates)
     n = mat.shape[0]
-    if n <= 2 * k:
-        raise ValueError(f"trimmed_mean needs more than 2k={2 * k} updates, got {n}")
     if k == 0:
         return mat.mean(axis=0)
     srt = np.sort(mat, axis=0)

@@ -62,14 +62,11 @@ def poison_shard_backdoor(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Append a trigger-embedded, target-labeled copy of every local
     example. The originals are left untouched; the result is twice the size.
+    `config.build_setup` guarantees a nonempty float64/int64 shard.
     """
-    x = np.asarray(inputs, dtype=np.float64)
-    y = np.asarray(labels, dtype=np.int64)
-    if x.shape[0] < 1:
-        raise ValueError("cannot poison an empty shard")
-    forged = embed_trigger(x, trigger)
-    px = np.concatenate([x, forged])
-    py = np.concatenate([y, np.full(y.shape[0], target_label, dtype=np.int64)])
+    forged = embed_trigger(inputs, trigger)
+    px = np.concatenate([inputs, forged])
+    py = np.concatenate([labels, np.full(labels.shape[0], target_label, dtype=np.int64)])
     return px, py
 
 

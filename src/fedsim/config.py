@@ -385,7 +385,9 @@ def config_hash(cfg: ExperimentConfig) -> bytes:
 
 
 def build_datasets(cfg: ExperimentConfig):
-    """(train, test) datasets described by the config."""
+    """(train, test) datasets described by the config, matched to the
+    model before anything is written: the library trusts their dim and,
+    under a backdoor attack, that some test example is not of the target."""
     d = cfg.dataset
     if d.kind == "synthetic":
         train = data_mod.gen_synthetic(
@@ -394,9 +396,16 @@ def build_datasets(cfg: ExperimentConfig):
         test = data_mod.gen_synthetic(
             d.num_classes, d.dim, d.test_per_class, d.separation, derive_seed(cfg.seed, STREAM_DATAGEN, 2, 0)
         )
-        return train, test
-    train = data_mod.load_mnist_idx(d.train_images, d.train_labels)
-    test = data_mod.load_mnist_idx(d.test_images, d.test_labels)
+    else:
+        train = data_mod.load_mnist_idx(d.train_images, d.train_labels)
+        test = data_mod.load_mnist_idx(d.test_images, d.test_labels)
+    dim = cfg.model.input_dim
+    for key, ds in (("train_images", train), ("test_images", test)):
+        if ds.dim != dim:
+            raise ConfigError(f"dataset.{key}", f"inputs of dim {ds.dim}, but the model's input_dim is {dim}")
+    atk = cfg.attack
+    if atk is not None and atk.kind == "backdoor" and (test.labels == atk.target_label).all():
+        raise ConfigError("attack.target_label", f"all test labels are {atk.target_label}; ASR needs another")
     return train, test
 
 

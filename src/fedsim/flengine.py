@@ -75,8 +75,7 @@ class HistoryStore:
     """
 
     def __init__(self, path, d: int, n: int, total_rounds: int, config_hash: bytes):
-        if len(config_hash) != 32:
-            raise ValueError("config hash must be 32 bytes")
+        """`config_hash` is 32 bytes: `config.config_hash`'s digest, or the header's."""
         self.path = os.fspath(path)
         self.d = d
         self.n = n
@@ -96,22 +95,17 @@ class HistoryStore:
 
     def append(self, round_idx: int, model: np.ndarray, updates: dict) -> None:
         """Write round `round_idx`: the model broadcast at that round and
-        each client's update as reported, keyed by client id 0..n-1."""
-        t = self.n_records
-        if round_idx != t or t == self.total_rounds:
-            raise HistoryError(f"cannot append round {round_idx} after {t} of {self.total_rounds}")
-        if sorted(updates) != list(range(self.n)):
-            raise HistoryError(f"round {round_idx} needs updates from clients 0..{self.n - 1}")
+        each client's update as reported, keyed by client id 0..n-1.
+        `train` appends rounds 0..T-1 in order, each with every client's
+        d-vector; `rounds()` checks each record again as it reads it."""
         mat = np.array([updates[c] for c in range(self.n)], dtype=np.float64)
-        if np.shape(model) != (self.d,) or mat.shape != (self.n, self.d):
-            raise HistoryError(f"round {round_idx} holds vectors not of store dim {self.d}")
         buf, rec = self._buf, self._rec
         rec["round"], rec["model"], rec["count"] = round_idx, model, self.n
         rec["clients"]["id"], rec["clients"]["u"] = np.arange(self.n), mat
         rec["checksum"] = _checksum(buf[:-8])
         with open(self.path, "ab") as f:
             f.write(buf)
-        self.n_records = t + 1
+        self.n_records += 1
 
     @classmethod
     def load(cls, path) -> "HistoryStore":
@@ -169,26 +163,6 @@ class HistoryStore:
             raise HistoryError("history config hash does not match the supplied config")
 
 
-def _checked_shard(spec: models.ModelSpec, where: str, inputs, labels):
-    """A shard as float64 inputs (n_i, input_dim), finite, and int64 labels
-    (n_i,) in [0, num_classes), so that `models.gradient` can trust it."""
-    x = np.asarray(inputs, dtype=np.float64)
-    y = np.asarray(labels, dtype=np.int64)
-    if x.ndim != 2 or x.shape[1] != spec.input_dim:
-        raise ValueError(
-            f"{where} has inputs of shape {x.shape}, but the model's input_dim is {spec.input_dim}"
-        )
-    if x.shape[0] == 0:
-        raise ValueError(f"{where} has an empty shard")
-    if y.shape != (x.shape[0],):
-        raise ValueError(f"{where} has {y.size} labels for {x.shape[0]} inputs")
-    if not np.isfinite(x).all():
-        raise ValueError(f"{where} has non-finite inputs")
-    if (y < 0).any() or (y >= spec.num_classes).any():
-        raise ValueError(f"{where} has labels out of range [0, {spec.num_classes})")
-    return x, y
-
-
 @dataclass
 class FlSetup:
     """Everything the round loop needs, resolved once up front.
@@ -214,17 +188,16 @@ class FlSetup:
     poisoned: dict = field(init=False, repr=False)
 
     def __post_init__(self, shards):
-        """Check every shard once against the spec. This is the data
-        boundary of the round loop: the client path trusts the records."""
+        """Stores the shards as given: `config.build_setup` guarantees
+        nonempty shards of a `Dataset` that `config.build_datasets` matched
+        to the spec."""
         self.client_ids = range(len(shards))
         self.clients, self.poisoned = [], {}
         atk, size = self.attack, self.batch_size
-        for cid, (inputs, labels) in enumerate(shards):
-            x, y = _checked_shard(self.spec, f"client {cid}", inputs, labels)
+        for cid, (x, y) in enumerate(shards):
             self.clients.append((x, y, BatchSampler(self.seed, cid, len(y), size)))
             if atk is not None and atk.kind == "backdoor" and cid in self.malicious:
                 px, py = attacks.poison_shard_backdoor(x, y, atk.trigger, atk.target_label)
-                px, py = _checked_shard(self.spec, f"client {cid} (poisoned)", px, py)
                 self.poisoned[cid] = (px, py, BatchSampler(self.seed, cid, len(py), size))
 
     def reported_updates(

@@ -102,15 +102,14 @@ class RngStream:
         return np.argsort(keys, kind="stable").astype(np.int64)
 
     def choice(self, n: int, k: int) -> np.ndarray:
-        """k distinct indices drawn uniformly from range(n), in draw order."""
-        if k > n:
-            raise ValueError(f"cannot draw {k} distinct values from {n}")
+        """k distinct indices drawn uniformly from range(n), in draw order.
+        Every caller asks for k <= n: the config bounds the malicious and
+        detection counts, and `recovery.fine_tune` checks each class count."""
         return self.permutation(n)[:k]
 
     def gamma(self, alpha: float) -> float:
-        """One Gamma(alpha, 1) draw (Marsaglia-Tsang squeeze method)."""
-        if alpha <= 0.0:
-            raise ValueError("gamma needs alpha > 0")
+        """One Gamma(alpha, 1) draw (Marsaglia-Tsang squeeze method).
+        The config guarantees alpha > 0 (`finetune.beta`)."""
         if alpha < 1.0:
             # boost: G(a) = G(a+1) * U^(1/a)
             u = max(self.uniform(), 2.0**-53)

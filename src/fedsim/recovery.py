@@ -63,30 +63,6 @@ class CompactSystem(NamedTuple):
     K: np.ndarray | None
 
 
-def compact_system(dw_list, dg_list) -> CompactSystem:
-    """Build the compact system of a client's difference buffers.
-
-    Buffers are ordered oldest to newest. With A = dW^T dG, D = diag(A),
-    L = strictly-lower-triangular(A), and sigma set by the most recent
-    pair, the system matrix is
-
-        K = [[-D, L^T], [L, sigma dW^T dW]]
-
-    This is the part of the Hessian-vector product that depends on the
-    buffers only, so it is built once and reused until a buffer changes.
-    The entries are differences of vectors the recovery computed, so they
-    are not re-validated: a non-finite entry yields a non-finite or
-    singular system, which `lbfgs_hvp` reports as LbfgsSingularError.
-    """
-    if len(dw_list) == 0 or len(dw_list) != len(dg_list):
-        raise ValueError("need equally many (>=1) global and update differences")
-    W = np.column_stack(dw_list)
-    G = np.column_stack(dg_list)
-    if W.shape[0] != G.shape[0]:
-        raise ValueError("global and update differences differ in dimension")
-    return _assemble(W, W.T @ W, G)
-
-
 def _assemble(W: np.ndarray, WtW: np.ndarray, G: np.ndarray) -> CompactSystem:
     """The compact system of the global window W (with its Gram matrix
     W^T W, which every client shares) and one client's window G."""
@@ -113,9 +89,10 @@ def lbfgs_hvp(system: CompactSystem, v: np.ndarray) -> np.ndarray:
     sigma v - [dG | sigma dW] p. `v` must be a finite float64 vector of
     the buffers' dimension. Raises LbfgsSingularError when the most recent
     global difference is zero or the block system is singular, in which
-    case the caller falls back to an exact update. Only the output is
-    checked: a non-finite solution p makes every product with it, and so
-    the output, non-finite.
+    case the caller falls back to an exact update. The output is not
+    checked: a non-finite one (an overflowing solve, or a non-finite
+    buffer entry) makes the estimate non-finite, which `fedrecover`'s
+    `linf_norm` sends to the same fallback.
     """
     W, G, sigma, K = system
     if K is None:
@@ -126,10 +103,7 @@ def lbfgs_hvp(system: CompactSystem, v: np.ndarray) -> np.ndarray:
         p = np.linalg.solve(K, rhs)
     except np.linalg.LinAlgError as exc:
         raise LbfgsSingularError(f"singular buffer system: {exc}") from exc
-    out = sigma * v - (G @ p[:s] + sigma * (W @ p[s:]))
-    if not np.isfinite(out).all():
-        raise LbfgsSingularError("non-finite Hessian-vector product")
-    return out
+    return sigma * v - (G @ p[:s] + sigma * (W @ p[s:]))
 
 
 def compute_threshold(history: HistoryStore, remaining_clients, alpha: float) -> float:
@@ -189,11 +163,11 @@ class LbfgsBuffers:
         self._systems.pop(client_id, None)
 
     def hvp(self, client_id, v: np.ndarray) -> np.ndarray:
+        """The config's warmup_rounds > buffer_size fills every window
+        before the first estimate, so each holds s differences."""
         system = self._systems.get(client_id)
         if system is None:
             dg_list = self.update_diffs[client_id]
-            if self._window is None or len(dg_list) != len(self.global_diffs):
-                raise ValueError("need equally many (>=1) global and update differences")
             system = _assemble(*self._window, np.column_stack(dg_list))
             self._systems[client_id] = system
         return lbfgs_hvp(system, v)
@@ -226,11 +200,10 @@ class RecoveryResult:
 
 
 def predicted_cost(total_rounds: int, warmup: int, period: int, final: int) -> int:
-    """Exact client rounds when abnormality fixing never triggers."""
-    if warmup < 0 or final < 0 or warmup + final > total_rounds:
-        raise ValueError("need warmup + final <= total rounds")
-    if period < 1:
-        raise ValueError("correction period must be >= 1")
+    """Exact client rounds when abnormality fixing never triggers. The
+    config guarantees warmup + final <= total_rounds and period >= 1. No
+    caller in the package yet: ROADMAP item 6 (exact updates by reason)
+    is the first."""
     return warmup + final + (total_rounds - warmup - final) // period
 
 
@@ -268,7 +241,7 @@ def fedrecover(
     exact update; an adaptive backdoor attacker re-scales by m / m'. Exact
     updates are requested in warm-up, periodic correction, final tuning,
     whenever an estimate exceeds the abnormality threshold, whenever the
-    buffered system is singular, and whenever the estimate overflows. The
+    buffered system is singular, and whenever the estimate is not finite. The
     difference buffers refresh from full-cohort exact rounds (global and
     per-client) and additionally from single-client fixes (per-client
     only).
@@ -321,8 +294,8 @@ def fedrecover(
                 except LbfgsSingularError:
                     fix.append(c)
                     continue
-                # the estimate: stored update plus the HVP correction, which
-                # can overflow even when both terms are finite
+                # the estimate: stored update plus the HVP correction, which is
+                # non-finite when the correction is, and can overflow when both are finite
                 est = g_bar[c] + hv
                 try:
                     over = linf_norm(est) > tau
@@ -412,11 +385,10 @@ def fine_tune(
     uniform. `w` is a vector of `spec.param_dim` entries: in `sim recover`,
     the history's last record, checked by `HistoryStore.rounds`, put through
     `FlSetup.aggregate_step`. The config guarantees beta > 0 and n_examples >= 1,
-    and `cli.cmd_recover` that n_examples <= dataset.size.
+    and `cli.cmd_recover` that n_examples <= dataset.size;
+    `config.build_datasets` guarantees dataset.dim = spec.input_dim.
     Raises ClassDrawError when a class cannot supply its drawn count.
     """
-    if dataset.dim != spec.input_dim:
-        raise ValueError(f"dataset feature dim {dataset.dim} != spec input_dim {spec.input_dim}")
     rng = RngStream(derive_seed(seed, STREAM_FINETUNE, 0, 0))
     c = dataset.num_classes
     if math.isinf(beta):

@@ -3,16 +3,22 @@ from typing import Callable
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from fedsim.aggregation import AggregationRule
 from fedsim.attacks import AttackConfig, Trigger
 from fedsim.cli import _summary_error, _summary_schema
 from fedsim.data import gen_synthetic, partition_noniid
 from fedsim.flengine import FlSetup, HistoryStore, train
-from fedsim.models import ModelSpec
+from fedsim.models import ModelSpec, _forward
 from fedsim.numcore import as_vector
 
 CHASH = bytes(32)
+
+# Every run draws the same examples, so a failure one run finds is the next
+# run's too, and its reproduction blob is printed.
+settings.register_profile("fedsim", derandomize=True, print_blob=True)
+settings.load_profile("fedsim")
 
 
 def assert_both_accept(summary):
@@ -24,6 +30,30 @@ def assert_both_accept(summary):
 def randint_below(rng, n: int) -> int:
     """Integer in [0, n) from one 64-bit draw of `rng`, by multiply-shift."""
     return (rng.next_u64() * n) >> 64
+
+
+# The loss `models.gradient` differentiates, kept here as the gradient
+# oracle's function: the program itself never evaluates it.
+def _log_softmax(s: np.ndarray) -> np.ndarray:
+    shifted = s - s.max(axis=1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+
+
+def loss(spec: ModelSpec, w: np.ndarray, x: np.ndarray, y: np.ndarray) -> float:
+    """Mean per-example loss plus (l2/2) * ||w||^2.
+
+    Trusts its inputs, as :func:`gradient` does.
+    """
+    s = _forward(spec, w, x)[0]
+    n = x.shape[0]
+    if spec.kind == "ridge":
+        target = np.zeros_like(s)
+        target[np.arange(n), y] = 1.0
+        data_term = 0.5 * float(np.sum((s - target) ** 2)) / n
+    else:
+        logp = _log_softmax(s)
+        data_term = -float(logp[np.arange(n), y].mean())
+    return data_term + 0.5 * spec.l2 * float(w @ w)
 
 
 def finite_diff_gradient(f: Callable[[np.ndarray], float], w, h: float) -> np.ndarray:

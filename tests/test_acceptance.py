@@ -9,7 +9,8 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from conftest import assert_both_accept, finite_diff_gradient, randint_below, smoothness_bound
+from conftest import assert_both_accept, finite_diff_gradient, loss, randint_below, smoothness_bound
+from test_recovery import compact_system
 from fedsim.aggregation import AggregationRule, coord_median, trimmed_mean
 from fedsim.attacks import AttackConfig, Trigger, adaptive_scale, simulate_detection
 from fedsim.cli import main as cli_main
@@ -17,11 +18,7 @@ from fedsim.data import gen_synthetic, partition_noniid
 from fedsim.flengine import FlSetup, HistoryStore, train
 from fedsim.metrics import attack_success_rate, cost_saving
 from fedsim.metrics import test_error_rate as error_rate
-from fedsim.models import (
-    ModelSpec,
-    gradient,
-    loss,
-)
+from fedsim.models import ModelSpec, gradient
 from fedsim.numcore import (
     STREAM_DETECT,
     RngStream,
@@ -30,7 +27,6 @@ from fedsim.numcore import (
 )
 from fedsim.recovery import (
     RecoveryParams,
-    compact_system,
     fedrecover,
     historical_only,
     lbfgs_hvp,

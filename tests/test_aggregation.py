@@ -47,11 +47,6 @@ class TestStack:
         with pytest.raises(ValueError, match="shape"):
             _stack([np.zeros(3), np.zeros(3), np.zeros(4)])
 
-    @pytest.mark.parametrize("rows", [[np.zeros((2, 2))], [np.zeros(0), np.zeros(0)]])
-    def test_rejects_non_vectors(self, rows):
-        with pytest.raises(ValueError):
-            _stack(rows)
-
     def test_rows_in_order_as_float64(self):
         mat = _stack([np.array([1, 2]), np.array([3.5, 4.0])])
         assert mat.dtype == np.float64
@@ -128,10 +123,6 @@ class TestTrimmedMean:
         rows = [u.copy() for _ in range(5)]
         for k in (0, 1, 2):
             np.testing.assert_array_equal(trimmed_mean(rows, k), u)
-
-    def test_too_few(self):
-        with pytest.raises(ValueError):
-            trimmed_mean([np.zeros(2)] * 4, 2)
 
 
 class TestApplyUpdate:

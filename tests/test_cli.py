@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import assert_both_accept
+from test_data import write_idx_pair
 from test_config import MINIMAL
 import fedsim
 from fedsim.cli import (
@@ -28,6 +29,7 @@ from fedsim.cli import (
     write_summary,
 )
 from fedsim.flengine import HistoryStore
+from fedsim.numcore import RngStream
 from fedsim.schema import check_schema, schema_errors
 
 CFG_TEMPLATE = """
@@ -461,6 +463,107 @@ class TestRecoverCommand:
             assert main(["recover", "-c", str(cfg_path), "--method", "historical"]) == 1
         assert {p.name: p.read_bytes() for p in run_dir.iterdir()} == before
         assert main(["report", str(run_dir)]) == 0
+
+MNIST_CFG = """
+[experiment]
+seed = 1
+rounds = 4
+learning_rate = 0.1
+batch_size = 8
+n_clients = 10
+aggregation = fedavg
+output_dir = runs/mnist
+
+[dataset]
+kind = mnist
+train_images = {data}/train/images.idx
+train_labels = {data}/train/labels.idx
+test_images = {data}/test/images.idx
+test_labels = {data}/test/labels.idx
+
+[model]
+kind = logreg
+l2 = 0.01
+
+[recovery]
+warmup_rounds = 3
+final_tuning_rounds = 1
+"""
+
+BACKDOOR_ATTACK = """
+[attack]
+kind = backdoor
+trigger = pixel_patch
+target_label = 0
+"""
+
+
+class TestDataMatchesTheModel:
+    """`config.build_datasets` matches the example data to the model before
+    anything is written, naming the key to change; the library trusts it."""
+
+    @staticmethod
+    def write_split(tmp_path, split, n, side, labels):
+        folder = tmp_path / "data" / split
+        folder.mkdir(parents=True, exist_ok=True)
+        pixels = (RngStream(n * side).uniforms(n * side * side) * 256).astype(np.uint8)
+        write_idx_pair(folder, pixels.reshape(n, side, side), labels)
+
+    def config(
+        self, tmp_path, monkeypatch, *, train_side=28, test_side=28, test_labels=None, backdoor=False
+    ):
+        """An MNIST config over IDX files of 200 train and 30 test images."""
+        monkeypatch.setenv("FEDSIM_OUTPUT_ROOT", str(tmp_path))
+        self.write_split(tmp_path, "train", 200, train_side, [i % 10 for i in range(200)])
+        self.write_split(tmp_path, "test", 30, test_side, test_labels or [i % 10 for i in range(30)])
+        text = MNIST_CFG.format(data=tmp_path / "data")
+        if backdoor:
+            text = text.replace("n_clients = 10\n", "n_clients = 10\nmalicious_count = 2\n") + BACKDOOR_ATTACK
+        cfg_path = tmp_path / "mnist.ini"
+        cfg_path.write_text(text)
+        return cfg_path
+
+    @pytest.mark.parametrize(
+        "sides, key",
+        [((28, 3), "dataset.test_images"), ((3, 28), "dataset.train_images")],
+        ids=["test", "train"],
+    )
+    def test_images_of_another_dim_name_their_key(self, tmp_path, monkeypatch, capsys, sides, key):
+        cfg_path = self.config(tmp_path, monkeypatch, train_side=sides[0], test_side=sides[1])
+        assert main(["train", "-c", str(cfg_path)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: config field [{key}]: inputs of dim 9, but the model's input_dim is 784\n"
+        )
+        assert os.listdir(tmp_path / "runs" / "mnist") == []
+
+    def test_backdoor_test_set_of_target_labels_only_names_the_target(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        cfg_path = self.config(tmp_path, monkeypatch, test_labels=[0] * 30, backdoor=True)
+        assert main(["train", "-c", str(cfg_path)]) == 1
+        assert capsys.readouterr().err == (
+            "error: config field [attack.target_label]: all test labels are 0; ASR needs another\n"
+        )
+        assert os.listdir(tmp_path / "runs" / "mnist") == []
+
+    def test_recover_refuses_test_images_of_another_dim_before_the_history(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        cfg_path = self.config(tmp_path, monkeypatch)
+        assert main(["train", "-c", str(cfg_path)]) == 0
+        self.write_split(tmp_path, "test", 30, 3, [i % 10 for i in range(30)])
+
+        def no_load(*args):
+            raise AssertionError("history loaded")
+
+        monkeypatch.setattr(HistoryStore, "load", no_load)
+        capsys.readouterr()
+        assert main(["recover", "-c", str(cfg_path), "--method", "historical"]) == 1
+        assert capsys.readouterr().err == (
+            "error: config field [dataset.test_images]: inputs of dim 9, but the model's input_dim is 784\n"
+        )
+        assert not list((tmp_path / "runs" / "mnist").glob("*historical*"))
+
 
 class TestBoundCheck:
     def test_bound_check_block(self, tmp_path, monkeypatch):

@@ -89,10 +89,6 @@ class TestRngStream:
         picked = s.choice(50, 20)
         assert len(set(picked.tolist())) == 20
 
-    def test_choice_too_many(self):
-        with pytest.raises(ValueError):
-            RngStream(6).choice(3, 4)
-
     def test_gamma_mean(self):
         s = RngStream(8)
         for alpha in (0.5, 1.0, 4.0):
