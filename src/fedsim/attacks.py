@@ -34,18 +34,14 @@ class AttackConfig:
 
 
 def embed_trigger(inputs: np.ndarray, trigger: Trigger) -> np.ndarray:
-    """Return a triggered copy of one input (1-D) or a batch (2-D).
+    """Return a triggered copy of a 2-D batch of inputs.
 
     pixel_patch treats each input as a square image and overwrites the
     bottom-right rows x cols block (the config guarantees that the dim is
     square and the block fits); every_kth overwrites coordinates
     k-1, 2k-1, ... . Embedding is idempotent.
     """
-    x = np.asarray(inputs, dtype=np.float64)
-    single = x.ndim == 1
-    if single:
-        x = x[None, :]
-    x = x.copy()
+    x = np.array(inputs, dtype=np.float64)  # a copy
     dim = x.shape[1]
     if trigger.kind == "pixel_patch":
         side = math.isqrt(dim)
@@ -54,7 +50,7 @@ def embed_trigger(inputs: np.ndarray, trigger: Trigger) -> np.ndarray:
         x = img.reshape(-1, dim)
     else:
         x[:, trigger.k - 1 :: trigger.k] = trigger.value
-    return x[0] if single else x
+    return x
 
 
 def poison_shard_backdoor(

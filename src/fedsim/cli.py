@@ -1,8 +1,8 @@
 """Command-line front end: `sim train`, `sim recover`, `sim report`.
 
 A run directory (resolved against $FEDSIM_OUTPUT_ROOT) holds the canonical
-config, the binary training history, per-round metric CSVs, and JSON
-summaries checked against `schemas/summary.schema.json`.
+config, the binary training history, per-round metric CSVs, and one JSON
+summary per command, checked against that command's field table.
 All outputs are byte-stable for a fixed config and seed.
 """
 
@@ -11,11 +11,12 @@ from __future__ import annotations
 import argparse
 import csv
 import fcntl
-import functools
 import hashlib
 import json
 import math
+import numbers
 import os
+import re
 import sys
 from contextlib import contextmanager, suppress
 
@@ -26,7 +27,6 @@ from . import metrics, models, recovery
 from .attacks import simulate_detection
 from .flengine import HistoryStore, train
 from .numcore import STREAM_DETECT, RngStream, derive_seed
-from .schema import check_schema, schema_errors
 
 OUTPUT_ROOT_ENV = "FEDSIM_OUTPUT_ROOT"
 HISTORY_FILE = "history.bin"
@@ -83,37 +83,113 @@ def _atomic(*paths):
 
 
 class SummaryError(ValueError):
-    """A summary that does not match the schema; names its file and field."""
+    """A summary not of its command's form; names its file and field."""
 
 
-@functools.lru_cache(maxsize=1)
-def _summary_schema() -> dict:
-    """The summary schema, read and checked for unsupported keywords once."""
-    path = os.path.join(os.path.dirname(__file__), "schemas", "summary.schema.json")
-    with open(path, "r", encoding="utf-8") as f:
-        schema = json.load(f)
-    check_schema(schema)
-    return schema
+# A field's check takes its value and path and returns (path, message) for
+# a fault, or None. Messages are those of a JSON Schema validator.
+def _number(minimum=None, maximum=None, above=None, integer=False, nullable=False):
+    """A number (an integral float counts as an integer) within the bounds,
+    `above` being exclusive; NaN passes every bound."""
+    kind = "integer" if integer else "number"
+    names = f"'{kind}', 'null'" if nullable else f"'{kind}'"
+
+    def check(v, path):
+        if nullable and v is None:
+            return None
+        integral = isinstance(v, int) or isinstance(v, float) and v.is_integer()
+        if isinstance(v, bool) or not isinstance(v, numbers.Number) or integer and not integral:
+            return path, f"{v!r} is not of type {names}"
+        if minimum is not None and v < minimum:
+            return path, f"{v!r} is less than the minimum of {minimum!r}"
+        if maximum is not None and v > maximum:
+            return path, f"{v!r} is greater than the maximum of {maximum!r}"
+        if above is not None and v <= above:
+            return path, f"{v!r} is less than or equal to the minimum of {above!r}"
+        return None
+
+    return check
+
+
+def _one_of(*values):
+    return lambda v, path: None if v in values else (path, f"{v!r} is not one of {list(values)!r}")
+
+
+def _config_hash(v, path, pattern="^[0-9a-f]{64}$"):
+    if not isinstance(v, str):
+        return path, f"{v!r} is not of type 'string'"
+    return None if re.search(pattern, v) else (path, f"{v!r} does not match {pattern!r}")
+
+
+def _record(fields: dict, nullable=False):
+    """An object of `fields` (name: check), or null if `nullable`. Its first
+    fault is of each present field's value, in table order, then a missing
+    field, then extra keys, in sorted order."""
+    names = "'object', 'null'" if nullable else "'object'"
+
+    def check(v, path):
+        if nullable and v is None:
+            return None
+        if not isinstance(v, dict):
+            return path, f"{v!r} is not of type {names}"
+        for name, field in fields.items():
+            error = field(v[name], path + (name,)) if name in v else None
+            if error is not None:
+                return error
+        for name in fields:
+            if name not in v:
+                return path, f"{name!r} is a required property"
+        extras = [repr(name) for name in sorted(v, key=str) if name not in fields]
+        if extras:
+            listed = ", ".join(extras) + (" was" if len(extras) == 1 else " were")
+            return path, f"Additional properties are not allowed ({listed} unexpected)"
+        return None
+
+    return check
+
+
+# Each command's summary: its fields, in order, with the check of each value.
+_SHAPES = {
+    "train": _record({
+        "command": _one_of("train"),
+        "rounds": _number(1, integer=True),
+        "ter": _number(0, 1),
+        "asr": _number(0, 1, nullable=True),
+        "config_hash": _config_hash,
+    }),
+    "recover": _record({
+        "command": _one_of("recover"),
+        "method": _one_of(*METHODS),
+        "rounds": _number(1, integer=True),
+        "ter": _number(0, 1),
+        "asr": _number(0, 1, nullable=True),
+        "acp": _number(0, 100),
+        "cp_min": _number(0, 100),
+        "cp_max": _number(0, 100),
+        "abnormality_count": _number(0, integer=True),
+        "config_hash": _config_hash,
+        "bound_check": _record(
+            {"mu": _number(above=0), "m_measured": _number(0), "max_violation": _number()},
+            nullable=True,
+        ),
+    }),
+}
 
 
 def _summary_error(summary):
-    """The summary's schema error, or None when it is valid.
-
-    The schema has one branch per command. Of the branches the summary
-    fails, the one it misses by the fewest errors is the one it meant,
-    so its first error is the one that names the bad field.
-    """
-    error = next(schema_errors(_summary_schema(), summary), None)
-    if error is None or not error.branches:
-        return error
-    return min(error.branches, key=len)[0]
+    """(path, message) of the summary's first fault against its command's
+    fields, or None; a summary of no known command fails at its command."""
+    command = summary.get("command") if isinstance(summary, dict) else None
+    if isinstance(command, str) and command in _SHAPES:
+        return _SHAPES[command](summary, ())
+    return _record({"command": _one_of(*_SHAPES)})(summary, ())
 
 
 def _check_summary(path, summary) -> None:
     error = _summary_error(summary)
     if error is not None:
-        where = "/" + "/".join(str(p) for p in error.absolute_path)
-        raise SummaryError(f"{path}: bad summary at {where}: {error.message}")
+        where, message = error
+        raise SummaryError(f"{path}: bad summary at /{'/'.join(map(str, where))}: {message}")
 
 
 def write_summary(path, summary: dict) -> None:

@@ -384,6 +384,14 @@ def config_hash(cfg: ExperimentConfig) -> bytes:
     return hashlib.sha256(serialize_config(cfg).encode("utf-8")).digest()
 
 
+def _load_idx(d: DatasetConfig, split: str):
+    """One split's IDX pair; a fault in it names the key of its file."""
+    try:
+        return data_mod.load_mnist_idx(getattr(d, f"{split}_images"), getattr(d, f"{split}_labels"))
+    except data_mod.IdxError as exc:
+        raise ConfigError(f"dataset.{split}_{exc.part}", str(exc)) from exc
+
+
 def build_datasets(cfg: ExperimentConfig):
     """(train, test) datasets described by the config, matched to the
     model before anything is written: the library trusts their dim and,
@@ -397,8 +405,7 @@ def build_datasets(cfg: ExperimentConfig):
             d.num_classes, d.dim, d.test_per_class, d.separation, derive_seed(cfg.seed, STREAM_DATAGEN, 2, 0)
         )
     else:
-        train = data_mod.load_mnist_idx(d.train_images, d.train_labels)
-        test = data_mod.load_mnist_idx(d.test_images, d.test_labels)
+        train, test = (_load_idx(d, split) for split in ("train", "test"))
     dim = cfg.model.input_dim
     for key, ds in (("train_images", train), ("test_images", test)):
         if ds.dim != dim:

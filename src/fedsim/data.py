@@ -19,7 +19,11 @@ IDX_LABEL_MAGIC = 0x00000801
 
 
 class IdxError(ValueError):
-    """Base class for IDX file-format problems."""
+    """An IDX file-format problem in the pair's `part`: "images" or "labels"."""
+
+    def __init__(self, part: str, reason: str):
+        self.part = part
+        super().__init__(reason)
 
 
 class BadMagicError(IdxError):
@@ -63,35 +67,40 @@ class Dataset:
         return self.inputs.shape[1]
 
 
-def _read_exact(f, n: int, what: str) -> bytes:
+def _read_exact(f, n: int, part: str, what: str) -> bytes:
     buf = f.read(n)
     if len(buf) != n:
-        raise TruncatedFileError(f"unexpected end of file while reading {what}")
+        raise TruncatedFileError(part, f"unexpected end of file while reading {what}")
     return buf
 
 
 def load_mnist_idx(images_path, labels_path) -> Dataset:
-    """Load an MNIST-style IDX image/label pair.
+    """Load an MNIST-style IDX image/label pair of at least one image.
 
     Pixels are scaled into [0, 1] by dividing by 255. Raises
     BadMagicError, TruncatedFileError, or CountMismatchError for the
-    respective format violations.
+    respective format violations, and IdxError for an empty pair or a
+    label past 9; each names the file at fault.
     """
     with open(images_path, "rb") as f:
-        (magic,) = struct.unpack(">I", _read_exact(f, 4, "image magic"))
+        (magic,) = struct.unpack(">I", _read_exact(f, 4, "images", "image magic"))
         if magic != IDX_IMAGE_MAGIC:
-            raise BadMagicError(f"image file magic {magic:#010x} != {IDX_IMAGE_MAGIC:#010x}")
-        count, rows, cols = struct.unpack(">III", _read_exact(f, 12, "image header"))
-        raw = _read_exact(f, count * rows * cols, "image pixels")
+            raise BadMagicError("images", f"image file magic {magic:#010x} != {IDX_IMAGE_MAGIC:#010x}")
+        count, rows, cols = struct.unpack(">III", _read_exact(f, 12, "images", "image header"))
+        if count == 0:
+            raise IdxError("images", "the image file holds no image")
+        raw = _read_exact(f, count * rows * cols, "images", "image pixels")
         images = np.frombuffer(raw, dtype=np.uint8).reshape(count, rows * cols)
     with open(labels_path, "rb") as f:
-        (magic,) = struct.unpack(">I", _read_exact(f, 4, "label magic"))
+        (magic,) = struct.unpack(">I", _read_exact(f, 4, "labels", "label magic"))
         if magic != IDX_LABEL_MAGIC:
-            raise BadMagicError(f"label file magic {magic:#010x} != {IDX_LABEL_MAGIC:#010x}")
-        (label_count,) = struct.unpack(">I", _read_exact(f, 4, "label header"))
-        labels = np.frombuffer(_read_exact(f, label_count, "labels"), dtype=np.uint8)
+            raise BadMagicError("labels", f"label file magic {magic:#010x} != {IDX_LABEL_MAGIC:#010x}")
+        (label_count,) = struct.unpack(">I", _read_exact(f, 4, "labels", "label header"))
+        labels = np.frombuffer(_read_exact(f, label_count, "labels", "labels"), dtype=np.uint8)
     if label_count != count:
-        raise CountMismatchError(f"{count} images but {label_count} labels")
+        raise CountMismatchError("labels", f"{count} images but {label_count} labels")
+    if labels.max() > 9:
+        raise IdxError("labels", f"labels out of range: {labels.max()} is not a digit")
     return Dataset(images.astype(np.float64) / 255.0, labels.astype(np.int64), 10)
 
 

@@ -121,18 +121,11 @@ def gradient(spec: ModelSpec, w: np.ndarray, x: np.ndarray, y: np.ndarray) -> np
     return g + spec.l2 * w
 
 
-def predict(spec: ModelSpec, w, inputs) -> np.ndarray | int:
-    """Argmax class per input; ties break toward the lowest class index.
-
-    Accepts a single 1-D input (returns an int) or a 2-D batch (returns an
-    int64 array). `config.build_datasets` guarantees inputs of `spec.input_dim`.
-    """
-    x = np.asarray(inputs, dtype=np.float64)
-    single = x.ndim == 1
-    if single:
-        x = x[None, :]
-    labels = np.argmax(scores(spec, w, x), axis=1).astype(np.int64)
-    return int(labels[0]) if single else labels
+def predict(spec: ModelSpec, w, inputs: np.ndarray) -> np.ndarray:
+    """Argmax class (int64) of each row of a 2-D input batch; ties break
+    toward the lowest class index. `config.build_datasets` guarantees
+    inputs of `spec.input_dim`."""
+    return np.argmax(scores(spec, w, inputs), axis=1).astype(np.int64)
 
 
 def init_params(spec: ModelSpec, seed: int) -> np.ndarray:

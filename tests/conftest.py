@@ -1,3 +1,5 @@
+import json
+from pathlib import Path
 from typing import Callable
 
 import jsonschema
@@ -7,7 +9,7 @@ from hypothesis import settings
 
 from fedsim.aggregation import AggregationRule
 from fedsim.attacks import AttackConfig, Trigger
-from fedsim.cli import _summary_error, _summary_schema
+from fedsim.cli import _summary_error
 from fedsim.data import gen_synthetic, partition_noniid
 from fedsim.flengine import FlSetup, HistoryStore, train
 from fedsim.models import ModelSpec, _forward
@@ -21,9 +23,14 @@ settings.register_profile("fedsim", derandomize=True, print_blob=True)
 settings.load_profile("fedsim")
 
 
+# The summary's form as a JSON Schema: jsonschema checks it as the oracle
+# of the CLI's summary check.
+SUMMARY_SCHEMA = json.loads((Path(__file__).parent / "summary.schema.json").read_text())
+
+
 def assert_both_accept(summary):
-    """The summary passes the schema, by the CLI's check and by jsonschema."""
-    jsonschema.validate(summary, _summary_schema())
+    """The summary passes the CLI's check and, against the schema, jsonschema."""
+    jsonschema.validate(summary, SUMMARY_SCHEMA)
     assert _summary_error(summary) is None
 
 

@@ -23,14 +23,14 @@ EVERY20 = Trigger(kind="every_kth", k=20, value=0.0)
 class TestEmbedTrigger:
     def test_patch_bottom_right_16_pixels(self):
         img = np.zeros(28 * 28)
-        out = embed_trigger(img, PATCH)
+        out = embed_trigger(img[None], PATCH)[0]
         assert out.sum() == 16.0
         grid = out.reshape(28, 28)
         assert np.all(grid[24:, 24:] == 1.0)
         assert grid[:24, :].sum() == 0.0 and grid[24:, :24].sum() == 0.0
 
     def test_every_20th_on_600(self):
-        out = embed_trigger(np.ones(600), EVERY20)
+        out = embed_trigger(np.ones(600)[None], EVERY20)[0]
         zeros = np.flatnonzero(out == 0.0)
         assert len(zeros) == 30
         np.testing.assert_array_equal(zeros, np.arange(19, 600, 20))
@@ -38,12 +38,12 @@ class TestEmbedTrigger:
     def test_idempotent(self):
         rng = RngStream(1)
         x = rng.uniforms(28 * 28)
-        once = embed_trigger(x, PATCH)
-        np.testing.assert_array_equal(embed_trigger(once, PATCH), once)
+        once = embed_trigger(x[None], PATCH)[0]
+        np.testing.assert_array_equal(embed_trigger(once[None], PATCH)[0], once)
 
     def test_original_untouched(self):
         x = np.zeros(16)
-        embed_trigger(x, Trigger(kind="pixel_patch", rows=2, cols=2, value=1.0))
+        embed_trigger(x[None], Trigger(kind="pixel_patch", rows=2, cols=2, value=1.0))
         assert x.sum() == 0.0
 
     def test_batch_form(self):

@@ -1,4 +1,3 @@
-import copy
 import io
 import json
 import math
@@ -15,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import assert_both_accept
+from conftest import SUMMARY_SCHEMA, assert_both_accept
 from test_data import write_idx_pair
 from test_config import MINIMAL
 import fedsim
@@ -23,14 +22,12 @@ from fedsim.cli import (
     CliError,
     SummaryError,
     _summary_error,
-    _summary_schema,
     cmd_report,
     main,
     write_summary,
 )
 from fedsim.flengine import HistoryStore
 from fedsim.numcore import RngStream
-from fedsim.schema import check_schema, schema_errors
 
 CFG_TEMPLATE = """
 [experiment]
@@ -503,11 +500,11 @@ class TestDataMatchesTheModel:
     anything is written, naming the key to change; the library trusts it."""
 
     @staticmethod
-    def write_split(tmp_path, split, n, side, labels):
+    def write_split(tmp_path, split, n, side, labels, **magic):
         folder = tmp_path / "data" / split
         folder.mkdir(parents=True, exist_ok=True)
         pixels = (RngStream(n * side).uniforms(n * side * side) * 256).astype(np.uint8)
-        write_idx_pair(folder, pixels.reshape(n, side, side), labels)
+        write_idx_pair(folder, pixels.reshape(n, side, side), labels, **magic)
 
     def config(
         self, tmp_path, monkeypatch, *, train_side=28, test_side=28, test_labels=None, backdoor=False
@@ -534,6 +531,31 @@ class TestDataMatchesTheModel:
         assert capsys.readouterr().err == (
             f"error: config field [{key}]: inputs of dim 9, but the model's input_dim is 784\n"
         )
+        assert os.listdir(tmp_path / "runs" / "mnist") == []
+
+    @pytest.mark.parametrize(
+        "split, labels, magic, expected",
+        [
+            ("test", [12] * 30, {}, "[dataset.test_labels]: labels out of range: 12 is not a digit"),
+            (
+                "test", None, {"image_magic": 0x802},
+                "[dataset.test_images]: image file magic 0x00000802 != 0x00000803",
+            ),
+            (
+                "train", None, {"label_magic": 0x803},
+                "[dataset.train_labels]: label file magic 0x00000803 != 0x00000801",
+            ),
+        ],
+        ids=["test-label-12", "test-image-magic", "train-label-magic"],
+    )
+    def test_idx_fault_names_the_key_of_its_file(
+        self, tmp_path, monkeypatch, capsys, split, labels, magic, expected
+    ):
+        cfg_path = self.config(tmp_path, monkeypatch)
+        n = {"train": 200, "test": 30}[split]
+        self.write_split(tmp_path, split, n, 28, labels or [i % 10 for i in range(n)], **magic)
+        assert main(["train", "-c", str(cfg_path)]) == 1
+        assert capsys.readouterr().err == f"error: config field {expected}\n"
         assert os.listdir(tmp_path / "runs" / "mnist") == []
 
     def test_backdoor_test_set_of_target_labels_only_names_the_target(
@@ -664,8 +686,7 @@ class TestReport:
 
 
 def test_summary_schema_is_valid():
-    schema = _summary_schema()
-    jsonschema.validators.validator_for(schema).check_schema(schema)
+    jsonschema.validators.validator_for(SUMMARY_SCHEMA).check_schema(SUMMARY_SCHEMA)
 
 
 def test_write_summary_validates_every_summary(tmp_path):
@@ -684,19 +705,38 @@ def test_cli_import_leaves_jsonschema_out():
     assert proc.stdout == "[]\n"
 
 
-_REFERENCE = jsonschema.Draft202012Validator(_summary_schema())
+_REFERENCE = jsonschema.Draft202012Validator(SUMMARY_SCHEMA)
+# the command each oneOf branch of the schema describes, in branch order
+_BRANCH_COMMANDS = [b["properties"]["command"]["const"] for b in SUMMARY_SCHEMA["oneOf"]]
 
 
-def _reference_error(summary):
-    """jsonschema's error for the summary, from the oneOf branch it misses
-    by the fewest errors (the first such branch), or None when valid."""
+def _reference_errors(summary) -> list:
+    """jsonschema's errors for the summary, as (command, path, message):
+    the failed oneOf's own (command None), then each branch's in order,
+    tagged with the branch's command. Empty when the summary is valid."""
     error = next(_REFERENCE.iter_errors(summary), None)
-    if error is None or not error.context:
-        return error
-    branches: dict = {}
-    for sub in error.context:
-        branches.setdefault(sub.relative_schema_path[0], []).append(sub)
-    return min(branches.values(), key=len)[0]
+    if error is None:
+        return []
+    return [(None, list(error.absolute_path), error.message)] + [
+        (_BRANCH_COMMANDS[e.relative_schema_path[0]], list(e.absolute_path), e.message)
+        for e in error.context
+    ]
+
+
+def assert_agrees_with_jsonschema(summary):
+    """The CLI's check accepts what jsonschema accepts. A summary of either
+    command fails at the first error of that command's branch, in the same
+    words; any other fails at a path where jsonschema reports an error."""
+    ours, theirs = _summary_error(summary), _reference_errors(summary)
+    assert (ours is None) == (not theirs)
+    if ours is None:
+        return
+    path, message = list(ours[0]), ours[1]
+    command = summary.get("command") if isinstance(summary, dict) else None
+    if command in _BRANCH_COMMANDS:
+        assert (path, message) == next((p, m) for c, p, m in theirs if c == command)
+    else:
+        assert path in [p for _, p, _ in theirs]
 
 
 _HASHES = st.text("0123456789abcdef", min_size=64, max_size=64)
@@ -775,69 +815,54 @@ def _summaries(draw):
 @settings(max_examples=600, deadline=None)
 @given(_summaries())
 def test_summary_check_agrees_with_jsonschema(summary):
-    ours, theirs = _summary_error(summary), _reference_error(summary)
-    assert (ours is None) == (theirs is None)
-    if ours is not None:
-        assert list(ours.absolute_path) == list(theirs.absolute_path)
-        assert ours.message == theirs.message
+    assert_agrees_with_jsonschema(summary)
 
 
-@pytest.mark.parametrize(
-    "schema, instance",
-    [
-        ({"type": "number"}, True),
-        ({"type": "integer"}, False),
-        ({"type": "integer"}, 1.0),
-        ({"type": "integer"}, 1.5),
-        ({"type": "integer", "minimum": 10**30}, 10**30 + 1),
-        ({"type": "integer", "maximum": 10**30}, 10**30 + 1),
-        ({"type": "number", "minimum": 0, "maximum": 1}, math.nan),
-        ({"exclusiveMinimum": 0}, math.nan),
-        ({"exclusiveMinimum": 0}, 0.0),
-        ({"const": 1}, True),
-        ({"const": True}, 1),
-        ({"const": 1}, 1.0),
-        ({"enum": [0, "a"]}, False),
-        ({"enum": [[1, True]]}, [1, 1]),
-        ({"const": {"a": 1}}, {"a": 1.0}),
-        ({"pattern": "^a$"}, "a\n"),
-        ({"pattern": "b"}, "abc"),
-        ({"pattern": "b"}, 3),
-        ({"type": ["object", "null"], "required": ["a"]}, None),
-        ({"properties": {"b": {}}, "additionalProperties": False}, {"d": 1, "b": 2, "c": 3}),
-        ({"oneOf": [{"type": "number"}, {"type": "integer"}]}, 1),
-    ],
-)
-def test_keyword_semantics_match_jsonschema(schema, instance):
-    check_schema(schema)
-    ours = [(list(e.absolute_path), e.message) for e in schema_errors(schema, instance)]
-    validator = jsonschema.Draft202012Validator(schema)
-    theirs = [(list(e.absolute_path), e.message) for e in validator.iter_errors(instance)]
-    assert ours == theirs
+_RECOVER_SUMMARY = {
+    "command": "recover",
+    "method": "fedrecover",
+    "rounds": 3,
+    "ter": 0.5,
+    "asr": None,
+    "acp": 50.0,
+    "cp_min": 0.0,
+    "cp_max": 100.0,
+    "abnormality_count": 0,
+    "config_hash": "0" * 64,
+    "bound_check": {"mu": 0.1, "m_measured": 0.0, "max_violation": -1.0},
+}
 
 
 @pytest.mark.parametrize(
     "edit, message",
     [
-        (lambda s: s.update(allOf=[]), "unsupported schema keyword 'allOf'"),
-        (lambda s: s["oneOf"][0].update(patternProperties={}), "keyword 'patternProperties'"),
+        ({"rounds": True}, "True is not of type 'integer'"),
+        ({"rounds": 3.0}, None),
+        ({"rounds": 1.5}, "1.5 is not of type 'integer'"),
+        ({"rounds": 10**30}, None),
+        ({"ter": math.nan}, None),
         (
-            lambda s: s["oneOf"][1]["properties"]["bound_check"]["properties"]["mu"].update(
-                multipleOf=2
-            ),
-            "#/oneOf/1/properties/bound_check/properties/mu: unsupported schema keyword",
+            {"bound_check": {"mu": 0.0, "m_measured": 0.0, "max_violation": 0.0}},
+            "0.0 is less than or equal to the minimum of 0",
         ),
-        (lambda s: s["oneOf"][0].update(additionalProperties={}), "additionalProperties: false"),
-        (lambda s: s["oneOf"][0]["properties"]["ter"].update(type="float"), "type 'float'"),
+        ({"method": True}, "True is not one of ['scratch', 'historical', 'fedrecover', 'finetune']"),
+        ({"config_hash": "0" * 64 + "\n"}, None),
+        ({"config_hash": "0" * 63}, "does not match '^[0-9a-f]{64}$'"),
         (
-            lambda s: s.update({"$schema": "http://json-schema.org/draft-04/schema#"}),
-            "unsupported \\$schema",
+            {"zeta": 1, "alpha": 2},
+            "Additional properties are not allowed ('alpha', 'zeta' were unexpected)",
         ),
     ],
-    ids=["top", "branch", "nested", "additional-schema", "type-name", "draft"],
+    ids=[
+        "rounds-bool", "rounds-integral-float", "rounds-fraction", "rounds-big-int", "ter-nan",
+        "mu-zero", "method-bool", "hash-trailing-newline", "hash-63-chars", "two-extra-keys",
+    ],
 )
-def test_unsupported_schema_raises(edit, message):
-    schema = copy.deepcopy(_summary_schema())
-    edit(schema)
-    with pytest.raises(ValueError, match=message):
-        check_schema(schema)
+def test_summary_rule_matches_jsonschema(edit, message):
+    summary = {**_RECOVER_SUMMARY, **edit}
+    assert_agrees_with_jsonschema(summary)
+    error = _summary_error(summary)
+    if message is None:
+        assert error is None
+    else:
+        assert message in error[1]

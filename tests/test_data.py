@@ -9,6 +9,7 @@ from fedsim.data import (
     BadMagicError,
     CountMismatchError,
     Dataset,
+    IdxError,
     TruncatedFileError,
     gen_synthetic,
     load_mnist_idx,
@@ -44,28 +45,43 @@ class TestIdxLoader:
     def test_bad_image_magic(self, tmp_path):
         pixels = np.zeros((1, 2, 2), dtype=np.uint8)
         img, lab = write_idx_pair(tmp_path, pixels, [0], image_magic=0x999)
-        with pytest.raises(BadMagicError):
+        with pytest.raises(BadMagicError) as err:
             load_mnist_idx(img, lab)
+        assert err.value.part == "images"
 
     def test_bad_label_magic(self, tmp_path):
         pixels = np.zeros((1, 2, 2), dtype=np.uint8)
         img, lab = write_idx_pair(tmp_path, pixels, [0], label_magic=0x999)
-        with pytest.raises(BadMagicError):
+        with pytest.raises(BadMagicError) as err:
             load_mnist_idx(img, lab)
+        assert err.value.part == "labels"
 
     def test_truncated_pixels(self, tmp_path):
         img = tmp_path / "images.idx"
         lab = tmp_path / "labels.idx"
         img.write_bytes(struct.pack(">IIII", 0x803, 2, 2, 2) + b"\x00" * 5)
         lab.write_bytes(struct.pack(">II", 0x801, 2) + b"\x00\x01")
-        with pytest.raises(TruncatedFileError):
+        with pytest.raises(TruncatedFileError) as err:
             load_mnist_idx(img, lab)
+        assert err.value.part == "images"
 
     def test_count_mismatch(self, tmp_path):
         pixels = np.zeros((2, 2, 2), dtype=np.uint8)
         img, lab = write_idx_pair(tmp_path, pixels, [1, 2, 3])
-        with pytest.raises(CountMismatchError):
+        with pytest.raises(CountMismatchError) as err:
             load_mnist_idx(img, lab)
+        assert err.value.part == "labels"
+
+    @pytest.mark.parametrize(
+        "n, labels, part, message",
+        [(0, [], "images", "holds no image"), (2, [3, 10], "labels", "10 is not a digit")],
+        ids=["no-image", "label-10"],
+    )
+    def test_empty_pair_and_label_past_nine(self, tmp_path, n, labels, part, message):
+        img, lab = write_idx_pair(tmp_path, np.zeros((n, 2, 2), dtype=np.uint8), labels)
+        with pytest.raises(IdxError, match=message) as err:
+            load_mnist_idx(img, lab)
+        assert err.value.part == part
 
 
 class TestSynthetic:

@@ -45,7 +45,7 @@ class TestTer:
         w = rng.normals(SPEC.param_dim)
         wrong = 0
         for i in range(ds.size):  # per-example loop oracle
-            if predict(SPEC, w, ds.inputs[i]) != ds.labels[i]:
+            if predict(SPEC, w, ds.inputs[i][None])[0] != ds.labels[i]:
                 wrong += 1
         assert error_rate(SPEC, w, ds) == pytest.approx(wrong / ds.size)
 
@@ -78,7 +78,7 @@ class TestAsr:
             if ds.labels[i] == 0:
                 continue
             total += 1
-            if predict(SPEC, w, embed_trigger(ds.inputs[i], TRIG)) == 0:
+            if predict(SPEC, w, embed_trigger(ds.inputs[i][None], TRIG))[0] == 0:
                 hits += 1
         assert attack_success_rate(SPEC, w, ds, TRIG, 0) == pytest.approx(hits / total)
 

@@ -136,7 +136,7 @@ class TestGradient:
 class TestPredict:
     def test_zero_weights_tie_breaks_low(self):
         x = RngStream(8).uniforms(5)
-        assert predict(LOGREG, np.zeros(LOGREG.param_dim), x) == 0
+        assert predict(LOGREG, np.zeros(LOGREG.param_dim), x[None])[0] == 0
 
     def test_crafted_favorite_class(self):
         # weights strongly favoring class 2 on a known input
@@ -145,7 +145,7 @@ class TestPredict:
         w[2 * 2 : 2 * 3] = [5.0, 5.0]  # class-2 weight row
         x = np.array([1.0, 1.0])
         # hand evaluation: scores = [0, 0, 10]
-        assert predict(spec, w, x) == 2
+        assert predict(spec, w, x[None])[0] == 2
 
     def test_shift_invariance(self):
         rng = RngStream(9)
