@@ -30,6 +30,7 @@ from .numcore import STREAM_DETECT, RngStream, derive_seed
 
 OUTPUT_ROOT_ENV = "FEDSIM_OUTPUT_ROOT"
 HISTORY_FILE = "history.bin"
+TOPS_FILE = "history_tops.bin"
 CONFIG_FILE = "config.ini"
 
 METHODS = ("scratch", "historical", "fedrecover", "finetune")
@@ -236,12 +237,13 @@ def cmd_train(cfg_path: str) -> int:
         chash = config_mod.config_hash(cfg)
         train_set, test_set = config_mod.build_datasets(cfg)
         setup = config_mod.build_setup(cfg, train_set)
-        # The history and the config appear under their names only once the
-        # last round is done, so a failed or killed train never leaves a
-        # partial run, nor a config that does not match the run's history.
-        outputs = [os.path.join(run_dir, name) for name in (HISTORY_FILE, CONFIG_FILE)]
-        with _atomic(*outputs) as (history_temp, config_temp):
-            trace = train(setup, cfg.rounds, history_temp, chash)
+        # The history, its top-value table and the config appear under their
+        # names only once the last round is done, so a failed or killed train
+        # never leaves a partial run, nor files that do not match each other.
+        outputs = [os.path.join(run_dir, name) for name in (HISTORY_FILE, TOPS_FILE, CONFIG_FILE)]
+        m = recovery.top_count(cfg.recovery.tolerance_rate, cfg.n_clients, cfg.model.param_dim)
+        with _atomic(*outputs) as (history_temp, tops_temp, config_temp):
+            trace = train(setup, cfg.rounds, history_temp, chash, tops=(tops_temp, m))
             with open(config_temp, "w", encoding="utf-8") as f:
                 f.write(config_mod.serialize_config(cfg))
         ter, asr = _write_metrics_csv(
@@ -306,7 +308,10 @@ def cmd_recover(cfg_path: str, method: str) -> int:
 
         history = None
         if os.path.exists(history_path):
-            history = HistoryStore.load(history_path)
+            # only fedrecover deriving tau reads the top-value table
+            derive_tau = method == "fedrecover" and cfg.recovery.tau is None
+            tops_path = os.path.join(run_dir, TOPS_FILE) if derive_tau else None
+            history = HistoryStore.load(history_path, tops_path)
             history.check_meta(cfg.model.param_dim, cfg.n_clients, cfg.rounds, chash)
 
         abnormality_count = 0

@@ -385,11 +385,16 @@ def config_hash(cfg: ExperimentConfig) -> bytes:
 
 
 def _load_idx(d: DatasetConfig, split: str):
-    """One split's IDX pair; a fault in it names the key of its file."""
+    """One split's IDX pair; a fault in it, or a file that cannot be read,
+    names the key of its file."""
+    images, labels = getattr(d, f"{split}_images"), getattr(d, f"{split}_labels")
     try:
-        return data_mod.load_mnist_idx(getattr(d, f"{split}_images"), getattr(d, f"{split}_labels"))
+        return data_mod.load_mnist_idx(images, labels)
     except data_mod.IdxError as exc:
         raise ConfigError(f"dataset.{split}_{exc.part}", str(exc)) from exc
+    except OSError as exc:
+        part = "labels" if exc.filename == labels else "images"
+        raise ConfigError(f"dataset.{split}_{part}", str(exc)) from exc
 
 
 def build_datasets(cfg: ExperimentConfig):

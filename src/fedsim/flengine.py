@@ -11,6 +11,7 @@ from __future__ import annotations
 import hashlib
 import os
 import struct
+from contextlib import contextmanager
 from dataclasses import InitVar, dataclass, field
 
 import numpy as np
@@ -23,6 +24,8 @@ from .numcore import STREAM_ATTACK, STREAM_INIT, RngStream, derive_seed
 MAGIC = b"FRH1"
 VERSION = 1
 _HEADER = struct.Struct("<4sIQII")  # magic, version, d, n, T
+TOPS_MAGIC = b"FRT1"
+_TOPS_HEADER = struct.Struct("<4sIQIII")  # magic, version, d, n, T, m
 
 
 class HistoryError(ValueError):
@@ -48,20 +51,54 @@ def _record_buffer(d: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     return buf, buf.view(dtype).reshape(())
 
 
-def _read_header(f) -> tuple:
-    """(d, n, T, config hash) from the header at the start of `f`."""
-    head = f.read(_HEADER.size)
-    if len(head) < _HEADER.size:
+def _tops_buffer(n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """A one-record byte buffer of the top-value table and the record
+    viewed over it: the round index, each client's m largest update
+    coordinates in descending order (row c for client c), and a 64-bit
+    checksum of the bytes before it."""
+    dtype = np.dtype([("round", "<u4"), ("top", "<f8", (n, m)), ("checksum", "<u8")])
+    buf = np.zeros(dtype.itemsize, dtype=np.uint8)
+    return buf, buf.view(dtype).reshape(())
+
+
+def _read_header(f, header=_HEADER, magic=MAGIC) -> tuple:
+    """The fields after magic and version of `header` at the start of `f`
+    ((d, n, T) for a history), then the config hash."""
+    head = f.read(header.size)
+    if len(head) < header.size:
         raise HistoryError("truncated header")
-    magic, version, d, n, total = _HEADER.unpack(head)
-    if magic != MAGIC:
-        raise HistoryError(f"bad magic {magic!r}")
+    found, version, *fields = header.unpack(head)
+    if found != magic:
+        raise HistoryError(f"bad magic {found!r}")
     if version != VERSION:
         raise HistoryError(f"unsupported version {version}")
     config_hash = f.read(32)
     if len(config_hash) != 32:
         raise HistoryError("truncated header (config hash)")
-    return d, n, total, config_hash
+    return (*fields, config_hash)
+
+
+def _count_records(f, record_size: int, total: int, what: str) -> int:
+    """The number of records after the header `f` has just been read past:
+    exactly `total` complete ones, else HistoryError."""
+    count, partial = divmod(os.fstat(f.fileno()).st_size - f.tell(), record_size)
+    if partial:
+        raise HistoryError("truncated record")
+    if count != total:
+        raise HistoryError(f"{what} holds {count} complete records, header says T={total}")
+    return count
+
+
+def _checked_records(f, buf: np.ndarray, rec: np.ndarray, first: int, total: int):
+    """Reads records `first`..`total`-1 from `f`, positioned at `first`,
+    into `buf` one at a time, yielding each round index once its record is
+    whole and its checksum holds; the caller checks the rest of `rec`."""
+    for t in range(first, total):
+        if f.readinto(buf) != buf.size:
+            raise HistoryError("truncated record")
+        if _checksum(buf[:-8]) != rec["checksum"]:
+            raise HistoryError("record checksum mismatch")
+        yield t
 
 
 class HistoryStore:
@@ -72,6 +109,7 @@ class HistoryStore:
     appended in round order. The store holds no records in memory:
     `rounds()` reads them back one at a time. `n_records` counts the
     records appended, or, after `load`, the records the file holds.
+    `tops` is the run's `TopTable` when one is written or loaded with it.
     """
 
     def __init__(self, path, d: int, n: int, total_rounds: int, config_hash: bytes):
@@ -82,15 +120,22 @@ class HistoryStore:
         self.total_rounds = total_rounds
         self.config_hash = bytes(config_hash)
         self.n_records = 0
+        self.tops = None
 
     @classmethod
-    def create(cls, path, d: int, n: int, total_rounds: int, config_hash: bytes) -> "HistoryStore":
-        """A new file holding only the header; `append` writes the records."""
+    def create(
+        cls, path, d: int, n: int, total_rounds: int, config_hash: bytes, tops=None
+    ) -> "HistoryStore":
+        """A new file holding only the header; `append` writes the records.
+        `tops`, when given, is the (path, m) of a `TopTable` that `append`
+        fills beside the history."""
         store = cls(path, d, n, total_rounds, config_hash)
         store._buf, store._rec = _record_buffer(d, n)
         with open(store.path, "wb") as f:
             f.write(_HEADER.pack(MAGIC, VERSION, d, n, total_rounds))
             f.write(store.config_hash)
+        if tops is not None:
+            store.tops = TopTable.create(tops[0], d, n, total_rounds, tops[1], config_hash)
         return store
 
     def append(self, round_idx: int, model: np.ndarray, updates: dict) -> None:
@@ -106,21 +151,24 @@ class HistoryStore:
         with open(self.path, "ab") as f:
             f.write(buf)
         self.n_records += 1
+        if self.tops is not None:
+            self.tops.append(round_idx, mat)
 
     @classmethod
-    def load(cls, path) -> "HistoryStore":
+    def load(cls, path, tops=None) -> "HistoryStore":
         """The header, and a check of the file size: exactly T complete
-        records follow it. `rounds()` checks each record as it reads it."""
+        records follow it. `rounds()` checks each record as it reads it.
+        `tops`, when given, is the path of the run's `TopTable`, loaded
+        into `self.tops` and refused, naming it, unless its d, n, T and
+        config hash are the history's."""
         with open(path, "rb") as f:
             store = cls(path, *_read_header(f))
-            size = os.fstat(f.fileno()).st_size - f.tell()
-        store.n_records, partial = divmod(size, _record_buffer(store.d, store.n)[0].size)
-        if partial:
-            raise HistoryError("truncated record")
-        if store.n_records != store.total_rounds:
-            raise HistoryError(
-                f"history holds {store.n_records} complete records, header says T={store.total_rounds}"
-            )
+            record_size = _record_buffer(store.d, store.n)[0].size
+            store.n_records = _count_records(f, record_size, store.total_rounds, "history")
+        if tops is not None:
+            table = store.tops = TopTable.load(tops)
+            with _naming(table.path):
+                store.check_meta(table.d, table.n, table.total_rounds, table.config_hash)
         return store
 
     def rounds(self, first: int = 0):
@@ -138,11 +186,7 @@ class HistoryStore:
         ids = np.arange(self.n)
         with open(self.path, "rb") as f:
             f.seek(_HEADER.size + 32 + first * buf.size)
-            for t in range(first, self.total_rounds):
-                if f.readinto(buf) != buf.size:
-                    raise HistoryError("truncated record")
-                if _checksum(buf[:-8]) != rec["checksum"]:
-                    raise HistoryError("record checksum mismatch")
+            for t in _checked_records(f, buf, rec, first, self.total_rounds):
                 round_idx, clients = int(rec["round"]), rec["clients"]
                 where = f"record for round {round_idx}"
                 if rec["count"] != self.n or not np.array_equal(clients["id"], ids):
@@ -161,6 +205,84 @@ class HistoryStore:
             )
         if self.config_hash != bytes(config_hash):
             raise HistoryError("history config hash does not match the supplied config")
+
+
+@contextmanager
+def _naming(path):
+    """Prefix every HistoryError raised in the block with `path`, and
+    report a missing file as one."""
+    try:
+        yield
+    except FileNotFoundError:
+        raise HistoryError(f"{path}: no such file; `sim train` writes it") from None
+    except HistoryError as exc:
+        raise HistoryError(f"{path}: {exc}") from None
+
+
+class TopTable:
+    """Per round, each client's m largest update coordinates: all that
+    `recovery.compute_threshold` reads, so a recovery that derives its
+    threshold reads the history itself once.
+
+    Layout: a header (magic "FRT1", version, d, n, T, m, 32-byte config
+    hash) followed by one fixed-size record per round (see `_tops_buffer`).
+    `HistoryStore.append` writes it beside the history. Every fault it
+    reports names its file.
+    """
+
+    def __init__(self, path, d: int, n: int, total_rounds: int, m: int, config_hash: bytes):
+        self.path = os.fspath(path)
+        self.d, self.n, self.total_rounds, self.m = d, n, total_rounds, m
+        self.config_hash = bytes(config_hash)
+
+    @classmethod
+    def create(cls, path, d: int, n: int, total_rounds: int, m: int, config_hash: bytes) -> "TopTable":
+        """A new file holding only the header; `append` writes the records."""
+        table = cls(path, d, n, total_rounds, m, config_hash)
+        table._buf, table._rec = _tops_buffer(n, m)
+        with open(table.path, "wb") as f:
+            f.write(_TOPS_HEADER.pack(TOPS_MAGIC, VERSION, d, n, total_rounds, m))
+            f.write(table.config_hash)
+        return table
+
+    def append(self, round_idx: int, mat: np.ndarray) -> None:
+        """Write round `round_idx` from its (n, d) updates: each row's m
+        largest values, found by selection and sorted descending, so the
+        bytes do not depend on the selection's order."""
+        cut = self.d - self.m
+        top = np.partition(mat, cut, axis=1)[:, cut:]
+        buf, rec = self._buf, self._rec
+        rec["round"], rec["top"] = round_idx, np.sort(top, axis=1)[:, ::-1]
+        rec["checksum"] = _checksum(buf[:-8])
+        with open(self.path, "ab") as f:
+            f.write(buf)
+
+    @classmethod
+    def load(cls, path) -> "TopTable":
+        """The header, 1 <= m <= d, and a check of the file size: exactly T
+        complete records follow the header."""
+        with _naming(os.fspath(path)), open(path, "rb") as f:
+            table = cls(path, *_read_header(f, _TOPS_HEADER, TOPS_MAGIC))
+            if not 1 <= table.m <= table.d:
+                raise HistoryError(f"m={table.m} outside 1..d={table.d}")
+            _count_records(f, _tops_buffer(table.n, table.m)[0].size, table.total_rounds, "table")
+        return table
+
+    def rounds(self):
+        """Each round's (n, m) values in round order, as a fresh array, row
+        c client c's m largest update coordinates in descending order. A
+        record whose checksum fails, that holds a non-finite value or that
+        is out of round order raises HistoryError."""
+        buf, rec = _tops_buffer(self.n, self.m)
+        with _naming(self.path), open(self.path, "rb") as f:
+            f.seek(_TOPS_HEADER.size + 32)
+            for t in _checked_records(f, buf, rec, 0, self.total_rounds):
+                where = f"record for round {int(rec['round'])}"
+                if not np.isfinite(rec["top"]).all():
+                    raise HistoryError(f"{where} holds non-finite values")
+                if rec["round"] != t:
+                    raise HistoryError(f"{where} where {t} expected")
+                yield np.array(rec["top"], np.float64)
 
 
 @dataclass
@@ -251,13 +373,14 @@ def run_round(setup: FlSetup, w: np.ndarray, round_idx: int) -> tuple[np.ndarray
     return setup.aggregate_step(w, reported), reported
 
 
-def train(setup: FlSetup, total_rounds: int, history_path, config_hash: bytes) -> list:
+def train(setup: FlSetup, total_rounds: int, history_path, config_hash: bytes, tops=None) -> list:
     """Run the original training for total_rounds rounds, appending every
-    round to a fresh history store at history_path. Returns the T+1 global
-    models, the last of them the final model."""
+    round to a fresh history store at history_path and, when `tops` (the
+    path and m of a `TopTable`) is given, to that table. Returns the T+1
+    global models, the last of them the final model."""
     w = models.init_params(setup.spec, derive_seed(setup.seed, STREAM_INIT, 0, 0))
     store = HistoryStore.create(
-        history_path, setup.spec.param_dim, len(setup.client_ids), total_rounds, config_hash
+        history_path, setup.spec.param_dim, len(setup.client_ids), total_rounds, config_hash, tops
     )
     trace = [w]
     for round_idx in range(total_rounds):

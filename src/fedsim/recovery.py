@@ -30,7 +30,7 @@ import numpy as np
 
 from . import models
 from .attacks import adaptive_scale
-from .flengine import FlSetup, HistoryStore
+from .flengine import FlSetup, HistoryError, HistoryStore
 from .numcore import (
     STREAM_FINETUNE,
     STREAM_INIT,
@@ -106,6 +106,13 @@ def lbfgs_hvp(system: CompactSystem, v: np.ndarray) -> np.ndarray:
     return sigma * v - (G @ p[:s] + sigma * (W @ p[s:]))
 
 
+def top_count(alpha: float, n: int, d: int) -> int:
+    """m = clamp(floor(alpha n d) + 1, 1, d): how many of each client's
+    largest update coordinates per round the `TopTable` keeps, enough for
+    `compute_threshold` at tolerance rate alpha over any remaining clients."""
+    return min(max(math.floor(alpha * (n * d)) + 1, 1), d)
+
+
 def compute_threshold(history: HistoryStore, remaining_clients, alpha: float) -> float:
     """Abnormality threshold derived from stored updates.
 
@@ -115,17 +122,30 @@ def compute_threshold(history: HistoryStore, remaining_clients, alpha: float) ->
     is the max over rounds. Ties resolve toward the larger value, i.e.
     fewer exact-update requests.
 
-    With N pooled values and k = floor(alpha N), that value is the
-    ascending pool's element at index max(N - 1 - k, 0), found by
-    selection rather than a full sort. The config guarantees alpha in
-    (0, 1] and at least one round.
+    With N pooled values and k = floor(alpha N), that value is the pool's
+    min(k + 1, N)-th largest, so it is among the k + 1 largest values of
+    the client that holds it. `history.tops` keeps each client's m largest
+    values per round, with m at least that rank or m = d, so tau is read
+    from that table alone, by selection, and equals the full pool's value;
+    the history's own records are not read. A table of fewer values raises
+    HistoryError. The config guarantees alpha in (0, 1] and at least one
+    round.
     """
     remaining = sorted(remaining_clients)
+    tops = history.tops
+    size = len(remaining) * history.d
+    rank = min(math.floor(alpha * size) + 1, size)
+    need = min(rank, history.d)  # the rank-th largest is at most a client's need-th
+    if tops.m < need:
+        raise HistoryError(
+            f"{tops.path}: holds the {tops.m} largest values per client and round, "
+            f"but tolerance rate {alpha!r} needs {need}"
+        )
     tau = -math.inf
-    for _, round_updates in history.rounds():
-        pool = round_updates[remaining].ravel()
-        m = max(pool.size - 1 - math.floor(alpha * pool.size), 0)
-        tau = max(tau, float(np.partition(pool, m)[m]))
+    for top in tops.rounds():
+        pool = top[remaining].ravel()
+        i = pool.size - rank
+        tau = max(tau, float(np.partition(pool, i)[i]))
     return tau
 
 
@@ -246,9 +266,11 @@ def fedrecover(
     per-client) and additionally from single-client fixes (per-client
     only).
 
-    Trusts its inputs: `HistoryStore.rounds` checks each record as it
-    reads it, the config checks `params` against T and the model, and
-    the caller leaves at least one client undetected.
+    Reads the history's records once, in the replay; an unset
+    `params.tau` is derived from `history.tops` first. Trusts its inputs:
+    `HistoryStore.rounds` checks each record as it reads it, the config
+    checks `params` against T and the model, and the caller leaves at
+    least one client undetected and loads the table when tau is unset.
     """
     total = history.total_rounds
     detected = frozenset(detected)

@@ -14,8 +14,20 @@ from fedsim.data import gen_synthetic, partition_noniid
 from fedsim.flengine import FlSetup, HistoryStore, train
 from fedsim.models import ModelSpec, _forward
 from fedsim.numcore import as_vector
+from fedsim.recovery import top_count
 
 CHASH = bytes(32)
+
+
+def train_and_load(setup, rounds, path, alpha=1.0, chash=CHASH):
+    """Train `rounds` rounds into the history at `path`, with the top-value
+    table kept for tolerance rate `alpha` at `path` + ".tops" (the default
+    1 keeps every value, which serves any rate). Returns the T+1 global
+    models and the history loaded with its table."""
+    tops = f"{path}.tops"
+    m = top_count(alpha, len(setup.client_ids), setup.spec.param_dim)
+    trace = train(setup, rounds, path, chash, tops=(tops, m))
+    return trace, HistoryStore.load(path, tops)
 
 # Every run draws the same examples, so a failure one run finds is the next
 # run's too, and its reproduction blob is printed.
@@ -160,8 +172,8 @@ def ridge_trim_scenario(tmp_path_factory):
         malicious=malicious,
     )
     path = tmp_path_factory.mktemp("ridge") / "history.bin"
-    final_model = train(setup, 60, path, CHASH)[-1]
-    store = HistoryStore.load(path)
+    trace, store = train_and_load(setup, 60, path)
+    final_model = trace[-1]
     return {
         "dataset": dataset,
         "setup": setup,
@@ -193,8 +205,8 @@ def logreg_backdoor_scenario(tmp_path_factory):
         malicious=malicious,
     )
     path = tmp_path_factory.mktemp("backdoor") / "history.bin"
-    final_model = train(setup, 50, path, CHASH)[-1]
-    store = HistoryStore.load(path)
+    trace, store = train_and_load(setup, 50, path)
+    final_model = trace[-1]
     return {
         "dataset": dataset,
         "setup": setup,

@@ -9,7 +9,9 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from conftest import assert_both_accept, finite_diff_gradient, loss, randint_below, smoothness_bound
+from conftest import (
+    assert_both_accept, finite_diff_gradient, loss, randint_below, smoothness_bound, train_and_load,
+)
 from test_recovery import compact_system
 from fedsim.aggregation import AggregationRule, coord_median, trimmed_mean
 from fedsim.attacks import AttackConfig, Trigger, adaptive_scale, simulate_detection
@@ -87,12 +89,12 @@ def backdoor_run(tmp_path_factory):
         s["eta"], s["batch"], s["seed"], s["q"], attack, s["malicious"],
     )
     path = tmp_path_factory.mktemp("bd") / "history.bin"
-    poisoned = train(setup, s["rounds"], path, bytes(32))[-1]
-    store = HistoryStore.load(path)
     params = RecoveryParams(
         warmup_rounds=10, correction_period=10, final_tuning_rounds=5,
         buffer_size=2, tolerance_rate=1e-6,
     )
+    trace, store = train_and_load(setup, s["rounds"], path, params.tolerance_rate, bytes(32))
+    poisoned = trace[-1]
     return {
         "setup": setup, "store": store, "poisoned": poisoned, "path": path,
         "test": test_set, "trigger": trigger, "params": params,

@@ -26,7 +26,7 @@ from fedsim.cli import (
     main,
     write_summary,
 )
-from fedsim.flengine import HistoryStore
+from fedsim.flengine import HistoryStore, TopTable
 from fedsim.numcore import RngStream
 
 CFG_TEMPLATE = """
@@ -108,6 +108,7 @@ class TestTrainCommand:
         assert main(["train", "-c", str(cfg_path)]) == 0
         run_dir = root / "runs" / "exp"
         assert (run_dir / "history.bin").exists()
+        assert (run_dir / "history_tops.bin").exists()
         assert not (run_dir / "model_final.bin").exists()
         assert (run_dir / "train_metrics.csv").exists()
         assert not list(run_dir.glob("*.tmp"))
@@ -136,7 +137,9 @@ class TestTrainCommand:
             outputs.append(
                 {
                     name: (run_dir / name).read_bytes()
-                    for name in ("history.bin", "summary_train.json", "train_metrics.csv")
+                    for name in (
+                        "history.bin", "history_tops.bin", "summary_train.json", "train_metrics.csv"
+                    )
                 }
             )
         assert outputs[0] == outputs[1]
@@ -400,6 +403,90 @@ class TestRecoverCommand:
             assert not (run_dir / f"summary_{method}.json").exists()
 
 
+    def test_table_faults_name_the_table_before_any_output(self, trained, tmp_path, capsys):
+        # fedrecover derives tau from history_tops.bin: each fault of that
+        # file stops it naming the file, before it writes metrics or a summary
+        root, cfg_path = trained
+        run_dir = root / "runs" / "exp"
+        tops = run_dir / "history_tops.bin"
+        good = tops.read_bytes()
+        flipped = bytearray(good)
+        flipped[-30] ^= 0xFF
+        # the table of a 20-round run of the same directory and data
+        other = tmp_path / "other"
+        other_cfg = tmp_path / "other.ini"
+        other_cfg.write_text(CFG_TEMPLATE.format(out=other).replace("rounds = 30", "rounds = 20"))
+        assert main(["train", "-c", str(other_cfg)]) == 0
+        faults = [
+            (bytes(flipped), "record checksum mismatch"),
+            (good[:-5], "truncated record"),
+            ((other / "history_tops.bin").read_bytes(), "history meta (d=36, n=8, T=30) does not match (d=36, n=8, T=20)"),
+            (None, "no such file"),
+        ]
+        for blob, message in faults:
+            if blob is None:
+                tops.unlink()
+            else:
+                tops.write_bytes(blob)
+            capsys.readouterr()
+            assert main(["recover", "-c", str(cfg_path), "--method", "fedrecover"]) == 1
+            assert capsys.readouterr().err.startswith(f"error: {tops}: {message}")
+            assert not list(run_dir.glob("*fedrecover*"))
+
+    def test_table_of_too_few_values_for_the_rate_is_refused(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        # tolerance_rate = 0.01 keeps m = floor(0.01 * 8 * 36) + 1 = 3 values
+        # per client; a table of 1 cannot give tau, the 3rd largest of 6 x 36
+        monkeypatch.setenv("FEDSIM_OUTPUT_ROOT", str(tmp_path))
+        cfg_path = tmp_path / "exp.ini"
+        cfg_path.write_text(
+            CFG_TEMPLATE.format(out="runs/exp").replace("[recovery]", "[recovery]\ntolerance_rate = 0.01")
+        )
+        assert main(["train", "-c", str(cfg_path)]) == 0
+        run_dir = tmp_path / "runs" / "exp"
+        tops = run_dir / "history_tops.bin"
+        history = HistoryStore.load(run_dir / "history.bin", tops)
+        assert history.tops.m == 3
+        table = TopTable.create(tops, history.d, history.n, history.total_rounds, 1, history.config_hash)
+        for t, (_, updates) in enumerate(history.rounds()):
+            table.append(t, updates)
+        capsys.readouterr()
+        assert main(["recover", "-c", str(cfg_path), "--method", "fedrecover"]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {tops}: holds the 1 largest values per client and round, "
+            "but tolerance rate 0.01 needs 3\n"
+        )
+        assert not list(run_dir.glob("*fedrecover*"))
+
+    def test_given_tau_needs_no_table(self, trained):
+        root, cfg_path = trained
+        cfg_path.write_text(cfg_path.read_text().replace("[recovery]", "[recovery]\ntau = 2.5"))
+        assert main(["train", "-c", str(cfg_path)]) == 0
+        run_dir = root / "runs" / "exp"
+        (run_dir / "history_tops.bin").unlink()
+        assert main(["recover", "-c", str(cfg_path), "--method", "fedrecover"]) == 0
+        assert (run_dir / "summary_fedrecover.json").exists()
+
+    @pytest.mark.parametrize("tau", [None, "2.5", "inf"])
+    def test_fedrecover_reads_the_history_once(self, run_env, monkeypatch, tau):
+        root, cfg_path = run_env
+        if tau is not None:
+            cfg_path.write_text(cfg_path.read_text().replace("[recovery]", f"[recovery]\ntau = {tau}"))
+        assert main(["train", "-c", str(cfg_path)]) == 0
+        passes = []
+        real_rounds = HistoryStore.rounds
+
+        def counted(store, first=0):
+            passes.append(0)
+            for record in real_rounds(store, first):
+                passes[-1] += 1
+                yield record
+
+        monkeypatch.setattr(HistoryStore, "rounds", counted)
+        assert main(["recover", "-c", str(cfg_path), "--method", "fedrecover"]) == 0
+        assert passes == [30]
+
     @pytest.mark.parametrize("method", ["scratch", "historical", "fedrecover", "finetune"])
     def test_no_client_left_after_detection_is_error_exit(
         self, tmp_path, monkeypatch, capsys, method
@@ -556,6 +643,18 @@ class TestDataMatchesTheModel:
         self.write_split(tmp_path, split, n, 28, labels or [i % 10 for i in range(n)], **magic)
         assert main(["train", "-c", str(cfg_path)]) == 1
         assert capsys.readouterr().err == f"error: config field {expected}\n"
+        assert os.listdir(tmp_path / "runs" / "mnist") == []
+
+    @pytest.mark.parametrize("split, part", [("test", "labels"), ("train", "images")])
+    def test_missing_idx_file_names_its_key(self, tmp_path, monkeypatch, capsys, split, part):
+        cfg_path = self.config(tmp_path, monkeypatch)
+        missing = tmp_path / "data" / split / f"{part}.idx"
+        missing.unlink()
+        assert main(["train", "-c", str(cfg_path)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: config field [dataset.{split}_{part}]: "
+            f"[Errno 2] No such file or directory: '{missing}'\n"
+        )
         assert os.listdir(tmp_path / "runs" / "mnist") == []
 
     def test_backdoor_test_set_of_target_labels_only_names_the_target(

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from conftest import build_setup, loss
+from conftest import build_setup, loss, train_and_load
 from fedsim.aggregation import AggregationRule
 from fedsim.attacks import AttackConfig, Trigger, backdoor_update
 from fedsim.data import gen_synthetic, partition_noniid
@@ -20,6 +20,7 @@ from fedsim.flengine import (
     FlSetup,
     HistoryError,
     HistoryStore,
+    TopTable,
     run_round,
     train,
 )
@@ -353,6 +354,125 @@ class TestRecordLayout:
             list(HistoryStore.load(path).rounds())
 
 
+def _seed_tops_encode(round_idx: int, updates: np.ndarray, m: int) -> bytes:
+    """A top-value table record from first principles: the round index, each
+    client's m largest values by a full descending sort, and the checksum."""
+    top = -np.sort(-updates, axis=1)[:, :m]
+    payload = struct.pack("<I", round_idx) + np.ascontiguousarray(top, dtype="<f8").tobytes()
+    return payload + struct.pack("<Q", _checksum(payload))
+
+
+def _write_with_tops(tmp, values, m):
+    """`values` as `_histories` draws them, written to h.bin with a table
+    of m values per client at h.tops; the two paths."""
+    total, n, d = values.shape[0], values.shape[1] - 1, values.shape[2]
+    path, tops = Path(tmp) / "h.bin", Path(tmp) / "h.tops"
+    store = HistoryStore.create(path, d, n, total, CHASH, tops=(tops, m))
+    for t in range(total):
+        store.append(t, values[t, 0], {c: values[t, 1 + c] for c in range(n)})
+    return path, tops
+
+
+class TestTopTable:
+    @settings(max_examples=60, deadline=None)
+    @given(values=_histories(), data=st.data())
+    def test_writer_matches_a_full_sort_and_load_round_trips(self, values, data):
+        total, n, d = values.shape[0], values.shape[1] - 1, values.shape[2]
+        m = data.draw(st.integers(1, d))
+        with tempfile.TemporaryDirectory() as tmp:
+            path, tops = _write_with_tops(tmp, values, m)
+            blob, history_blob = tops.read_bytes(), path.read_bytes()
+            loaded = HistoryStore.load(path, tops)
+            rounds = list(loaded.tops.rounds())
+        # the history is the same file with or without its table
+        header = struct.pack("<4sIQII", b"FRH1", 1, d, n, total) + CHASH
+        assert history_blob == header + b"".join(
+            _seed_encode(_SeedRecord(t, values[t, 0], dict(enumerate(values[t, 1:]))))
+            for t in range(total)
+        )
+        header = struct.pack("<4sIQIII", b"FRT1", 1, d, n, total, m) + CHASH
+        want = header + b"".join(_seed_tops_encode(t, values[t, 1:], m) for t in range(total))
+        assert len(blob) == len(want)
+        if not (values[:, 1:] == 0).any():  # tied zeros of either sign may come in either order
+            assert blob == want
+        table = loaded.tops
+        assert (table.d, table.n, table.total_rounds, table.m) == (d, n, total, m)
+        assert len(rounds) == total
+        for t, top in enumerate(rounds):
+            assert top.dtype == np.float64 and top.shape == (n, m)
+            np.testing.assert_array_equal(top, -np.sort(-values[t, 1:], axis=1)[:, :m])
+
+    def test_train_writes_the_same_table_twice(self, tmp_path):
+        tables = []
+        for name in ("a", "b"):
+            setup, _ = small_setup()
+            path = tmp_path / f"{name}.bin"
+            train_and_load(setup, 6, path, 0.01)  # m = floor(0.01 * 4 * 21) + 1 = 1
+            tables.append(Path(f"{path}.tops").read_bytes())
+        assert tables[0] == tables[1]
+        assert len(tables[0]) == 28 + 32 + 6 * (4 + 4 * 1 * 8 + 8)
+
+    def test_faults_name_the_table_file(self, tmp_path):
+        values = RngStream(4).normals(3 * 5 * 5).reshape(3, 5, 5)
+        path, tops = _write_with_tops(tmp_path, values, 2)
+        good = tops.read_bytes()
+        record = (len(good) - 60) // 3
+        flipped = bytearray(good)
+        flipped[-20] ^= 0xFF
+        zero_m = bytearray(good)
+        struct.pack_into("<I", zero_m, 24, 0)
+        faults = [
+            (bytes(flipped), "record checksum mismatch"),
+            (good[:-3], "truncated record"),
+            (good[: 60 + record], "table holds 1 complete records, header says T=3"),
+            (b"FRH1" + good[4:], "bad magic"),
+            (good[:30], "truncated header"),
+            (bytes(zero_m), "m=0 outside 1..d=5"),
+            (None, "no such file"),
+        ]
+        for blob, message in faults:
+            if blob is None:
+                tops.unlink()
+            else:
+                tops.write_bytes(blob)
+            with pytest.raises(HistoryError, match=f"^{tops}: {message}"):
+                list(HistoryStore.load(path, tops).tops.rounds())
+
+    @pytest.mark.parametrize("field", ["d", "n", "T", "config hash"])
+    def test_table_of_another_history_is_refused(self, tmp_path, field):
+        values = RngStream(5).normals(3 * 5 * 5).reshape(3, 5, 5)
+        path, tops = _write_with_tops(tmp_path, values, 1)
+        blob = bytearray(tops.read_bytes())
+        if field == "config hash":
+            blob[28] ^= 1
+        else:  # one less, with records to match, so that only the meta differs
+            offset, fmt = {"d": (8, "<Q"), "n": (16, "<I"), "T": (20, "<I")}[field]
+            struct.pack_into(fmt, blob, offset, struct.unpack_from(fmt, blob, offset)[0] - 1)
+            _, n, total, m = struct.unpack_from("<QIII", blob, 8)
+            blob = blob[:60] + bytes(total * (4 + n * m * 8 + 8))
+        tops.write_bytes(bytes(blob))
+        message = "history config hash" if field == "config hash" else r"history meta \(d=5, n=4, T=3\)"
+        with pytest.raises(HistoryError, match=f"^{tops}: {message} does not match"):
+            HistoryStore.load(path, tops)
+
+    @pytest.mark.parametrize(
+        "fault, message",
+        [("order", "record for round 1 where 0 expected"),
+         ("nan", "record for round 1 holds non-finite values")],
+    )
+    def test_record_out_of_order_or_non_finite_is_refused(self, tmp_path, fault, message):
+        d, n, m = 3, 2, 1
+        rows = RngStream(6).normals(2 * n * d).reshape(2, n, d)
+        if fault == "nan":
+            rows[1, 0] = np.nan
+        order = (1, 0) if fault == "order" else (0, 1)
+        tops = tmp_path / "h.tops"
+        header = struct.pack("<4sIQIII", b"FRT1", 1, d, n, 2, m) + CHASH
+        tops.write_bytes(header + b"".join(_seed_tops_encode(t, rows[t], m) for t in order))
+        with pytest.raises(HistoryError, match=f"^{tops}: {message}"):
+            list(TopTable.load(tops).rounds())
+
+
 class TestAggregateStep:
     def test_fedavg_weighs_each_client_by_its_shard_length(self):
         ds = gen_synthetic(3, 6, 10, 3.0, seed=4)
@@ -566,11 +686,11 @@ class TestTrain:
         # the L-BFGS windows of s rounds, far below the file's (T, n + 1, d)
         setup = backdoor_logreg_shapes()
         path = tmp_path / "h.bin"
-        train(setup, 60, path, CHASH)
         params = RecoveryParams(warmup_rounds=10, correction_period=10, final_tuning_rounds=5)
+        train_and_load(setup, 60, path, params.tolerance_rate)
         tracemalloc.start()
         try:
-            history = HistoryStore.load(path)
+            history = HistoryStore.load(path, f"{path}.tops")
             if method == "fedrecover":
                 trace = fedrecover(history, setup.malicious, setup, params).per_round_models
             else:

@@ -9,7 +9,7 @@ import struct
 import numpy as np
 import pytest
 
-from conftest import CHASH, assert_both_accept, build_setup
+from conftest import CHASH, assert_both_accept, build_setup, train_and_load
 from fedsim.aggregation import AggregationRule
 from fedsim.attacks import AttackConfig
 from fedsim.cli import main as cli_main
@@ -69,8 +69,7 @@ class TestMultiStepLocalUpdates:
 
     def test_estimation_mode_works_with_l3(self, tmp_path):
         setup = self.make(3, attack=AttackConfig(kind="trim", b=2.0), malicious=(1,))
-        train(setup, 30, tmp_path / "h.bin", CHASH)
-        store = HistoryStore.load(tmp_path / "h.bin")
+        _, store = train_and_load(setup, 30, tmp_path / "h.bin", 1e-6)
         params = RecoveryParams(
             warmup_rounds=5, correction_period=5, final_tuning_rounds=3, buffer_size=2,
             tolerance_rate=1e-6,

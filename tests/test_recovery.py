@@ -8,12 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import CHASH, build_setup
+from conftest import CHASH, build_setup, train_and_load
 from fedsim import recovery
 from fedsim.aggregation import AggregationRule
 from fedsim.attacks import AttackConfig, Trigger
 from fedsim.data import gen_synthetic
-from fedsim.flengine import HistoryStore, train
+from fedsim.flengine import HistoryError, HistoryStore, train
 from fedsim.models import ModelSpec
 from fedsim.numcore import RngStream, as_vector
 from fedsim.recovery import (
@@ -376,18 +376,49 @@ class TestExactQuadraticHvp:
             assert np.max(np.abs(approx - exact)) <= 1e-6 * (1.0 + np.max(np.abs(exact)))
 
 
+def pass_threshold(history: HistoryStore, remaining_clients, alpha: float) -> float:
+    """Abnormality threshold from a full checked pass over the history: the
+    program's threshold before the top-value table, kept as its oracle.
+
+    Per round, pool every coordinate of the remaining clients' stored
+    updates and take the smallest pooled value v such that at most an
+    alpha fraction of the pool is strictly greater than v; the threshold
+    is the max over rounds. With N pooled values and k = floor(alpha N),
+    that value is the ascending pool's element at index max(N - 1 - k, 0).
+    """
+    remaining = sorted(remaining_clients)
+    tau = -math.inf
+    for _, round_updates in history.rounds():
+        pool = round_updates[remaining].ravel()
+        m = max(pool.size - 1 - math.floor(alpha * pool.size), 0)
+        tau = max(tau, float(np.partition(pool, m)[m]))
+    return tau
+
+
+def stored_history(directory, updates, alpha: float) -> HistoryStore:
+    """A history of the (T, n, d) `updates` (zero models) written in
+    `directory` with its top-value table for tolerance rate `alpha`, and
+    loaded with that table."""
+    total, n, d = np.shape(updates)
+    path, tops = os.path.join(directory, "h.bin"), os.path.join(directory, "h.tops")
+    store = HistoryStore.create(path, d, n, total, CHASH, tops=(tops, recovery.top_count(alpha, n, d)))
+    for t, rows in enumerate(updates):
+        store.append(t, np.zeros(d), dict(enumerate(np.asarray(rows, dtype=float))))
+    return HistoryStore.load(path, tops)
+
+
 class FakeHistory:
-    """Minimal stand-in for threshold tests: per round, client 0's stored
-    update is that round's pool. Pools may differ in size between rounds,
-    so each round's updates are a (1, len(pool)) array, and no model is
-    stored."""
+    """Minimal history for threshold tests: per round, client 0's stored
+    update is that round's pool, so every pool has the same size d. It is
+    a real history file with its top-value table for tolerance rate
+    `alpha`, in a directory removed with the object."""
 
-    def __init__(self, pools):
-        self.pools = pools
+    def __init__(self, pools, alpha):
+        self._dir = tempfile.TemporaryDirectory()
+        self.store = stored_history(self._dir.name, [[pool] for pool in pools], alpha)
 
-    def rounds(self):
-        for pool in self.pools:
-            yield None, np.array([pool], dtype=float)
+    def threshold(self, alpha):
+        return compute_threshold(self.store, [0], alpha)
 
 
 def threshold_predicate_oracle(pool, alpha):
@@ -412,53 +443,93 @@ def _seed_round_threshold(pool, alpha):
     return float(uniq[greater <= limit][0])
 
 
+# Coordinates with ties, both zeros and negative values among them.
+_COORDS = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, -2.5]),
+    st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False),
+)
+_ALPHAS = st.one_of(
+    st.floats(-6.0, 0.0).map(lambda e: 10.0**e),
+    st.floats(0.0, 1.0, exclude_min=True),
+    st.sampled_from([1e-6, 0.1, 0.2, 0.25, 1 / 3, 0.5, 1.0]),
+)
+
+
+@st.composite
+def threshold_cases(draw):
+    """(T, n, d) updates, a nonempty remaining set and alpha in (0, 1]; with
+    `negative`, every pooled value is below zero."""
+    total, n, d = draw(st.integers(1, 3)), draw(st.integers(1, 5)), draw(st.integers(1, 8))
+    updates = np.array(draw(st.lists(_COORDS, min_size=total * n * d, max_size=total * n * d)))
+    if draw(st.booleans()):  # all negative
+        updates = -np.abs(updates) - 0.5
+    remaining = draw(st.lists(st.integers(0, n - 1), min_size=1, unique=True))
+    return updates.reshape(total, n, d), remaining, draw(_ALPHAS)
+
+
 class TestComputeThreshold:
     def test_alpha_one_small_pool(self):
-        hist = FakeHistory([[1.0, 2.0, 3.0]])
-        assert compute_threshold(hist, [0], 1.0) == 1.0
+        assert FakeHistory([[1.0, 2.0, 3.0]], 1.0).threshold(1.0) == 1.0
 
     def test_pool_of_ten_alpha_point2(self):
-        hist = FakeHistory([list(range(1, 11))])
-        assert compute_threshold(hist, [0], 0.2) == 8.0
+        assert FakeHistory([list(range(1, 11))], 0.2).threshold(0.2) == 8.0
 
     def test_max_over_rounds(self):
         # alpha 0.4 on 2-element pools tolerates zero exceedances, so the
         # per-round thresholds are the pooled maxima 5 and 7
-        hist = FakeHistory([[1.0, 5.0], [1.0, 7.0]])
-        assert compute_threshold(hist, [0], 0.4) == 7.0
+        assert FakeHistory([[1.0, 5.0], [1.0, 7.0]], 0.4).threshold(0.4) == 7.0
 
     def test_matches_predicate_oracle(self):
         rng = RngStream(6)
         for trial in range(50):
             pool = rng.normals(3 + trial % 40).tolist()
             alpha = (trial % 10 + 1) / 10.0
-            hist = FakeHistory([pool])
-            assert compute_threshold(hist, [0], alpha) == threshold_predicate_oracle(pool, alpha)
+            got = FakeHistory([pool], alpha).threshold(alpha)
+            assert got == threshold_predicate_oracle(pool, alpha)
 
     # == treats -0.0 and 0.0 as equal: among tied zeros, sort and
     # selection may return either sign, and tau is only ever compared.
     @settings(max_examples=400, deadline=None)
     @given(
-        pools=st.lists(
-            st.lists(
-                st.one_of(
-                    st.integers(-3, 3).map(float),
-                    st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False),
-                ),
-                min_size=1,
-                max_size=40,
+        size=st.integers(1, 40),
+        rounds=st.integers(1, 3),
+        coords=st.lists(
+            st.one_of(
+                st.integers(-3, 3).map(float),
+                st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False),
             ),
-            min_size=1,
-            max_size=3,
+            min_size=120,
+            max_size=120,
         ),
-        alpha=st.one_of(
-            st.floats(-6.0, 0.0).map(lambda e: 10.0**e),
-            st.sampled_from([1e-6, 0.1, 0.2, 0.25, 1 / 3, 0.5, 1.0]),
-        ),
+        alpha=_ALPHAS,
     )
-    def test_selection_matches_seed_formula(self, pools, alpha):
+    def test_selection_matches_seed_formula(self, size, rounds, coords, alpha):
+        pools = [coords[t * size : (t + 1) * size] for t in range(rounds)]
         want = max(_seed_round_threshold(np.array(p), alpha) for p in pools)
-        assert compute_threshold(FakeHistory(pools), [0], alpha) == want
+        assert FakeHistory(pools, alpha).threshold(alpha) == want
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=threshold_cases())
+    def test_table_matches_the_full_pass(self, case):
+        # any d, n, T, remaining set and alpha: the table's tau is the
+        # full pass's, with m < d and m = d, ties, -0.0 and negative pools
+        updates, remaining, alpha = case
+        with tempfile.TemporaryDirectory() as tmp:
+            store = stored_history(tmp, updates, alpha)
+            assert store.tops.m == recovery.top_count(alpha, *updates.shape[1:])
+            assert compute_threshold(store, remaining, alpha) == pass_threshold(
+                store, remaining, alpha
+            )
+
+    def test_table_of_fewer_values_than_the_rank_is_refused(self, tmp_path):
+        # a table kept for alpha = 0.05 (m = 1 of d = 5) cannot serve 0.5,
+        # whose tau is the 6th largest of two clients' 10 values, so up to
+        # the 5th of its own client's
+        rng = RngStream(2)
+        store = stored_history(tmp_path, rng.normals(2 * 2 * 5).reshape(2, 2, 5), 0.05)
+        assert store.tops.m == 1
+        with pytest.raises(HistoryError, match=r"h\.tops: holds the 1 largest values .* needs 5"):
+            compute_threshold(store, [0, 1], 0.5)
 
 
 class TestPredictedCost:
@@ -765,8 +836,7 @@ class TestPeriodOneIsRetraining:
             l=sc["l"],
         )
         with tempfile.TemporaryDirectory() as tmp:
-            train(setup, sc["rounds"], os.path.join(tmp, "h.bin"), CHASH)
-            store = HistoryStore.load(os.path.join(tmp, "h.bin"))
+            _, store = train_and_load(setup, sc["rounds"], os.path.join(tmp, "h.bin"))
             result = fedrecover(store, detected, setup, params)
         remaining = sorted(set(setup.client_ids) - set(detected))
         trace = train_from_scratch(setup, remaining, sc["rounds"])
@@ -860,9 +930,9 @@ class TestResidualAttackers:
                 malicious=malicious,
             )
             path = tmp_path / name
-            train(setup, 24, path, CHASH)
+            _, store = train_and_load(setup, 24, path, 0.05)
             params = recovery_params(tau=None, tolerance_rate=0.05)
-            result = fedrecover(HistoryStore.load(path), {1}, setup, params, instrument=True)
+            result = fedrecover(store, {1}, setup, params, instrument=True)
             return path.read_bytes(), result
 
         history, result = run((1, 3, 4), "named.bin")
