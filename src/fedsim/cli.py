@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import csv
 import fcntl
-import hashlib
 import json
 import math
 import numbers
@@ -26,7 +25,7 @@ from . import config as config_mod
 from . import metrics, models, recovery
 from .attacks import simulate_detection
 from .flengine import HistoryStore, train
-from .numcore import STREAM_DETECT, RngStream, derive_seed
+from .numcore import STREAM_DETECT, RngStream, derive_seed, sha256
 
 OUTPUT_ROOT_ENV = "FEDSIM_OUTPUT_ROOT"
 HISTORY_FILE = "history.bin"
@@ -237,11 +236,15 @@ def cmd_train(cfg_path: str) -> int:
         chash = config_mod.config_hash(cfg)
         train_set, test_set = config_mod.build_datasets(cfg)
         setup = config_mod.build_setup(cfg, train_set)
+        del train_set  # the client shards hold copies of its examples
         # The history, its top-value table and the config appear under their
         # names only once the last round is done, so a failed or killed train
         # never leaves a partial run, nor files that do not match each other.
         outputs = [os.path.join(run_dir, name) for name in (HISTORY_FILE, TOPS_FILE, CONFIG_FILE)]
-        m = recovery.top_count(cfg.recovery.tolerance_rate, cfg.n_clients, cfg.model.param_dim)
+        # a given tau leaves the rate unchecked and no command reads the table
+        m = 1
+        if cfg.recovery.tau is None:
+            m = recovery.top_count(cfg.recovery.tolerance_rate, cfg.n_clients, cfg.model.param_dim)
         with _atomic(*outputs) as (history_temp, tops_temp, config_temp):
             trace = train(setup, cfg.rounds, history_temp, chash, tops=(tops_temp, m))
             with open(config_temp, "w", encoding="utf-8") as f:
@@ -294,6 +297,8 @@ def cmd_recover(cfg_path: str, method: str) -> int:
         chash = config_mod.config_hash(cfg)
         train_set, test_set = config_mod.build_datasets(cfg)
         setup = config_mod.build_setup(cfg, train_set)
+        if method != "finetune":
+            train_set = None  # only finetune reads it again; the shards hold copies
         detected = _detection(cfg, setup)
         remaining = sorted(set(setup.client_ids) - set(detected))
         if not remaining:
@@ -410,7 +415,7 @@ def cmd_report(run_dirs, out_stream=None) -> int:
         # a run trained from config.ini: a summary of any other config is stale
         run_hash = None
         with suppress(FileNotFoundError), open(os.path.join(run_dir, CONFIG_FILE), "rb") as f:
-            run_hash = hashlib.sha256(f.read()).hexdigest()
+            run_hash = sha256(f.read()).hexdigest()
         for name in summaries:
             path = os.path.join(run_dir, name)
             try:

@@ -8,7 +8,6 @@ value), which both the parser and the canonical form walk in order.
 from __future__ import annotations
 
 import configparser
-import hashlib
 import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
@@ -18,7 +17,7 @@ from .aggregation import RULE_KINDS, AggregationRule
 from .attacks import AttackConfig, Trigger
 from .flengine import FlSetup
 from .models import KINDS, ModelSpec
-from .numcore import STREAM_DATAGEN, STREAM_MALICIOUS, RngStream, derive_seed
+from .numcore import STREAM_DATAGEN, STREAM_MALICIOUS, RngStream, derive_seed, sha256
 from .recovery import RecoveryParams
 
 _BOOL = {"true": True, "false": False}
@@ -381,7 +380,7 @@ def serialize_config(cfg: ExperimentConfig) -> str:
 
 
 def config_hash(cfg: ExperimentConfig) -> bytes:
-    return hashlib.sha256(serialize_config(cfg).encode("utf-8")).digest()
+    return sha256(serialize_config(cfg).encode("utf-8")).digest()
 
 
 def _load_idx(d: DatasetConfig, split: str):

@@ -126,16 +126,18 @@ def gen_synthetic(
     """Gaussian-blob classification data, affinely mapped into [0, 1].
 
     Class c is N(separation * mu_c, I) with unit-norm centers mu_c; the
-    whole construction is deterministic given the seed.
+    whole construction is deterministic given the seed. The examples are
+    built in place in the array of normals, class by class in label order.
     """
-    centers = _class_centers(num_classes, dim)
+    shifts = separation * _class_centers(num_classes, dim)
     sample_rng = RngStream(derive_seed(seed, STREAM_DATAGEN, 1, 0))
-    noise = sample_rng.normals(num_classes * n_per_class * dim)
-    noise = noise.reshape(num_classes * n_per_class, dim)
+    inputs = sample_rng.normals(num_classes * n_per_class * dim).reshape(num_classes, n_per_class, dim)
+    inputs += shifts[:, None, :]
+    inputs = inputs.reshape(num_classes * n_per_class, dim)
     labels = np.repeat(np.arange(num_classes, dtype=np.int64), n_per_class)
-    raw = separation * centers[labels] + noise
-    lo, hi = raw.min(), raw.max()
-    inputs = (raw - lo) / (hi - lo)
+    lo, hi = inputs.min(), inputs.max()
+    inputs -= lo
+    inputs /= hi - lo
     return Dataset(inputs, labels, num_classes)
 
 

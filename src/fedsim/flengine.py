@@ -8,7 +8,6 @@ server would have on disk when a detector later flags clients.
 
 from __future__ import annotations
 
-import hashlib
 import os
 import struct
 from contextlib import contextmanager
@@ -19,7 +18,7 @@ import numpy as np
 from . import attacks, models
 from .aggregation import AggregationRule, aggregate, apply_update
 from .clients import BatchSampler, client_local_update
-from .numcore import STREAM_ATTACK, STREAM_INIT, RngStream, derive_seed
+from .numcore import STREAM_ATTACK, STREAM_INIT, RngStream, blake2b, derive_seed
 
 MAGIC = b"FRH1"
 VERSION = 1
@@ -33,7 +32,7 @@ class HistoryError(ValueError):
 
 
 def _checksum(payload) -> int:
-    return int.from_bytes(hashlib.blake2b(payload, digest_size=8).digest(), "little")
+    return int.from_bytes(blake2b(payload, digest_size=8).digest(), "little")
 
 
 def _record_buffer(d: int, n: int) -> tuple[np.ndarray, np.ndarray]:

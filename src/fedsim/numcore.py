@@ -1,5 +1,5 @@
-"""Dense vector helpers and deterministic counter-based RNG streams
-shared by the rest of the simulator.
+"""Dense vector helpers, deterministic counter-based RNG streams and the
+two digests, shared by the rest of the simulator.
 
 All model parameters and updates are flat 1-D float64 arrays. Randomness
 everywhere flows through :class:`RngStream`, an explicit splitmix64-style
@@ -12,8 +12,23 @@ import math
 
 import numpy as np
 
+# BLAKE2b and SHA-256 from CPython's built-in modules: `hashlib` would also
+# load OpenSSL's libcrypto, a few MB of resident memory for no other use.
+try:
+    from _blake2 import blake2b
+except ImportError:
+    from hashlib import blake2b
+try:
+    from _sha2 import sha256  # Python 3.12 on
+except ImportError:
+    try:
+        from _sha256 import sha256
+    except ImportError:
+        from hashlib import sha256
+
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
+_NORMAL_CHUNK = 4096  # Box-Muller pairs built at a time by `RngStream.normals`
 
 # Stream tags: every consumer of randomness derives its seed with a
 # distinct tag so streams never alias across subsystems.
@@ -55,6 +70,11 @@ def _mix64_array(x: np.ndarray) -> np.ndarray:
     return x ^ (x >> np.uint64(31))
 
 
+def _unit(block: np.ndarray) -> np.ndarray:
+    """Raw 64-bit draws as doubles in [0, 1): their top 53 bits."""
+    return (block >> np.uint64(11)).astype(np.float64) * 2.0**-53
+
+
 class RngStream:
     """Counter-based splitmix64 generator.
 
@@ -71,29 +91,44 @@ class RngStream:
         self.counter += 1
         return mix64((self.seed + self.counter * _GOLDEN) & _MASK64)
 
-    def _next_block(self, n: int) -> np.ndarray:
-        """Vectorized batch of n raw 64-bit draws."""
-        idx = np.arange(self.counter + 1, self.counter + n + 1, dtype=np.uint64)
-        self.counter += n
+    def _block(self, first: int, n: int) -> np.ndarray:
+        """Raw 64-bit draws first+1 .. first+n, vectorized; the counter
+        does not move."""
+        idx = np.arange(first + 1, first + n + 1, dtype=np.uint64)
         states = np.uint64(self.seed) + idx * np.uint64(_GOLDEN)
         return _mix64_array(states)
+
+    def _next_block(self, n: int) -> np.ndarray:
+        """The next n raw 64-bit draws."""
+        block = self._block(self.counter, n)
+        self.counter += n
+        return block
 
     def uniform(self) -> float:
         """One double in [0, 1)."""
         return (self.next_u64() >> 11) * 2.0**-53
 
     def uniforms(self, n: int) -> np.ndarray:
-        return (self._next_block(n) >> np.uint64(11)).astype(np.float64) * 2.0**-53
+        return _unit(self._next_block(n))
 
     def normals(self, n: int) -> np.ndarray:
-        """n standard normals via Box-Muller."""
+        """n standard normals via Box-Muller. Pair i of the m = ceil(n/2)
+        pairs takes the stream's uniforms i and m + i and gives normals i
+        (cosine) and m + i (sine). The pairs are built a fixed-size chunk
+        at a time straight into the output, so the temporaries stay small
+        whatever n is."""
         m = (n + 1) // 2
-        u1 = self.uniforms(m)
-        u2 = self.uniforms(m)
-        u1 = np.maximum(u1, 2.0**-53)  # keep log() finite
-        r = np.sqrt(-2.0 * np.log(u1))
-        theta = 2.0 * np.pi * u2
-        out = np.concatenate([r * np.cos(theta), r * np.sin(theta)])
+        out = np.empty(2 * m)
+        for a in range(0, m, _NORMAL_CHUNK):
+            k = min(_NORMAL_CHUNK, m - a)
+            u1 = _unit(self._block(self.counter + a, k))
+            u2 = _unit(self._block(self.counter + m + a, k))
+            np.maximum(u1, 2.0**-53, out=u1)  # keep log() finite
+            r = np.sqrt(-2.0 * np.log(u1))
+            theta = 2.0 * np.pi * u2
+            np.multiply(r, np.cos(theta), out=out[a : a + k])
+            np.multiply(r, np.sin(theta), out=out[m + a : m + a + k])
+        self.counter += 2 * m
         return out[:n]
 
     def permutation(self, n: int) -> np.ndarray:

@@ -459,6 +459,18 @@ class TestRecoverCommand:
         )
         assert not list(run_dir.glob("*fedrecover*"))
 
+    def test_given_tau_keeps_one_value_per_client(self, tmp_path, monkeypatch):
+        # with tau given the rate is not checked and no command reads the
+        # table, so tolerance_rate = 1 must not size it (m would be d = 35)
+        monkeypatch.setenv("FEDSIM_OUTPUT_ROOT", str(tmp_path))
+        cfg_path = tmp_path / "exp.ini"
+        cfg_path.write_text(MINIMAL + "\n[recovery]\ntau = 0.5\ntolerance_rate = 1\n")
+        assert main(["train", "-c", str(cfg_path)]) == 0
+        run_dir = tmp_path / "runs" / "demo"
+        history = HistoryStore.load(run_dir / "history.bin", run_dir / "history_tops.bin")
+        assert history.tops.m == 1
+        assert main(["recover", "-c", str(cfg_path), "--method", "fedrecover"]) == 0
+
     def test_given_tau_needs_no_table(self, trained):
         root, cfg_path = trained
         cfg_path.write_text(cfg_path.read_text().replace("[recovery]", "[recovery]\ntau = 2.5"))

@@ -1,4 +1,5 @@
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,12 +12,14 @@ from fedsim.data import (
     Dataset,
     IdxError,
     TruncatedFileError,
+    _class_centers,
     gen_synthetic,
     load_mnist_idx,
     partition_noniid,
 )
 from fedsim.models import ModelSpec, gradient, predict
-from fedsim.numcore import STREAM_PARTITION, RngStream, derive_seed
+from fedsim.numcore import STREAM_DATAGEN, STREAM_PARTITION, RngStream, derive_seed
+from test_numcore import one_shot_normals
 
 
 def write_idx_pair(tmp_path, pixels, labels, *, image_magic=0x803, label_magic=0x801):
@@ -84,7 +87,50 @@ class TestIdxLoader:
         assert err.value.part == part
 
 
+def one_shot_synthetic(num_classes, dim, n_per_class, separation, seed):
+    """`gen_synthetic` built from whole-array temporaries: the oracle of
+    the in-place form, which must give the same bits."""
+    centers = _class_centers(num_classes, dim)
+    rng = RngStream(derive_seed(seed, STREAM_DATAGEN, 1, 0))
+    noise = one_shot_normals(rng, num_classes * n_per_class * dim).reshape(num_classes * n_per_class, dim)
+    labels = np.repeat(np.arange(num_classes, dtype=np.int64), n_per_class)
+    raw = separation * centers[labels] + noise
+    lo, hi = raw.min(), raw.max()
+    return (raw - lo) / (hi - lo), labels
+
+
+def traced_peak(fn, *args):
+    """fn(*args) and the peak of the bytes numpy and Python allocated in it."""
+    tracemalloc.start()
+    try:
+        out = fn(*args)
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class TestSynthetic:
+    @given(
+        st.integers(min_value=2, max_value=12),
+        st.integers(min_value=1, max_value=70),
+        st.integers(min_value=1, max_value=60),
+        st.sampled_from([0.5, 3.0, 5.0]),
+        st.integers(min_value=0, max_value=2**64 - 1),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_bit_identical_to_one_shot(self, num_classes, dim, n_per_class, separation, seed):
+        ds = gen_synthetic(num_classes, dim, n_per_class, separation, seed)
+        inputs, labels = one_shot_synthetic(num_classes, dim, n_per_class, separation, seed)
+        assert np.array_equal(ds.inputs, inputs)
+        assert np.array_equal(ds.labels, labels)
+
+    @pytest.mark.parametrize("shape", [(10, 60, 500), (10, 784, 200)])
+    def test_peak_below_twice_the_result(self, shape):
+        # backdoor-logreg's and trim-wide's training sets; whole-array
+        # temporaries peaked at about 4x what the set holds
+        ds, peak = traced_peak(gen_synthetic, *shape, 5.0, 11)
+        assert peak < 2 * (ds.inputs.nbytes + ds.labels.nbytes)
+
     def test_sizes_and_histogram(self):
         ds = gen_synthetic(3, 4, 10, 2.0, seed=1)
         assert ds.size == 30

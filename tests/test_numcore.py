@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from conftest import finite_diff_gradient
 from fedsim.numcore import (
+    _NORMAL_CHUNK,
     RngStream,
     derive_seed,
     linf_norm,
@@ -44,6 +45,48 @@ class TestDeriveSeed:
     def test_in_range(self, seed, tag, client, rnd):
         out = derive_seed(seed, tag, client, rnd)
         assert 0 <= out < 2**64
+
+
+def one_shot_normals(stream: RngStream, n: int) -> np.ndarray:
+    """`RngStream.normals` as a single pass over whole arrays: the oracle
+    of the chunked form, which must give the same bits and counter."""
+    m = (n + 1) // 2
+    u1 = stream.uniforms(m)
+    u2 = stream.uniforms(m)
+    u1 = np.maximum(u1, 2.0**-53)
+    r = np.sqrt(-2.0 * np.log(u1))
+    theta = 2.0 * np.pi * u2
+    out = np.concatenate([r * np.cos(theta), r * np.sin(theta)])
+    return out[:n]
+
+
+# n around the chunk edges of both halves: 2m normals span ceil(m / chunk) chunks
+_C = 2 * _NORMAL_CHUNK
+_NORMAL_SIZES = st.one_of(
+    st.sampled_from([0, 1, 2, 3, _C - 2, _C - 1, _C, _C + 1, _C + 2, 3 * _C - 1, 3 * _C + 1]),
+    st.integers(min_value=1, max_value=5 * _C),
+    st.integers(min_value=0, max_value=2 * _C).map(lambda k: 2 * k + 1),
+)
+
+
+class TestNormalsMatchOneShot:
+    @given(st.integers(min_value=0, max_value=2**64 - 1), st.lists(_NORMAL_SIZES, min_size=1, max_size=4))
+    def test_successive_draws_bit_identical(self, seed, sizes):
+        chunked, oracle = RngStream(seed), RngStream(seed)
+        for n in sizes:
+            got, want = chunked.normals(n), one_shot_normals(oracle, n)
+            assert got.shape == (n,)
+            assert np.array_equal(got, want)
+            assert chunked.counter == oracle.counter
+
+    @given(st.integers(min_value=0, max_value=2**64 - 1), _NORMAL_SIZES)
+    def test_other_draws_continue_alike(self, seed, n):
+        # the counter after normals is where the next uniform starts
+        chunked, oracle = RngStream(seed), RngStream(seed)
+        chunked.normals(n)
+        one_shot_normals(oracle, n)
+        assert chunked.next_u64() == oracle.next_u64()
+        assert np.array_equal(chunked.uniforms(5), oracle.uniforms(5))
 
 
 class TestRngStream:
