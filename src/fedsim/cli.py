@@ -217,14 +217,14 @@ def _evaluate(cfg, w, test) -> tuple[float, float | None]:
     return ter, asr
 
 
-def _write_metrics_csv(path, cfg, trace, test, rounds) -> tuple[float, float | None]:
-    """TER and ASR of `trace[t]`, the global model after t rounds, for each
+def _write_metrics_csv(path, cfg, kept, test, rounds) -> tuple[float, float | None]:
+    """TER and ASR of `kept[t]`, the global model after t rounds, for each
     t in `rounds`. Returns those of the last round, the final model's."""
     with _atomic(path) as (temp,), open(temp, "w", encoding="utf-8", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(["round", "ter", "asr"])
         for t in rounds:
-            ter, asr = _evaluate(cfg, trace[t], test)
+            ter, asr = _evaluate(cfg, kept[t], test)
             writer.writerow([t, repr(ter), "" if asr is None else repr(asr)])
     return ter, asr
 
@@ -245,13 +245,13 @@ def cmd_train(cfg_path: str) -> int:
         m = 1
         if cfg.recovery.tau is None:
             m = recovery.top_count(cfg.recovery.tolerance_rate, cfg.n_clients, cfg.model.param_dim)
+        rounds = _eval_rounds(cfg.rounds)
         with _atomic(*outputs) as (history_temp, tops_temp, config_temp):
-            trace = train(setup, cfg.rounds, history_temp, chash, tops=(tops_temp, m))
+            kept = train(setup, cfg.rounds, history_temp, chash, rounds, tops=(tops_temp, m))
             with open(config_temp, "w", encoding="utf-8") as f:
                 f.write(config_mod.serialize_config(cfg))
         ter, asr = _write_metrics_csv(
-            os.path.join(run_dir, "train_metrics.csv"), cfg, trace, test_set,
-            _eval_rounds(cfg.rounds),
+            os.path.join(run_dir, "train_metrics.csv"), cfg, kept, test_set, rounds
         )
         write_summary(
             os.path.join(run_dir, "summary_train.json"),
@@ -271,15 +271,16 @@ def _detection(cfg, setup):
     return simulate_detection(setup.malicious, setup.client_ids, cfg.fnr, cfg.fpr, rng)
 
 
-def _bound_check(cfg, result, scratch_trace) -> dict:
-    """The recovered-vs-scratch gap against `theoretical_bound`, whose
-    preconditions the config checks when it sets bound_check."""
+def _bound_check(cfg, result, scratch) -> dict:
+    """The recovered-vs-scratch gap at every round against
+    `theoretical_bound`, whose preconditions the config checks when it
+    sets bound_check; `result.models` and `scratch` keep every round."""
     mu = cfg.model.l2
-    m_measured = result.measured_m or 0.0
-    d0 = float(np.linalg.norm(result.per_round_models[0] - scratch_trace[0]))
+    m_measured = result.measured_m
+    d0 = float(np.linalg.norm(result.models[0] - scratch[0]))
     max_violation = -math.inf
-    for t, (w_hat, w_t) in enumerate(zip(result.per_round_models, scratch_trace)):
-        gap = float(np.linalg.norm(w_hat - w_t))
+    for t in range(cfg.rounds + 1):
+        gap = float(np.linalg.norm(result.models[t] - scratch[t]))
         bound = recovery.theoretical_bound(cfg.learning_rate, mu, m_measured, t, d0)
         max_violation = max(max_violation, gap - bound)
     return {"mu": mu, "m_measured": m_measured, "max_violation": max_violation}
@@ -316,28 +317,30 @@ def cmd_recover(cfg_path: str, method: str) -> int:
             # only fedrecover deriving tau reads the top-value table
             derive_tau = method == "fedrecover" and cfg.recovery.tau is None
             tops_path = os.path.join(run_dir, TOPS_FILE) if derive_tau else None
-            history = HistoryStore.load(history_path, tops_path)
-            history.check_meta(cfg.model.param_dim, cfg.n_clients, cfg.rounds, chash)
+            meta = (cfg.model.param_dim, cfg.n_clients, cfg.rounds, chash)
+            history = HistoryStore.load(history_path, tops_path, meta)
 
         abnormality_count = 0
         bound_block = None
         rounds = _eval_rounds(cfg.rounds)
         if method == "scratch":
-            trace = recovery.train_from_scratch(setup, remaining, cfg.rounds)
+            kept = recovery.train_from_scratch(setup, remaining, cfg.rounds, rounds)
             exact_rounds = {c: cfg.rounds for c in remaining}
         elif method == "historical":
-            trace = recovery.historical_only(history, detected, setup)
+            kept = recovery.historical_only(history, detected, setup, rounds)
             exact_rounds = {c: 0 for c in remaining}
         elif method == "fedrecover":
+            # the bound check walks the gap at every round; the CSV reads only `rounds`
+            keep = range(cfg.rounds + 1) if cfg.bound_check else rounds
             result = recovery.fedrecover(
-                history, detected, setup, cfg.recovery, instrument=cfg.bound_check
+                history, detected, setup, cfg.recovery, keep, instrument=cfg.bound_check
             )
-            trace = result.per_round_models
+            kept = result.models
             exact_rounds = result.exact_rounds_per_client
             abnormality_count = result.abnormality_count
             if cfg.bound_check:
-                scratch_trace = recovery.train_from_scratch(setup, remaining, cfg.rounds)
-                bound_block = _bound_check(cfg, result, scratch_trace)
+                scratch = recovery.train_from_scratch(setup, remaining, cfg.rounds, keep)
+                bound_block = _bound_check(cfg, result, scratch)
         else:  # finetune
             ft = cfg.finetune
             if ft.n_examples > train_set.size:
@@ -357,12 +360,12 @@ def cmd_recover(cfg_path: str, method: str) -> int:
                 raise config_mod.ConfigError(
                     "finetune.n_examples", f"{exc}; a larger finetune.beta evens the draw"
                 ) from exc
-            trace, rounds = {cfg.rounds: model}, [cfg.rounds]  # the final model only
+            kept, rounds = {cfg.rounds: model}, [cfg.rounds]  # the final model only
             exact_rounds = {c: 0 for c in remaining}
 
         cp, acp = metrics.cost_saving(cfg.rounds, exact_rounds)
         ter, asr = _write_metrics_csv(
-            os.path.join(run_dir, f"recover_{method}_metrics.csv"), cfg, trace, test_set, rounds
+            os.path.join(run_dir, f"recover_{method}_metrics.csv"), cfg, kept, test_set, rounds
         )
 
         write_summary(

@@ -77,15 +77,14 @@ def _read_header(f, header=_HEADER, magic=MAGIC) -> tuple:
     return (*fields, config_hash)
 
 
-def _count_records(f, record_size: int, total: int, what: str) -> int:
-    """The number of records after the header `f` has just been read past:
-    exactly `total` complete ones, else HistoryError."""
+def _count_records(f, record_size: int, total: int, what: str) -> None:
+    """HistoryError unless exactly `total` complete records follow the
+    header `f` has just been read past."""
     count, partial = divmod(os.fstat(f.fileno()).st_size - f.tell(), record_size)
     if partial:
         raise HistoryError("truncated record")
     if count != total:
         raise HistoryError(f"{what} holds {count} complete records, header says T={total}")
-    return count
 
 
 def _checked_records(f, buf: np.ndarray, rec: np.ndarray, first: int, total: int):
@@ -106,9 +105,9 @@ class HistoryStore:
     Layout: a fixed header (magic, version, d, n, T, 32-byte config hash)
     followed by one fixed-size record per round (see `_record_buffer`),
     appended in round order. The store holds no records in memory:
-    `rounds()` reads them back one at a time. `n_records` counts the
-    records appended, or, after `load`, the records the file holds.
-    `tops` is the run's `TopTable` when one is written or loaded with it.
+    `rounds()` reads them back one at a time. `tops` is the run's
+    `TopTable` when one is written or loaded with it. Every fault `load`
+    and `rounds()` report names its file.
     """
 
     def __init__(self, path, d: int, n: int, total_rounds: int, config_hash: bytes):
@@ -118,7 +117,6 @@ class HistoryStore:
         self.n = n
         self.total_rounds = total_rounds
         self.config_hash = bytes(config_hash)
-        self.n_records = 0
         self.tops = None
 
     @classmethod
@@ -149,21 +147,23 @@ class HistoryStore:
         rec["checksum"] = _checksum(buf[:-8])
         with open(self.path, "ab") as f:
             f.write(buf)
-        self.n_records += 1
         if self.tops is not None:
             self.tops.append(round_idx, mat)
 
     @classmethod
-    def load(cls, path, tops=None) -> "HistoryStore":
+    def load(cls, path, tops=None, meta=None) -> "HistoryStore":
         """The header, and a check of the file size: exactly T complete
         records follow it. `rounds()` checks each record as it reads it.
-        `tops`, when given, is the path of the run's `TopTable`, loaded
-        into `self.tops` and refused, naming it, unless its d, n, T and
-        config hash are the history's."""
-        with open(path, "rb") as f:
+        `meta`, when given, is the (d, n, T, config hash) the history must
+        have (`check_meta`). `tops`, when given, is the path of the run's
+        `TopTable`, loaded into `self.tops` after that check and refused,
+        naming it, unless its d, n, T and config hash are the history's."""
+        with _naming(os.fspath(path)), open(path, "rb") as f:
             store = cls(path, *_read_header(f))
             record_size = _record_buffer(store.d, store.n)[0].size
-            store.n_records = _count_records(f, record_size, store.total_rounds, "history")
+            _count_records(f, record_size, store.total_rounds, "history")
+            if meta is not None:
+                store.check_meta(*meta)
         if tops is not None:
             table = store.tops = TopTable.load(tops)
             with _naming(table.path):
@@ -183,7 +183,7 @@ class HistoryStore:
         """
         buf, rec = _record_buffer(self.d, self.n)
         ids = np.arange(self.n)
-        with open(self.path, "rb") as f:
+        with _naming(self.path), open(self.path, "rb") as f:
             f.seek(_HEADER.size + 32 + first * buf.size)
             for t in _checked_records(f, buf, rec, first, self.total_rounds):
                 round_idx, clients = int(rec["round"]), rec["clients"]
@@ -364,26 +364,20 @@ class FlSetup:
         return apply_update(w, agg, self.eta)
 
 
-def run_round(setup: FlSetup, w: np.ndarray, round_idx: int) -> tuple[np.ndarray, dict]:
-    """One full round from global model w: broadcast, per-client updates
-    (attack-aware), aggregate, apply. Returns the next global model and the
-    updates as reported, keyed by client id."""
-    reported = setup.reported_updates(w, round_idx, setup.client_ids, setup.malicious)
-    return setup.aggregate_step(w, reported), reported
-
-
-def train(setup: FlSetup, total_rounds: int, history_path, config_hash: bytes, tops=None) -> list:
+def train(setup: FlSetup, total_rounds: int, path, config_hash: bytes, keep, tops=None) -> dict:
     """Run the original training for total_rounds rounds, appending every
-    round to a fresh history store at history_path and, when `tops` (the
-    path and m of a `TopTable`) is given, to that table. Returns the T+1
-    global models, the last of them the final model."""
+    round to a fresh history store at `path` and, when `tops` (the path and
+    m of a `TopTable`) is given, to that table. Returns {t: w_t}, the global
+    model after t rounds (w_T the final model), for each t in `keep`."""
     w = models.init_params(setup.spec, derive_seed(setup.seed, STREAM_INIT, 0, 0))
     store = HistoryStore.create(
-        history_path, setup.spec.param_dim, len(setup.client_ids), total_rounds, config_hash, tops
+        path, setup.spec.param_dim, len(setup.client_ids), total_rounds, config_hash, tops
     )
-    trace = [w]
-    for round_idx in range(total_rounds):
-        w, reported = run_round(setup, trace[-1], round_idx)
-        store.append(round_idx, trace[-1], reported)
-        trace.append(w)
-    return trace
+    kept = {0: w} if 0 in keep else {}
+    for t in range(total_rounds):
+        reported = setup.reported_updates(w, t, setup.client_ids, setup.malicious)
+        store.append(t, w, reported)
+        w = setup.aggregate_step(w, reported)
+        if t + 1 in keep:
+            kept[t + 1] = w
+    return kept

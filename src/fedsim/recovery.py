@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -208,15 +208,9 @@ class RecoveryParams:
 class RecoveryResult:
     exact_rounds_per_client: dict
     abnormality_count: int
-    per_round_models: list  # the T+1 global models, the last of them the recovered model
+    models: dict  # {t: w_t} for the kept rounds; w_T is the recovered model
     tau: float
-    estimate_errors: list = field(default_factory=list)  # instrumentation only
-
-    @property
-    def measured_m(self) -> float | None:
-        if not self.estimate_errors:
-            return None
-        return max(err for _, _, err in self.estimate_errors)
+    measured_m: float | None = None  # instrument only: largest accepted estimate error (0.0: none)
 
 
 def predicted_cost(total_rounds: int, warmup: int, period: int, final: int) -> int:
@@ -250,11 +244,13 @@ def fedrecover(
     detected,
     setup: FlSetup,
     params: RecoveryParams,
+    keep,
     *,
     instrument: bool = False,
 ) -> RecoveryResult:
     """Recover a global model from stored history after removing the
-    detected clients.
+    detected clients. `RecoveryResult.models` holds {t: w_t} for the
+    rounds t in `keep`, w_t the recovered global model after t rounds.
 
     Undetected malicious clients (attack configured on the setup but
     missing from `detected`) keep attacking whenever they are asked for an
@@ -289,7 +285,7 @@ def fedrecover(
     buffers = LbfgsBuffers(params.buffer_size, remaining)
     exact_rounds = {c: 0 for c in remaining}
     abnormality_count = 0
-    errors = []
+    measured_m = 0.0 if instrument else None
 
     def quadratic_hvp(c, v):
         # a quadratic loss's integrated Hessian is its constant Hessian; t is the running round
@@ -298,11 +294,10 @@ def fedrecover(
 
     hvp = quadratic_hvp if params.hvp_mode == "exact_quadratic" else buffers.hvp
 
-    trace = []
     for t, (w_bar, g_bar) in enumerate(history.rounds()):  # g_bar row c: client c's update
-        if not trace:  # the first stored model is the start model
-            trace.append(w_bar)
-        w_hat = trace[-1]
+        if t == 0:  # the first stored model is the start model
+            w_hat = w_bar
+            kept = {0: w_hat} if 0 in keep else {}
         v = w_hat - w_bar
         chosen = {}
         exact_round = _is_exact_round(t, total, params)
@@ -340,44 +335,49 @@ def fedrecover(
         if instrument:
             for c in remaining:
                 if c not in fix:
-                    errors.append((c, t, float(np.linalg.norm(chosen[c] - exact[c]))))
+                    measured_m = max(measured_m, float(np.linalg.norm(chosen[c] - exact[c])))
         w_hat = setup.aggregate_step(w_hat, chosen)
-        trace.append(w_hat)
+        if t + 1 in keep:
+            kept[t + 1] = w_hat
 
     return RecoveryResult(
         exact_rounds_per_client=exact_rounds,
         abnormality_count=abnormality_count,
-        per_round_models=trace,
+        models=kept,
         tau=tau,
-        estimate_errors=errors,
+        measured_m=measured_m,
     )
 
 
-def train_from_scratch(setup: FlSetup, remaining_clients, total_rounds: int) -> list:
+def train_from_scratch(setup: FlSetup, remaining_clients, total_rounds: int, keep) -> dict:
     """Retrain over the remaining clients only; every client computes an
-    exact, honest update every round. Returns the T+1 global models."""
+    exact, honest update every round. Returns {t: w_t}, the global model
+    after t rounds, for each t in `keep`."""
     w = models.init_params(setup.spec, derive_seed(setup.seed, STREAM_INIT, 0, 0))
-    trace = [w]
+    kept = {0: w} if 0 in keep else {}
     for t in range(total_rounds):
-        reported = setup.reported_updates(trace[-1], t, remaining_clients, ())
-        trace.append(setup.aggregate_step(trace[-1], reported))
-    return trace
+        w = setup.aggregate_step(w, setup.reported_updates(w, t, remaining_clients, ()))
+        if t + 1 in keep:
+            kept[t + 1] = w
+    return kept
 
 
-def historical_only(history: HistoryStore, detected, setup: FlSetup) -> list:
+def historical_only(history: HistoryStore, detected, setup: FlSetup, keep) -> dict:
     """Replay the stored updates of the remaining clients; zero client cost.
-    Returns the T+1 global models.
+    Returns {t: w_t}, the global model after t rounds, for each t in `keep`.
 
     With nothing detected this reproduces the original trajectory exactly.
     """
     remaining = sorted(set(range(history.n)) - frozenset(detected))
-    trace = []
-    for model, round_updates in history.rounds():
-        if not trace:  # the first stored model is the start model
-            trace.append(model)
+    for t, (model, round_updates) in enumerate(history.rounds()):
+        if t == 0:  # the first stored model is the start model
+            w = model
+            kept = {0: w} if 0 in keep else {}
         # row views: a fancy index would copy the (remaining, d) block once more
-        trace.append(setup.aggregate_step(trace[-1], {c: round_updates[c] for c in remaining}))
-    return trace
+        w = setup.aggregate_step(w, {c: round_updates[c] for c in remaining})
+        if t + 1 in keep:
+            kept[t + 1] = w
+    return kept
 
 
 def _largest_remainder_counts(proportions: np.ndarray, n: int) -> np.ndarray:

@@ -22,11 +22,11 @@ CHASH = bytes(32)
 def train_and_load(setup, rounds, path, alpha=1.0, chash=CHASH):
     """Train `rounds` rounds into the history at `path`, with the top-value
     table kept for tolerance rate `alpha` at `path` + ".tops" (the default
-    1 keeps every value, which serves any rate). Returns the T+1 global
-    models and the history loaded with its table."""
+    1 keeps every value, which serves any rate). Returns {t: w_t} for
+    every round t and the history loaded with its table."""
     tops = f"{path}.tops"
     m = top_count(alpha, len(setup.client_ids), setup.spec.param_dim)
-    trace = train(setup, rounds, path, chash, tops=(tops, m))
+    trace = train(setup, rounds, path, chash, range(rounds + 1), tops=(tops, m))
     return trace, HistoryStore.load(path, tops)
 
 # Every run draws the same examples, so a failure one run finds is the next
@@ -173,7 +173,7 @@ def ridge_trim_scenario(tmp_path_factory):
     )
     path = tmp_path_factory.mktemp("ridge") / "history.bin"
     trace, store = train_and_load(setup, 60, path)
-    final_model = trace[-1]
+    final_model = trace[60]
     return {
         "dataset": dataset,
         "setup": setup,
@@ -206,7 +206,7 @@ def logreg_backdoor_scenario(tmp_path_factory):
     )
     path = tmp_path_factory.mktemp("backdoor") / "history.bin"
     trace, store = train_and_load(setup, 50, path)
-    final_model = trace[-1]
+    final_model = trace[50]
     return {
         "dataset": dataset,
         "setup": setup,

@@ -94,7 +94,7 @@ def backdoor_run(tmp_path_factory):
         buffer_size=2, tolerance_rate=1e-6,
     )
     trace, store = train_and_load(setup, s["rounds"], path, params.tolerance_rate, bytes(32))
-    poisoned = trace[-1]
+    poisoned = trace[s["rounds"]]
     return {
         "setup": setup, "store": store, "poisoned": poisoned, "path": path,
         "test": test_set, "trigger": trigger, "params": params,
@@ -114,18 +114,18 @@ def test_criterion_1_exact_hvp_recovery_is_exact(tmp_path):
             dataset, spec, 10, AggregationRule("fedavg"), 0.1, 32, seed,
             1.0 / classes, attack, (0, 5),
         )
-        train(setup, 200, tmp_path / "h.bin", bytes(32))
+        train(setup, 200, tmp_path / "h.bin", bytes(32), ())
         store = HistoryStore.load(tmp_path / "h.bin")
         params = RecoveryParams(
             warmup_rounds=5, correction_period=10, final_tuning_rounds=5,
             buffer_size=2, tau=math.inf, hvp_mode="exact_quadratic",
         )
-        result = fedrecover(store, {0, 5}, setup, params)
+        result = fedrecover(store, {0, 5}, setup, params, range(201))
         remaining = sorted(set(setup.client_ids) - {0, 5})
-        trace = train_from_scratch(setup, remaining, 200)
+        trace = train_from_scratch(setup, remaining, 200, range(201))
         gap = max(
-            float(np.max(np.abs(a - b)))
-            for a, b in zip(result.per_round_models, trace)
+            float(np.max(np.abs(result.models[t] - trace[t])))
+            for t in range(201)
         )
         assert gap <= 1e-8, f"max per-round gap {gap}"
 
@@ -144,21 +144,21 @@ def test_criterion_2_recovery_gap_bound_holds(tmp_path):
             dataset, spec, 10, AggregationRule("fedavg"), eta, 10**6, seed,
             1.0 / classes, attack, (1, 7),
         )
-        train(setup, 300, tmp_path / "h.bin", bytes(32))
+        train(setup, 300, tmp_path / "h.bin", bytes(32), ())
         store = HistoryStore.load(tmp_path / "h.bin")
         params = RecoveryParams(
             warmup_rounds=20, correction_period=10, final_tuning_rounds=5,
             buffer_size=2, tau=math.inf,
         )
-        result = fedrecover(store, {1, 7}, setup, params, instrument=True)
+        result = fedrecover(store, {1, 7}, setup, params, range(301), instrument=True)
         remaining = sorted(set(setup.client_ids) - {1, 7})
-        trace = train_from_scratch(setup, remaining, 300)
+        trace = train_from_scratch(setup, remaining, 300, range(301))
         m_measured = result.measured_m
         assert m_measured is not None
-        d0 = float(np.linalg.norm(result.per_round_models[0] - trace[0]))
+        d0 = float(np.linalg.norm(result.models[0] - trace[0]))
         worst = -math.inf
-        for t, (w_hat, w_t) in enumerate(zip(result.per_round_models, trace)):
-            gap = float(np.linalg.norm(w_hat - w_t))
+        for t in range(301):
+            gap = float(np.linalg.norm(result.models[t] - trace[t]))
             bound = theoretical_bound(eta, mu, m_measured, t, d0)
             worst = max(worst, gap - bound)
         assert worst <= 1e-9, f"worst bound violation {worst}"
@@ -238,14 +238,15 @@ def test_criterion_7_end_to_end_recovery(backdoor_run):
         assert p_asr >= 0.8, f"poisoned ASR {p_asr}"
 
         remaining = sorted(set(setup.client_ids) - sc["malicious"])
-        scratch_model = train_from_scratch(setup, remaining, S7["rounds"])[-1]
+        final = S7["rounds"]
+        scratch_model = train_from_scratch(setup, remaining, final, (final,))[final]
         s_ter = error_rate(spec, scratch_model, test_set)
         s_asr = attack_success_rate(spec, scratch_model, test_set, trigger, 0)
         assert s_asr <= 0.1, f"scratch ASR {s_asr}"
 
-        result = fedrecover(sc["store"], sc["malicious"], setup, sc["params"])
-        r_ter = error_rate(spec, result.per_round_models[-1], test_set)
-        r_asr = attack_success_rate(spec, result.per_round_models[-1], test_set, trigger, 0)
+        result = fedrecover(sc["store"], sc["malicious"], setup, sc["params"], (final,))
+        r_ter = error_rate(spec, result.models[final], test_set)
+        r_asr = attack_success_rate(spec, result.models[final], test_set, trigger, 0)
         _, acp = cost_saving(S7["rounds"], result.exact_rounds_per_client)
         assert r_asr <= 0.1, f"recovered ASR {r_asr}"
         assert abs(r_ter - s_ter) <= 0.02, f"TER gap {abs(r_ter - s_ter)}"
@@ -256,7 +257,7 @@ def test_criterion_8_imperfect_detection(backdoor_run):
     with criterion(8, "one missed adaptive attacker: ASR <= 0.2, ACP stable"):
         sc = backdoor_run
         setup, test_set, trigger = sc["setup"], sc["test"], sc["trigger"]
-        result_perfect = fedrecover(sc["store"], sc["malicious"], setup, sc["params"])
+        result_perfect = fedrecover(sc["store"], sc["malicious"], setup, sc["params"], ())
         _, acp_perfect = cost_saving(S7["rounds"], result_perfect.exact_rounds_per_client)
 
         rng = RngStream(derive_seed(S7["seed"], STREAM_DETECT, 0, 0))
@@ -264,9 +265,9 @@ def test_criterion_8_imperfect_detection(backdoor_run):
         assert len(sc["malicious"] - detected) == 1
         assert adaptive_scale(S7["lam"], 4, 1) == 40.0
 
-        result = fedrecover(sc["store"], detected, setup, sc["params"])
+        result = fedrecover(sc["store"], detected, setup, sc["params"], (S7["rounds"],))
         r_asr = attack_success_rate(
-            setup.spec, result.per_round_models[-1], test_set, trigger, 0
+            setup.spec, result.models[S7["rounds"]], test_set, trigger, 0
         )
         _, acp = cost_saving(S7["rounds"], result.exact_rounds_per_client)
         assert r_asr <= 0.2, f"recovered ASR {r_asr}"
@@ -283,21 +284,21 @@ def test_criterion_9_equivalence_degenerations(tmp_path):
             dataset, spec, 5, AggregationRule("fedavg"), 0.2, 16, seed,
             1.0 / 3, attack, (2,),
         )
-        final = train(setup, 20, tmp_path / "h.bin", bytes(32))[-1]
+        final = train(setup, 20, tmp_path / "h.bin", bytes(32), (20,))[20]
         store = HistoryStore.load(tmp_path / "h.bin")
 
         params = RecoveryParams(
             warmup_rounds=4, correction_period=1, final_tuning_rounds=3,
             buffer_size=2, tau=math.inf,
         )
-        result = fedrecover(store, {2}, setup, params)
+        result = fedrecover(store, {2}, setup, params, range(21))
         remaining = sorted(set(setup.client_ids) - {2})
-        trace = train_from_scratch(setup, remaining, 20)
-        for w_hat, w_t in zip(result.per_round_models, trace):
-            np.testing.assert_array_equal(w_hat, w_t)
+        trace = train_from_scratch(setup, remaining, 20, range(21))
+        for t in range(21):
+            np.testing.assert_array_equal(result.models[t], trace[t])
 
-        replay = historical_only(store, frozenset(), setup)
-        np.testing.assert_array_equal(replay[-1], final)
+        replay = historical_only(store, frozenset(), setup, (20,))
+        np.testing.assert_array_equal(replay[20], final)
 
 
 CLI_CFG = """
@@ -343,7 +344,7 @@ def test_criterion_10_determinism(backdoor_run, tmp_path, monkeypatch):
         # library path: re-run the end-to-end scenario's original training
         sc = backdoor_run
         repeat = tmp_path / "repeat.bin"
-        train(sc["setup"], S7["rounds"], repeat, bytes(32))
+        train(sc["setup"], S7["rounds"], repeat, bytes(32), ())
         assert repeat.read_bytes() == sc["path"].read_bytes()
 
         # CLI path: full train + recover pipeline twice

@@ -160,6 +160,55 @@ class TestTrainCommand:
         run_dir = root / "runs" / "exp"
         assert os.listdir(run_dir) == []
 
+    def test_retrain_cut_between_replaces_leaves_each_file_checked(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        # `cli._atomic` replaces history.bin, history_tops.bin and config.ini
+        # one after another; a retrain under config B that stops after the
+        # first replace leaves B's history beside A's table and config
+        monkeypatch.setenv("FEDSIM_OUTPUT_ROOT", str(tmp_path))
+        configs = {"A": tmp_path / "a.ini", "B": tmp_path / "b.ini"}
+        configs["A"].write_text(CFG_TEMPLATE.format(out="runs/exp"))
+        configs["B"].write_text(CFG_TEMPLATE.format(out="runs/exp").replace("seed = 5", "seed = 6"))
+        assert main(["train", "-c", str(configs["A"])]) == 0
+        run_dir = tmp_path / "runs" / "exp"
+        history, table = run_dir / "history.bin", run_dir / "history_tops.bin"
+        real_replace, replaced = os.replace, []
+
+        def replace_once(src, dst):
+            if replaced:
+                raise OSError("injected: stopped between two replaces")
+            replaced.append(dst)
+            real_replace(src, dst)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(fedsim.cli.os, "replace", replace_once)
+            assert main(["train", "-c", str(configs["B"])]) == 1
+        assert replaced == [str(history)]
+        assert not list(run_dir.glob("*.tmp"))
+        mismatch = "history config hash does not match the supplied config"
+        methods = ("scratch", "historical", "fedrecover", "finetune")
+        # (config, method): None for a success, else the file its error names
+        want = {("A", method): history for method in methods}
+        want.update({("B", method): None for method in methods})
+        want["B", "fedrecover"] = table
+        for (name, method), blamed in want.items():
+            capsys.readouterr()
+            rc = main(["recover", "-c", str(configs[name]), "--method", method])
+            err = capsys.readouterr().err
+            if blamed is None:  # a success reads a history of its own config: B's
+                assert rc == 0 and name == "B", err
+            else:
+                assert (rc, err) == (1, f"error: {blamed}: {mismatch}\n")
+        # config.ini is still A's, so B's recovery summaries are refused by name
+        assert main(["report", str(run_dir)]) == 1
+        err = capsys.readouterr().err
+        assert f"{run_dir / 'summary_finetune.json'}: the summary belongs to another config" in err
+        # training B again restores a whole run
+        assert main(["train", "-c", str(configs["B"])]) == 0
+        assert main(["recover", "-c", str(configs["B"]), "--method", "fedrecover"]) == 0
+        assert main(["report", str(run_dir)]) == 0
+
     def test_failed_retrain_keeps_the_run_config(self, tmp_path, monkeypatch, capsys):
         # a second config with the same output_dir whose data cannot be
         # built: the first run's config stays beside its history, so the
@@ -330,9 +379,26 @@ class TestRecoverCommand:
         for method in ("scratch", "historical", "fedrecover", "finetune"):
             assert main(["recover", "-c", str(cfg_path), "--method", method]) == 1
             assert capsys.readouterr().err == (
-                "error: history holds 20 complete records, header says T=30\n"
+                f"error: {path}: history holds 20 complete records, header says T=30\n"
             )
             assert not (run_dir / f"summary_{method}.json").exists()
+
+    def test_history_of_another_config_is_blamed_before_its_table(self, trained, capsys):
+        # config A over the history of config B beside A's own table: the
+        # history is the mismatched file, and it is checked first
+        root, cfg_path = trained
+        run_dir = root / "runs" / "exp"
+        table = (run_dir / "history_tops.bin").read_bytes()
+        other = root / "other.ini"
+        other.write_text(cfg_path.read_text().replace("seed = 5", "seed = 6"))
+        assert main(["train", "-c", str(other)]) == 0
+        (run_dir / "history_tops.bin").write_bytes(table)
+        capsys.readouterr()
+        assert main(["recover", "-c", str(cfg_path), "--method", "fedrecover"]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {run_dir / 'history.bin'}: history config hash does not match the supplied "
+            "config\n"
+        )
 
 
     def test_finetune_sample_beyond_the_training_set_names_its_key(

@@ -21,14 +21,26 @@ from fedsim.flengine import (
     HistoryError,
     HistoryStore,
     TopTable,
-    run_round,
     train,
 )
 from fedsim.models import ModelSpec, gradient
 from fedsim.numcore import RngStream
-from fedsim.recovery import RecoveryParams, fedrecover, historical_only
+from fedsim.recovery import (
+    RecoveryParams,
+    fedrecover,
+    historical_only,
+    top_count,
+    train_from_scratch,
+)
 
 CHASH = bytes(range(32))
+
+
+def train_round(setup, w, t):
+    """One round of the original training, as `train` runs it: the next
+    global model and the updates as reported, keyed by client id."""
+    reported = setup.reported_updates(w, t, setup.client_ids, setup.malicious)
+    return setup.aggregate_step(w, reported), reported
 
 
 def small_setup(attack=None, malicious=(), *, rule=None, n_clients=4, l2=0.05, seed=11):
@@ -79,11 +91,10 @@ class TestHistoryStore:
         recs = self.make_records()
         for rec in recs:
             store.append(*rec)
-        assert store.n_records == 3 and not hasattr(store, "updates")  # written, not kept
+        assert not hasattr(store, "updates")  # written, not kept
         loaded = HistoryStore.load(path)
         assert loaded.d == 5 and loaded.n == 3 and loaded.total_rounds == 3
         assert loaded.config_hash == CHASH
-        assert loaded.n_records == 3
         models, updates = zip(*loaded.rounds())
         np.testing.assert_array_equal(models, [model for _, model, _ in recs])
         np.testing.assert_array_equal(updates, [[u[c] for c in range(3)] for _, _, u in recs])
@@ -327,7 +338,7 @@ class TestRecordLayout:
             assert sorted(rec.updates) == list(range(n))
             assert np.array_equal(rec.global_model, values[t, 0])
             assert all(np.array_equal(rec.updates[c], values[t, 1 + c]) for c in range(n))
-        assert loaded.n_records == len(rounds) == total
+        assert len(rounds) == total
         for t, (model, updates) in enumerate(rounds):
             assert np.array_equal(model, values[t, 0])
             assert np.array_equal(updates, values[t, 1:])
@@ -515,7 +526,7 @@ class TestRunRound:
         )
         losses = [loss(sub.spec, w, x, y)]
         for t in range(10):
-            w, _ = run_round(sub, w, t)
+            w, _ = train_round(sub, w, t)
             losses.append(loss(sub.spec, w, x, y))
         assert all(b < a for a, b in zip(losses, losses[1:]))
 
@@ -523,8 +534,8 @@ class TestRunRound:
         atk = AttackConfig(kind="trim", b=2.0)
         s1, _ = small_setup(attack=atk, malicious=())
         s2, _ = small_setup(attack=None)
-        w1, r1 = run_round(s1, np.zeros(s1.spec.param_dim), 0)
-        w2, r2 = run_round(s2, np.zeros(s2.spec.param_dim), 0)
+        w1, r1 = train_round(s1, np.zeros(s1.spec.param_dim), 0)
+        w2, r2 = train_round(s2, np.zeros(s2.spec.param_dim), 0)
         np.testing.assert_array_equal(w1, w2)
         for cid in r1:
             np.testing.assert_array_equal(r1[cid], r2[cid])
@@ -534,7 +545,7 @@ class TestRunRound:
         atk = AttackConfig(kind="backdoor", trigger=trig, target_label=0, lam=10.0)
         setup, _ = small_setup(attack=atk, malicious=(1,))
         w = np.zeros(setup.spec.param_dim)
-        _, reported = run_round(setup, w, 0)
+        _, reported = train_round(setup, w, 0)
         base = backdoor_update(setup.spec, w, *setup.poisoned[1], 0, setup.l, setup.eta, 1.0)
         np.testing.assert_array_equal(reported[1], 10.0 * base)
 
@@ -542,7 +553,7 @@ class TestRunRound:
         setup, _ = small_setup()
         w = np.zeros(setup.spec.param_dim)
         for t in range(3):
-            w, reported = run_round(setup, w, t)
+            w, reported = train_round(setup, w, t)
             assert sorted(reported) == sorted(setup.client_ids)
 
 
@@ -616,9 +627,9 @@ class TestTrain:
     def test_history_written_and_reloadable(self, tmp_path):
         setup, _ = small_setup()
         path = tmp_path / "h.bin"
-        train(setup, 5, path, CHASH)
+        train(setup, 5, path, CHASH, ())
         loaded = HistoryStore.load(path)
-        assert loaded.n_records == 5
+        assert loaded.total_rounds == 5
         assert loaded.d == setup.spec.param_dim
         models = [model for model, _ in loaded.rounds()]
         assert np.shape(models) == (5, setup.spec.param_dim)
@@ -627,8 +638,8 @@ class TestTrain:
         setup1, _ = small_setup()
         setup2, _ = small_setup()
         p1, p2 = tmp_path / "a.bin", tmp_path / "b.bin"
-        train(setup1, 4, p1, CHASH)
-        train(setup2, 4, p2, CHASH)
+        train(setup1, 4, p1, CHASH, ())
+        train(setup2, 4, p2, CHASH, ())
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_convergence_smoke_gradient_norm(self, tmp_path):
@@ -644,27 +655,27 @@ class TestTrain:
             seed=setup.seed,
             shards=[(x, y) for x, y, _ in setup.clients],
         )
-        final = train(full, 400, tmp_path / "h.bin", CHASH)[-1]
+        final = train(full, 400, tmp_path / "h.bin", CHASH, (400,))[400]
         g = gradient(full.spec, final, ds.inputs, ds.labels)
         assert float(np.linalg.norm(g)) < 1e-4
 
     def test_keeps_only_the_model_trace(self, tmp_path):
-        # the history goes to disk, and what train holds is the (T + 1, d)
-        # trace, far below the file's (T, n + 1, d)
+        # the history goes to disk, and what train holds, keeping every
+        # round, is the (T + 1, d) trace, far below the file's (T, n + 1, d)
         setup = backdoor_logreg_shapes()
         path = tmp_path / "h.bin"
         tracemalloc.start()
         try:
-            trace = train(setup, 60, path, CHASH)
+            trace = train(setup, 60, path, CHASH, range(61))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < path.stat().st_size / 4
         models = [model for model, _ in HistoryStore.load(path).rounds()]
-        assert len(trace) == 61
-        np.testing.assert_array_equal(trace[:-1], models)
-        final_round, _ = run_round(setup, models[-1], 59)
-        np.testing.assert_array_equal(trace[-1], final_round)
+        assert list(trace) == list(range(61))
+        np.testing.assert_array_equal([trace[t] for t in range(60)], models)
+        final_round, _ = train_round(setup, models[-1], 59)
+        np.testing.assert_array_equal(trace[60], final_round)
 
     @pytest.mark.parametrize("attack", sorted(REPORT_ATTACKS))
     @pytest.mark.parametrize("rule", ["fedavg", "median", "trimmed_mean"])
@@ -675,9 +686,9 @@ class TestTrain:
             rule=AggregationRule(rule, 1 if rule == "trimmed_mean" else 0),
         )
         path = tmp_path / "h.bin"
-        trace = train(setup, 5, path, CHASH)
+        trace = train(setup, 5, path, CHASH, (5,))
         model, updates = next(HistoryStore.load(path).rounds(first=4))
-        assert np.array_equal(setup.aggregate_step(model, dict(enumerate(updates))), trace[-1])
+        assert np.array_equal(setup.aggregate_step(model, dict(enumerate(updates))), trace[5])
 
     @pytest.mark.parametrize("method", ["fedrecover", "historical"])
     def test_recovery_keeps_no_copy_of_the_history(self, tmp_path, method):
@@ -692,11 +703,45 @@ class TestTrain:
         try:
             history = HistoryStore.load(path, f"{path}.tops")
             if method == "fedrecover":
-                trace = fedrecover(history, setup.malicious, setup, params).per_round_models
+                trace = fedrecover(history, setup.malicious, setup, params, range(61)).models
             else:
-                trace = historical_only(history, setup.malicious, setup)
+                trace = historical_only(history, setup.malicious, setup, range(61))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert len(trace) == 61
         assert peak < path.stat().st_size / 4
+
+    def test_replay_peaks_do_not_grow_with_the_rounds(self, tmp_path):
+        # every replay keeps only the rounds in `keep` and drops the other
+        # models as the rounds go: at 4T rounds its tracemalloc peak exceeds
+        # its peak at T rounds by less than 5 models (holding every round
+        # would add 3T = 60). T = 20 leaves fedrecover estimated rounds, and
+        # so its cached L-BFGS systems, at both lengths
+        setup = backdoor_logreg_shapes()
+        params = RecoveryParams(warmup_rounds=10, correction_period=10, final_tuning_rounds=5)
+        remaining = sorted(set(setup.client_ids) - setup.malicious)
+        m = top_count(params.tolerance_rate, len(setup.client_ids), setup.spec.param_dim)
+        keep = (0, 10, 20)
+
+        def peak(replay, *args):
+            tracemalloc.start()
+            try:
+                replay(*args)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peaks = {}
+        for total in (20, 80):
+            path, tops = tmp_path / f"{total}.bin", tmp_path / f"{total}.tops"
+            train_peak = peak(train, setup, total, path, CHASH, keep, (tops, m))
+            history = HistoryStore.load(path, tops)
+            peaks[total] = {
+                "train": train_peak,
+                "fedrecover": peak(fedrecover, history, setup.malicious, setup, params, keep),
+                "scratch": peak(train_from_scratch, setup, remaining, total, keep),
+                "historical": peak(historical_only, history, setup.malicious, setup, keep),
+            }
+        growth = {name: peaks[80][name] - peaks[20][name] for name in peaks[20]}
+        assert all(grown < 5 * 8 * setup.spec.param_dim for grown in growth.values()), growth

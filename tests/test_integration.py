@@ -49,23 +49,23 @@ class TestMultiStepLocalUpdates:
         )
 
     def test_training_runs_and_changes_with_l(self, tmp_path):
-        final1 = train(self.make(1), 10, tmp_path / "l1.bin", CHASH)[-1]
-        final3 = train(self.make(3), 10, tmp_path / "l3.bin", CHASH)[-1]
+        final1 = train(self.make(1), 10, tmp_path / "l1.bin", CHASH, (10,))[10]
+        final3 = train(self.make(3), 10, tmp_path / "l3.bin", CHASH, (10,))[10]
         assert not np.array_equal(final1, final3)
 
     def test_recovery_period_one_matches_scratch_with_l3(self, tmp_path):
         setup = self.make(3, attack=AttackConfig(kind="trim", b=2.0), malicious=(1,))
-        train(setup, 16, tmp_path / "h.bin", CHASH)
+        train(setup, 16, tmp_path / "h.bin", CHASH, ())
         store = HistoryStore.load(tmp_path / "h.bin")
         params = RecoveryParams(
             warmup_rounds=3, correction_period=1, final_tuning_rounds=2, buffer_size=2,
             tau=float("inf"),
         )
-        result = fedrecover(store, {1}, setup, params)
+        result = fedrecover(store, {1}, setup, params, range(17))
         remaining = sorted(set(setup.client_ids) - {1})
-        trace = train_from_scratch(setup, remaining, 16)
-        for w_hat, w_t in zip(result.per_round_models, trace):
-            np.testing.assert_array_equal(w_hat, w_t)
+        trace = train_from_scratch(setup, remaining, 16, range(17))
+        for t in range(17):
+            np.testing.assert_array_equal(result.models[t], trace[t])
 
     def test_estimation_mode_works_with_l3(self, tmp_path):
         setup = self.make(3, attack=AttackConfig(kind="trim", b=2.0), malicious=(1,))
@@ -74,8 +74,8 @@ class TestMultiStepLocalUpdates:
             warmup_rounds=5, correction_period=5, final_tuning_rounds=3, buffer_size=2,
             tolerance_rate=1e-6,
         )
-        result = fedrecover(store, {1}, setup, params)
-        assert np.all(np.isfinite(result.per_round_models[-1]))
+        result = fedrecover(store, {1}, setup, params, (30,))
+        assert np.all(np.isfinite(result.models[30]))
 
 
 def test_median_rule_through_recovery(tmp_path):
@@ -91,16 +91,16 @@ def test_median_rule_through_recovery(tmp_path):
         attack=AttackConfig(kind="trim", b=2.0),
         malicious=(0, 3),
     )
-    train(setup, 24, tmp_path / "h.bin", CHASH)
+    train(setup, 24, tmp_path / "h.bin", CHASH, ())
     store = HistoryStore.load(tmp_path / "h.bin")
     params = RecoveryParams(
         warmup_rounds=4, correction_period=1, final_tuning_rounds=2, buffer_size=2,
         tau=float("inf"),
     )
-    result = fedrecover(store, {0, 3}, setup, params)
+    result = fedrecover(store, {0, 3}, setup, params, (24,))
     remaining = sorted(set(setup.client_ids) - {0, 3})
-    trace = train_from_scratch(setup, remaining, 24)
-    np.testing.assert_array_equal(result.per_round_models[-1], trace[-1])
+    trace = train_from_scratch(setup, remaining, 24, (24,))
+    np.testing.assert_array_equal(result.models[24], trace[24])
 
 
 MNIST_CFG = """

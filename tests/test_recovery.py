@@ -13,7 +13,7 @@ from fedsim import recovery
 from fedsim.aggregation import AggregationRule
 from fedsim.attacks import AttackConfig, Trigger
 from fedsim.data import gen_synthetic
-from fedsim.flengine import HistoryError, HistoryStore, train
+from fedsim.flengine import FlSetup, HistoryError, HistoryStore, train
 from fedsim.models import ModelSpec
 from fedsim.numcore import RngStream, as_vector
 from fedsim.recovery import (
@@ -269,10 +269,10 @@ class TestLbfgsHvp:
                 return w - reported[0]
 
         params = RecoveryParams(2, 10, 0, buffer_size=1, tau=math.inf)
-        result = fedrecover(History(), (), Setup(), params)
+        result = fedrecover(History(), (), Setup(), params, range(4))
         assert result.abnormality_count == 1
         assert result.exact_rounds_per_client == {0: 3}
-        assert [float(w[0]) for w in result.per_round_models] == [0.0, 1e-150, 0.0, -0.5]
+        assert [float(result.models[t][0]) for t in range(4)] == [0.0, 1e-150, 0.0, -0.5]
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
@@ -575,7 +575,7 @@ class TestFedrecover:
     def test_cost_accounting_tau_inf(self, ridge_trim_scenario):
         sc = ridge_trim_scenario
         params = recovery_params()
-        result = fedrecover(sc["store"], sc["malicious"], sc["setup"], params)
+        result = fedrecover(sc["store"], sc["malicious"], sc["setup"], params, ())
         expected = predicted_cost(sc["rounds"], 6, 5, 3)
         assert result.abnormality_count == 0
         for tr in result.exact_rounds_per_client.values():
@@ -584,7 +584,7 @@ class TestFedrecover:
     def test_finite_tau_at_least_predicted(self, ridge_trim_scenario):
         sc = ridge_trim_scenario
         params = recovery_params(tau=None, tolerance_rate=0.05)
-        result = fedrecover(sc["store"], sc["malicious"], sc["setup"], params)
+        result = fedrecover(sc["store"], sc["malicious"], sc["setup"], params, ())
         expected = predicted_cost(sc["rounds"], 6, 5, 3)
         for tr in result.exact_rounds_per_client.values():
             assert tr >= expected
@@ -592,41 +592,69 @@ class TestFedrecover:
     def test_period_one_equals_scratch(self, ridge_trim_scenario):
         sc = ridge_trim_scenario
         params = recovery_params(correction_period=1)
-        result = fedrecover(sc["store"], sc["malicious"], sc["setup"], params)
+        every = range(sc["rounds"] + 1)
+        result = fedrecover(sc["store"], sc["malicious"], sc["setup"], params, every)
         remaining = sorted(set(sc["setup"].client_ids) - sc["malicious"])
-        trace = train_from_scratch(sc["setup"], remaining, sc["rounds"])
-        assert len(result.per_round_models) == len(trace)
-        for w_hat, w in zip(result.per_round_models, trace):
-            np.testing.assert_array_equal(w_hat, w)
+        trace = train_from_scratch(sc["setup"], remaining, sc["rounds"], every)
+        assert list(result.models) == list(trace) == list(every)
+        for t in every:
+            np.testing.assert_array_equal(result.models[t], trace[t])
 
     def test_exact_quadratic_mode_tracks_scratch(self, ridge_trim_scenario):
         sc = ridge_trim_scenario
         params = recovery_params(hvp_mode="exact_quadratic")
-        result = fedrecover(sc["store"], sc["malicious"], sc["setup"], params)
+        every = range(sc["rounds"] + 1)
+        result = fedrecover(sc["store"], sc["malicious"], sc["setup"], params, every)
         remaining = sorted(set(sc["setup"].client_ids) - sc["malicious"])
-        trace = train_from_scratch(sc["setup"], remaining, sc["rounds"])
-        gaps = [
-            np.max(np.abs(w_hat - w)) for w_hat, w in zip(result.per_round_models, trace)
-        ]
+        trace = train_from_scratch(sc["setup"], remaining, sc["rounds"], every)
+        gaps = [np.max(np.abs(result.models[t] - trace[t])) for t in every]
         assert max(gaps) <= 1e-8
 
     def test_lbfgs_mode_close_to_scratch_on_quadratic(self, ridge_trim_scenario):
         sc = ridge_trim_scenario
         params = recovery_params()
-        result = fedrecover(sc["store"], sc["malicious"], sc["setup"], params)
+        final = sc["rounds"]
+        result = fedrecover(sc["store"], sc["malicious"], sc["setup"], params, (final,))
         remaining = sorted(set(sc["setup"].client_ids) - sc["malicious"])
-        model = train_from_scratch(sc["setup"], remaining, sc["rounds"])[-1]
-        gap = float(np.linalg.norm(result.per_round_models[-1] - model))
+        model = train_from_scratch(sc["setup"], remaining, final, (final,))[final]
+        gap = float(np.linalg.norm(result.models[final] - model))
         assert gap < 0.05 * (1.0 + float(np.linalg.norm(model)))
 
     def test_instrumentation_measures_estimated_rounds(self, ridge_trim_scenario):
+        # observed from outside: each round's exact updates (every remaining
+        # client's, under instrument) and the updates it aggregates; an
+        # aggregated update that is not the exact one is an accepted estimate
         sc = ridge_trim_scenario
         params = recovery_params()
-        result = fedrecover(sc["store"], sc["malicious"], sc["setup"], params, instrument=True)
+        asked, aggregated = [], []
+        real_report, real_step = FlSetup.reported_updates, FlSetup.aggregate_step
+
+        def report(self, *args, **kwargs):
+            asked.append(real_report(self, *args, **kwargs))
+            return asked[-1]
+
+        def step(self, w, reported):
+            aggregated.append(dict(reported))
+            return real_step(self, w, reported)
+
+        with mock.patch.object(FlSetup, "reported_updates", report), \
+                mock.patch.object(FlSetup, "aggregate_step", step):
+            result = fedrecover(
+                sc["store"], sc["malicious"], sc["setup"], params, (), instrument=True
+            )
+        errors = [
+            float(np.linalg.norm(chosen[c] - exact[c]))
+            for exact, chosen in zip(asked, aggregated)
+            for c in chosen
+            if chosen[c] is not exact[c]
+        ]
         n_remaining = len(sc["setup"].client_ids) - len(sc["malicious"])
         estimated_rounds = sc["rounds"] - predicted_cost(sc["rounds"], 6, 5, 3)
-        assert len(result.estimate_errors) == estimated_rounds * n_remaining
-        assert result.measured_m is not None and result.measured_m >= 0.0
+        assert len(asked) == len(aggregated) == sc["rounds"]
+        assert len(errors) == estimated_rounds * n_remaining
+        assert result.measured_m == max(errors) > 0.0
+        plain = fedrecover(sc["store"], sc["malicious"], sc["setup"], params, ())
+        assert plain.measured_m is None
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_nonfinite_estimate_falls_back_to_exact(
@@ -665,14 +693,14 @@ class TestFedrecover:
 
         monkeypatch.setattr(recovery, "lbfgs_hvp", kernel)
         monkeypatch.setattr(recovery, "linf_norm", linf)
-        result = fedrecover(history, sc["malicious"], sc["setup"], params)
+        result = fedrecover(history, sc["malicious"], sc["setup"], params, (sc["rounds"],))
         assert result.abnormality_count >= 1
         assert len(hvp_calls) == sum(accepted) + result.abnormality_count
         expected = predicted_cost(sc["rounds"], 6, 5, 3)
         assert sum(result.exact_rounds_per_client.values()) == (
             expected * len(remaining) + result.abnormality_count
         )
-        assert np.all(np.isfinite(result.per_round_models[-1]))
+        assert np.all(np.isfinite(result.models[sc["rounds"]]))
 
 
 def _observed_fedrecover(history, detected, setup, params):
@@ -683,7 +711,8 @@ def _observed_fedrecover(history, detected, setup, params):
     estimate (None when there was none: a singular system or an
     overflowing estimate). Returns the result, the kernel call count, the
     number of accepted estimates and, per client, how many of its
-    attempts were not accepted (its fixes).
+    attempts were not accepted (its fixes). The result keeps the final
+    model only.
     """
     kernel_calls = []
     attempts = []  # [client, linf of its estimate or None]
@@ -706,7 +735,7 @@ def _observed_fedrecover(history, detected, setup, params):
         mock.patch.object(LbfgsBuffers, "hvp", hvp),
         mock.patch.object(recovery, "linf_norm", linf),
     ):
-        result = fedrecover(history, detected, setup, params)
+        result = fedrecover(history, detected, setup, params, (history.total_rounds,))
     accepted = 0
     fixes = {c: 0 for c in result.exact_rounds_per_client}
     for client, norm in attempts:
@@ -761,8 +790,8 @@ class TestFedrecoverProperties:
             if tau is not None:  # tau = inf never fixes
                 assert result.abnormality_count == 0
             # the order of `detected` does not matter
-            again = fedrecover(store, detected[::-1], setup, params)
-            np.testing.assert_array_equal(again.per_round_models[-1], result.per_round_models[-1])
+            again = fedrecover(store, detected[::-1], setup, params, (sc["rounds"],))
+            np.testing.assert_array_equal(again.models[sc["rounds"]], result.models[sc["rounds"]])
             assert again.exact_rounds_per_client == result.exact_rounds_per_client
             assert again.abnormality_count == result.abnormality_count
 
@@ -837,21 +866,22 @@ class TestPeriodOneIsRetraining:
         )
         with tempfile.TemporaryDirectory() as tmp:
             _, store = train_and_load(setup, sc["rounds"], os.path.join(tmp, "h.bin"))
-            result = fedrecover(store, detected, setup, params)
+            every = range(sc["rounds"] + 1)
+            result = fedrecover(store, detected, setup, params, every)
         remaining = sorted(set(setup.client_ids) - set(detected))
-        trace = train_from_scratch(setup, remaining, sc["rounds"])
-        assert len(result.per_round_models) == len(trace) == sc["rounds"] + 1
-        for w_hat, w in zip(result.per_round_models, trace):
-            assert np.array_equal(w_hat, w)
+        trace = train_from_scratch(setup, remaining, sc["rounds"], every)
+        assert list(result.models) == list(trace) == list(every)
+        for t in every:
+            assert np.array_equal(result.models[t], trace[t])
 
 
 class TestBaselines:
     def test_historical_replay_identity(self, ridge_trim_scenario):
         sc = ridge_trim_scenario
         setup = sc["setup"]
-        trace = historical_only(sc["store"], frozenset(), setup)
+        trace = historical_only(sc["store"], frozenset(), setup, (0, sc["rounds"]))
         # replaying every stored update must land on the original final model
-        np.testing.assert_array_equal(trace[-1], sc["final"])
+        np.testing.assert_array_equal(trace[sc["rounds"]], sc["final"])
         first_model, _ = next(sc["store"].rounds())
         np.testing.assert_array_equal(trace[0], first_model)
 
@@ -872,9 +902,9 @@ class TestBaselines:
             batch_size=16,
             seed=9,
         )
-        final = train(setup, 12, tmp_path / "h.bin", CHASH)[-1]
-        trace = train_from_scratch(setup, setup.client_ids, 12)
-        np.testing.assert_array_equal(trace[-1], final)
+        final = train(setup, 12, tmp_path / "h.bin", CHASH, (12,))[12]
+        trace = train_from_scratch(setup, setup.client_ids, 12, (12,))
+        np.testing.assert_array_equal(trace[12], final)
 
     def test_historical_cost_is_zero_by_definition(self, ridge_trim_scenario):
         from fedsim.metrics import cost_saving
@@ -900,9 +930,10 @@ class TestResidualAttackers:
         sc = ridge_trim_scenario
         detected = frozenset({0})  # client 1 stays malicious
         params = recovery_params(tau=None, tolerance_rate=0.05)
-        a = fedrecover(sc["store"], detected, sc["setup"], params)
-        b = fedrecover(sc["store"], detected, sc["setup"], params)
-        np.testing.assert_array_equal(a.per_round_models[-1], b.per_round_models[-1])
+        final = (sc["rounds"],)
+        a = fedrecover(sc["store"], detected, sc["setup"], params, final)
+        b = fedrecover(sc["store"], detected, sc["setup"], params, final)
+        np.testing.assert_array_equal(a.models[sc["rounds"]], b.models[sc["rounds"]])
         assert a.exact_rounds_per_client == b.exact_rounds_per_client
         floor = predicted_cost(sc["rounds"], 6, 5, 3)
         assert all(tr >= floor for tr in a.exact_rounds_per_client.values())
@@ -911,9 +942,9 @@ class TestResidualAttackers:
         sc = logreg_backdoor_scenario
         detected = frozenset({2})  # client 5 survives; lam doubles to 16
         params = recovery_params(warmup_rounds=5, correction_period=5, final_tuning_rounds=3)
-        result = fedrecover(sc["store"], detected, sc["setup"], params)
+        result = fedrecover(sc["store"], detected, sc["setup"], params, (sc["rounds"],))
         assert 5 in result.exact_rounds_per_client
-        assert np.all(np.isfinite(result.per_round_models[-1]))
+        assert np.all(np.isfinite(result.models[sc["rounds"]]))
 
     def test_malicious_clients_without_an_attack_report_honestly(self, tmp_path):
         # a config may name malicious clients and no attack: they train,
@@ -932,18 +963,18 @@ class TestResidualAttackers:
             path = tmp_path / name
             _, store = train_and_load(setup, 24, path, 0.05)
             params = recovery_params(tau=None, tolerance_rate=0.05)
-            result = fedrecover(store, {1}, setup, params, instrument=True)
+            result = fedrecover(store, {1}, setup, params, range(25), instrument=True)
             return path.read_bytes(), result
 
         history, result = run((1, 3, 4), "named.bin")
         history_benign, benign = run((), "benign.bin")
         assert history == history_benign
-        assert len(result.per_round_models) == 25
-        for w, w_benign in zip(result.per_round_models, benign.per_round_models):
-            assert np.array_equal(w, w_benign)
+        assert list(result.models) == list(benign.models) == list(range(25))
+        for t in range(25):
+            assert np.array_equal(result.models[t], benign.models[t])
         assert result.exact_rounds_per_client == benign.exact_rounds_per_client
         assert result.abnormality_count == benign.abnormality_count
-        assert result.estimate_errors == benign.estimate_errors
+        assert result.measured_m == benign.measured_m
 
 
 class TestHistoricalOnlyUnderAttack:
@@ -972,9 +1003,9 @@ class TestHistoricalOnlyUnderAttack:
             attack=AttackConfig(kind="trim", b=2.0),
             malicious=(0, 1, 2),
         )
-        train(setup, 300, tmp_path / "h.bin", CHASH)
+        train(setup, 300, tmp_path / "h.bin", CHASH, ())
         store = HistoryStore.load(tmp_path / "h.bin")
-        model = historical_only(store, {0, 1, 2}, setup)[-1]
+        model = historical_only(store, {0, 1, 2}, setup, (300,))[300]
         ter = test_error_rate(setup.spec, model, test_set)
         assert ter >= 0.5
 

@@ -102,3 +102,29 @@ def test_traced_fedrecover_keeps_the_call_count_identities(tmp_path):
     # detection is exact here, so every malicious client is removed
     exact = (N_CLIENTS - MALICIOUS) * ROUNDS * (1.0 - summary["acp"] / 100.0)
     assert trace["exact_client_updates"] == pytest.approx(exact, abs=1e-6)
+
+
+def test_traced_replays_enclose_their_work(tmp_path):
+    # the tracer times each replay as one span, so a replay must do all of
+    # its rounds before it returns: a deferred one (a generator, say) would
+    # leave its client updates or aggregations outside its span
+    (tmp_path / "exp.ini").write_text(CONFIG)
+    tracer = str(ROOT / "perfbench" / "tracer.py")
+    for cmd in (
+        [tracer, "train.json", "train", "-c", "exp.ini"],
+        [tracer, "scratch.json", "recover", "-c", "exp.ini", "--method", "scratch"],
+        [tracer, "historical.json", "recover", "-c", "exp.ini", "--method", "historical"],
+    ):
+        proc = subprocess.run(
+            [sys.executable, *cmd], cwd=tmp_path, env=_env(tmp_path),
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+    scratch = json.loads((tmp_path / "scratch.json").read_text())["spans"]
+    updates = scratch["clients.local_update"]
+    assert updates["calls"] == ROUNDS * (N_CLIENTS - MALICIOUS)  # detection is exact
+    assert scratch["recovery.scratch"]["total_s"] >= updates["total_s"]
+    historical = json.loads((tmp_path / "historical.json").read_text())["spans"]
+    aggregations = historical["aggregation.aggregate"]
+    assert aggregations["calls"] == ROUNDS
+    assert historical["recovery.historical"]["total_s"] >= aggregations["total_s"]
