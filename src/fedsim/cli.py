@@ -272,11 +272,10 @@ def _detection(cfg, setup):
 
 
 def _bound_check(cfg, result, scratch) -> dict:
-    """The recovered-vs-scratch gap at every round against
-    `theoretical_bound`, whose preconditions the config checks when it
-    sets bound_check; `result.models` and `scratch` keep every round."""
+    """The recovered-vs-scratch gap at every round, both kept whole, against
+    `theoretical_bound`, whose preconditions the config checks with bound_check."""
     mu = cfg.model.l2
-    m_measured = result.measured_m
+    m_measured = result.measured_m or 0.0
     d0 = float(np.linalg.norm(result.models[0] - scratch[0]))
     max_violation = -math.inf
     for t in range(cfg.rounds + 1):

@@ -210,7 +210,7 @@ class RecoveryResult:
     abnormality_count: int
     models: dict  # {t: w_t} for the kept rounds; w_T is the recovered model
     tau: float
-    measured_m: float | None = None  # instrument only: largest accepted estimate error (0.0: none)
+    measured_m: float | None = None  # instrument only: largest accepted estimate error
 
 
 def predicted_cost(total_rounds: int, warmup: int, period: int, final: int) -> int:
@@ -285,7 +285,8 @@ def fedrecover(
     buffers = LbfgsBuffers(params.buffer_size, remaining)
     exact_rounds = {c: 0 for c in remaining}
     abnormality_count = 0
-    measured_m = 0.0 if instrument else None
+    measured_m = None  # until an estimate is accepted under instrument
+    kept = {}
 
     def quadratic_hvp(c, v):
         # a quadratic loss's integrated Hessian is its constant Hessian; t is the running round
@@ -297,7 +298,8 @@ def fedrecover(
     for t, (w_bar, g_bar) in enumerate(history.rounds()):  # g_bar row c: client c's update
         if t == 0:  # the first stored model is the start model
             w_hat = w_bar
-            kept = {0: w_hat} if 0 in keep else {}
+            if 0 in keep:
+                kept[0] = w_hat
         v = w_hat - w_bar
         chosen = {}
         exact_round = _is_exact_round(t, total, params)
@@ -332,10 +334,9 @@ def fedrecover(
             buffers.push_client(c, exact[c] - g_bar[c])
         if exact_round:
             buffers.push_global(v)
-        if instrument:
-            for c in remaining:
-                if c not in fix:
-                    measured_m = max(measured_m, float(np.linalg.norm(chosen[c] - exact[c])))
+        if instrument:  # each accepted estimate against the exact update
+            for c in chosen.keys() - fix:
+                measured_m = max(measured_m or 0.0, float(np.linalg.norm(chosen[c] - exact[c])))
         w_hat = setup.aggregate_step(w_hat, chosen)
         if t + 1 in keep:
             kept[t + 1] = w_hat
@@ -369,10 +370,12 @@ def historical_only(history: HistoryStore, detected, setup: FlSetup, keep) -> di
     With nothing detected this reproduces the original trajectory exactly.
     """
     remaining = sorted(set(range(history.n)) - frozenset(detected))
+    kept = {}
     for t, (model, round_updates) in enumerate(history.rounds()):
         if t == 0:  # the first stored model is the start model
             w = model
-            kept = {0: w} if 0 in keep else {}
+            if 0 in keep:
+                kept[0] = w
         # row views: a fancy index would copy the (remaining, d) block once more
         w = setup.aggregate_step(w, {c: round_updates[c] for c in remaining})
         if t + 1 in keep:

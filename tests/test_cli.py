@@ -198,6 +198,8 @@ class TestTrainCommand:
             err = capsys.readouterr().err
             if blamed is None:  # a success reads a history of its own config: B's
                 assert rc == 0 and name == "B", err
+            elif blamed == table:  # only the file is pinned: the message blames no config
+                assert rc == 1 and err.startswith(f"error: {table}: "), err
             else:
                 assert (rc, err) == (1, f"error: {blamed}: {mismatch}\n")
         # config.ini is still A's, so B's recovery summaries are refused by name

@@ -906,6 +906,15 @@ class TestBaselines:
         trace = train_from_scratch(setup, setup.client_ids, 12, (12,))
         np.testing.assert_array_equal(trace[12], final)
 
+    def test_replays_of_an_empty_history_keep_nothing(self, ridge_trim_scenario, tmp_path):
+        # T = 0: the history holds no record, so not even a start model
+        setup = ridge_trim_scenario["setup"]
+        assert list(train(setup, 0, tmp_path / "h.bin", CHASH, (0,))) == [0]
+        store = HistoryStore.load(tmp_path / "h.bin")
+        params = recovery_params()
+        assert historical_only(store, {0}, setup, (0,)) == {}
+        assert fedrecover(store, {0}, setup, params, (0,), instrument=True).models == {}
+
     def test_historical_cost_is_zero_by_definition(self, ridge_trim_scenario):
         from fedsim.metrics import cost_saving
 
