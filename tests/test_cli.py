@@ -6,6 +6,7 @@ import shutil
 import signal
 import subprocess
 import sys
+import time
 from contextlib import contextmanager
 
 import jsonschema
@@ -102,6 +103,24 @@ def _flock_held(run_dir):
             holder.wait()
 
 
+def _sim(root, *args):
+    """`sim *args` in a child process writing runs under `root`."""
+    src = os.path.dirname(os.path.dirname(fedsim.__file__))
+    env = {**os.environ, "FEDSIM_OUTPUT_ROOT": str(root)}
+    env["PYTHONPATH"] = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    return subprocess.Popen(
+        [sys.executable, "-m", "fedsim.cli", *args], env=env,
+        stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
+    )
+
+
+def _size(path) -> int:
+    try:
+        return path.stat().st_size
+    except FileNotFoundError:
+        return 0
+
+
 class TestTrainCommand:
     def test_train_writes_artifacts(self, run_env):
         root, cfg_path = run_env
@@ -159,6 +178,39 @@ class TestTrainCommand:
         assert main(["train", "-c", str(cfg_path)]) == 1
         run_dir = root / "runs" / "exp"
         assert os.listdir(run_dir) == []
+
+    def test_train_killed_after_one_record_leaves_no_run(self, tmp_path):
+        # a real `sim train`, SIGKILLed once history.bin.tmp holds a whole
+        # record: no file appears under the run's names, recovery names the
+        # missing history, and training again writes what an uninterrupted
+        # run of the same config writes
+        cfg_path = tmp_path / "long.ini"
+        cfg_path.write_text(MINIMAL.replace("rounds = 40", "rounds = 1000"))
+        killed, whole = tmp_path / "killed", tmp_path / "whole"
+        run_dir = killed / "runs" / "demo"
+        temp = run_dir / "history.bin.tmp"
+        one_record = 56 + 3136  # the header, then d = 35 (6 x 5 weights, 5 biases) and n = 10
+        with _sim(killed, "train", "-c", str(cfg_path)) as proc:
+            deadline = time.monotonic() + 60
+            while _size(temp) < one_record:
+                assert proc.poll() is None, "train ended before it was killed"
+                assert time.monotonic() < deadline, "no whole record within 60 s"
+                time.sleep(0.001)
+            proc.send_signal(signal.SIGKILL)
+        assert proc.returncode == -signal.SIGKILL
+        for name in ("history.bin", "history_tops.bin", "config.ini"):
+            assert not (run_dir / name).exists()
+        with _sim(killed, "recover", "-c", str(cfg_path), "--method", "historical") as proc:
+            err = proc.communicate()[1]
+        assert proc.returncode == 1 and str(run_dir / "history.bin") in err, err
+        for root in (killed, whole):
+            with _sim(root, "train", "-c", str(cfg_path)) as proc:
+                assert proc.wait() == 0
+        assert not list(run_dir.glob("*.tmp"))
+        names = sorted(os.listdir(whole / "runs" / "demo"))
+        assert sorted(os.listdir(run_dir)) == names
+        for name in names:
+            assert (run_dir / name).read_bytes() == (whole / "runs" / "demo" / name).read_bytes(), name
 
     def test_retrain_cut_between_replaces_leaves_each_file_checked(
         self, tmp_path, monkeypatch, capsys
@@ -488,7 +540,7 @@ class TestRecoverCommand:
         faults = [
             (bytes(flipped), "record checksum mismatch"),
             (good[:-5], "truncated record"),
-            ((other / "history_tops.bin").read_bytes(), "history meta (d=36, n=8, T=30) does not match (d=36, n=8, T=20)"),
+            ((other / "history_tops.bin").read_bytes(), "table meta (d=36, n=8, T=20) does not match the history's (d=36, n=8, T=30)"),
             (None, "no such file"),
         ]
         for blob, message in faults:

@@ -1,5 +1,6 @@
 import hashlib
 import io
+import re
 import struct
 import tempfile
 import tracemalloc
@@ -462,8 +463,12 @@ class TestTopTable:
             _, n, total, m = struct.unpack_from("<QIII", blob, 8)
             blob = blob[:60] + bytes(total * (4 + n * m * 8 + 8))
         tops.write_bytes(bytes(blob))
-        message = "history config hash" if field == "config hash" else r"history meta \(d=5, n=4, T=3\)"
-        with pytest.raises(HistoryError, match=f"^{tops}: {message} does not match"):
+        if field == "config hash":
+            message = "table config hash does not match the history's"
+        else:
+            table = {"d": "d=4, n=4, T=3", "n": "d=5, n=3, T=3", "T": "d=5, n=4, T=2"}[field]
+            message = rf"table meta \({table}\) does not match the history's \(d=5, n=4, T=3\)"
+        with pytest.raises(HistoryError, match=f"^{tops}: {message}$"):
             HistoryStore.load(path, tops)
 
     @pytest.mark.parametrize(
@@ -482,6 +487,32 @@ class TestTopTable:
         tops.write_bytes(header + b"".join(_seed_tops_encode(t, rows[t], m) for t in order))
         with pytest.raises(HistoryError, match=f"^{tops}: {message}"):
             list(TopTable.load(tops).rounds())
+
+
+# Each fault of the layout both record files share, as (name, the faulty
+# bytes from a file's bytes b, its header size h before the config hash and
+# its record size r, the message after the file's path); the files hold T = 3.
+_LAYOUT_FAULTS = [
+    ("truncated header", lambda b, h, r: b[: h - 1], "truncated header"),
+    ("bad magic", lambda b, h, r: b"XXXX" + b[4:], "bad magic b'XXXX'"),
+    ("version 2", lambda b, h, r: b[:4] + struct.pack("<I", 2) + b[8:], "unsupported version 2"),
+    ("short config hash", lambda b, h, r: b[: h + 31], r"truncated header \(config hash\)"),
+    ("partial record", lambda b, h, r: b[:-3], "truncated record"),
+    ("record count", lambda b, h, r: b[:-r], "{kind} holds 2 complete records, header says T=3"),
+]
+
+
+@pytest.mark.parametrize("kind, header", [("history", 24), ("table", 28)])
+@pytest.mark.parametrize("fault, cut, message", _LAYOUT_FAULTS, ids=[f[0] for f in _LAYOUT_FAULTS])
+def test_layout_faults_name_their_file(tmp_path, kind, header, fault, cut, message):
+    values = RngStream(7).normals(3 * 4 * 5).reshape(3, 4, 5)
+    path, tops = _write_with_tops(tmp_path, values, 2)
+    target = path if kind == "history" else tops
+    blob = target.read_bytes()
+    target.write_bytes(cut(blob, header, (len(blob) - header - 32) // 3))
+    message = message.format(kind=kind)
+    with pytest.raises(HistoryError, match=f"^{re.escape(str(target))}: {message}$"):
+        HistoryStore.load(path, tops)
 
 
 class TestAggregateStep:
