@@ -51,7 +51,8 @@ def _locked(run_dir: str):
 
     The kernel releases it when the descriptor closes, however the process
     ends, so a killed command never leaves the directory locked and no lock
-    file is ever written. POSIX only.
+    file is ever written. POSIX only. Once the lock is held no other command
+    can be writing, so the `.tmp` files a killed one left are removed.
     """
     os.makedirs(run_dir, exist_ok=True)
     fd = os.open(run_dir, os.O_RDONLY)
@@ -60,6 +61,9 @@ def _locked(run_dir: str):
             fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
         except BlockingIOError:
             raise CliError(f"run directory {run_dir} is locked by another command") from None
+        for name in os.listdir(run_dir):
+            if name.endswith(".tmp"):
+                os.unlink(os.path.join(run_dir, name))
         yield
     finally:
         os.close(fd)

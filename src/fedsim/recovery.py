@@ -289,9 +289,12 @@ def fedrecover(
     kept = {}
 
     def quadratic_hvp(c, v):
-        # a quadratic loss's integrated Hessian is its constant Hessian; t is the running round
-        inputs, _, sampler = setup.clients[c]
-        return models.quadratic_hessian(setup.spec, inputs[sampler.round_batches(t, 1)[0]]) @ v
+        # the ridge gradient is affine in w, so the change of client c's round-t
+        # batch gradient along v is the exact HVP, l2 term included; t is the running round
+        inputs, labels, sampler = setup.clients[c]
+        batch = sampler.batch(t)  # one local step: round t's only batch
+        x, y, spec = inputs[batch], labels[batch], setup.spec
+        return models.gradient(spec, v, x, y) - models.gradient(spec, np.zeros_like(v), x, y)
 
     hvp = quadratic_hvp if params.hvp_mode == "exact_quadratic" else buffers.hvp
 

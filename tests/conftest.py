@@ -75,6 +75,34 @@ def loss(spec: ModelSpec, w: np.ndarray, x: np.ndarray, y: np.ndarray) -> float:
     return data_term + 0.5 * spec.l2 * float(w @ w)
 
 
+# The ridge Hessian as an explicit (d, d) matrix, kept here as the oracle of
+# the exact HVP that `recovery.fedrecover` takes from `models.gradient`:
+# the program itself never forms it.
+def quadratic_hessian(spec: ModelSpec, inputs: np.ndarray) -> np.ndarray:
+    """Explicit (d x d) Hessian of the ridge loss on (n, input_dim) inputs.
+
+    The ridge loss is quadratic, so this matrix is exact and constant in w.
+    `spec` must be the ridge kind, as the config guarantees wherever
+    recovery asks for it (`hvp_mode = exact_quadratic`).
+    """
+    x = np.asarray(inputs, dtype=np.float64)
+    n, f = x.shape
+    c = spec.num_classes
+    xt = np.hstack([x, np.ones((n, 1))])
+    m = xt.T @ xt / n  # (f+1) x (f+1)
+    d = spec.param_dim
+    h = np.zeros((d, d))
+    for cls in range(c):
+        wsl = slice(cls * f, (cls + 1) * f)
+        bix = c * f + cls
+        h[wsl, wsl] = m[:f, :f]
+        h[wsl, bix] = m[:f, f]
+        h[bix, wsl] = m[f, :f]
+        h[bix, bix] = m[f, f]
+    h += spec.l2 * np.eye(d)
+    return h
+
+
 def finite_diff_gradient(f: Callable[[np.ndarray], float], w, h: float) -> np.ndarray:
     """Central-difference gradient oracle: (f(w+h e_j) - f(w-h e_j)) / 2h.
 

@@ -103,13 +103,15 @@ def _flock_held(run_dir):
             holder.wait()
 
 
-def _sim(root, *args):
-    """`sim *args` in a child process writing runs under `root`."""
+def _sim(root, *args, code=None):
+    """`sim *args` in a child process writing runs under `root`; with
+    `code`, the child runs that program on `args` in place of `sim`'s."""
     src = os.path.dirname(os.path.dirname(fedsim.__file__))
     env = {**os.environ, "FEDSIM_OUTPUT_ROOT": str(root)}
     env["PYTHONPATH"] = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    program = ["-m", "fedsim.cli"] if code is None else ["-c", code]
     return subprocess.Popen(
-        [sys.executable, "-m", "fedsim.cli", *args], env=env,
+        [sys.executable, *program, *args], env=env,
         stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
     )
 
@@ -119,6 +121,21 @@ def _size(path) -> int:
         return path.stat().st_size
     except FileNotFoundError:
         return 0
+
+
+def _kill_train_after_one_record(root, cfg_path):
+    """Run a real `sim train` of `cfg_path`, the 1000-round MINIMAL config,
+    under `root` and SIGKILL it once history.bin.tmp holds a whole record."""
+    temp = root / "runs" / "demo" / "history.bin.tmp"
+    one_record = 56 + 3136  # the header, then d = 35 (6 x 5 weights, 5 biases) and n = 10
+    with _sim(root, "train", "-c", str(cfg_path)) as proc:
+        deadline = time.monotonic() + 60
+        while _size(temp) < one_record:
+            assert proc.poll() is None, "train ended before it was killed"
+            assert time.monotonic() < deadline, "no whole record within 60 s"
+            time.sleep(0.001)
+        proc.send_signal(signal.SIGKILL)
+    assert proc.returncode == -signal.SIGKILL
 
 
 class TestTrainCommand:
@@ -188,16 +205,7 @@ class TestTrainCommand:
         cfg_path.write_text(MINIMAL.replace("rounds = 40", "rounds = 1000"))
         killed, whole = tmp_path / "killed", tmp_path / "whole"
         run_dir = killed / "runs" / "demo"
-        temp = run_dir / "history.bin.tmp"
-        one_record = 56 + 3136  # the header, then d = 35 (6 x 5 weights, 5 biases) and n = 10
-        with _sim(killed, "train", "-c", str(cfg_path)) as proc:
-            deadline = time.monotonic() + 60
-            while _size(temp) < one_record:
-                assert proc.poll() is None, "train ended before it was killed"
-                assert time.monotonic() < deadline, "no whole record within 60 s"
-                time.sleep(0.001)
-            proc.send_signal(signal.SIGKILL)
-        assert proc.returncode == -signal.SIGKILL
+        _kill_train_after_one_record(killed, cfg_path)
         for name in ("history.bin", "history_tops.bin", "config.ini"):
             assert not (run_dir / name).exists()
         with _sim(killed, "recover", "-c", str(cfg_path), "--method", "historical") as proc:
@@ -211,6 +219,20 @@ class TestTrainCommand:
         assert sorted(os.listdir(run_dir)) == names
         for name in names:
             assert (run_dir / name).read_bytes() == (whole / "runs" / "demo" / name).read_bytes(), name
+
+    def test_killed_train_leaves_no_temp_after_the_next_command(self, tmp_path):
+        # the temporaries of a SIGKILLed train are removed by the next
+        # command to lock the run directory, here a recovery that reads no history
+        cfg_path = tmp_path / "long.ini"
+        cfg_path.write_text(MINIMAL.replace("rounds = 40", "rounds = 1000"))
+        run_dir = tmp_path / "runs" / "demo"
+        _kill_train_after_one_record(tmp_path, cfg_path)
+        temps = ["history.bin.tmp", "history_tops.bin.tmp"]
+        assert sorted(p.name for p in run_dir.glob("*.tmp")) == temps
+        with _sim(tmp_path, "recover", "-c", str(cfg_path), "--method", "scratch") as proc:
+            err = proc.communicate()[1]
+        assert proc.returncode == 0, err
+        assert not list(run_dir.glob("*.tmp"))
 
     def test_retrain_cut_between_replaces_leaves_each_file_checked(
         self, tmp_path, monkeypatch, capsys
@@ -240,20 +262,18 @@ class TestTrainCommand:
         assert not list(run_dir.glob("*.tmp"))
         mismatch = "history config hash does not match the supplied config"
         methods = ("scratch", "historical", "fedrecover", "finetune")
-        # (config, method): None for a success, else the file its error names
-        want = {("A", method): history for method in methods}
+        # (config, method): None for a success, else the error it prints
+        want = {("A", method): f"error: {history}: {mismatch}\n" for method in methods}
         want.update({("B", method): None for method in methods})
-        want["B", "fedrecover"] = table
-        for (name, method), blamed in want.items():
+        want["B", "fedrecover"] = f"error: {table}: table config hash does not match the history's\n"
+        for (name, method), error in want.items():
             capsys.readouterr()
             rc = main(["recover", "-c", str(configs[name]), "--method", method])
             err = capsys.readouterr().err
-            if blamed is None:  # a success reads a history of its own config: B's
+            if error is None:  # a success reads a history of its own config: B's
                 assert rc == 0 and name == "B", err
-            elif blamed == table:  # only the file is pinned: the message blames no config
-                assert rc == 1 and err.startswith(f"error: {table}: "), err
             else:
-                assert (rc, err) == (1, f"error: {blamed}: {mismatch}\n")
+                assert (rc, err) == (1, error)
         # config.ini is still A's, so B's recovery summaries are refused by name
         assert main(["report", str(run_dir)]) == 1
         err = capsys.readouterr().err
@@ -679,6 +699,38 @@ class TestRecoverCommand:
             assert main(["recover", "-c", str(cfg_path), "--method", "historical"]) == 1
         assert {p.name: p.read_bytes() for p in run_dir.iterdir()} == before
         assert main(["report", str(run_dir)]) == 0
+
+    def test_recovery_killed_between_csv_and_summary(self, trained, capsys):
+        # a real `sim recover` whose write_summary SIGKILLs its own process,
+        # so the kill falls after the metrics CSV is in place and before the
+        # summary; the run still reports, and a re-run writes the bytes of
+        # an uninterrupted one
+        root, cfg_path = trained
+        run_dir = root / "runs" / "exp"
+        killed_at_summary = (
+            "import os, signal, sys\n"
+            "import fedsim.cli\n"
+            "fedsim.cli.write_summary = lambda *args: os.kill(os.getpid(), signal.SIGKILL)\n"
+            "sys.exit(fedsim.cli.main(sys.argv[1:]))\n"
+        )
+        for method in ("scratch", "historical", "fedrecover", "finetune"):
+            args = ["recover", "-c", str(cfg_path), "--method", method]
+            outputs = [run_dir / f"recover_{method}_metrics.csv", run_dir / f"summary_{method}.json"]
+            assert main(args) == 0
+            whole = [path.read_bytes() for path in outputs]
+            for path in outputs:
+                path.unlink()
+            with _sim(root, *args, code=killed_at_summary) as proc:
+                err = proc.communicate()[1]
+            assert proc.returncode == -signal.SIGKILL, err
+            csv_path, summary_path = outputs
+            assert csv_path.read_bytes() == whole[0]
+            assert not summary_path.exists()
+            capsys.readouterr()
+            assert main(["report", str(run_dir)]) == 0, capsys.readouterr().err
+            assert main(args) == 0
+            assert not list(run_dir.glob("*.tmp"))
+            assert [path.read_bytes() for path in outputs] == whole
 
 MNIST_CFG = """
 [experiment]

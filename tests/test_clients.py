@@ -3,9 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import randint_below
+from conftest import quadratic_hessian, randint_below
 from fedsim.clients import BatchSampler, client_local_update
-from fedsim.models import ModelSpec, gradient, quadratic_hessian
+from fedsim.models import ModelSpec, gradient
 from fedsim.numcore import STREAM_BATCH, RngStream, derive_seed
 
 RIDGE = ModelSpec("ridge", input_dim=3, num_classes=2, l2=0.2)

@@ -5,7 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import finite_diff_gradient, glorot_bound, loss, randint_below, smoothness_bound
+from conftest import (
+    finite_diff_gradient,
+    glorot_bound,
+    loss,
+    quadratic_hessian,
+    randint_below,
+    smoothness_bound,
+)
 from fedsim.models import (
     _split_linear,
     _split_mlp,
@@ -13,7 +20,6 @@ from fedsim.models import (
     gradient,
     init_params,
     predict,
-    quadratic_hessian,
     scores,
 )
 from fedsim.numcore import RngStream, as_vector, linf_norm
@@ -123,14 +129,24 @@ class TestGradient:
             assert lhs >= spec.l2 * float((w1 - w2) @ (w1 - w2)) - 1e-9
 
     def test_ridge_gradient_is_linear_in_w(self):
+        # g(w1) - g(w2) = H (w1 - w2) against the explicit Hessian, to atol
+        # 1e-12: the exact HVP of `fedrecover` is this difference. Shapes: the
+        # base ridge (d = 18), criterion 1's (d = 50) and a backdoor-logreg
+        # sized one (d = 610).
         rng = RngStream(7)
-        batch = random_batch(RIDGE, rng)
-        h = quadratic_hessian(RIDGE, batch[0])
-        w1 = rng.normals(RIDGE.param_dim)
-        w2 = rng.normals(RIDGE.param_dim)
-        g1 = gradient(RIDGE, w1, *batch)
-        g2 = gradient(RIDGE, w2, *batch)
-        np.testing.assert_allclose(g1 - g2, h @ (w1 - w2), atol=1e-12)
+        specs = [
+            RIDGE,
+            ModelSpec("ridge", input_dim=4, num_classes=10, l2=0.1),
+            ModelSpec("ridge", input_dim=60, num_classes=10, l2=0.01),
+        ]
+        for spec in specs:
+            batch = random_batch(spec, rng)
+            h = quadratic_hessian(spec, batch[0])
+            w1 = rng.normals(spec.param_dim)
+            w2 = rng.normals(spec.param_dim)
+            g1 = gradient(spec, w1, *batch)
+            g2 = gradient(spec, w2, *batch)
+            np.testing.assert_allclose(g1 - g2, h @ (w1 - w2), atol=1e-12)
 
 
 class TestPredict:

@@ -1,6 +1,7 @@
 import math
 import os
 import tempfile
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -609,6 +610,34 @@ class TestFedrecover:
         trace = train_from_scratch(sc["setup"], remaining, sc["rounds"], every)
         gaps = [np.max(np.abs(result.models[t] - trace[t])) for t in every]
         assert max(gaps) <= 1e-8
+
+    def test_exact_quadratic_mode_forms_no_hessian(self, tmp_path):
+        # d = 2570 (input dim 256, 10 classes): one (d, d) Hessian alone is
+        # 52.8 MB, so an exact-mode recovery whose 54 estimated client-rounds
+        # (9 clients x 6 rounds) take the HVP from the gradient peaks far below it
+        dataset = gen_synthetic(10, 256, 20, 4.0, seed=3)
+        spec = ModelSpec("ridge", 256, 10, l2=0.1)
+        setup = build_setup(
+            spec=spec, dataset=dataset, n_clients=10, rule=AggregationRule("fedavg"),
+            eta=0.1, batch_size=8, seed=3, attack=AttackConfig(kind="trim", b=2.0),
+            malicious=(0,),
+        )
+        _, store = train_and_load(setup, 12, tmp_path / "history.bin")
+        params = RecoveryParams(
+            warmup_rounds=4, correction_period=12, final_tuning_rounds=2,
+            tau=math.inf, hvp_mode="exact_quadratic",
+        )
+        tracemalloc.start()
+        try:
+            result = fedrecover(store, {0}, setup, params, range(13))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert spec.param_dim == 2570
+        assert result.exact_rounds_per_client == {c: 6 for c in range(1, 10)}
+        assert peak < 10 * 2**20, peak
+        trace = train_from_scratch(setup, range(1, 10), 12, range(13))
+        assert max(np.max(np.abs(result.models[t] - trace[t])) for t in range(13)) <= 1e-8
 
     def test_lbfgs_mode_close_to_scratch_on_quadratic(self, ridge_trim_scenario):
         sc = ridge_trim_scenario
