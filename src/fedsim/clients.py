@@ -65,12 +65,16 @@ def client_local_update(
     steps with rate eta and returns (w - w_after) / eta, which coincides
     with the gradient definition at l = 1. The config guarantees l >= 1.
     """
-    batches = sampler.round_batches(round_idx, l)
     if l == 1:
-        idx = batches[0]
+        idx = sampler.batch(round_idx)
         return models.gradient(spec, w, inputs[idx], labels[idx])
     cur = w
-    for idx in batches:
+    for idx in sampler.round_batches(round_idx, l):
         g = models.gradient(spec, cur, inputs[idx], labels[idx])
-        cur = cur - eta * g
-    return (w - cur) / eta
+        g *= eta
+        cur = np.subtract(cur, g, out=g)  # cur - eta * g, in g's buffer
+    # In place, as (w - cur) / eta: `cur -= w; cur /= -eta` would give -0.0
+    # where w and cur agree.
+    np.subtract(w, cur, out=cur)
+    cur /= eta
+    return cur

@@ -63,16 +63,21 @@ def _split_mlp(spec: ModelSpec, w: np.ndarray):
 
 
 def _forward(spec: ModelSpec, w: np.ndarray, x: np.ndarray):
-    """Unchecked forward pass on validated w and x: (scores, z1, a1), where
-    z1 and a1 are the MLP's hidden pre-activation and activation (None for
-    the linear kinds)."""
+    """Unchecked forward pass on validated w and x: (scores, a1, W2), where
+    a1 is the MLP's hidden activation and W2 its output weights (None for
+    the linear kinds). Each array is built in place."""
     if spec.kind == "mlp":
         W1, b1, W2, b2 = _split_mlp(spec, w)
-        z1 = x @ W1.T + b1
-        a1 = np.maximum(z1, 0.0)
-        return a1 @ W2.T + b2, z1, a1
+        a1 = x @ W1.T
+        a1 += b1
+        np.maximum(a1, 0.0, out=a1)
+        s = a1 @ W2.T
+        s += b2
+        return s, a1, W2
     W, b = _split_linear(spec, w)
-    return x @ W.T + b, None, None
+    s = x @ W.T
+    s += b
+    return s, None, None
 
 
 def scores(spec: ModelSpec, w, inputs: np.ndarray) -> np.ndarray:
@@ -94,31 +99,22 @@ def gradient(spec: ModelSpec, w: np.ndarray, x: np.ndarray, y: np.ndarray) -> np
     labels in [0, num_classes).
     """
     n = x.shape[0]
-    s, z1, a1 = _forward(spec, w, x)
-    if spec.kind == "ridge":
-        err = s.copy()
-        err[np.arange(n), y] -= 1.0
-        err /= n
-    else:
-        shifted = s - s.max(axis=1, keepdims=True)
-        e = np.exp(shifted)
-        err = e / e.sum(axis=1, keepdims=True)
-        err[np.arange(n), y] -= 1.0
-        err /= n
-
+    err, a1, W2 = _forward(spec, w, x)
+    if spec.kind != "ridge":
+        err -= err.max(axis=1, keepdims=True)
+        np.exp(err, out=err)
+        err /= err.sum(axis=1, keepdims=True)
+    err[np.arange(n), y] -= 1.0
+    err /= n
     if spec.kind == "mlp":
-        W2 = _split_mlp(spec, w)[2]
-        gW2 = err.T @ a1
-        gb2 = err.sum(axis=0)
-        back = (err @ W2) * (z1 > 0.0)
-        gW1 = back.T @ x
-        gb1 = back.sum(axis=0)
-        g = np.concatenate([gW1.ravel(), gb1, gW2.ravel(), gb2])
+        back = err @ W2
+        back *= a1 > 0.0  # ReLU'(z1): a1 > 0 exactly where z1 > 0
+        parts = [(back.T @ x).ravel(), back.sum(axis=0), (err.T @ a1).ravel(), err.sum(axis=0)]
     else:
-        gW = err.T @ x
-        gb = err.sum(axis=0)
-        g = np.concatenate([gW.ravel(), gb])
-    return g + spec.l2 * w
+        parts = [(err.T @ x).ravel(), err.sum(axis=0)]
+    g = np.concatenate(parts)
+    g += spec.l2 * w
+    return g
 
 
 def predict(spec: ModelSpec, w, inputs: np.ndarray) -> np.ndarray:

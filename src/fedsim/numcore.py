@@ -64,10 +64,13 @@ def derive_seed(global_seed: int, stream_tag: int, client_id: int = 0, round_idx
 
 
 def _mix64_array(x: np.ndarray) -> np.ndarray:
-    x = x.astype(np.uint64, copy=True)
-    x = (x ^ (x >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-    x = (x ^ (x >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    return x ^ (x >> np.uint64(31))
+    """splitmix64 finalizer of each entry of a uint64 array, in place."""
+    x ^= x >> np.uint64(30)
+    x *= np.uint64(0xBF58476D1CE4E5B9)
+    x ^= x >> np.uint64(27)
+    x *= np.uint64(0x94D049BB133111EB)
+    x ^= x >> np.uint64(31)
+    return x
 
 
 def _unit(block: np.ndarray) -> np.ndarray:
@@ -94,8 +97,9 @@ class RngStream:
     def _block(self, first: int, n: int) -> np.ndarray:
         """Raw 64-bit draws first+1 .. first+n, vectorized; the counter
         does not move."""
-        idx = np.arange(first + 1, first + n + 1, dtype=np.uint64)
-        states = np.uint64(self.seed) + idx * np.uint64(_GOLDEN)
+        states = np.arange(first + 1, first + n + 1, dtype=np.uint64)
+        states *= np.uint64(_GOLDEN)
+        states += np.uint64(self.seed)
         return _mix64_array(states)
 
     def _next_block(self, n: int) -> np.ndarray:
@@ -134,7 +138,7 @@ class RngStream:
     def permutation(self, n: int) -> np.ndarray:
         """Uniform permutation of range(n), via argsort of 64-bit keys."""
         keys = self._next_block(n)
-        return np.argsort(keys, kind="stable").astype(np.int64)
+        return np.argsort(keys, kind="stable").astype(np.int64, copy=False)
 
     def choice(self, n: int, k: int) -> np.ndarray:
         """k distinct indices drawn uniformly from range(n), in draw order.

@@ -443,5 +443,6 @@ def fine_tune(
         for lo in range(0, n, bs):
             sel = perm[lo : lo + bs]
             g = models.gradient(spec, w, x[sel], y[sel])
-            w = w - eta * g
+            g *= eta
+            w = np.subtract(w, g, out=g)  # w - eta * g, in g's buffer
     return w

@@ -123,16 +123,17 @@ def _size(path) -> int:
         return 0
 
 
-def _kill_train_after_one_record(root, cfg_path):
+def _kill_train_after(root, cfg_path, records=1):
     """Run a real `sim train` of `cfg_path`, the 1000-round MINIMAL config,
-    under `root` and SIGKILL it once history.bin.tmp holds a whole record."""
+    under `root` and SIGKILL it once history.bin.tmp holds `records` whole
+    records."""
     temp = root / "runs" / "demo" / "history.bin.tmp"
-    one_record = 56 + 3136  # the header, then d = 35 (6 x 5 weights, 5 biases) and n = 10
+    size = 56 + records * 3136  # the header, then d = 35 (6 x 5 weights, 5 biases) and n = 10
     with _sim(root, "train", "-c", str(cfg_path)) as proc:
         deadline = time.monotonic() + 60
-        while _size(temp) < one_record:
+        while _size(temp) < size:
             assert proc.poll() is None, "train ended before it was killed"
-            assert time.monotonic() < deadline, "no whole record within 60 s"
+            assert time.monotonic() < deadline, f"no {records} whole records within 60 s"
             time.sleep(0.001)
         proc.send_signal(signal.SIGKILL)
     assert proc.returncode == -signal.SIGKILL
@@ -205,7 +206,7 @@ class TestTrainCommand:
         cfg_path.write_text(MINIMAL.replace("rounds = 40", "rounds = 1000"))
         killed, whole = tmp_path / "killed", tmp_path / "whole"
         run_dir = killed / "runs" / "demo"
-        _kill_train_after_one_record(killed, cfg_path)
+        _kill_train_after(killed, cfg_path)
         for name in ("history.bin", "history_tops.bin", "config.ini"):
             assert not (run_dir / name).exists()
         with _sim(killed, "recover", "-c", str(cfg_path), "--method", "historical") as proc:
@@ -220,13 +221,41 @@ class TestTrainCommand:
         for name in names:
             assert (run_dir / name).read_bytes() == (whole / "runs" / "demo" / name).read_bytes(), name
 
+    def test_train_killed_after_three_records(self, tmp_path):
+        # ROADMAP item 9's kill after k > 1 records, with its three points:
+        # no file under a run name is partial, each recovery in between
+        # succeeds or fails naming a file, and training again writes what an
+        # uninterrupted run writes
+        cfg_path = tmp_path / "long.ini"
+        cfg_path.write_text(MINIMAL.replace("rounds = 40", "rounds = 1000"))
+        killed, whole = tmp_path / "killed", tmp_path / "whole"
+        run_dir = killed / "runs" / "demo"
+        _kill_train_after(killed, cfg_path, records=3)
+        assert _size(run_dir / "history.bin.tmp") >= 56 + 3 * 3136
+        for name in ("history.bin", "history_tops.bin", "config.ini"):
+            assert not (run_dir / name).exists()
+        for method in ("historical", "fedrecover", "finetune", "scratch"):
+            with _sim(killed, "recover", "-c", str(cfg_path), "--method", method) as proc:
+                err = proc.communicate()[1]
+            if method == "scratch":  # the one recovery that needs no history
+                assert proc.returncode == 0, err
+            else:
+                assert proc.returncode == 1 and str(run_dir / "history.bin") in err, err
+        assert main(["report", str(run_dir)]) == 0  # the scratch summary passes its reader
+        for root in (killed, whole):
+            with _sim(root, "train", "-c", str(cfg_path)) as proc:
+                assert proc.wait() == 0
+        assert not list(run_dir.glob("*.tmp"))
+        for name in os.listdir(whole / "runs" / "demo"):
+            assert (run_dir / name).read_bytes() == (whole / "runs" / "demo" / name).read_bytes(), name
+
     def test_killed_train_leaves_no_temp_after_the_next_command(self, tmp_path):
         # the temporaries of a SIGKILLed train are removed by the next
         # command to lock the run directory, here a recovery that reads no history
         cfg_path = tmp_path / "long.ini"
         cfg_path.write_text(MINIMAL.replace("rounds = 40", "rounds = 1000"))
         run_dir = tmp_path / "runs" / "demo"
-        _kill_train_after_one_record(tmp_path, cfg_path)
+        _kill_train_after(tmp_path, cfg_path)
         temps = ["history.bin.tmp", "history_tops.bin.tmp"]
         assert sorted(p.name for p in run_dir.glob("*.tmp")) == temps
         with _sim(tmp_path, "recover", "-c", str(cfg_path), "--method", "scratch") as proc:
