@@ -6,15 +6,15 @@ Runs `perfbench/run.py --seconds 1 --trace 0` for seeds 0-15 (all 16 input
 sets) on every workload in `BENCHMARK.json` and on `trim-wide`, then one
 `--trace 1` run per `BENCHMARK.json` workload, which adds the tracer's
 call-count self-check: 50 runs. `trim-wide` is not in `BENCHMARK.json`, but
-it is the only workload whose trim attack draws `RngStream.uniforms`, so
-only its outputs show a change to the RNG block kernel there. Each run compares
+it is the only workload with a trim attack, whose crafted updates draw
+`RngStream.uniforms`, so only its outputs check that path. Each run compares
 TER, ASR, ACP, `abnormality_count` and the SHA-256 of `history.bin` and the
 metrics CSVs with `perfbench/reference.json`. Runs go `os.cpu_count()` at
 a time; each uses its own work directory and one BLAS thread. Prints one
 table row per run, in plan order, and exits 1 if any run reports
 `"correct": false` or prints no result. The `wall_s` column is each run's
 own wall time, measured while other runs share the machine. Takes about
-5 minutes on a 2-CPU machine, and each `trim-wide` run writes a 257 MB
+4 minutes on a 2-CPU machine, and each `trim-wide` run writes a 257 MB
 history and peaks near 360 MB; run it before and after any numerical
 rewrite.
 """
