@@ -1,8 +1,8 @@
 """Experiment configuration: INI-style parsing with strict validation,
 canonical serialization (so config hashes are portable), and builders that
 turn a config into concrete datasets and a federated setup. Every key is
-one row of `_KEYS` (section, name, converter, default, variant, least
-value), which both the parser and the canonical form walk in order.
+one row of `_KEYS` (section, name, converter, default, variant, range),
+which both the parser and the canonical form walk in order.
 """
 
 from __future__ import annotations
@@ -125,7 +125,7 @@ class _Key(NamedTuple):
     when: tuple | None  # (selector key of the same section, value): the variant it applies to
     attr: str  # dotted path of the value in ExperimentConfig
     anywhere: bool = False  # read in every variant (keeping its default), written in its own
-    low: int | None = None  # the least value the key accepts
+    within: str | None = None  # the range the key accepts: "[" "]" include an end, "(" ")" exclude it
 
 
 _SYNTHETIC, _MNIST, _MLP = ("kind", "synthetic"), ("kind", "mnist"), ("kind", "mlp")
@@ -134,62 +134,69 @@ _PATCH, _KTH = ("trigger", "pixel_patch"), ("trigger", "every_kth")
 
 # In canonical order; a variant's selector comes before the keys it selects.
 _KEYS = (
-    _Key("experiment", "seed", int, _REQUIRED, None, "seed", low=0),
-    _Key("experiment", "rounds", int, _REQUIRED, None, "rounds", low=1),
-    _Key("experiment", "learning_rate", _to_finite, _REQUIRED, None, "learning_rate"),
-    _Key("experiment", "batch_size", int, 32, None, "batch_size", low=1),
-    _Key("experiment", "local_steps", int, 1, None, "local_steps", low=1),
-    _Key("experiment", "n_clients", int, _REQUIRED, None, "n_clients", low=1),
-    _Key("experiment", "malicious_fraction", _to_finite, None, None, "malicious_fraction"),
-    _Key("experiment", "malicious_count", int, None, None, "malicious_count", low=0),
+    _Key("experiment", "seed", int, _REQUIRED, None, "seed", within="[0, inf)"),
+    # 4294967296 = 2**32: the history header stores T and n as u32
+    _Key("experiment", "rounds", int, _REQUIRED, None, "rounds", within="[1, 4294967296)"),
+    _Key("experiment", "learning_rate", _to_finite, _REQUIRED, None, "learning_rate", within="(0, inf)"),
+    _Key("experiment", "batch_size", int, 32, None, "batch_size", within="[1, inf)"),
+    _Key("experiment", "local_steps", int, 1, None, "local_steps", within="[1, inf)"),
+    _Key("experiment", "n_clients", int, _REQUIRED, None, "n_clients", within="[1, 4294967296)"),
+    _Key("experiment", "malicious_fraction", _to_finite, None, None, "malicious_fraction", within="[0, 1)"),
+    _Key("experiment", "malicious_count", int, None, None, "malicious_count", within="[0, inf)"),
     _Key("experiment", "noniid_degree", _to_finite, 0.5, None, "noniid_degree"),
     _Key("experiment", "aggregation", _one_of(*RULE_KINDS), _REQUIRED, None, "rule.kind"),
-    _Key("experiment", "trim_k", int, 0, ("aggregation", "trimmed_mean"), "rule.k", anywhere=True, low=0),
+    _Key("experiment", "trim_k", int, 0, ("aggregation", "trimmed_mean"), "rule.k", anywhere=True, within="[0, inf)"),
     _Key("experiment", "output_dir", str, _REQUIRED, None, "output_dir"),
     _Key("dataset", "kind", _one_of("synthetic", "mnist"), _REQUIRED, None, "dataset.kind"),
-    _Key("dataset", "num_classes", int, 10, _SYNTHETIC, "dataset.num_classes", low=2),
-    _Key("dataset", "dim", int, 20, _SYNTHETIC, "dataset.dim", low=1),
-    _Key("dataset", "per_class", int, 100, _SYNTHETIC, "dataset.per_class", low=1),
-    _Key("dataset", "test_per_class", int, 50, _SYNTHETIC, "dataset.test_per_class", low=1),
-    _Key("dataset", "separation", _to_finite, 3.0, _SYNTHETIC, "dataset.separation"),
+    _Key("dataset", "num_classes", int, 10, _SYNTHETIC, "dataset.num_classes", within="[2, inf)"),
+    _Key("dataset", "dim", int, 20, _SYNTHETIC, "dataset.dim", within="[1, inf)"),
+    _Key("dataset", "per_class", int, 100, _SYNTHETIC, "dataset.per_class", within="[1, inf)"),
+    _Key("dataset", "test_per_class", int, 50, _SYNTHETIC, "dataset.test_per_class", within="[1, inf)"),
+    _Key("dataset", "separation", _to_finite, 3.0, _SYNTHETIC, "dataset.separation", within="(0, inf)"),
     _Key("dataset", "train_images", str, _REQUIRED, _MNIST, "dataset.train_images"),
     _Key("dataset", "train_labels", str, _REQUIRED, _MNIST, "dataset.train_labels"),
     _Key("dataset", "test_images", str, _REQUIRED, _MNIST, "dataset.test_images"),
     _Key("dataset", "test_labels", str, _REQUIRED, _MNIST, "dataset.test_labels"),
     _Key("model", "kind", _one_of(*KINDS), _REQUIRED, None, "model.kind"),
-    _Key("model", "hidden", int, 0, _MLP, "model.hidden", anywhere=True),
-    _Key("model", "l2", _to_finite, 0.0, None, "model.l2", low=0),
+    _Key("model", "hidden", int, 0, _MLP, "model.hidden", anywhere=True, within="[1, inf)"),
+    _Key("model", "l2", _to_finite, 0.0, None, "model.l2", within="[0, inf)"),
     _Key("attack", "kind", _one_of("none", "trim", "backdoor"), "none", None, "attack.kind"),
-    _Key("attack", "trim_b", _to_finite, 2.0, _TRIM, "attack.b"),
+    _Key("attack", "trim_b", _to_finite, 2.0, _TRIM, "attack.b", within="(1, inf)"),
     _Key("attack", "trigger", _one_of("pixel_patch", "every_kth"), _REQUIRED, _BACKDOOR, "attack.trigger.kind"),
-    _Key("attack", "trigger_rows", int, 4, _PATCH, "attack.trigger.rows", low=1),
-    _Key("attack", "trigger_cols", int, 4, _PATCH, "attack.trigger.cols", low=1),
-    _Key("attack", "trigger_k", int, _REQUIRED, _KTH, "attack.trigger.k", low=1),
+    _Key("attack", "trigger_rows", int, 4, _PATCH, "attack.trigger.rows", within="[1, inf)"),
+    _Key("attack", "trigger_cols", int, 4, _PATCH, "attack.trigger.cols", within="[1, inf)"),
+    _Key("attack", "trigger_k", int, _REQUIRED, _KTH, "attack.trigger.k", within="[1, inf)"),
     _Key("attack", "trigger_value", _to_finite, 1.0, _PATCH, "attack.trigger.value"),
     _Key("attack", "trigger_value", _to_finite, 0.0, _KTH, "attack.trigger.value"),
     _Key("attack", "target_label", int, 0, _BACKDOOR, "attack.target_label"),
-    _Key("attack", "scale", _to_finite, 1.0, _BACKDOOR, "attack.lam"),
+    _Key("attack", "scale", _to_finite, 1.0, _BACKDOOR, "attack.lam", within="(0, inf)"),
     _Key("attack", "adaptive", _to_bool, False, _BACKDOOR, "attack.adaptive"),
-    _Key("detection", "fnr", _to_finite, 0.0, None, "fnr"),
-    _Key("detection", "fpr", _to_finite, 0.0, None, "fpr"),
+    _Key("detection", "fnr", _to_finite, 0.0, None, "fnr", within="[0, 1]"),
+    _Key("detection", "fpr", _to_finite, 0.0, None, "fpr", within="[0, 1]"),
     _Key("recovery", "warmup_rounds", int, 20, None, "recovery.warmup_rounds"),
-    _Key("recovery", "correction_period", int, 10, None, "recovery.correction_period", low=1),
-    _Key("recovery", "final_tuning_rounds", int, 5, None, "recovery.final_tuning_rounds", low=0),
-    _Key("recovery", "buffer_size", int, 2, None, "recovery.buffer_size", low=1),
+    _Key("recovery", "correction_period", int, 10, None, "recovery.correction_period", within="[1, inf)"),
+    _Key("recovery", "final_tuning_rounds", int, 5, None, "recovery.final_tuning_rounds", within="[0, inf)"),
+    _Key("recovery", "buffer_size", int, 2, None, "recovery.buffer_size", within="[1, inf)"),
     _Key("recovery", "tolerance_rate", _to_finite, 1e-6, None, "recovery.tolerance_rate"),
     _Key("recovery", "tau", _to_float, None, None, "recovery.tau"),
     _Key("recovery", "hvp_mode", _one_of("lbfgs", "exact_quadratic"), "lbfgs", None, "recovery.hvp_mode"),
     _Key("recovery", "bound_check", _to_bool, False, None, "bound_check"),
-    _Key("finetune", "epochs", int, 100, None, "finetune.epochs", low=0),
-    _Key("finetune", "n_examples", int, 1000, None, "finetune.n_examples", low=1),
-    _Key("finetune", "beta", _to_float, math.inf, None, "finetune.beta"),
-    _Key("finetune", "batch_size", int, 32, None, "finetune.batch_size", low=1),
+    _Key("finetune", "epochs", int, 100, None, "finetune.epochs", within="[0, inf)"),
+    _Key("finetune", "n_examples", int, 1000, None, "finetune.n_examples", within="[1, inf)"),
+    _Key("finetune", "beta", _to_float, math.inf, None, "finetune.beta", within="(0, inf]"),
+    _Key("finetune", "batch_size", int, 32, None, "finetune.batch_size", within="[1, inf)"),
 )
 _SECTIONS = tuple(dict.fromkeys(k.section for k in _KEYS))
 
 
 def _applies(k: _Key, section_values: dict) -> bool:
     return k.when is None or section_values.get(k.when[0]) == k.when[1]
+
+
+def _in_range(k: _Key, value) -> bool:
+    low, high = (float(end) for end in k.within[1:-1].split(","))
+    above = low <= value if k.within[0] == "[" else low < value
+    return above and (value <= high if k.within[-1] == "]" else value < high)
 
 
 def parse_config(path) -> ExperimentConfig:
@@ -213,22 +220,24 @@ def _parse(f) -> ExperimentConfig:
             raise ConfigError(sec, "unknown section")
     values = {sec: {} for sec in _SECTIONS}  # per section: key -> value, None outside its variant
     for k in _KEYS:
-        section = values[k.section]
-        if not (k.anywhere or _applies(k, section)):
+        section, field = values[k.section], f"{k.section}.{k.key}"
+        applies = _applies(k, section)
+        if not (k.anywhere or applies):
             section.setdefault(k.key, None)
             continue
         raw = given.get(k.section, {}).pop(k.key, None)
         if raw is None:
             if k.default is _REQUIRED:
-                raise ConfigError(f"{k.section}.{k.key}", "required key missing")
-            section[k.key] = k.default
-            continue
-        try:
-            section[k.key] = k.conv(raw)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"{k.section}.{k.key}", f"cannot parse {raw!r}: {exc}") from exc
-        if k.low is not None and section[k.key] < k.low:
-            raise ConfigError(f"{k.section}.{k.key}", f"must be >= {k.low}")
+                raise ConfigError(field, "required key missing")
+            value = k.default
+        else:
+            try:
+                value = k.conv(raw)
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(field, f"cannot parse {raw!r}: {exc}") from exc
+        if applies and k.within is not None and value is not None and not _in_range(k, value):
+            raise ConfigError(field, f"must lie in {k.within}")
+        section[k.key] = value
     for sec_name, leftover in given.items():
         for key in leftover:
             raise ConfigError(f"{sec_name}.{key}", "unknown key")
@@ -275,22 +284,14 @@ def _build(values: dict) -> ExperimentConfig:
 
 
 def _validate(cfg: ExperimentConfig) -> None:
-    """Every range that involves more than one key, or that a `_KEYS` row
-    cannot state, each reported under the key to change. The library
-    (models, attacks, recovery, ...) trusts what passes."""
+    """Every rule that involves more than one key, and the preconditions
+    of `bound_check` and `hvp_mode`, each reported under the key to change.
+    The `_KEYS` rows state each key's own range, which `_parse` checks.
+    The library (models, attacks, recovery, ...) trusts what passes."""
     model, attack, rec = cfg.model, cfg.attack, cfg.recovery
-    for key, value in (("rounds", cfg.rounds), ("n_clients", cfg.n_clients)):
-        if value >= 2**32:  # the history header stores T and n as u32
-            raise ConfigError(f"experiment.{key}", "must be < 2**32")
-    if model.kind == "mlp" and model.hidden < 1:
-        raise ConfigError("model.hidden", "mlp model requires hidden >= 1")
-    if attack is not None and attack.kind == "trim" and attack.b <= 1.0:
-        raise ConfigError("attack.trim_b", "trim attack needs trim_b > 1")
     if attack is not None and attack.kind == "backdoor":
         if not (0 <= attack.target_label < cfg.dataset.num_classes):
             raise ConfigError("attack.target_label", "target label outside the class range")
-        if attack.lam <= 0:
-            raise ConfigError("attack.scale", "backdoor scale must be > 0")
         trig, side = attack.trigger, math.isqrt(model.input_dim)
         if trig.kind == "pixel_patch" and side * side != model.input_dim:
             raise ConfigError("attack.trigger", f"pixel_patch needs a square input dim, got {model.input_dim}")
@@ -301,14 +302,10 @@ def _validate(cfg: ExperimentConfig) -> None:
         raise ConfigError("recovery.tolerance_rate", "must lie in (0, 1] when tau is not given")
     if rec.warmup_rounds <= rec.buffer_size:
         raise ConfigError("recovery.warmup_rounds", "warmup_rounds must exceed buffer_size")
-    if cfg.learning_rate <= 0:
-        raise ConfigError("experiment.learning_rate", "learning rate must be > 0")
     if cfg.malicious_fraction is not None and cfg.malicious_count is not None:
         raise ConfigError(
             "experiment.malicious_fraction", "give malicious_fraction or malicious_count, not both"
         )
-    if cfg.malicious_fraction is not None and not (0.0 <= cfg.malicious_fraction < 1.0):
-        raise ConfigError("experiment.malicious_fraction", "fraction must lie in [0, 1)")
     if cfg.n_malicious >= cfg.n_clients:
         raise ConfigError(
             "experiment.malicious_count",
@@ -327,13 +324,6 @@ def _validate(cfg: ExperimentConfig) -> None:
         raise ConfigError(
             "recovery.warmup_rounds", "warmup + final tuning rounds exceed total rounds"
         )
-    for name, rate in (("fnr", cfg.fnr), ("fpr", cfg.fpr)):
-        if not 0 <= rate <= 1:
-            raise ConfigError(f"detection.{name}", f"{name} must lie in [0, 1]")
-    if cfg.dataset.kind == "synthetic" and cfg.dataset.separation <= 0:
-        raise ConfigError("dataset.separation", "separation must be > 0")
-    if cfg.finetune.beta <= 0:
-        raise ConfigError("finetune.beta", "beta must be > 0 (inf: uniform classes)")
     if rec.hvp_mode == "exact_quadratic" and (model.kind != "ridge" or cfg.local_steps != 1):
         raise ConfigError(
             "recovery.hvp_mode", "exact_quadratic needs the ridge model and local_steps = 1"

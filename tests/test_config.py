@@ -482,6 +482,58 @@ def _row_id(row) -> str:
     return f"{row.section}.{row.key}" + (f"[{row.when[0]}={row.when[1]}]" if row.when else "")
 
 
+# MINIMAL edits that put a key in the variant it applies to
+_BACKDOOR_KTH = {
+    "experiment": {"malicious_count": "1"},
+    "attack": {"kind": "backdoor", "trigger": "every_kth", "trigger_k": "2"},
+}
+_VARIANT_EDITS = {
+    None: {},
+    ("kind", "synthetic"): {},
+    ("aggregation", "trimmed_mean"): {"experiment": {"aggregation": "trimmed_mean"}},
+    ("kind", "mlp"): {"model": {"kind": "mlp", "hidden": "2"}},
+    ("kind", "trim"): {"experiment": {"malicious_count": "1"}, "attack": {"kind": "trim"}},
+    ("kind", "backdoor"): _BACKDOOR_KTH,
+    ("trigger", "every_kth"): _BACKDOOR_KTH,
+    ("trigger", "pixel_patch"): {
+        "experiment": {"malicious_count": "1"},
+        "dataset": {"dim": "9"},
+        "attack": {"kind": "backdoor", "trigger": "pixel_patch", "trigger_rows": "2", "trigger_cols": "2"},
+    },
+}
+
+# Inclusive bounds that no valid config reaches, with the field of the rule
+# across keys that refuses them: warmup_rounds > buffer_size >= 1 needs
+# rounds >= 2, and n_clients >= num_classes >= 2.
+_OUT_OF_REACH = {
+    ("experiment.rounds", 1.0): "recovery.warmup_rounds",
+    ("experiment.n_clients", 1.0): "experiment.n_clients",
+}
+
+
+def _in_variant(row, value: str) -> str:
+    """MINIMAL with `row`'s key set to `value`, in the variant it applies to."""
+    edits = {sec: dict(keys) for sec, keys in _VARIANT_EDITS[row.when].items()}
+    edits.setdefault(row.section, {})[row.key] = value
+    return _minimal_with(edits)
+
+
+def _bound_cases():
+    """(row, bound, inclusive, outward) for each end of each ranged row;
+    `outward` is -1 at the low end and +1 at the high one."""
+    for row in _KEYS:
+        if row.within is not None:
+            low, high = (float(end) for end in row.within[1:-1].split(","))
+            yield pytest.param(row, low, row.within[0] == "[", -1, id=f"{_row_id(row)}-low")
+            yield pytest.param(row, high, row.within[-1] == "]", 1, id=f"{_row_id(row)}-high")
+
+
+def _literal(row, value: float) -> str:
+    if math.isinf(value):
+        return "inf"
+    return str(int(value)) if row.conv is int else repr(value)
+
+
 class TestKeyTable:
     @pytest.mark.parametrize("base", sorted(_BASES))
     def test_bases_are_valid(self, base):
@@ -646,12 +698,47 @@ class TestKeyTable:
             parse_config_string(_edited("patch", "recovery", "warmup_rounds", "2"))
         assert err.value.field == "recovery.warmup_rounds"
 
+    @pytest.mark.parametrize("row, bound, inclusive, outward", _bound_cases())
+    def test_range_bound_is_checked_under_its_key(self, row, bound, inclusive, outward):
+        """In its own variant, a key's bound parses when inclusive and fails
+        under the key when exclusive; the nearest value past it fails too."""
+        field = f"{row.section}.{row.key}"
+        texts = [] if inclusive else [_in_variant(row, _literal(row, bound))]
+        if math.isfinite(bound):
+            past = bound + outward if row.conv is int else math.nextafter(bound, outward * math.inf)
+            texts.append(_in_variant(row, _literal(row, past)))
+        for text in texts:
+            with pytest.raises(ConfigError) as err:
+                parse_config_string(text)
+            assert err.value.field == field, text
+        if not inclusive:
+            return
+        text = _in_variant(row, _literal(row, bound))
+        if (field, bound) not in _OUT_OF_REACH:
+            parse_config_string(text)
+            return
+        with pytest.raises(ConfigError) as err:
+            parse_config_string(text)
+        assert err.value.field == _OUT_OF_REACH[field, bound]
+        assert "must lie in" not in str(err.value)
+
+    def test_unset_hidden_under_mlp_names_it(self):
+        # the default 0 is checked against the range where the key applies
+        with pytest.raises(ConfigError) as err:
+            parse_config_string(_minimal_with({"model": {"kind": "mlp"}}))
+        assert err.value.field == "model.hidden"
+
+    def test_key_outside_its_variant_is_not_range_checked(self):
+        # MINIMAL is logreg under fedavg, where hidden and trim_k keep their 0
+        cfg = parse_config_string(_minimal_with({"model": {"hidden": "0"}, "experiment": {"trim_k": "0"}}))
+        assert (cfg.model.hidden, cfg.rule.k) == (0, 0)
+
     def test_readme_config_reference_lists_every_key(self):
         readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
         text = readme.read_text(encoding="utf-8")
         section = text.split("## Config reference", 1)[1].split("\n## ", 1)[0]
-        documented = set(re.findall(r"^\| `(\w+)` \| `(\w+)` \|", section, flags=re.MULTILINE))
-        assert documented == {(k.section, k.key) for k in _KEYS}
+        rows = re.findall(r"^\| `(\w+)` \| `(\w+)` \| [^|]* \| ([^|]*?) \|", section, flags=re.MULTILINE)
+        assert rows == [(k.section, k.key, f"`{k.within}`" if k.within else "—") for k in _KEYS]
 
 
 @st.composite
