@@ -22,9 +22,9 @@ from contextlib import contextmanager, suppress
 import numpy as np
 
 from . import config as config_mod
-from . import metrics, models, recovery
+from . import metrics, recovery
 from .attacks import simulate_detection
-from .flengine import HistoryStore, train
+from .flengine import HistoryStore, open_named, train
 from .numcore import STREAM_DETECT, RngStream, derive_seed, sha256
 
 OUTPUT_ROOT_ENV = "FEDSIM_OUTPUT_ROOT"
@@ -84,10 +84,6 @@ def _atomic(*paths):
         for temp in temps:
             with suppress(FileNotFoundError):
                 os.unlink(temp)
-
-
-class SummaryError(ValueError):
-    """A summary not of its command's form; names its file and field."""
 
 
 # A field's check takes its value and path and returns (path, message) for
@@ -193,12 +189,12 @@ def _check_summary(path, summary) -> None:
     error = _summary_error(summary)
     if error is not None:
         where, message = error
-        raise SummaryError(f"{path}: bad summary at /{'/'.join(map(str, where))}: {message}")
+        raise CliError(f"{path}: bad summary at /{'/'.join(map(str, where))}: {message}")
 
 
 def write_summary(path, summary: dict) -> None:
     _check_summary(path, summary)
-    with _atomic(path) as (temp,), open(temp, "w", encoding="utf-8") as f:
+    with _atomic(path) as (temp,), open_named(temp, "w", encoding="utf-8") as f:
         json.dump(summary, f, sort_keys=True, indent=2)
         f.write("\n")
 
@@ -224,7 +220,7 @@ def _evaluate(cfg, w, test) -> tuple[float, float | None]:
 def _write_metrics_csv(path, cfg, kept, test, rounds) -> tuple[float, float | None]:
     """TER and ASR of `kept[t]`, the global model after t rounds, for each
     t in `rounds`. Returns those of the last round, the final model's."""
-    with _atomic(path) as (temp,), open(temp, "w", encoding="utf-8", newline="") as f:
+    with _atomic(path) as (temp,), open_named(temp, "w", encoding="utf-8", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(["round", "ter", "asr"])
         for t in rounds:
@@ -252,7 +248,7 @@ def cmd_train(cfg_path: str) -> int:
         rounds = _eval_rounds(cfg.rounds)
         with _atomic(*outputs) as (history_temp, tops_temp, config_temp):
             kept = train(setup, cfg.rounds, history_temp, chash, rounds, tops=(tops_temp, m))
-            with open(config_temp, "w", encoding="utf-8") as f:
+            with open_named(config_temp, "w", encoding="utf-8") as f:
                 f.write(config_mod.serialize_config(cfg))
         ter, asr = _write_metrics_csv(
             os.path.join(run_dir, "train_metrics.csv"), cfg, kept, test_set, rounds
@@ -358,9 +354,7 @@ def cmd_recover(cfg_path: str, method: str) -> int:
                     ft.beta, ft.n_examples, ft.batch_size, cfg.seed,
                 )
             except recovery.ClassDrawError as exc:
-                raise config_mod.ConfigError(
-                    "finetune.n_examples", f"{exc}; a larger finetune.beta evens the draw"
-                ) from exc
+                raise config_mod.ConfigError(exc.key, str(exc)) from exc
             kept, rounds = {cfg.rounds: model}, [cfg.rounds]  # the final model only
             exact_rounds = {c: 0 for c in remaining}
 
@@ -433,27 +427,11 @@ def cmd_report(run_dirs, out_stream=None) -> int:
                     f"{path}: the summary belongs to another config than the run's {CONFIG_FILE}"
                 )
             label = summary.get("method", summary["command"])
-            rows.append(
-                (
-                    scenario,
-                    label,
-                    summary["ter"],
-                    summary["asr"],
-                    summary.get("acp"),
-                )
-            )
+            cells = (summary["ter"], summary["asr"], summary.get("acp"))  # a null asr or acp: empty
+            rows.append([scenario, label, *("" if v is None else repr(v) for v in cells)])
     writer = csv.writer(out)
     writer.writerow(["scenario", "method", "ter", "asr", "acp"])
-    for scenario, label, ter, asr, acp in rows:
-        writer.writerow(
-            [
-                scenario,
-                label,
-                repr(ter),
-                "" if asr is None else repr(asr),
-                "" if acp is None else repr(acp),
-            ]
-        )
+    writer.writerows(rows)
     return 0
 
 

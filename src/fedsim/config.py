@@ -178,7 +178,7 @@ _KEYS = (
     _Key("recovery", "final_tuning_rounds", int, 5, None, "recovery.final_tuning_rounds", within="[0, inf)"),
     _Key("recovery", "buffer_size", int, 2, None, "recovery.buffer_size", within="[1, inf)"),
     _Key("recovery", "tolerance_rate", _to_finite, 1e-6, None, "recovery.tolerance_rate"),
-    _Key("recovery", "tau", _to_float, None, None, "recovery.tau"),
+    _Key("recovery", "tau", _to_float, None, None, "recovery.tau", within="[0, inf]"),
     _Key("recovery", "hvp_mode", _one_of("lbfgs", "exact_quadratic"), "lbfgs", None, "recovery.hvp_mode"),
     _Key("recovery", "bound_check", _to_bool, False, None, "bound_check"),
     _Key("finetune", "epochs", int, 100, None, "finetune.epochs", within="[0, inf)"),

@@ -26,18 +26,6 @@ class IdxError(ValueError):
         super().__init__(reason)
 
 
-class BadMagicError(IdxError):
-    pass
-
-
-class TruncatedFileError(IdxError):
-    pass
-
-
-class CountMismatchError(IdxError):
-    pass
-
-
 @dataclass(frozen=True)
 class Dataset:
     inputs: np.ndarray  # N x dim, float64 in [0, 1]
@@ -70,22 +58,21 @@ class Dataset:
 def _read_exact(f, n: int, part: str, what: str) -> bytes:
     buf = f.read(n)
     if len(buf) != n:
-        raise TruncatedFileError(part, f"unexpected end of file while reading {what}")
+        raise IdxError(part, f"unexpected end of file while reading {what}")
     return buf
 
 
 def load_mnist_idx(images_path, labels_path) -> Dataset:
     """Load an MNIST-style IDX image/label pair of at least one image.
 
-    Pixels are scaled into [0, 1] by dividing by 255. Raises
-    BadMagicError, TruncatedFileError, or CountMismatchError for the
-    respective format violations, and IdxError for an empty pair or a
-    label past 9; each names the file at fault.
+    Pixels are scaled into [0, 1] by dividing by 255. Raises IdxError,
+    naming the file at fault, for a wrong magic number, a file cut short,
+    no image, label and image counts that differ, or a label past 9.
     """
     with open(images_path, "rb") as f:
         (magic,) = struct.unpack(">I", _read_exact(f, 4, "images", "image magic"))
         if magic != IDX_IMAGE_MAGIC:
-            raise BadMagicError("images", f"image file magic {magic:#010x} != {IDX_IMAGE_MAGIC:#010x}")
+            raise IdxError("images", f"image file magic {magic:#010x} != {IDX_IMAGE_MAGIC:#010x}")
         count, rows, cols = struct.unpack(">III", _read_exact(f, 12, "images", "image header"))
         if count == 0:
             raise IdxError("images", "the image file holds no image")
@@ -94,11 +81,11 @@ def load_mnist_idx(images_path, labels_path) -> Dataset:
     with open(labels_path, "rb") as f:
         (magic,) = struct.unpack(">I", _read_exact(f, 4, "labels", "label magic"))
         if magic != IDX_LABEL_MAGIC:
-            raise BadMagicError("labels", f"label file magic {magic:#010x} != {IDX_LABEL_MAGIC:#010x}")
+            raise IdxError("labels", f"label file magic {magic:#010x} != {IDX_LABEL_MAGIC:#010x}")
         (label_count,) = struct.unpack(">I", _read_exact(f, 4, "labels", "label header"))
         labels = np.frombuffer(_read_exact(f, label_count, "labels", "labels"), dtype=np.uint8)
     if label_count != count:
-        raise CountMismatchError("labels", f"{count} images but {label_count} labels")
+        raise IdxError("labels", f"{count} images but {label_count} labels")
     if labels.max() > 9:
         raise IdxError("labels", f"labels out of range: {labels.max()} is not a digit")
     return Dataset(images.astype(np.float64) / 255.0, labels.astype(np.int64), 10)

@@ -43,6 +43,18 @@ def _naming(path):
         raise HistoryError(f"{path}: {exc}") from None
 
 
+@contextmanager
+def open_named(path, mode, **kwargs):
+    """`open(path, mode, **kwargs)`; a write fault that names no file (EFBIG, ENOSPC) names `path`."""
+    try:
+        with open(path, mode, **kwargs) as f:
+            yield f
+    except OSError as exc:
+        if exc.errno is None or exc.filename is not None:
+            raise
+        raise OSError(exc.errno, exc.strerror, path) from exc
+
+
 class _RecordFile:
     """The layout the history and its top-value table share: a header
     (`MAGIC`, `VERSION`, the constructor's sizes, a 32-byte config hash),
@@ -75,7 +87,7 @@ class _RecordFile:
         """A new file holding only the header, the constructor's arguments."""
         file = cls(path, *header)
         file._buf, file._rec = file._buffer()
-        with open(file.path, "wb") as f:
+        with open_named(file.path, "wb") as f:
             f.write(cls.HEADER.pack(cls.MAGIC, VERSION, *header[:-1]) + file.config_hash)
         return file
 
@@ -83,7 +95,7 @@ class _RecordFile:
         """Append round `round_idx`'s record, as `append` filled it, checksummed."""
         self._rec["round"] = round_idx
         self._rec["checksum"] = _checksum(self._buf[:-8])
-        with open(self.path, "ab") as f:
+        with open_named(self.path, "ab") as f:
             f.write(self._buf)
 
     @classmethod

@@ -45,7 +45,11 @@ class LbfgsSingularError(ValueError):
 
 
 class ClassDrawError(ValueError):
-    """A fine-tuning class cannot supply the examples its draw asks for."""
+    """A fine-tuning class draw that cannot be met; `key` names the config key to change."""
+
+    def __init__(self, key: str, reason: str):
+        self.key = key
+        super().__init__(reason)
 
 
 class CompactSystem(NamedTuple):
@@ -415,7 +419,8 @@ def fine_tune(
     `FlSetup.aggregate_step`. The config guarantees beta > 0 and n_examples >= 1,
     and `cli.cmd_recover` that n_examples <= dataset.size;
     `config.build_datasets` guarantees dataset.dim = spec.input_dim.
-    Raises ClassDrawError when a class cannot supply its drawn count.
+    Raises ClassDrawError, naming the key to change, when the Dirichlet
+    draw under- or overflows or a class cannot supply its drawn count.
     """
     rng = RngStream(derive_seed(seed, STREAM_FINETUNE, 0, 0))
     c = dataset.num_classes
@@ -423,17 +428,21 @@ def fine_tune(
         proportions = np.full(c, 1.0 / c)
     else:
         proportions = rng.dirichlet(beta, c)
+    if not (np.isfinite(proportions).all() and proportions.sum() > 0):  # 0/0, or all 0 of an inf sum
+        raise ClassDrawError("finetune.beta", f"Dirichlet({beta!r}) class proportions under- or overflow")
     counts = _largest_remainder_counts(proportions, n_examples)
     picked = []
     for cls in range(c):
         pool = np.flatnonzero(dataset.labels == cls)
         if counts[cls] > pool.size:
             raise ClassDrawError(
-                f"class {cls} needs {counts[cls]} examples but only {pool.size} are available"
+                "finetune.n_examples",
+                f"class {cls} needs {counts[cls]} examples but only {pool.size} are available; "
+                "a larger finetune.beta evens the draw",
             )
         if counts[cls] > 0:
             picked.append(pool[rng.choice(pool.size, int(counts[cls]))])
-    idx = np.concatenate(picked) if picked else np.empty(0, dtype=np.int64)
+    idx = np.concatenate(picked)
     x = dataset.inputs[idx]
     y = dataset.labels[idx]
     n = x.shape[0]

@@ -1,7 +1,9 @@
+import errno
 import io
 import json
 import math
 import os
+import resource
 import shutil
 import signal
 import subprocess
@@ -21,7 +23,6 @@ from test_config import MINIMAL
 import fedsim
 from fedsim.cli import (
     CliError,
-    SummaryError,
     _summary_error,
     cmd_report,
     main,
@@ -103,17 +104,34 @@ def _flock_held(run_dir):
             holder.wait()
 
 
-def _sim(root, *args, code=None):
+def _sim(root, *args, code=None, fsize=None):
     """`sim *args` in a child process writing runs under `root`; with
-    `code`, the child runs that program on `args` in place of `sim`'s."""
+    `code`, the child runs that program on `args` in place of `sim`'s, and
+    with `fsize`, no file the child writes may grow past `fsize` bytes."""
     src = os.path.dirname(os.path.dirname(fedsim.__file__))
     env = {**os.environ, "FEDSIM_OUTPUT_ROOT": str(root)}
     env["PYTHONPATH"] = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
     program = ["-m", "fedsim.cli"] if code is None else ["-c", code]
+
+    def limit():  # the child's own; CPython ignores SIGXFSZ, so the write fails with EFBIG
+        resource.setrlimit(resource.RLIMIT_FSIZE, (fsize, fsize))
+
     return subprocess.Popen(
-        [sys.executable, *program, *args], env=env,
+        [sys.executable, *program, *args], env=env, preexec_fn=None if fsize is None else limit,
         stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
     )
+
+
+def _too_large(path) -> str:
+    """The error line of a write to `path` cut by a file-size limit."""
+    return f"error: {OSError(errno.EFBIG, os.strerror(errno.EFBIG), str(path))}\n"
+
+
+def _same_files(run_dir, whole_dir):
+    names = sorted(os.listdir(whole_dir))
+    assert sorted(os.listdir(run_dir)) == names
+    for name in names:
+        assert (run_dir / name).read_bytes() == (whole_dir / name).read_bytes(), name
 
 
 def _size(path) -> int:
@@ -262,6 +280,23 @@ class TestTrainCommand:
             err = proc.communicate()[1]
         assert proc.returncode == 0, err
         assert not list(run_dir.glob("*.tmp"))
+
+    def test_train_cut_by_a_file_size_limit_names_the_history(self, tmp_path):
+        # a 400-round history (1.25 MB) under a 20 000-byte limit: the
+        # append of the seventh record fails, and the error names its file
+        cfg_path = tmp_path / "long.ini"
+        cfg_path.write_text(MINIMAL.replace("rounds = 40", "rounds = 400"))
+        cut, whole = tmp_path / "cut", tmp_path / "whole"
+        run_dir = cut / "runs" / "demo"
+        with _sim(cut, "train", "-c", str(cfg_path), fsize=20_000) as proc:
+            err = proc.communicate()[1]
+        assert proc.returncode == 1
+        assert err == _too_large(run_dir / "history.bin.tmp")
+        assert os.listdir(run_dir) == []
+        for root in (cut, whole):
+            with _sim(root, "train", "-c", str(cfg_path)) as proc:
+                assert proc.wait() == 0
+        _same_files(run_dir, whole / "runs" / "demo")
 
     def test_retrain_cut_between_replaces_leaves_each_file_checked(
         self, tmp_path, monkeypatch, capsys
@@ -538,6 +573,22 @@ class TestRecoverCommand:
         )
         assert not (tmp_path / "runs" / "demo" / "summary_finetune.json").exists()
 
+    @pytest.mark.parametrize("beta", ["1e-6", "1.7e308"], ids=["underflow", "overflow"])
+    def test_finetune_draw_out_of_float_range_names_beta(self, tmp_path, monkeypatch, capsys, beta):
+        # beta lies in its range (0, inf], but at 1e-6 every Gamma draw of
+        # the class proportions underflows to 0, and at 1.7e308 their sum overflows
+        monkeypatch.setenv("FEDSIM_OUTPUT_ROOT", str(tmp_path))
+        cfg_path = tmp_path / "minimal.ini"
+        cfg_path.write_text(MINIMAL + f"\n[finetune]\nn_examples = 50\nepochs = 2\nbeta = {beta}\n")
+        assert main(["train", "-c", str(cfg_path)]) == 0
+        capsys.readouterr()
+        assert main(["recover", "-c", str(cfg_path), "--method", "finetune"]) == 1
+        assert capsys.readouterr().err == (
+            f"error: config field [finetune.beta]: Dirichlet({float(beta)!r}) class proportions "
+            "under- or overflow\n"
+        )
+        assert not list((tmp_path / "runs" / "demo").glob("*finetune*"))
+
     @pytest.mark.parametrize("method", ["historical", "fedrecover", "finetune"])
     def test_non_finite_history_is_error_exit(self, trained, capsys, method):
         # a record with a valid checksum that holds a NaN update, and a byte
@@ -728,6 +779,27 @@ class TestRecoverCommand:
             assert main(["recover", "-c", str(cfg_path), "--method", "historical"]) == 1
         assert {p.name: p.read_bytes() for p in run_dir.iterdir()} == before
         assert main(["report", str(run_dir)]) == 0
+
+    def test_recovery_cut_by_a_file_size_limit_names_the_csv(self, tmp_path):
+        # the scratch metrics CSV, its first output, cannot pass 100 bytes
+        cfg_path = tmp_path / "minimal.ini"
+        cfg_path.write_text(MINIMAL)
+        cut, whole = tmp_path / "cut", tmp_path / "whole"
+        run_dir = cut / "runs" / "demo"
+        recover = ("recover", "-c", str(cfg_path), "--method", "scratch")
+        for root in (cut, whole):
+            with _sim(root, "train", "-c", str(cfg_path)) as proc:
+                assert proc.wait() == 0
+        trained = sorted(os.listdir(run_dir))
+        with _sim(cut, *recover, fsize=100) as proc:
+            err = proc.communicate()[1]
+        assert proc.returncode == 1
+        assert err == _too_large(run_dir / "recover_scratch_metrics.csv.tmp")
+        assert sorted(os.listdir(run_dir)) == trained
+        for root in (cut, whole):
+            with _sim(root, *recover) as proc:
+                assert proc.wait() == 0
+        _same_files(run_dir, whole / "runs" / "demo")
 
     def test_recovery_killed_between_csv_and_summary(self, trained, capsys):
         # a real `sim recover` whose write_summary SIGKILLs its own process,
@@ -1002,7 +1074,7 @@ def test_summary_schema_is_valid():
 
 
 def test_write_summary_validates_every_summary(tmp_path):
-    with pytest.raises(SummaryError, match="s.json: bad summary at /: 'rounds' is a required"):
+    with pytest.raises(CliError, match="s.json: bad summary at /: 'rounds' is a required"):
         write_summary(tmp_path / "s.json", {"command": "train"})
     assert not (tmp_path / "s.json").exists()
 

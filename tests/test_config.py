@@ -140,6 +140,11 @@ class TestParse:
         cfg = parse_config_string(MINIMAL + "\n[recovery]\ntau = inf\n")
         assert math.isinf(cfg.recovery.tau)
 
+    def test_tau_zero(self):
+        # the least tau: every estimate but an exact zero is fixed
+        cfg = parse_config_string(MINIMAL + "\n[recovery]\ntau = 0\n")
+        assert cfg.recovery.tau == 0.0
+
     def test_pixel_patch_trigger(self):
         text = BACKDOOR.replace("dim = 8", "dim = 16").replace(
             "trigger = every_kth\ntrigger_k = 2\ntrigger_value = 1.0",
@@ -615,6 +620,8 @@ class TestKeyTable:
             ("recovery", "hvp_mode", "foo"),
             ("recovery", "tolerance_rate", "2"),
             ("recovery", "tolerance_rate", "0"),
+            ("recovery", "tau", "-1"),
+            ("recovery", "tau", "-5e-324"),
             ("experiment", "seed", "-1"),
             ("experiment", "rounds", "0"),
             ("experiment", "learning_rate", "0"),

@@ -7,11 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fedsim.data import (
-    BadMagicError,
-    CountMismatchError,
     Dataset,
     IdxError,
-    TruncatedFileError,
     _class_centers,
     gen_synthetic,
     load_mnist_idx,
@@ -48,14 +45,14 @@ class TestIdxLoader:
     def test_bad_image_magic(self, tmp_path):
         pixels = np.zeros((1, 2, 2), dtype=np.uint8)
         img, lab = write_idx_pair(tmp_path, pixels, [0], image_magic=0x999)
-        with pytest.raises(BadMagicError) as err:
+        with pytest.raises(IdxError, match="^image file magic 0x00000999 != 0x00000803$") as err:
             load_mnist_idx(img, lab)
         assert err.value.part == "images"
 
     def test_bad_label_magic(self, tmp_path):
         pixels = np.zeros((1, 2, 2), dtype=np.uint8)
         img, lab = write_idx_pair(tmp_path, pixels, [0], label_magic=0x999)
-        with pytest.raises(BadMagicError) as err:
+        with pytest.raises(IdxError, match="^label file magic 0x00000999 != 0x00000801$") as err:
             load_mnist_idx(img, lab)
         assert err.value.part == "labels"
 
@@ -64,14 +61,14 @@ class TestIdxLoader:
         lab = tmp_path / "labels.idx"
         img.write_bytes(struct.pack(">IIII", 0x803, 2, 2, 2) + b"\x00" * 5)
         lab.write_bytes(struct.pack(">II", 0x801, 2) + b"\x00\x01")
-        with pytest.raises(TruncatedFileError) as err:
+        with pytest.raises(IdxError, match="^unexpected end of file while reading image pixels$") as err:
             load_mnist_idx(img, lab)
         assert err.value.part == "images"
 
     def test_count_mismatch(self, tmp_path):
         pixels = np.zeros((2, 2, 2), dtype=np.uint8)
         img, lab = write_idx_pair(tmp_path, pixels, [1, 2, 3])
-        with pytest.raises(CountMismatchError) as err:
+        with pytest.raises(IdxError, match="^2 images but 3 labels$") as err:
             load_mnist_idx(img, lab)
         assert err.value.part == "labels"
 

@@ -18,6 +18,7 @@ from fedsim.flengine import FlSetup, HistoryError, HistoryStore, train
 from fedsim.models import ModelSpec
 from fedsim.numcore import RngStream, as_vector
 from fedsim.recovery import (
+    ClassDrawError,
     CompactSystem,
     LbfgsBuffers,
     LbfgsSingularError,
@@ -1098,6 +1099,24 @@ class TestFineTune:
                 sc["setup"].spec, sc["final"], sc["dataset"], 1, 0.1, math.inf,
                 sc["dataset"].size + 1, 16, seed=5,
             )
+
+    @pytest.mark.parametrize("beta", [1e-6, 1.7e308], ids=["underflow", "overflow"])
+    def test_draw_out_of_float_range_names_beta(self, ridge_trim_scenario, beta):
+        # every Gamma draw underflows to 0 (0/0 proportions), or their sum
+        # overflows (all proportions 0): either way no class count is meant
+        sc = ridge_trim_scenario
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ClassDrawError) as err:
+            fine_tune(sc["setup"].spec, sc["final"], sc["dataset"], 1, 0.1, beta, 50, 16, seed=7)
+        assert err.value.key == "finetune.beta"
+
+    def test_class_short_of_its_draw_names_n_examples(self, ridge_trim_scenario):
+        sc = ridge_trim_scenario
+        with pytest.raises(ClassDrawError, match="a larger finetune.beta evens the draw") as err:
+            fine_tune(
+                sc["setup"].spec, sc["final"], sc["dataset"], 1, 0.1, math.inf,
+                sc["dataset"].size + 1, 16, seed=5,
+            )
+        assert err.value.key == "finetune.n_examples"
 
     def test_uniform_beta_reduces_loss(self, ridge_trim_scenario):
         from fedsim.metrics import test_error_rate
