@@ -324,13 +324,13 @@ def cmd_recover(cfg_path: str, method: str) -> int:
             kept = recovery.train_from_scratch(setup, remaining, cfg.rounds, rounds)
             exact_rounds = {c: cfg.rounds for c in remaining}
         elif method == "historical":
-            kept = recovery.historical_only(history, detected, setup, rounds)
+            kept = recovery.historical_only(history, remaining, setup, rounds)
             exact_rounds = {c: 0 for c in remaining}
         elif method == "fedrecover":
             # the bound check walks the gap at every round; the CSV reads only `rounds`
             keep = range(cfg.rounds + 1) if cfg.bound_check else rounds
             result = recovery.fedrecover(
-                history, detected, setup, cfg.recovery, keep, instrument=cfg.bound_check
+                history, remaining, setup, cfg.recovery, keep, instrument=cfg.bound_check
             )
             kept = result.models
             exact_rounds = result.exact_rounds_per_client

@@ -313,15 +313,16 @@ class FlSetup:
         """Updates the server receives at this round from the `asked`
         clients, all of `participants` when not given.
 
-        Clients in `attackers` substitute crafted updates. The trim attack
-        is computed in the full-knowledge setting from every participant's
-        honest update, so asking any trim attacker computes them all once;
-        otherwise only the asked clients compute, a backdoor attacker
-        scaling its update by `lam` (the attack's own scale when not given).
+        Clients in `attackers`, a subset of `participants`, substitute
+        crafted updates. The trim attack is computed in the full-knowledge
+        setting from every participant's honest update, so asking any trim
+        attacker computes them all once; otherwise only the asked clients
+        compute, a backdoor attacker scaling its update by `lam` (the
+        attack's own scale when not given).
         """
         participants = sorted(participants)
         asked = participants if asked is None else asked
-        attackers = sorted(set(attackers) & set(participants)) if self.attack else []
+        attackers = sorted(attackers) if self.attack else []
         spec, l, eta = self.spec, self.l, self.eta
         if self.attack and self.attack.kind == "trim" and not set(attackers).isdisjoint(asked):
             reported = {

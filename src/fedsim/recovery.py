@@ -40,10 +40,6 @@ from .numcore import (
 )
 
 
-class LbfgsSingularError(ValueError):
-    """The buffered system cannot produce a Hessian-vector product."""
-
-
 class ClassDrawError(ValueError):
     """A fine-tuning class draw that cannot be met; `key` names the config key to change."""
 
@@ -57,8 +53,7 @@ class CompactSystem(NamedTuple):
 
     W and G hold the global-model and update differences as (d, s)
     columns, oldest to newest. K is the 2s x 2s block matrix; it is None
-    when the most recent global difference is zero, which `lbfgs_hvp`
-    reports as singular.
+    when the most recent global difference is zero.
     """
 
     W: np.ndarray
@@ -86,27 +81,27 @@ def _assemble(W: np.ndarray, WtW: np.ndarray, G: np.ndarray) -> CompactSystem:
     return CompactSystem(W, G, sigma, K)
 
 
-def lbfgs_hvp(system: CompactSystem, v: np.ndarray) -> np.ndarray:
+def lbfgs_hvp(system: CompactSystem, v: np.ndarray) -> np.ndarray | None:
     """Approximate Hessian-vector product from a compact system.
 
     Solves K p = [dG^T v; sigma dW^T v] and returns
     sigma v - [dG | sigma dW] p. `v` must be a finite float64 vector of
-    the buffers' dimension. Raises LbfgsSingularError when the most recent
-    global difference is zero or the block system is singular, in which
-    case the caller falls back to an exact update. The output is not
-    checked: a non-finite one (an overflowing solve, or a non-finite
-    buffer entry) makes the estimate non-finite, which `fedrecover`'s
-    `linf_norm` sends to the same fallback.
+    the buffers' dimension. Returns None when the most recent global
+    difference is zero or the block system is singular, in which case the
+    caller falls back to an exact update. The output is not checked: a
+    non-finite one (an overflowing solve, or a non-finite buffer entry)
+    makes the estimate non-finite, which `fedrecover`'s `linf_norm` sends
+    to the same fallback.
     """
     W, G, sigma, K = system
     if K is None:
-        raise LbfgsSingularError("most recent global-model difference is zero")
+        return None
     s = W.shape[1]
     rhs = np.concatenate([G.T @ v, sigma * (W.T @ v)])
     try:
         p = np.linalg.solve(K, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise LbfgsSingularError(f"singular buffer system: {exc}") from exc
+    except np.linalg.LinAlgError:
+        return None
     return sigma * v - (G @ p[:s] + sigma * (W @ p[s:]))
 
 
@@ -186,7 +181,7 @@ class LbfgsBuffers:
         self.update_diffs[client_id].append(dg)
         self._systems.pop(client_id, None)
 
-    def hvp(self, client_id, v: np.ndarray) -> np.ndarray:
+    def hvp(self, client_id, v: np.ndarray) -> np.ndarray | None:
         """The config's warmup_rounds > buffer_size fills every window
         before the first estimate, so each holds s differences."""
         system = self._systems.get(client_id)
@@ -245,19 +240,19 @@ def _is_exact_round(t: int, total: int, p: RecoveryParams) -> bool:
 
 def fedrecover(
     history: HistoryStore,
-    detected,
+    remaining,
     setup: FlSetup,
     params: RecoveryParams,
     keep,
     *,
     instrument: bool = False,
 ) -> RecoveryResult:
-    """Recover a global model from stored history after removing the
-    detected clients. `RecoveryResult.models` holds {t: w_t} for the
+    """Recover a global model from stored history over the `remaining`
+    clients, ascending. `RecoveryResult.models` holds {t: w_t} for the
     rounds t in `keep`, w_t the recovered global model after t rounds.
 
-    Undetected malicious clients (attack configured on the setup but
-    missing from `detected`) keep attacking whenever they are asked for an
+    Undetected malicious clients (attack configured on the setup, and
+    among `remaining`) keep attacking whenever they are asked for an
     exact update; an adaptive backdoor attacker re-scales by m / m'. Exact
     updates are requested in warm-up, periodic correction, final tuning,
     whenever an estimate exceeds the abnormality threshold, whenever the
@@ -270,14 +265,11 @@ def fedrecover(
     `params.tau` is derived from `history.tops` first. Trusts its inputs:
     `HistoryStore.rounds` checks each record as it reads it, the config
     checks `params` against T and the model, and the caller leaves at
-    least one client undetected and loads the table when tau is unset.
+    least one client and loads the table when tau is unset.
     """
     total = history.total_rounds
-    detected = frozenset(detected)
-    remaining = sorted(set(setup.client_ids) - detected)
-
     # undetected attackers attack when asked; with no attack configured they report honestly
-    undetected = set(setup.malicious) - detected
+    undetected = setup.malicious.intersection(remaining)
     lam = None
     if undetected and setup.attack and setup.attack.adaptive:
         lam = adaptive_scale(setup.attack.lam, len(setup.malicious), len(undetected))
@@ -315,9 +307,8 @@ def fedrecover(
         else:
             fix = []
             for c in remaining:
-                try:
-                    hv = hvp(c, v)
-                except LbfgsSingularError:
+                hv = hvp(c, v)
+                if hv is None:  # an unusable system
                     fix.append(c)
                     continue
                 # the estimate: stored update plus the HVP correction, which is
@@ -370,13 +361,12 @@ def train_from_scratch(setup: FlSetup, remaining_clients, total_rounds: int, kee
     return kept
 
 
-def historical_only(history: HistoryStore, detected, setup: FlSetup, keep) -> dict:
-    """Replay the stored updates of the remaining clients; zero client cost.
+def historical_only(history: HistoryStore, remaining, setup: FlSetup, keep) -> dict:
+    """Replay the stored updates of the `remaining` clients; zero client cost.
     Returns {t: w_t}, the global model after t rounds, for each t in `keep`.
 
-    With nothing detected this reproduces the original trajectory exactly.
+    With every client remaining this reproduces the original trajectory exactly.
     """
-    remaining = sorted(set(range(history.n)) - frozenset(detected))
     kept = {}
     for t, (model, round_updates) in enumerate(history.rounds()):
         if t == 0:  # the first stored model is the start model

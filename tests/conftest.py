@@ -208,6 +208,7 @@ def ridge_trim_scenario(tmp_path_factory):
         "store": store,
         "final": final_model,
         "malicious": frozenset(malicious),
+        "remaining": [2, 3, 4, 5],
         "rounds": 60,
     }
 
@@ -241,5 +242,6 @@ def logreg_backdoor_scenario(tmp_path_factory):
         "store": store,
         "final": final_model,
         "malicious": frozenset(malicious),
+        "remaining": [0, 1, 3, 4, 6, 7],
         "rounds": 50,
     }

@@ -120,8 +120,8 @@ def test_criterion_1_exact_hvp_recovery_is_exact(tmp_path):
             warmup_rounds=5, correction_period=10, final_tuning_rounds=5,
             buffer_size=2, tau=math.inf, hvp_mode="exact_quadratic",
         )
-        result = fedrecover(store, {0, 5}, setup, params, range(201))
         remaining = sorted(set(setup.client_ids) - {0, 5})
+        result = fedrecover(store, remaining, setup, params, range(201))
         trace = train_from_scratch(setup, remaining, 200, range(201))
         gap = max(
             float(np.max(np.abs(result.models[t] - trace[t])))
@@ -150,8 +150,8 @@ def test_criterion_2_recovery_gap_bound_holds(tmp_path):
             warmup_rounds=20, correction_period=10, final_tuning_rounds=5,
             buffer_size=2, tau=math.inf,
         )
-        result = fedrecover(store, {1, 7}, setup, params, range(301), instrument=True)
         remaining = sorted(set(setup.client_ids) - {1, 7})
+        result = fedrecover(store, remaining, setup, params, range(301), instrument=True)
         trace = train_from_scratch(setup, remaining, 300, range(301))
         m_measured = result.measured_m
         assert m_measured is not None
@@ -244,7 +244,7 @@ def test_criterion_7_end_to_end_recovery(backdoor_run):
         s_asr = attack_success_rate(spec, scratch_model, test_set, trigger, 0)
         assert s_asr <= 0.1, f"scratch ASR {s_asr}"
 
-        result = fedrecover(sc["store"], sc["malicious"], setup, sc["params"], (final,))
+        result = fedrecover(sc["store"], remaining, setup, sc["params"], (final,))
         r_ter = error_rate(spec, result.models[final], test_set)
         r_asr = attack_success_rate(spec, result.models[final], test_set, trigger, 0)
         _, acp = cost_saving(S7["rounds"], result.exact_rounds_per_client)
@@ -257,7 +257,8 @@ def test_criterion_8_imperfect_detection(backdoor_run):
     with criterion(8, "one missed adaptive attacker: ASR <= 0.2, ACP stable"):
         sc = backdoor_run
         setup, test_set, trigger = sc["setup"], sc["test"], sc["trigger"]
-        result_perfect = fedrecover(sc["store"], sc["malicious"], setup, sc["params"], ())
+        remaining = sorted(set(setup.client_ids) - sc["malicious"])
+        result_perfect = fedrecover(sc["store"], remaining, setup, sc["params"], ())
         _, acp_perfect = cost_saving(S7["rounds"], result_perfect.exact_rounds_per_client)
 
         rng = RngStream(derive_seed(S7["seed"], STREAM_DETECT, 0, 0))
@@ -265,7 +266,8 @@ def test_criterion_8_imperfect_detection(backdoor_run):
         assert len(sc["malicious"] - detected) == 1
         assert adaptive_scale(S7["lam"], 4, 1) == 40.0
 
-        result = fedrecover(sc["store"], detected, setup, sc["params"], (S7["rounds"],))
+        remaining = sorted(set(setup.client_ids) - detected)
+        result = fedrecover(sc["store"], remaining, setup, sc["params"], (S7["rounds"],))
         r_asr = attack_success_rate(
             setup.spec, result.models[S7["rounds"]], test_set, trigger, 0
         )
@@ -291,13 +293,13 @@ def test_criterion_9_equivalence_degenerations(tmp_path):
             warmup_rounds=4, correction_period=1, final_tuning_rounds=3,
             buffer_size=2, tau=math.inf,
         )
-        result = fedrecover(store, {2}, setup, params, range(21))
         remaining = sorted(set(setup.client_ids) - {2})
+        result = fedrecover(store, remaining, setup, params, range(21))
         trace = train_from_scratch(setup, remaining, 20, range(21))
         for t in range(21):
             np.testing.assert_array_equal(result.models[t], trace[t])
 
-        replay = historical_only(store, frozenset(), setup, (20,))
+        replay = historical_only(store, setup.client_ids, setup, (20,))
         np.testing.assert_array_equal(replay[20], final)
 
 

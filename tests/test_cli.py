@@ -22,6 +22,7 @@ from test_data import write_idx_pair
 from test_config import MINIMAL
 import fedsim
 from fedsim.cli import (
+    METHODS,
     CliError,
     _summary_error,
     cmd_report,
@@ -832,6 +833,117 @@ class TestRecoverCommand:
             assert main(args) == 0
             assert not list(run_dir.glob("*.tmp"))
             assert [path.read_bytes() for path in outputs] == whole
+
+# d = 4 and n = 2 over 3 rounds: the history (416 bytes) and its table
+# (144) stay below config.ini (571), and every recovery's metrics CSV (at
+# most 47) below its summary (about 280), so a size limit can cut each.
+TINY = """
+[experiment]
+seed = 7
+rounds = 3
+learning_rate = 0.1
+n_clients = 2
+aggregation = fedavg
+output_dir = runs/tiny
+
+[dataset]
+kind = synthetic
+num_classes = 2
+dim = 1
+per_class = 10
+test_per_class = 5
+
+[model]
+kind = logreg
+
+[recovery]
+warmup_rounds = 2
+buffer_size = 1
+final_tuning_rounds = 0
+
+[finetune]
+epochs = 1
+n_examples = 4
+"""
+
+# Each command's files in the order it writes them.
+TRAIN_FILES = ["history.bin", "history_tops.bin", "config.ini", "train_metrics.csv", "summary_train.json"]
+
+
+def _recover_files(method):
+    return [f"recover_{method}_metrics.csv", f"summary_{method}.json"]
+
+
+class TestWriteFaults:
+    """A file-size limit on the child process cuts the write of one file.
+    The limit, one byte below that file's whole size, is taken from an
+    uninterrupted run, and lets every file the command writes before it
+    through. The cut command exits 1 naming the file, leaves no `.tmp`
+    and no partial file under a run name, and a re-run writes the
+    uninterrupted run's bytes. A limit stops only the first file that
+    outgrows it, so `history_tops.bin` (always smaller than the history
+    written before it), `train_metrics.csv` (smaller than the history)
+    and `summary_train.json` (smaller than config.ini) cannot be cut."""
+
+    @pytest.fixture(scope="class")
+    def whole(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("whole")
+        cfg_path = root / "tiny.ini"
+        cfg_path.write_text(TINY)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setenv("FEDSIM_OUTPUT_ROOT", str(root))
+            assert main(["train", "-c", str(cfg_path)]) == 0
+            for method in METHODS:
+                assert main(["recover", "-c", str(cfg_path), "--method", method]) == 0
+        run_dir = root / "runs" / "tiny"
+        return {p.name: p.read_bytes() for p in run_dir.iterdir()}
+
+    # (command, the file cut, the files it leaves in place): the history, its
+    # table and config.ini take their names together, after the last round
+    @pytest.mark.parametrize(
+        "method, name, kept",
+        [("train", "config.ini", [])]
+        + [(m, f"recover_{m}_metrics.csv", []) for m in ("historical", "fedrecover", "finetune")]
+        + [(m, f"summary_{m}.json", [f"recover_{m}_metrics.csv"]) for m in METHODS],
+    )
+    def test_cut_leaves_a_usable_run(
+        self, whole, tmp_path, monkeypatch, capsys, method, name, kept
+    ):
+        cfg_path = tmp_path / "tiny.ini"
+        cfg_path.write_text(TINY)
+        run_dir = tmp_path / "runs" / "tiny"
+        run_dir.mkdir(parents=True)
+        if method == "train":
+            args, written = ["train"], TRAIN_FILES
+        else:
+            args, written = ["recover", "--method", method], _recover_files(method)
+            for trained in TRAIN_FILES:
+                (run_dir / trained).write_bytes(whole[trained])
+        args += ["-c", str(cfg_path)]
+        limit = len(whole[name]) - 1
+        assert all(len(whole[earlier]) <= limit for earlier in written[: written.index(name)])
+        before = sorted(os.listdir(run_dir))
+
+        with _sim(tmp_path, *args, fsize=limit) as proc:
+            err = proc.communicate()[1]
+        assert proc.returncode == 1
+        assert err == _too_large(run_dir / f"{name}.tmp")
+        left = before + kept
+        assert sorted(os.listdir(run_dir)) == sorted(left)
+        for present in left:
+            assert (run_dir / present).read_bytes() == whole[present], present
+        if "history.bin" in left:
+            history = HistoryStore.load(run_dir / "history.bin", run_dir / "history_tops.bin")
+            assert len(list(history.rounds())) == len(list(history.tops.rounds())) == 3
+        if any(present.startswith("summary_") for present in left):
+            assert main(["report", str(run_dir)]) == 0, capsys.readouterr().err
+
+        monkeypatch.setenv("FEDSIM_OUTPUT_ROOT", str(tmp_path))
+        assert main(args) == 0
+        assert not list(run_dir.glob("*.tmp"))
+        for present in os.listdir(run_dir):
+            assert (run_dir / present).read_bytes() == whole[present], present
+
 
 MNIST_CFG = """
 [experiment]

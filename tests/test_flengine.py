@@ -730,13 +730,14 @@ class TestTrain:
         path = tmp_path / "h.bin"
         params = RecoveryParams(warmup_rounds=10, correction_period=10, final_tuning_rounds=5)
         train_and_load(setup, 60, path, params.tolerance_rate)
+        remaining = sorted(set(setup.client_ids) - setup.malicious)
         tracemalloc.start()
         try:
             history = HistoryStore.load(path, f"{path}.tops")
             if method == "fedrecover":
-                trace = fedrecover(history, setup.malicious, setup, params, range(61)).models
+                trace = fedrecover(history, remaining, setup, params, range(61)).models
             else:
-                trace = historical_only(history, setup.malicious, setup, range(61))
+                trace = historical_only(history, remaining, setup, range(61))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -770,9 +771,9 @@ class TestTrain:
             history = HistoryStore.load(path, tops)
             peaks[total] = {
                 "train": train_peak,
-                "fedrecover": peak(fedrecover, history, setup.malicious, setup, params, keep),
+                "fedrecover": peak(fedrecover, history, remaining, setup, params, keep),
                 "scratch": peak(train_from_scratch, setup, remaining, total, keep),
-                "historical": peak(historical_only, history, setup.malicious, setup, keep),
+                "historical": peak(historical_only, history, remaining, setup, keep),
             }
         growth = {name: peaks[80][name] - peaks[20][name] for name in peaks[20]}
         assert all(grown < 5 * 8 * setup.spec.param_dim for grown in growth.values()), growth

@@ -61,8 +61,8 @@ class TestMultiStepLocalUpdates:
             warmup_rounds=3, correction_period=1, final_tuning_rounds=2, buffer_size=2,
             tau=float("inf"),
         )
-        result = fedrecover(store, {1}, setup, params, range(17))
         remaining = sorted(set(setup.client_ids) - {1})
+        result = fedrecover(store, remaining, setup, params, range(17))
         trace = train_from_scratch(setup, remaining, 16, range(17))
         for t in range(17):
             np.testing.assert_array_equal(result.models[t], trace[t])
@@ -74,7 +74,7 @@ class TestMultiStepLocalUpdates:
             warmup_rounds=5, correction_period=5, final_tuning_rounds=3, buffer_size=2,
             tolerance_rate=1e-6,
         )
-        result = fedrecover(store, {1}, setup, params, (30,))
+        result = fedrecover(store, [0, 2, 3, 4, 5], setup, params, (30,))
         assert np.all(np.isfinite(result.models[30]))
 
 
@@ -97,8 +97,8 @@ def test_median_rule_through_recovery(tmp_path):
         warmup_rounds=4, correction_period=1, final_tuning_rounds=2, buffer_size=2,
         tau=float("inf"),
     )
-    result = fedrecover(store, {0, 3}, setup, params, (24,))
     remaining = sorted(set(setup.client_ids) - {0, 3})
+    result = fedrecover(store, remaining, setup, params, (24,))
     trace = train_from_scratch(setup, remaining, 24, (24,))
     np.testing.assert_array_equal(result.models[24], trace[24])
 

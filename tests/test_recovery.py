@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import CHASH, build_setup, train_and_load
+from reference_recovery import LbfgsSingularError
 from fedsim import recovery
 from fedsim.aggregation import AggregationRule
 from fedsim.attacks import AttackConfig, Trigger
@@ -21,7 +22,6 @@ from fedsim.recovery import (
     ClassDrawError,
     CompactSystem,
     LbfgsBuffers,
-    LbfgsSingularError,
     RecoveryParams,
     _assemble,
     compute_threshold,
@@ -48,8 +48,8 @@ def compact_system(dw_list, dg_list) -> CompactSystem:
     buffers only, so it is built once and reused until a buffer changes.
     The entries are differences of vectors the recovery computed, so they
     are not re-validated: a non-finite entry yields a singular system,
-    which `lbfgs_hvp` reports as LbfgsSingularError, or a non-finite one,
-    whose non-finite product `fedrecover`'s `linf_norm` refuses.
+    for which `lbfgs_hvp` returns None, or a non-finite one, whose
+    non-finite product `fedrecover`'s `linf_norm` refuses.
     """
     if len(dw_list) == 0 or len(dw_list) != len(dg_list):
         raise ValueError("need equally many (>=1) global and update differences")
@@ -127,13 +127,14 @@ def _seed_lbfgs_hvp(dw_list, dg_list, v) -> np.ndarray:
 
 def _outcome(fn, *args):
     """The result of fn(*args), or the type of the exception it raised. A
-    non-finite result counts as LbfgsSingularError: `fedrecover` sends both
-    to the exact fallback, the result through `linf_norm`."""
+    None or non-finite result counts as the seed kernel's
+    LbfgsSingularError: `fedrecover` sends all three to the exact
+    fallback, a non-finite result through `linf_norm`."""
     try:
         out = fn(*args)
     except Exception as exc:  # the comparison is by exception type
         return type(exc)
-    return out if np.isfinite(out).all() else LbfgsSingularError
+    return out if out is not None and np.isfinite(out).all() else LbfgsSingularError
 
 
 def _assert_same_outcome(got, want):
@@ -222,19 +223,17 @@ class TestLbfgsHvp:
         scale = np.max(np.abs(rhs)) + 1.0
         assert np.max(np.abs(lhs - rhs)) / scale < 1e-10
 
-    def test_zero_last_pair_raises(self):
-        with pytest.raises(LbfgsSingularError):
-            lbfgs_hvp(compact_system([np.zeros(3)], [np.ones(3)]), np.ones(3))
+    def test_zero_last_pair_is_singular(self):
+        assert lbfgs_hvp(compact_system([np.zeros(3)], [np.ones(3)]), np.ones(3)) is None
 
-    def test_singular_block_raises(self):
+    def test_singular_block_is_singular(self):
         # orthogonal pair makes the diagonal block zero
         dw = [np.array([1.0, 0.0])]
         dg = [np.array([0.0, 1.0])]
-        with pytest.raises(LbfgsSingularError):
-            lbfgs_hvp(compact_system(dw, dg), np.ones(2))
+        assert lbfgs_hvp(compact_system(dw, dg), np.ones(2)) is None
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_overflowing_solve_falls_back_to_exact(self):
+    def test_overflowing_solve_is_not_finite(self):
         # K = diag(-1e-300, 1e-300) is regular, but its solve for v = 1e200
         # overflows: p is non-finite while sigma v is not, and so is the product
         dw, dg, v = [np.array([1e-150])], [np.array([1e-150])], np.array([1e200])
@@ -246,35 +245,8 @@ class TestLbfgsHvp:
         assert not np.isfinite(lbfgs_hvp(system, v)).any()
         with pytest.raises(LbfgsSingularError):
             _seed_lbfgs_hvp(dw, dg, v)
-
-        # The same case in a recovery: one client, d = 1, a window of one
-        # pair. Warm-up rounds 0 and 1 leave the window dw = dg = 1e-150,
-        # and round 2 estimates with v = w_hat - w_bar = 1e200. With tau =
-        # inf only a non-finite estimate is abnormal, and it is fixed.
-        exact = [np.array([-1e-150]), np.array([1e-150]), np.array([0.5])]
-        stored = [(np.zeros(1), np.zeros((1, 1))), (np.zeros(1), np.zeros((1, 1))),
-                  (np.array([-1e200]), np.zeros((1, 1)))]
-
-        class History:
-            total_rounds = 3
-
-            def rounds(self):
-                yield from stored
-
-        class Setup:
-            client_ids, malicious, attack = range(1), frozenset(), None
-
-            def reported_updates(self, w, t, participants, attackers, lam=None, asked=None):
-                return {c: exact[t] for c in asked}
-
-            def aggregate_step(self, w, reported):
-                return w - reported[0]
-
-        params = RecoveryParams(2, 10, 0, buffer_size=1, tau=math.inf)
-        result = fedrecover(History(), (), Setup(), params, range(4))
-        assert result.abnormality_count == 1
-        assert result.exact_rounds_per_client == {0: 3}
-        assert [float(result.models[t][0]) for t in range(4)] == [0.0, 1e-150, 0.0, -0.5]
+        # `test_recovery_oracle.TestScriptedFallbacks` runs this case through a
+        # recovery, which fixes the non-finite estimate
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
@@ -339,9 +311,9 @@ class TestLbfgsBuffersCache:
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
     @pytest.mark.parametrize("slot", ["newest_global", "oldest_global", "client"])
     def test_non_finite_entry_is_singular(self, bad, slot):
-        """A non-finite difference reaches the exact-update fallback, as
-        LbfgsSingularError or as a non-finite product that `fedrecover`'s
-        `linf_norm` refuses, not as a bare ValueError that aborts the run."""
+        """A non-finite difference reaches the exact-update fallback, as a
+        None product or as a non-finite one that `fedrecover`'s `linf_norm`
+        refuses, not as a bare ValueError that aborts the run."""
         rng = RngStream(8)
         d = 6
         buffers = LbfgsBuffers(2, [0])
@@ -577,7 +549,7 @@ class TestFedrecover:
     def test_cost_accounting_tau_inf(self, ridge_trim_scenario):
         sc = ridge_trim_scenario
         params = recovery_params()
-        result = fedrecover(sc["store"], sc["malicious"], sc["setup"], params, ())
+        result = fedrecover(sc["store"], sc["remaining"], sc["setup"], params, ())
         expected = predicted_cost(sc["rounds"], 6, 5, 3)
         assert result.abnormality_count == 0
         for tr in result.exact_rounds_per_client.values():
@@ -586,7 +558,7 @@ class TestFedrecover:
     def test_finite_tau_at_least_predicted(self, ridge_trim_scenario):
         sc = ridge_trim_scenario
         params = recovery_params(tau=None, tolerance_rate=0.05)
-        result = fedrecover(sc["store"], sc["malicious"], sc["setup"], params, ())
+        result = fedrecover(sc["store"], sc["remaining"], sc["setup"], params, ())
         expected = predicted_cost(sc["rounds"], 6, 5, 3)
         for tr in result.exact_rounds_per_client.values():
             assert tr >= expected
@@ -595,9 +567,8 @@ class TestFedrecover:
         sc = ridge_trim_scenario
         params = recovery_params(correction_period=1)
         every = range(sc["rounds"] + 1)
-        result = fedrecover(sc["store"], sc["malicious"], sc["setup"], params, every)
-        remaining = sorted(set(sc["setup"].client_ids) - sc["malicious"])
-        trace = train_from_scratch(sc["setup"], remaining, sc["rounds"], every)
+        result = fedrecover(sc["store"], sc["remaining"], sc["setup"], params, every)
+        trace = train_from_scratch(sc["setup"], sc["remaining"], sc["rounds"], every)
         assert list(result.models) == list(trace) == list(every)
         for t in every:
             np.testing.assert_array_equal(result.models[t], trace[t])
@@ -606,9 +577,8 @@ class TestFedrecover:
         sc = ridge_trim_scenario
         params = recovery_params(hvp_mode="exact_quadratic")
         every = range(sc["rounds"] + 1)
-        result = fedrecover(sc["store"], sc["malicious"], sc["setup"], params, every)
-        remaining = sorted(set(sc["setup"].client_ids) - sc["malicious"])
-        trace = train_from_scratch(sc["setup"], remaining, sc["rounds"], every)
+        result = fedrecover(sc["store"], sc["remaining"], sc["setup"], params, every)
+        trace = train_from_scratch(sc["setup"], sc["remaining"], sc["rounds"], every)
         gaps = [np.max(np.abs(result.models[t] - trace[t])) for t in every]
         assert max(gaps) <= 1e-8
 
@@ -630,7 +600,7 @@ class TestFedrecover:
         )
         tracemalloc.start()
         try:
-            result = fedrecover(store, {0}, setup, params, range(13))
+            result = fedrecover(store, range(1, 10), setup, params, range(13))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -644,9 +614,8 @@ class TestFedrecover:
         sc = ridge_trim_scenario
         params = recovery_params()
         final = sc["rounds"]
-        result = fedrecover(sc["store"], sc["malicious"], sc["setup"], params, (final,))
-        remaining = sorted(set(sc["setup"].client_ids) - sc["malicious"])
-        model = train_from_scratch(sc["setup"], remaining, final, (final,))[final]
+        result = fedrecover(sc["store"], sc["remaining"], sc["setup"], params, (final,))
+        model = train_from_scratch(sc["setup"], sc["remaining"], final, (final,))[final]
         gap = float(np.linalg.norm(result.models[final] - model))
         assert gap < 0.05 * (1.0 + float(np.linalg.norm(model)))
 
@@ -670,7 +639,7 @@ class TestFedrecover:
         with mock.patch.object(FlSetup, "reported_updates", report), \
                 mock.patch.object(FlSetup, "aggregate_step", step):
             result = fedrecover(
-                sc["store"], sc["malicious"], sc["setup"], params, (), instrument=True
+                sc["store"], sc["remaining"], sc["setup"], params, (), instrument=True
             )
         errors = [
             float(np.linalg.norm(chosen[c] - exact[c]))
@@ -683,7 +652,7 @@ class TestFedrecover:
         assert len(asked) == len(aggregated) == sc["rounds"]
         assert len(errors) == estimated_rounds * n_remaining
         assert result.measured_m == max(errors) > 0.0
-        plain = fedrecover(sc["store"], sc["malicious"], sc["setup"], params, ())
+        plain = fedrecover(sc["store"], sc["remaining"], sc["setup"], params, ())
         assert plain.measured_m is None
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -695,7 +664,7 @@ class TestFedrecover:
         sc = ridge_trim_scenario
         store = sc["store"]
         params = recovery_params()
-        remaining = sorted(set(sc["setup"].client_ids) - sc["malicious"])
+        remaining = sc["remaining"]
         # round 6 is the first estimated round; its first estimate is for remaining[0]
         t0, c0 = params.warmup_rounds, remaining[0]
         path = tmp_path / "h.bin"
@@ -723,7 +692,7 @@ class TestFedrecover:
 
         monkeypatch.setattr(recovery, "lbfgs_hvp", kernel)
         monkeypatch.setattr(recovery, "linf_norm", linf)
-        result = fedrecover(history, sc["malicious"], sc["setup"], params, (sc["rounds"],))
+        result = fedrecover(history, sc["remaining"], sc["setup"], params, (sc["rounds"],))
         assert result.abnormality_count >= 1
         assert len(hvp_calls) == sum(accepted) + result.abnormality_count
         expected = predicted_cost(sc["rounds"], 6, 5, 3)
@@ -733,7 +702,7 @@ class TestFedrecover:
         assert np.all(np.isfinite(result.models[sc["rounds"]]))
 
 
-def _observed_fedrecover(history, detected, setup, params):
+def _observed_fedrecover(history, remaining, setup, params):
     """fedrecover with its estimate attempts observed from outside.
 
     Counts `lbfgs_hvp` calls, attributes each `LbfgsBuffers.hvp` call to
@@ -765,7 +734,7 @@ def _observed_fedrecover(history, detected, setup, params):
         mock.patch.object(LbfgsBuffers, "hvp", hvp),
         mock.patch.object(recovery, "linf_norm", linf),
     ):
-        result = fedrecover(history, detected, setup, params, (history.total_rounds,))
+        result = fedrecover(history, remaining, setup, params, (history.total_rounds,))
     accepted = 0
     fixes = {c: 0 for c in result.exact_rounds_per_client}
     for client, norm in attempts:
@@ -777,7 +746,7 @@ def _observed_fedrecover(history, detected, setup, params):
 
 @st.composite
 def recovery_cases(draw):
-    """A stored scenario, a nonempty detected list in drawn order and
+    """A stored scenario, the clients a nonempty detected list leaves and
     recovery parameters. The backdoor scenario trims k=2 of 8 clients, so
     at most 3 are detected there."""
     name = draw(st.sampled_from(["ridge", "backdoor"]))
@@ -794,14 +763,14 @@ def recovery_cases(draw):
         tau=None,
         tolerance_rate=draw(st.sampled_from([1e-6, 0.01, 0.1, 0.5])),
     )
-    return name, detected, params
+    return name, sorted(set(range(n_clients)) - set(detected)), params
 
 
 class TestFedrecoverProperties:
     @settings(max_examples=25, deadline=None)
     @given(case=recovery_cases())
     def test_properties(self, ridge_trim_scenario, logreg_backdoor_scenario, case):
-        name, detected, kw = case
+        name, remaining, kw = case
         sc = ridge_trim_scenario if name == "ridge" else logreg_backdoor_scenario
         store, setup = sc["store"], sc["setup"]
         floor = predicted_cost(
@@ -810,7 +779,7 @@ class TestFedrecoverProperties:
         for tau in (None, math.inf):
             params = RecoveryParams(**{**kw, "tau": tau})
             result, kernel_calls, accepted, fixes = _observed_fedrecover(
-                store, detected, setup, params
+                store, remaining, setup, params
             )
             # the benchmark's trace identity: every kernel call is an
             # accepted estimate or an abnormality
@@ -819,8 +788,8 @@ class TestFedrecoverProperties:
             assert result.exact_rounds_per_client == {c: floor + fixes[c] for c in fixes}
             if tau is not None:  # tau = inf never fixes
                 assert result.abnormality_count == 0
-            # the order of `detected` does not matter
-            again = fedrecover(store, detected[::-1], setup, params, (sc["rounds"],))
+            # the order of `remaining` does not matter
+            again = fedrecover(store, remaining[::-1], setup, params, (sc["rounds"],))
             np.testing.assert_array_equal(again.models[sc["rounds"]], result.models[sc["rounds"]])
             assert again.exact_rounds_per_client == result.exact_rounds_per_client
             assert again.abnormality_count == result.abnormality_count
@@ -894,11 +863,11 @@ class TestPeriodOneIsRetraining:
             malicious=sc["malicious"],
             l=sc["l"],
         )
+        remaining = sorted(set(setup.client_ids) - set(detected))
         with tempfile.TemporaryDirectory() as tmp:
             _, store = train_and_load(setup, sc["rounds"], os.path.join(tmp, "h.bin"))
             every = range(sc["rounds"] + 1)
-            result = fedrecover(store, detected, setup, params, every)
-        remaining = sorted(set(setup.client_ids) - set(detected))
+            result = fedrecover(store, remaining, setup, params, every)
         trace = train_from_scratch(setup, remaining, sc["rounds"], every)
         assert list(result.models) == list(trace) == list(every)
         for t in every:
@@ -909,7 +878,7 @@ class TestBaselines:
     def test_historical_replay_identity(self, ridge_trim_scenario):
         sc = ridge_trim_scenario
         setup = sc["setup"]
-        trace = historical_only(sc["store"], frozenset(), setup, (0, sc["rounds"]))
+        trace = historical_only(sc["store"], setup.client_ids, setup, (0, sc["rounds"]))
         # replaying every stored update must land on the original final model
         np.testing.assert_array_equal(trace[sc["rounds"]], sc["final"])
         first_model, _ = next(sc["store"].rounds())
@@ -942,23 +911,21 @@ class TestBaselines:
         assert list(train(setup, 0, tmp_path / "h.bin", CHASH, (0,))) == [0]
         store = HistoryStore.load(tmp_path / "h.bin")
         params = recovery_params()
-        assert historical_only(store, {0}, setup, (0,)) == {}
-        assert fedrecover(store, {0}, setup, params, (0,), instrument=True).models == {}
+        assert historical_only(store, range(1, 6), setup, (0,)) == {}
+        assert fedrecover(store, range(1, 6), setup, params, (0,), instrument=True).models == {}
 
     def test_historical_cost_is_zero_by_definition(self, ridge_trim_scenario):
         from fedsim.metrics import cost_saving
 
         sc = ridge_trim_scenario
-        remaining = sorted(set(sc["setup"].client_ids) - sc["malicious"])
-        cp, acp = cost_saving(sc["rounds"], {c: 0 for c in remaining})
+        cp, acp = cost_saving(sc["rounds"], {c: 0 for c in sc["remaining"]})
         assert acp == 100.0
 
     def test_scratch_cost_is_total(self, ridge_trim_scenario):
         from fedsim.metrics import cost_saving
 
         sc = ridge_trim_scenario
-        remaining = sorted(set(sc["setup"].client_ids) - sc["malicious"])
-        cp, acp = cost_saving(sc["rounds"], {c: sc["rounds"] for c in remaining})
+        cp, acp = cost_saving(sc["rounds"], {c: sc["rounds"] for c in sc["remaining"]})
         assert acp == 0.0
 
 
@@ -967,11 +934,11 @@ class TestResidualAttackers:
         # one trim attacker escapes detection and keeps attacking in every
         # exact round; each round's crafting is seeded by the round, so reruns agree
         sc = ridge_trim_scenario
-        detected = frozenset({0})  # client 1 stays malicious
+        remaining = [1, 2, 3, 4, 5]  # 0 detected: client 1 stays malicious
         params = recovery_params(tau=None, tolerance_rate=0.05)
         final = (sc["rounds"],)
-        a = fedrecover(sc["store"], detected, sc["setup"], params, final)
-        b = fedrecover(sc["store"], detected, sc["setup"], params, final)
+        a = fedrecover(sc["store"], remaining, sc["setup"], params, final)
+        b = fedrecover(sc["store"], remaining, sc["setup"], params, final)
         np.testing.assert_array_equal(a.models[sc["rounds"]], b.models[sc["rounds"]])
         assert a.exact_rounds_per_client == b.exact_rounds_per_client
         floor = predicted_cost(sc["rounds"], 6, 5, 3)
@@ -979,9 +946,9 @@ class TestResidualAttackers:
 
     def test_undetected_backdoor_attacker_rescales(self, logreg_backdoor_scenario):
         sc = logreg_backdoor_scenario
-        detected = frozenset({2})  # client 5 survives; lam doubles to 16
+        remaining = [0, 1, 3, 4, 5, 6, 7]  # 2 detected: client 5 survives; lam doubles to 16
         params = recovery_params(warmup_rounds=5, correction_period=5, final_tuning_rounds=3)
-        result = fedrecover(sc["store"], detected, sc["setup"], params, (sc["rounds"],))
+        result = fedrecover(sc["store"], remaining, sc["setup"], params, (sc["rounds"],))
         assert 5 in result.exact_rounds_per_client
         assert np.all(np.isfinite(result.models[sc["rounds"]]))
 
@@ -1002,7 +969,7 @@ class TestResidualAttackers:
             path = tmp_path / name
             _, store = train_and_load(setup, 24, path, 0.05)
             params = recovery_params(tau=None, tolerance_rate=0.05)
-            result = fedrecover(store, {1}, setup, params, range(25), instrument=True)
+            result = fedrecover(store, [0, 2, 3, 4, 5], setup, params, range(25), instrument=True)
             return path.read_bytes(), result
 
         history, result = run((1, 3, 4), "named.bin")
@@ -1044,7 +1011,7 @@ class TestHistoricalOnlyUnderAttack:
         )
         train(setup, 300, tmp_path / "h.bin", CHASH, ())
         store = HistoryStore.load(tmp_path / "h.bin")
-        model = historical_only(store, {0, 1, 2}, setup, (300,))[300]
+        model = historical_only(store, range(3, 8), setup, (300,))[300]
         ter = test_error_rate(setup.spec, model, test_set)
         assert ter >= 0.5
 

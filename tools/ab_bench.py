@@ -18,10 +18,11 @@ exported copy is removed at the end.
 
 The summary is also kept in `BENCH_<short-sha>.json` at the repository
 root, named after the working tree's commit (`-dirty` when the files the
-benchmark runs differ from it), under `workloads.<W>`, so one file holds
-every workload run against that tree: each side's environment line (from
-its first run), the table above per metric, the number of incorrect runs
-and each side's `src/fedsim/*.py` line count.
+benchmark runs differ from it, an untracked one included), under
+`workloads.<W>`, so one file holds every workload run against that tree:
+each side's environment line (from its first run), the table above per
+metric, the number of incorrect runs and each side's `src/fedsim/*.py`
+line count.
 """
 
 from __future__ import annotations
@@ -73,12 +74,15 @@ def src_lines(root: Path) -> int:
 def bench_path() -> Path:
     """BENCH_<short-sha>.json for the working tree's commit, `-dirty` when
     what the benchmark runs (src/, perfbench/, BENCHMARK.json) differs
-    from that commit."""
+    from that commit: a changed tracked file or an untracked, unignored one."""
     git = ["git", "-C", str(ROOT)]
     sha = subprocess.run(git + ["rev-parse", "--short", "HEAD"], check=True, capture_output=True,
                          text=True).stdout.strip()
     measured = ["src", "perfbench", "BENCHMARK.json"]
-    dirty = subprocess.run(git + ["diff", "--quiet", "HEAD", "--"] + measured).returncode != 0
+    changed = subprocess.run(git + ["diff", "--quiet", "HEAD", "--"] + measured).returncode != 0
+    untracked = subprocess.run(git + ["ls-files", "--others", "--exclude-standard", "--"] + measured,
+                               check=True, capture_output=True, text=True).stdout
+    dirty = changed or bool(untracked)
     return ROOT / f"BENCH_{sha}{'-dirty' if dirty else ''}.json"
 
 
