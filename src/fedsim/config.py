@@ -12,6 +12,8 @@ import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
+import numpy as np
+
 from . import data as data_mod
 from .aggregation import RULE_KINDS, AggregationRule
 from .attacks import AttackConfig, Trigger
@@ -388,7 +390,8 @@ def _load_idx(d: DatasetConfig, split: str):
 
 def build_datasets(cfg: ExperimentConfig):
     """(train, test) datasets described by the config, matched to the
-    model before anything is written: the library trusts their dim and,
+    model before anything is written: the library trusts their dim, their
+    finite inputs (a `separation` whose blobs overflow is refused) and,
     under a backdoor attack, that some test example is not of the target."""
     d = cfg.dataset
     if d.kind == "synthetic":
@@ -398,6 +401,8 @@ def build_datasets(cfg: ExperimentConfig):
         test = data_mod.gen_synthetic(
             d.num_classes, d.dim, d.test_per_class, d.separation, derive_seed(cfg.seed, STREAM_DATAGEN, 2, 0)
         )
+        if not (np.isfinite(train.inputs).all() and np.isfinite(test.inputs).all()):
+            raise ConfigError("dataset.separation", "the blobs' spread overflows the float range")
     else:
         train, test = (_load_idx(d, split) for split in ("train", "test"))
     dim = cfg.model.input_dim

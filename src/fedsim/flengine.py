@@ -60,7 +60,10 @@ class _RecordFile:
     (`MAGIC`, `VERSION`, the constructor's sizes, a 32-byte config hash),
     then one fixed-size record per round, packed, little-endian and in
     round order: its round index, the subclass's `_fields`, and a 64-bit
-    checksum of the bytes before it. Faults of `load` and `_records` name the file."""
+    checksum of the bytes before it. Faults of `load` and `_records` name the file.
+    A subclass's `_fields` and `_field_bytes` state its record's fields
+    and their size: `load` checks the header's sizes against the file in
+    Python ints, so nothing is shaped by sizes the file cannot back."""
 
     MAGIC: bytes
     HEADER: struct.Struct  # magic, version, then the constructor's sizes
@@ -115,7 +118,7 @@ class _RecordFile:
             if len(config_hash) != 32:
                 raise HistoryError("truncated header (config hash)")
             file = cls(path, *sizes, config_hash)
-            count, partial = divmod(os.fstat(f.fileno()).st_size - f.tell(), file._dtype().itemsize)
+            count, partial = divmod(os.fstat(f.fileno()).st_size - f.tell(), 4 + file._field_bytes() + 8)
             if partial:
                 raise HistoryError("truncated record")
             if count != file.total_rounds:
@@ -128,6 +131,8 @@ class _RecordFile:
         """Reads records `first`..T-1 into one buffer, yielding the record
         viewed over it (overwritten by the next) once it is whole, its
         checksum holds, `_check` passes and it is in round order."""
+        if first >= self.total_rounds:
+            return  # no record: the sizes were never backed by one
         buf, rec = self._buffer()
         with _naming(self.path), open(self.path, "rb") as f:
             f.seek(self.HEADER.size + 32 + first * buf.size)
@@ -165,11 +170,13 @@ class HistoryStore(_RecordFile):
     def __init__(self, path, d: int, n: int, total_rounds: int, config_hash: bytes):
         super().__init__(path, d, n, total_rounds, config_hash)
         self.tops = None
-        self._ids = np.arange(n)
 
     def _fields(self) -> list:
         client = np.dtype([("id", "<u4"), ("u", "<f8", (self.d,))])
         return [("model", "<f8", (self.d,)), ("count", "<u4"), ("clients", client, (self.n,))]
+
+    def _field_bytes(self) -> int:
+        return 8 * self.d + 4 + self.n * (4 + 8 * self.d)
 
     @classmethod
     def create(cls, path, d: int, n: int, total_rounds: int, config_hash: bytes, tops=None) -> "HistoryStore":
@@ -177,6 +184,7 @@ class HistoryStore(_RecordFile):
         `tops`, when given, is the (path, m) of a `TopTable` that `append`
         fills beside the history."""
         store = super().create(path, d, n, total_rounds, config_hash)
+        store._rec["count"], store._rec["clients"]["id"] = n, np.arange(n)
         if tops is not None:
             store.tops = TopTable.create(tops[0], d, n, total_rounds, tops[1], config_hash)
         return store
@@ -187,9 +195,7 @@ class HistoryStore(_RecordFile):
         `train` appends rounds 0..T-1 in order, each with every client's
         d-vector; `rounds()` checks each record again as it reads it."""
         mat = np.array([updates[c] for c in range(self.n)], dtype=np.float64)
-        rec = self._rec
-        rec["model"], rec["count"] = model, self.n
-        rec["clients"]["id"], rec["clients"]["u"] = self._ids, mat
+        self._rec["model"], self._rec["clients"]["u"] = model, mat
         self._write(round_idx)
         if self.tops is not None:
             self.tops.append(round_idx, mat)
@@ -224,7 +230,7 @@ class HistoryStore(_RecordFile):
 
     def _check(self, rec, where: str) -> None:
         clients = rec["clients"]
-        if rec["count"] != self.n or not np.array_equal(clients["id"], self._ids):
+        if rec["count"] != self.n or not np.array_equal(clients["id"], np.arange(self.n)):
             raise HistoryError(f"{where} does not hold clients 0..{self.n - 1}")
         if not (np.isfinite(rec["model"]).all() and np.isfinite(clients["u"]).all()):
             raise HistoryError(f"{where} holds non-finite values")
@@ -247,6 +253,9 @@ class TopTable(_RecordFile):
 
     def _fields(self) -> list:
         return [("top", "<f8", (self.n, self.m))]
+
+    def _field_bytes(self) -> int:
+        return 8 * self.n * self.m
 
     def append(self, round_idx: int, mat: np.ndarray) -> None:
         """Write round `round_idx` from its (n, d) updates: each row's m

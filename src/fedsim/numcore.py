@@ -90,10 +90,6 @@ class RngStream:
         self.seed = seed & _MASK64
         self.counter = 0
 
-    def next_u64(self) -> int:
-        self.counter += 1
-        return mix64((self.seed + self.counter * _GOLDEN) & _MASK64)
-
     def _block(self, first: int, n: int) -> np.ndarray:
         """Raw 64-bit draws first+1 .. first+n, vectorized; the counter
         does not move."""
@@ -107,10 +103,6 @@ class RngStream:
         block = self._block(self.counter, n)
         self.counter += n
         return block
-
-    def uniform(self) -> float:
-        """One double in [0, 1)."""
-        return (self.next_u64() >> 11) * 2.0**-53
 
     def uniforms(self, n: int) -> np.ndarray:
         return _unit(self._next_block(n))
@@ -151,7 +143,7 @@ class RngStream:
         The config guarantees alpha > 0 (`finetune.beta`)."""
         if alpha < 1.0:
             # boost: G(a) = G(a+1) * U^(1/a)
-            u = max(self.uniform(), 2.0**-53)
+            u = max(float(self.uniforms(1)[0]), 2.0**-53)
             return self.gamma(alpha + 1.0) * u ** (1.0 / alpha)
         d = alpha - 1.0 / 3.0
         c = 1.0 / np.sqrt(9.0 * d)
@@ -160,7 +152,7 @@ class RngStream:
             v = (1.0 + c * x) ** 3
             if v <= 0.0:
                 continue
-            u = self.uniform()
+            u = float(self.uniforms(1)[0])
             if u < 1.0 - 0.0331 * x**4:
                 return d * v
             if u > 0.0 and np.log(u) < 0.5 * x * x + d * (1.0 - v + np.log(v)):

@@ -1,4 +1,8 @@
 import json
+import os
+import resource
+import subprocess
+import sys
 from pathlib import Path
 from typing import Callable
 
@@ -7,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
+import fedsim
 from fedsim.aggregation import AggregationRule
 from fedsim.attacks import AttackConfig, Trigger
 from fedsim.cli import _summary_error
@@ -48,7 +53,26 @@ def assert_both_accept(summary):
 
 def randint_below(rng, n: int) -> int:
     """Integer in [0, n) from one 64-bit draw of `rng`, by multiply-shift."""
-    return (rng.next_u64() * n) >> 64
+    return (int(rng._next_block(1)[0]) * n) >> 64
+
+
+def run_under_address_limit(code: str, *args, limit: int = 2 << 30) -> str:
+    """What a child Python running `code` on `args` prints, under an
+    address-space limit of its own (`RLIMIT_AS`, 2 GiB by default): an
+    allocation sized by a corrupt header fails there, as a MemoryError,
+    instead of growing the test process."""
+    src = os.path.dirname(os.path.dirname(fedsim.__file__))
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1"}
+    env["PYTHONPATH"] = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *map(str, args)], env=env, preexec_fn=cap,
+        capture_output=True, text=True, timeout=120,
+    )
+    return proc.stdout + proc.stderr
 
 
 # The loss `models.gradient` differentiates, kept here as the gradient

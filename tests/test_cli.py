@@ -6,6 +6,7 @@ import os
 import resource
 import shutil
 import signal
+import struct
 import subprocess
 import sys
 import time
@@ -1040,6 +1041,17 @@ class TestDataMatchesTheModel:
         self.write_split(tmp_path, split, n, 28, labels or [i % 10 for i in range(n)], **magic)
         assert main(["train", "-c", str(cfg_path)]) == 1
         assert capsys.readouterr().err == f"error: config field {expected}\n"
+        assert os.listdir(tmp_path / "runs" / "mnist") == []
+
+    def test_image_header_past_the_file_names_its_key(self, tmp_path, monkeypatch, capsys):
+        # (2**32 - 1)**3 pixels: more bytes than a read can be asked for
+        cfg_path = self.config(tmp_path, monkeypatch)
+        images = tmp_path / "data" / "train" / "images.idx"
+        images.write_bytes(struct.pack(">IIII", 0x803, *[2**32 - 1] * 3) + images.read_bytes()[16:])
+        assert main(["train", "-c", str(cfg_path)]) == 1
+        assert capsys.readouterr().err == (
+            "error: config field [dataset.train_images]: unexpected end of file while reading image pixels\n"
+        )
         assert os.listdir(tmp_path / "runs" / "mnist") == []
 
     @pytest.mark.parametrize("split, part", [("test", "labels"), ("train", "images")])

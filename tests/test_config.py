@@ -245,6 +245,16 @@ class TestBuilders:
         cfg = parse_config_string(BACKDOOR)
         assert pick_malicious(cfg) == pick_malicious(cfg)
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+    def test_overflowing_separation_names_its_key(self):
+        # blobs 1.7e308 from the origin span more than the float range, so
+        # the map into [0, 1] divides by inf
+        text = MINIMAL.replace("num_classes = 5\ndim = 6", "num_classes = 3\ndim = 2\nseparation = 1.7e308")
+        cfg = parse_config_string(text)
+        with pytest.raises(ConfigError, match="dataset.separation") as err:
+            build_datasets(cfg)
+        assert err.value.field == "dataset.separation"
+
 
 # The canonical serializer as it was before the key table, kept verbatim as
 # the reference the table-driven `serialize_config` must match byte for byte

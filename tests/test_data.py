@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import run_under_address_limit
 from fedsim.data import (
     Dataset,
     IdxError,
@@ -82,6 +83,29 @@ class TestIdxLoader:
         with pytest.raises(IdxError, match=message) as err:
             load_mnist_idx(img, lab)
         assert err.value.part == part
+
+    @pytest.mark.parametrize(
+        "images, labels, what",
+        [((2, 2, 2), 2**32 - 1, "labels"), ((10**6, 1000, 1000), 2, "image pixels")],
+        ids=["label-count", "pixels-1e12"],
+    )
+    def test_header_count_past_the_file_is_refused_before_the_read(self, tmp_path, images, labels, what):
+        # the pair holds two 2x2 images and labels 0, 1, whatever the headers say;
+        # the loader runs under an address-space limit, which a read sized by
+        # the header would exceed
+        img, lab = write_idx_pair(tmp_path, np.zeros((2, 2, 2), dtype=np.uint8), [0, 1])
+        img.write_bytes(struct.pack(">IIII", 0x803, *images) + img.read_bytes()[16:])
+        lab.write_bytes(struct.pack(">II", 0x801, labels) + lab.read_bytes()[8:])
+        code = (
+            "import sys\n"
+            "from fedsim.data import IdxError, load_mnist_idx\n"
+            "try:\n"
+            "    load_mnist_idx(sys.argv[1], sys.argv[2])\n"
+            "except IdxError as exc:\n"
+            "    print(exc.part, exc)\n"
+        )
+        part = "labels" if what == "labels" else "images"
+        assert run_under_address_limit(code, img, lab) == f"{part} unexpected end of file while reading {what}\n"
 
 
 def one_shot_synthetic(num_classes, dim, n_per_class, separation, seed):
@@ -268,15 +292,3 @@ class TestPartition:
             mean_tv.append(np.mean(tvs))
         assert all(a <= b + 1e-6 for a, b in zip(mean_tv, mean_tv[1:]))
 
-
-def test_dataset_validation():
-    with pytest.raises(ValueError):
-        Dataset(np.zeros((3, 2)), np.array([0, 1, 5]), num_classes=3)
-
-
-@pytest.mark.parametrize("bad", [np.nan, np.inf])
-def test_dataset_rejects_non_finite_inputs(bad):
-    x = np.zeros((3, 2))
-    x[1, 0] = bad
-    with pytest.raises(ValueError, match="non-finite"):
-        Dataset(x, np.array([0, 1, 2]), num_classes=3)

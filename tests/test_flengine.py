@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from conftest import build_setup, loss, train_and_load
+from conftest import build_setup, loss, run_under_address_limit, train_and_load
 from fedsim.aggregation import AggregationRule
 from fedsim.attacks import AttackConfig, Trigger, backdoor_update
 from fedsim.data import gen_synthetic, partition_noniid
@@ -172,6 +172,71 @@ class TestHistoryStore:
         path.write_bytes(bytes(blob))
         with pytest.raises(HistoryError, match="2 complete records, header says T=4294967295"):
             HistoryStore.load(path)
+
+    def written(self, tmp_path, tops=False):
+        """A whole 3-round history (d=5, n=3) at h.bin, and with `tops` its
+        table (m=2) at h.tops; the two paths."""
+        path, table = tmp_path / "h.bin", tmp_path / "h.tops"
+        store = HistoryStore.create(path, 5, 3, 3, CHASH, tops=(table, 2) if tops else None)
+        for rec in self.make_records():
+            store.append(*rec)
+        return path, table
+
+    @staticmethod
+    def patch(path, fmt, offset, *values):
+        blob = bytearray(path.read_bytes())
+        struct.pack_into(fmt, blob, offset, *values)
+        path.write_bytes(bytes(blob))
+
+    @pytest.mark.parametrize("file", ["history", "table"])
+    def test_header_sizes_past_the_file_name_it(self, tmp_path, file):
+        # d = 2**40 (and the table's m = 2**32 - 1) would shape a record no
+        # numpy dtype can hold; the file's size refuses the header first
+        path, table = self.written(tmp_path, tops=True)
+        if file == "history":
+            self.patch(path, "<Q", 8, 2**40)
+        else:
+            self.patch(table, "<Q", 8, 2**40)
+            self.patch(table, "<I", 24, 2**32 - 1)  # m, after T
+        with pytest.raises(HistoryError, match="truncated record") as err:
+            HistoryStore.load(path, table)
+        assert str(err.value).startswith(f"{path if file == 'history' else table}: ")
+
+    def test_header_n_past_the_file_allocates_nothing(self, tmp_path):
+        path, _ = self.written(tmp_path)
+        self.patch(path, "<I", 16, 2**24)  # n, after magic, version and d
+        tracemalloc.start()
+        try:
+            with pytest.raises(HistoryError, match="truncated record"):
+                HistoryStore.load(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    def test_header_n_of_2_31_is_refused_under_an_address_limit(self, tmp_path):
+        # 2**31 client ids alone would take 16 GiB
+        path, _ = self.written(tmp_path)
+        self.patch(path, "<I", 16, 2**31)
+        code = (
+            "import sys\n"
+            "from fedsim.flengine import HistoryError, HistoryStore\n"
+            "try:\n"
+            "    HistoryStore.load(sys.argv[1])\n"
+            "except HistoryError as exc:\n"
+            "    print(exc)\n"
+        )
+        assert run_under_address_limit(code, path) == f"{path}: truncated record\n"
+
+    def test_header_without_records_shapes_nothing(self, tmp_path):
+        # no record backs the sizes of a T = 0 header, so nothing is sized by them
+        path = tmp_path / "h.bin"
+        HistoryStore.create(path, 5, 3, 0, CHASH)
+        self.patch(path, "<Q", 8, 2**40)
+        loaded = HistoryStore.load(path)
+        assert list(loaded.rounds()) == []
+        with pytest.raises(HistoryError, match=r"h\.bin: history meta \(d=1099511627776, n=3, T=0\)"):
+            HistoryStore.load(path, meta=(5, 3, 1, CHASH))
 
     def test_load_header_checks_magic(self, tmp_path):
         path = tmp_path / "h.bin"

@@ -49,10 +49,6 @@ class TestTer:
                 wrong += 1
         assert error_rate(SPEC, w, ds) == pytest.approx(wrong / ds.size)
 
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            make_dataset([])
-
 
 class TestAsr:
     def test_hardwired_target_model(self):

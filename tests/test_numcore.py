@@ -5,6 +5,8 @@ from hypothesis import strategies as st
 
 from conftest import finite_diff_gradient
 from fedsim.numcore import (
+    _GOLDEN,
+    _MASK64,
     _NORMAL_CHUNK,
     RngStream,
     derive_seed,
@@ -47,6 +49,37 @@ class TestDeriveSeed:
         assert 0 <= out < 2**64
 
 
+# The scalar draws `RngStream` made before it drew only in blocks, kept
+# verbatim as the oracle of the block path (`_block`, `uniforms`).
+def next_u64(stream: RngStream) -> int:
+    stream.counter += 1
+    return mix64((stream.seed + stream.counter * _GOLDEN) & _MASK64)
+
+
+def uniform(stream: RngStream) -> float:
+    """One double in [0, 1)."""
+    return (next_u64(stream) >> 11) * 2.0**-53
+
+
+def scalar_gamma(stream: RngStream, alpha: float) -> float:
+    """`RngStream.gamma` as it drew from the scalar `uniform`."""
+    if alpha < 1.0:
+        u = max(uniform(stream), 2.0**-53)
+        return scalar_gamma(stream, alpha + 1.0) * u ** (1.0 / alpha)
+    d = alpha - 1.0 / 3.0
+    c = 1.0 / np.sqrt(9.0 * d)
+    while True:
+        x = float(stream.normals(1)[0])
+        v = (1.0 + c * x) ** 3
+        if v <= 0.0:
+            continue
+        u = uniform(stream)
+        if u < 1.0 - 0.0331 * x**4:
+            return d * v
+        if u > 0.0 and np.log(u) < 0.5 * x * x + d * (1.0 - v + np.log(v)):
+            return d * v
+
+
 def one_shot_normals(stream: RngStream, n: int) -> np.ndarray:
     """`RngStream.normals` as a single pass over whole arrays: the oracle
     of the chunked form, which must give the same bits and counter."""
@@ -85,7 +118,7 @@ class TestNormalsMatchOneShot:
         chunked, oracle = RngStream(seed), RngStream(seed)
         chunked.normals(n)
         one_shot_normals(oracle, n)
-        assert chunked.next_u64() == oracle.next_u64()
+        assert int(chunked._next_block(1)[0]) == next_u64(oracle)
         assert np.array_equal(chunked.uniforms(5), oracle.uniforms(5))
 
 
@@ -93,22 +126,29 @@ class TestRngStream:
     def test_replay_identical(self):
         a = RngStream(42)
         b = RngStream(42)
-        assert [a.next_u64() for _ in range(5)] == [b.next_u64() for _ in range(5)]
+        np.testing.assert_array_equal(a.uniforms(5), b.uniforms(5))
 
     def test_golden_first_draws(self):
-        s = RngStream(42)
-        assert [s.next_u64() for _ in range(3)] == [
-            13679457532755275413,
-            2949826092126892291,
-            5139283748462763858,
-        ]
+        golden = [13679457532755275413, 2949826092126892291, 5139283748462763858]
+        block, scalar = RngStream(42), RngStream(42)
+        assert block._next_block(3).tolist() == golden
+        assert [next_u64(scalar) for _ in range(3)] == golden
 
     def test_scalar_and_vector_draws_agree(self):
         a = RngStream(9)
         b = RngStream(9)
-        scalars = np.array([a.uniform() for _ in range(8)])
+        scalars = np.array([uniform(a) for _ in range(8)])
         vector = b.uniforms(8)
         np.testing.assert_array_equal(scalars, vector)
+        assert a.counter == b.counter
+
+    @pytest.mark.parametrize("alpha", [1e-3, 0.3, 0.5, 1.0, 4.0])
+    def test_gamma_matches_the_scalar_oracle(self, alpha):
+        a, b = RngStream(10), RngStream(10)
+        got = [a.gamma(alpha) for _ in range(200)]
+        want = [scalar_gamma(b, alpha) for _ in range(200)]
+        assert np.array(got).tobytes() == np.array(want).tobytes()
+        assert a.counter == b.counter
 
     def test_uniform_range(self):
         s = RngStream(3)
