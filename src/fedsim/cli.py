@@ -249,7 +249,7 @@ def cmd_train(cfg_path: str) -> int:
         with _atomic(*outputs) as (history_temp, tops_temp, config_temp):
             kept = train(setup, cfg.rounds, history_temp, chash, rounds, tops=(tops_temp, m))
             with open_named(config_temp, "w", encoding="utf-8") as f:
-                f.write(config_mod.serialize_config(cfg))
+                f.write(cfg.canonical)
         ter, asr = _write_metrics_csv(
             os.path.join(run_dir, "train_metrics.csv"), cfg, kept, test_set, rounds
         )

@@ -1,15 +1,15 @@
 """Experiment configuration: INI-style parsing with strict validation,
-canonical serialization (so config hashes are portable), and builders that
+a canonical text form (so config hashes are portable), and builders that
 turn a config into concrete datasets and a federated setup. Every key is
-one row of `_KEYS` (section, name, converter, default, variant, range),
-which both the parser and the canonical form walk in order.
+one row of `_KEYS` (section, name, converter, default, variant, range);
+the parser walks it once, reading each key and writing its canonical line.
 """
 
 from __future__ import annotations
 
 import configparser
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -29,9 +29,9 @@ _REQUIRED = object()
 class ConfigError(ValueError):
     """Configuration problem, field-precise."""
 
-    def __init__(self, field: str, reason: str):
-        self.field = field
-        super().__init__(f"config field [{field}]: {reason}")
+    def __init__(self, name: str, reason: str):
+        self.field = name
+        super().__init__(f"config field [{name}]: {reason}")
 
 
 @dataclass(frozen=True)
@@ -77,6 +77,8 @@ class ExperimentConfig:
     recovery: RecoveryParams
     bound_check: bool
     finetune: FinetuneConfig
+    # the text `config.ini` holds and `config_hash` hashes, written by `_parse`
+    canonical: str = field(repr=False, compare=False)
 
     @property
     def n_malicious(self) -> int:
@@ -125,7 +127,6 @@ class _Key(NamedTuple):
     conv: Callable
     default: object  # _REQUIRED: the key must be given wherever it applies
     when: tuple | None  # (selector key of the same section, value): the variant it applies to
-    attr: str  # dotted path of the value in ExperimentConfig
     anywhere: bool = False  # read in every variant (keeping its default), written in its own
     within: str | None = None  # the range the key accepts: "[" "]" include an end, "(" ")" exclude it
 
@@ -136,57 +137,57 @@ _PATCH, _KTH = ("trigger", "pixel_patch"), ("trigger", "every_kth")
 
 # In canonical order; a variant's selector comes before the keys it selects.
 _KEYS = (
-    _Key("experiment", "seed", int, _REQUIRED, None, "seed", within="[0, inf)"),
+    _Key("experiment", "seed", int, _REQUIRED, None, within="[0, inf)"),
     # 4294967296 = 2**32: the history header stores T and n as u32
-    _Key("experiment", "rounds", int, _REQUIRED, None, "rounds", within="[1, 4294967296)"),
-    _Key("experiment", "learning_rate", _to_finite, _REQUIRED, None, "learning_rate", within="(0, inf)"),
-    _Key("experiment", "batch_size", int, 32, None, "batch_size", within="[1, inf)"),
-    _Key("experiment", "local_steps", int, 1, None, "local_steps", within="[1, inf)"),
-    _Key("experiment", "n_clients", int, _REQUIRED, None, "n_clients", within="[1, 4294967296)"),
-    _Key("experiment", "malicious_fraction", _to_finite, None, None, "malicious_fraction", within="[0, 1)"),
-    _Key("experiment", "malicious_count", int, None, None, "malicious_count", within="[0, inf)"),
-    _Key("experiment", "noniid_degree", _to_finite, 0.5, None, "noniid_degree"),
-    _Key("experiment", "aggregation", _one_of(*RULE_KINDS), _REQUIRED, None, "rule.kind"),
-    _Key("experiment", "trim_k", int, 0, ("aggregation", "trimmed_mean"), "rule.k", anywhere=True, within="[0, inf)"),
-    _Key("experiment", "output_dir", str, _REQUIRED, None, "output_dir"),
-    _Key("dataset", "kind", _one_of("synthetic", "mnist"), _REQUIRED, None, "dataset.kind"),
-    _Key("dataset", "num_classes", int, 10, _SYNTHETIC, "dataset.num_classes", within="[2, inf)"),
-    _Key("dataset", "dim", int, 20, _SYNTHETIC, "dataset.dim", within="[1, inf)"),
-    _Key("dataset", "per_class", int, 100, _SYNTHETIC, "dataset.per_class", within="[1, inf)"),
-    _Key("dataset", "test_per_class", int, 50, _SYNTHETIC, "dataset.test_per_class", within="[1, inf)"),
-    _Key("dataset", "separation", _to_finite, 3.0, _SYNTHETIC, "dataset.separation", within="(0, inf)"),
-    _Key("dataset", "train_images", str, _REQUIRED, _MNIST, "dataset.train_images"),
-    _Key("dataset", "train_labels", str, _REQUIRED, _MNIST, "dataset.train_labels"),
-    _Key("dataset", "test_images", str, _REQUIRED, _MNIST, "dataset.test_images"),
-    _Key("dataset", "test_labels", str, _REQUIRED, _MNIST, "dataset.test_labels"),
-    _Key("model", "kind", _one_of(*KINDS), _REQUIRED, None, "model.kind"),
-    _Key("model", "hidden", int, 0, _MLP, "model.hidden", anywhere=True, within="[1, inf)"),
-    _Key("model", "l2", _to_finite, 0.0, None, "model.l2", within="[0, inf)"),
-    _Key("attack", "kind", _one_of("none", "trim", "backdoor"), "none", None, "attack.kind"),
-    _Key("attack", "trim_b", _to_finite, 2.0, _TRIM, "attack.b", within="(1, inf)"),
-    _Key("attack", "trigger", _one_of("pixel_patch", "every_kth"), _REQUIRED, _BACKDOOR, "attack.trigger.kind"),
-    _Key("attack", "trigger_rows", int, 4, _PATCH, "attack.trigger.rows", within="[1, inf)"),
-    _Key("attack", "trigger_cols", int, 4, _PATCH, "attack.trigger.cols", within="[1, inf)"),
-    _Key("attack", "trigger_k", int, _REQUIRED, _KTH, "attack.trigger.k", within="[1, inf)"),
-    _Key("attack", "trigger_value", _to_finite, 1.0, _PATCH, "attack.trigger.value"),
-    _Key("attack", "trigger_value", _to_finite, 0.0, _KTH, "attack.trigger.value"),
-    _Key("attack", "target_label", int, 0, _BACKDOOR, "attack.target_label"),
-    _Key("attack", "scale", _to_finite, 1.0, _BACKDOOR, "attack.lam", within="(0, inf)"),
-    _Key("attack", "adaptive", _to_bool, False, _BACKDOOR, "attack.adaptive"),
-    _Key("detection", "fnr", _to_finite, 0.0, None, "fnr", within="[0, 1]"),
-    _Key("detection", "fpr", _to_finite, 0.0, None, "fpr", within="[0, 1]"),
-    _Key("recovery", "warmup_rounds", int, 20, None, "recovery.warmup_rounds"),
-    _Key("recovery", "correction_period", int, 10, None, "recovery.correction_period", within="[1, inf)"),
-    _Key("recovery", "final_tuning_rounds", int, 5, None, "recovery.final_tuning_rounds", within="[0, inf)"),
-    _Key("recovery", "buffer_size", int, 2, None, "recovery.buffer_size", within="[1, inf)"),
-    _Key("recovery", "tolerance_rate", _to_finite, 1e-6, None, "recovery.tolerance_rate"),
-    _Key("recovery", "tau", _to_float, None, None, "recovery.tau", within="[0, inf]"),
-    _Key("recovery", "hvp_mode", _one_of("lbfgs", "exact_quadratic"), "lbfgs", None, "recovery.hvp_mode"),
-    _Key("recovery", "bound_check", _to_bool, False, None, "bound_check"),
-    _Key("finetune", "epochs", int, 100, None, "finetune.epochs", within="[0, inf)"),
-    _Key("finetune", "n_examples", int, 1000, None, "finetune.n_examples", within="[1, inf)"),
-    _Key("finetune", "beta", _to_float, math.inf, None, "finetune.beta", within="(0, inf]"),
-    _Key("finetune", "batch_size", int, 32, None, "finetune.batch_size", within="[1, inf)"),
+    _Key("experiment", "rounds", int, _REQUIRED, None, within="[1, 4294967296)"),
+    _Key("experiment", "learning_rate", _to_finite, _REQUIRED, None, within="(0, inf)"),
+    _Key("experiment", "batch_size", int, 32, None, within="[1, inf)"),
+    _Key("experiment", "local_steps", int, 1, None, within="[1, inf)"),
+    _Key("experiment", "n_clients", int, _REQUIRED, None, within="[1, 4294967296)"),
+    _Key("experiment", "malicious_fraction", _to_finite, None, None, within="[0, 1)"),
+    _Key("experiment", "malicious_count", int, None, None, within="[0, inf)"),
+    _Key("experiment", "noniid_degree", _to_finite, 0.5, None),
+    _Key("experiment", "aggregation", _one_of(*RULE_KINDS), _REQUIRED, None),
+    _Key("experiment", "trim_k", int, 0, ("aggregation", "trimmed_mean"), anywhere=True, within="[0, inf)"),
+    _Key("experiment", "output_dir", str, _REQUIRED, None),
+    _Key("dataset", "kind", _one_of("synthetic", "mnist"), _REQUIRED, None),
+    _Key("dataset", "num_classes", int, 10, _SYNTHETIC, within="[2, inf)"),
+    _Key("dataset", "dim", int, 20, _SYNTHETIC, within="[1, inf)"),
+    _Key("dataset", "per_class", int, 100, _SYNTHETIC, within="[1, inf)"),
+    _Key("dataset", "test_per_class", int, 50, _SYNTHETIC, within="[1, inf)"),
+    _Key("dataset", "separation", _to_finite, 3.0, _SYNTHETIC, within="(0, inf)"),
+    _Key("dataset", "train_images", str, _REQUIRED, _MNIST),
+    _Key("dataset", "train_labels", str, _REQUIRED, _MNIST),
+    _Key("dataset", "test_images", str, _REQUIRED, _MNIST),
+    _Key("dataset", "test_labels", str, _REQUIRED, _MNIST),
+    _Key("model", "kind", _one_of(*KINDS), _REQUIRED, None),
+    _Key("model", "hidden", int, 0, _MLP, anywhere=True, within="[1, inf)"),
+    _Key("model", "l2", _to_finite, 0.0, None, within="[0, inf)"),
+    _Key("attack", "kind", _one_of("none", "trim", "backdoor"), "none", None),
+    _Key("attack", "trim_b", _to_finite, 2.0, _TRIM, within="(1, inf)"),
+    _Key("attack", "trigger", _one_of("pixel_patch", "every_kth"), _REQUIRED, _BACKDOOR),
+    _Key("attack", "trigger_rows", int, 4, _PATCH, within="[1, inf)"),
+    _Key("attack", "trigger_cols", int, 4, _PATCH, within="[1, inf)"),
+    _Key("attack", "trigger_k", int, _REQUIRED, _KTH, within="[1, inf)"),
+    _Key("attack", "trigger_value", _to_finite, 1.0, _PATCH),
+    _Key("attack", "trigger_value", _to_finite, 0.0, _KTH),
+    _Key("attack", "target_label", int, 0, _BACKDOOR),
+    _Key("attack", "scale", _to_finite, 1.0, _BACKDOOR, within="(0, inf)"),
+    _Key("attack", "adaptive", _to_bool, False, _BACKDOOR),
+    _Key("detection", "fnr", _to_finite, 0.0, None, within="[0, 1]"),
+    _Key("detection", "fpr", _to_finite, 0.0, None, within="[0, 1]"),
+    _Key("recovery", "warmup_rounds", int, 20, None),
+    _Key("recovery", "correction_period", int, 10, None, within="[1, inf)"),
+    _Key("recovery", "final_tuning_rounds", int, 5, None, within="[0, inf)"),
+    _Key("recovery", "buffer_size", int, 2, None, within="[1, inf)"),
+    _Key("recovery", "tolerance_rate", _to_finite, 1e-6, None),
+    _Key("recovery", "tau", _to_float, None, None, within="[0, inf]"),
+    _Key("recovery", "hvp_mode", _one_of("lbfgs", "exact_quadratic"), "lbfgs", None),
+    _Key("recovery", "bound_check", _to_bool, False, None),
+    _Key("finetune", "epochs", int, 100, None, within="[0, inf)"),
+    _Key("finetune", "n_examples", int, 1000, None, within="[1, inf)"),
+    _Key("finetune", "beta", _to_float, math.inf, None, within="(0, inf]"),
+    _Key("finetune", "batch_size", int, 32, None, within="[1, inf)"),
 )
 _SECTIONS = tuple(dict.fromkeys(k.section for k in _KEYS))
 
@@ -216,13 +217,19 @@ def _parse(f) -> ExperimentConfig:
         raise ConfigError(exc.section, "section given twice") from exc
     except configparser.Error as exc:  # a line outside any section, or not `key = value`
         raise ConfigError("file", " ".join(str(exc).split())) from exc
-    given = {name: dict(parser.items(name)) for name in parser.sections()}
+    given = {sec: dict(parser.items(sec)) for sec in parser.sections()}
     for sec in given:
         if sec not in _SECTIONS:
             raise ConfigError(sec, "unknown section")
     values = {sec: {} for sec in _SECTIONS}  # per section: key -> value, None outside its variant
+    # The canonical form: each key that applies and is not None, in table
+    # order, with its resolved value. Hashing it makes the config hash
+    # independent of key order, spacing, or omitted defaults in the source.
+    lines = []
     for k in _KEYS:
-        section, field = values[k.section], f"{k.section}.{k.key}"
+        section, name = values[k.section], f"{k.section}.{k.key}"
+        if not section:  # the section's first key
+            lines += ["", f"[{k.section}]"]
         applies = _applies(k, section)
         if not (k.anywhere or applies):
             section.setdefault(k.key, None)
@@ -230,30 +237,35 @@ def _parse(f) -> ExperimentConfig:
         raw = given.get(k.section, {}).pop(k.key, None)
         if raw is None:
             if k.default is _REQUIRED:
-                raise ConfigError(field, "required key missing")
+                raise ConfigError(name, "required key missing")
             value = k.default
+        elif "\n" in raw:  # configparser joins an indented next line onto the value
+            raise ConfigError(name, "the value must be on one line")
         else:
             try:
                 value = k.conv(raw)
             except (TypeError, ValueError) as exc:
-                raise ConfigError(field, f"cannot parse {raw!r}: {exc}") from exc
-        if applies and k.within is not None and value is not None and not _in_range(k, value):
-            raise ConfigError(field, f"must lie in {k.within}")
+                raise ConfigError(name, f"cannot parse {raw!r}: {exc}") from exc
+        if not applies:  # read outside its variant, where it must keep its default
+            if value != k.default:
+                raise ConfigError(name, f"applies to {k.when[0]} = {k.when[1]} only")
+        elif value is not None:
+            if k.within is not None and not _in_range(k, value):
+                raise ConfigError(name, f"must lie in {k.within}")
+            lines.append(f"{k.key} = {_fmt(value)}")
         section[k.key] = value
     for sec_name, leftover in given.items():
         for key in leftover:
             raise ConfigError(f"{sec_name}.{key}", "unknown key")
-    cfg = _build(values)
+    cfg = _build(values, "\n".join(lines[1:] + [""]))
     _validate(cfg)
     return cfg
 
 
-def _build(values: dict) -> ExperimentConfig:
-    """The config the parsed `values` describe; consumes them."""
+def _build(values: dict, canonical: str) -> ExperimentConfig:
+    """The config the parsed `values` and their `canonical` text describe;
+    consumes the values."""
     exp, ds, mdl, atk, rec = (values[s] for s in ("experiment", "dataset", "model", "attack", "recovery"))
-    for k in _KEYS:  # a key read outside its variant must keep its default there
-        if k.anywhere and not _applies(k, values[k.section]) and values[k.section][k.key] != k.default:
-            raise ConfigError(f"{k.section}.{k.key}", f"applies to {k.when[0]} = {k.when[1]} only")
     rule = AggregationRule(exp.pop("aggregation"), exp.pop("trim_k"))
     if ds["kind"] == "mnist":
         ds["num_classes"] = 10
@@ -282,6 +294,7 @@ def _build(values: dict) -> ExperimentConfig:
         recovery=RecoveryParams(**rec),
         bound_check=bound_check,
         finetune=FinetuneConfig(**values["finetune"]),
+        canonical=canonical,
     )
 
 
@@ -349,30 +362,8 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def serialize_config(cfg: ExperimentConfig) -> str:
-    """Canonical text form: each key that applies and is not None, in table
-    order, with its resolved value. Hashing this form makes the config hash
-    independent of key order, spacing, or omitted defaults in the source."""
-    out, section, seen = [], None, {}
-    for k in _KEYS:
-        if k.section != section:
-            section, seen = k.section, {}
-            out += ["", f"[{section}]"]
-        if not _applies(k, seen):
-            continue
-        value = cfg
-        for name in k.attr.split("."):  # None past an absent object (no attack)
-            value = None if value is None else getattr(value, name)
-        if value is None and k.default is not _REQUIRED:
-            value = k.default  # so a config without an attack writes its kind's default
-        seen[k.key] = value
-        if value is not None:
-            out.append(f"{k.key} = {_fmt(value)}")
-    return "\n".join(out[1:] + [""])
-
-
 def config_hash(cfg: ExperimentConfig) -> bytes:
-    return sha256(serialize_config(cfg).encode("utf-8")).digest()
+    return sha256(cfg.canonical.encode("utf-8")).digest()
 
 
 def _load_idx(d: DatasetConfig, split: str):

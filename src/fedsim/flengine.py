@@ -166,10 +166,7 @@ class HistoryStore(_RecordFile):
     `TopTable` when one is written or loaded with it."""
 
     MAGIC, HEADER, KIND, WHOSE = b"FRH1", struct.Struct("<4sIQII"), "history", None
-
-    def __init__(self, path, d: int, n: int, total_rounds: int, config_hash: bytes):
-        super().__init__(path, d, n, total_rounds, config_hash)
-        self.tops = None
+    tops = None
 
     def _fields(self) -> list:
         client = np.dtype([("id", "<u4"), ("u", "<f8", (self.d,))])

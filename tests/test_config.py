@@ -12,6 +12,7 @@ from fedsim.config import (
     _KEYS,
     _REQUIRED,
     _applies,
+    _fmt,
     _parse,
     _to_finite,
     _to_float,
@@ -21,12 +22,14 @@ from fedsim.config import (
     config_hash,
     parse_config,
     pick_malicious,
-    serialize_config,
 )
 
 
 def parse_config_string(text: str):
     return _parse(io.StringIO(text))
+
+
+README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 
 
 MINIMAL = """
@@ -154,8 +157,8 @@ class TestParse:
         trig = cfg.attack.trigger
         assert (trig.kind, trig.rows, trig.cols, trig.value) == ("pixel_patch", 2, 3, 1.0)
         # canonical form keeps only the relevant trigger keys
-        assert "trigger_k" not in serialize_config(cfg)
-        assert parse_config_string(serialize_config(cfg)) == cfg
+        assert "trigger_k" not in cfg.canonical
+        assert parse_config_string(cfg.canonical) == cfg
 
     def test_negative_malicious_count_rejected(self):
         # -1 would make pick_malicious draw permutation(n)[:-1], n - 1 clients
@@ -192,10 +195,10 @@ class TestCanonicalForm:
     def test_roundtrip_identity(self):
         for text in (MINIMAL, BACKDOOR):
             cfg = parse_config_string(text)
-            canon = serialize_config(cfg)
+            canon = cfg.canonical
             again = parse_config_string(canon)
             assert again == cfg
-            assert serialize_config(again) == canon
+            assert again.canonical == canon
 
     def test_hash_insensitive_to_formatting(self):
         cfg_a = parse_config_string(MINIMAL)
@@ -257,7 +260,7 @@ class TestBuilders:
 
 
 # The canonical serializer as it was before the key table, kept verbatim as
-# the reference the table-driven `serialize_config` must match byte for byte
+# the reference the table-driven canonical form must match byte for byte
 # (the config hash in every history.bin depends on it).
 def _seed_fmt(value) -> str:
     if isinstance(value, bool):
@@ -750,12 +753,57 @@ class TestKeyTable:
         cfg = parse_config_string(_minimal_with({"model": {"hidden": "0"}, "experiment": {"trim_k": "0"}}))
         assert (cfg.model.hidden, cfg.rule.k) == (0, 0)
 
+    @pytest.mark.parametrize(
+        "edits",
+        [
+            {"experiment": {"trim_k": "3"}, "detection": {"fnr": "2"}},
+            {"experiment": {"trim_k": "3", "warp": "9"}},
+        ],
+        ids=["range_fault_later", "unknown_key"],
+    )
+    def test_first_fault_in_table_order_is_reported(self, edits):
+        # MINIMAL is under fedavg, where trim_k is accepted only at 0
+        with pytest.raises(ConfigError) as err:
+            parse_config_string(_minimal_with(edits))
+        assert err.value.field == "experiment.trim_k"
+
+    @pytest.mark.parametrize(
+        "base, section, key", [("patch", "experiment", "output_dir"), ("mnist", "dataset", "train_images")]
+    )
+    def test_value_over_two_lines_names_its_key(self, base, section, key):
+        # configparser joins an indented next line onto the value, which the
+        # canonical form, one line per key, could not hold
+        text = _edited(base, section, key, _BASES[base][section][key] + "\n  two")
+        with pytest.raises(ConfigError, match="on one line") as err:
+            parse_config_string(text)
+        assert err.value.field == f"{section}.{key}"
+
     def test_readme_config_reference_lists_every_key(self):
-        readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
-        text = readme.read_text(encoding="utf-8")
-        section = text.split("## Config reference", 1)[1].split("\n## ", 1)[0]
-        rows = re.findall(r"^\| `(\w+)` \| `(\w+)` \| [^|]* \| ([^|]*?) \|", section, flags=re.MULTILINE)
-        assert rows == [(k.section, k.key, f"`{k.within}`" if k.within else "—") for k in _KEYS]
+        section = README.read_text(encoding="utf-8").split("## Config reference", 1)[1].split("\n## ", 1)[0]
+        rows = re.findall(
+            r"^\| `(\w+)` \| `(\w+)` \| ([^|]*?) \| ([^|]*?) \| ([^|]*?) \|$", section, flags=re.MULTILINE
+        )
+        defaults = {_REQUIRED: "*required*", None: "*unset*"}
+        assert rows == [
+            (
+                k.section,
+                k.key,
+                defaults.get(k.default, f"`{_fmt(k.default)}`"),
+                f"`{k.within}`" if k.within else "—",
+                "all"
+                if k.when is None
+                else f"`{k.section}.{k.when[0]} = {k.when[1]}`"
+                + (f"; elsewhere only `{_fmt(k.default)}`" if k.anywhere else ""),
+            )
+            for k in _KEYS
+        ]
+
+    def test_readme_example_parses_to_its_canonical_form(self):
+        example = README.read_text(encoding="utf-8").split("```ini\n", 1)[1].split("```", 1)[0]
+        cfg = parse_config_string(example)
+        again = parse_config_string(cfg.canonical)
+        assert again == cfg
+        assert again.canonical == cfg.canonical
 
 
 @st.composite
@@ -850,6 +898,6 @@ def _valid_configs(draw) -> str:
 @given(_valid_configs())
 def test_canonical_form_matches_seed_serializer(text):
     cfg = parse_config_string(text)
-    canon = serialize_config(cfg)
+    canon = cfg.canonical
     assert canon == _seed_serialize_config(cfg)
     assert parse_config_string(canon) == cfg

@@ -11,7 +11,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import fedsim
-from fedsim.config import config_hash, serialize_config
+from fedsim.config import config_hash
 from fedsim.flengine import _checksum
 from fedsim.numcore import RngStream
 from test_config import MINIMAL, parse_config_string
@@ -45,7 +45,7 @@ def test_checksum_is_blake2b_64(payload):
 @given(_SEEDS, _ROUNDS, _RATES)
 def test_config_hash_is_sha256(seed, rounds, lr):
     cfg = _config(seed, rounds, lr)
-    assert config_hash(cfg) == hashlib.sha256(serialize_config(cfg).encode("utf-8")).digest()
+    assert config_hash(cfg) == hashlib.sha256(cfg.canonical.encode("utf-8")).digest()
 
 
 # Blocks the built-in modules before fedsim is imported, so numcore takes
