@@ -461,8 +461,8 @@ def main(argv=None) -> int:
             if args.command == "recover":
                 return cmd_recover(args.config, args.method)
             return cmd_report(args.run_dirs)
-    except (CliError, config_mod.ConfigError, OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (CliError, config_mod.ConfigError, OSError, ValueError, MemoryError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)  # a bare MemoryError has no text
         return 1
 
 

@@ -386,12 +386,18 @@ def build_datasets(cfg: ExperimentConfig):
     under a backdoor attack, that some test example is not of the target."""
     d = cfg.dataset
     if d.kind == "synthetic":
-        train = data_mod.gen_synthetic(
-            d.num_classes, d.dim, d.per_class, d.separation, derive_seed(cfg.seed, STREAM_DATAGEN, 1, 0)
-        )
-        test = data_mod.gen_synthetic(
-            d.num_classes, d.dim, d.test_per_class, d.separation, derive_seed(cfg.seed, STREAM_DATAGEN, 2, 0)
-        )
+        splits = []
+        for stream, key, n in ((1, "per_class", d.per_class), (2, "test_per_class", d.test_per_class)):
+            seed = derive_seed(cfg.seed, STREAM_DATAGEN, stream, 0)
+            try:
+                splits.append(data_mod.gen_synthetic(d.num_classes, d.dim, n, d.separation, seed))
+            except MemoryError:  # refused under its key, or under dim if even the class centers do not fit
+                try:
+                    np.empty((d.num_classes, d.dim))  # the centers alone, unfilled
+                except MemoryError:
+                    key = "dim"
+                raise ConfigError(f"dataset.{key}", "the data it sizes does not fit in memory") from None
+        train, test = splits
         if not (np.isfinite(train.inputs).all() and np.isfinite(test.inputs).all()):
             raise ConfigError("dataset.separation", "the blobs' spread overflows the float range")
     else:

@@ -5,12 +5,12 @@ estimating their per-round updates from stored history: the estimate is
 the stored update plus an approximate integrated-Hessian-vector product
 along the gap between the recovered and original global models. The
 Hessian-vector product comes from a compact direct L-BFGS form fed by
-buffers of global-model and update differences. The global window is the
-same for every client, so `LbfgsBuffers` stacks it and forms its Gram
-matrix once per exact round. Each client's compact system changes only
-when its buffers do (an exact round, or a fix of that client), so it is
-assembled from that shared window once per buffer change and cached;
-estimated rounds only solve it. Exact client updates are
+buffers of global-model and update differences. The global window is
+shared by every client: `LbfgsBuffers.push_global` stacks it, forms its
+Gram matrix and decides whether it is usable once per exact round. On a
+usable window, a client's compact system (G, sigma, K) is assembled once
+per change of its buffers (an exact round, or a fix of that client) and
+cached; estimated rounds only solve it. Exact client updates are
 requested only for warm-up, periodic correction, abnormality fixing, and
 final tuning, which is where the client-side savings come from.
 
@@ -24,7 +24,6 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -48,28 +47,10 @@ class ClassDrawError(ValueError):
         super().__init__(reason)
 
 
-class CompactSystem(NamedTuple):
-    """The compact L-BFGS system of one client's buffers.
-
-    W and G hold the global-model and update differences as (d, s)
-    columns, oldest to newest. K is the 2s x 2s block matrix; it is None
-    when the most recent global difference is zero.
-    """
-
-    W: np.ndarray
-    G: np.ndarray
-    sigma: float
-    K: np.ndarray | None
-
-
-def _assemble(W: np.ndarray, WtW: np.ndarray, G: np.ndarray) -> CompactSystem:
-    """The compact system of the global window W (with its Gram matrix
-    W^T W, which every client shares) and one client's window G."""
-    sw = W[:, -1]
-    denom = float(sw @ sw)
-    if denom == 0.0:
-        return CompactSystem(W, G, math.nan, None)
-    sigma = float(G[:, -1] @ sw) / denom
+def _assemble(W: np.ndarray, WtW: np.ndarray, denom: float, G: np.ndarray) -> tuple:
+    """The compact system (G, sigma, K) of one client's window G on the shared
+    global window: W, its Gram matrix W^T W and denom = W[:, -1]^T W[:, -1] != 0."""
+    sigma = float(G[:, -1] @ W[:, -1]) / denom
     s = W.shape[1]
     A = W.T @ G
     Lo = np.tril(A, k=-1)
@@ -78,24 +59,24 @@ def _assemble(W: np.ndarray, WtW: np.ndarray, G: np.ndarray) -> CompactSystem:
     K[:s, s:] = Lo.T
     K[s:, :s] = Lo
     K[s:, s:] = sigma * WtW
-    return CompactSystem(W, G, sigma, K)
+    return G, sigma, K
 
 
-def lbfgs_hvp(system: CompactSystem, v: np.ndarray) -> np.ndarray | None:
-    """Approximate Hessian-vector product from a compact system.
+def lbfgs_hvp(W: np.ndarray, system: tuple | None, v: np.ndarray) -> np.ndarray | None:
+    """Approximate Hessian-vector product from window W and system (G, sigma, K).
 
     Solves K p = [dG^T v; sigma dW^T v] and returns
     sigma v - [dG | sigma dW] p. `v` must be a finite float64 vector of
-    the buffers' dimension. Returns None when the most recent global
-    difference is zero or the block system is singular, in which case the
-    caller falls back to an exact update. The output is not checked: a
-    non-finite one (an overflowing solve, or a non-finite buffer entry)
-    makes the estimate non-finite, which `fedrecover`'s `linf_norm` sends
-    to the same fallback.
+    the buffers' dimension. Returns None for no system (an unusable
+    window) or a singular block system, in which case the caller falls
+    back to an exact update. The output is not checked: a non-finite one
+    (an overflowing solve, or a non-finite buffer entry) makes the
+    estimate non-finite, which `fedrecover`'s `linf_norm` sends to the
+    same fallback.
     """
-    W, G, sigma, K = system
-    if K is None:
+    if system is None:
         return None
+    G, sigma, K = system
     s = W.shape[1]
     rhs = np.concatenate([G.T @ v, sigma * (W.T @ v)])
     try:
@@ -157,24 +138,24 @@ class LbfgsBuffers:
     advances after a single-client abnormality fix.
 
     Every client shares the global window, so `push_global` stacks it
-    into W and forms W^T W once; each client's compact system is then
-    assembled from those two arrays and its own window. A client's system
-    is built on its first `hvp` after a change to its windows and reused
-    until the next one: `push_global` drops every client's system,
-    `push_client` only that client's. Between exact rounds, `hvp`
-    therefore does only the per-vector solve.
+    into W, forms W^T W once and decides whether the window is usable: its
+    newest difference is not zero. Only a usable window gives a client a
+    compact system (G, sigma, K), built from those arrays and its own window
+    on its first `hvp` after a change to its windows and reused until the
+    next one: `push_global` drops every system, `push_client` that client's.
+    Between exact rounds, `hvp` therefore does only the per-vector solve.
     """
 
     def __init__(self, capacity: int, client_ids):
         self.global_diffs: deque = deque(maxlen=capacity)
         self.update_diffs = {c: deque(maxlen=capacity) for c in client_ids}
-        self._window = None  # (W, W^T W) of the global window, once it holds a difference
+        self._window = None  # (W, W^T W, denom) of the global window, once it holds a difference
         self._systems: dict = {}
 
     def push_global(self, dw: np.ndarray) -> None:
         self.global_diffs.append(dw)
         W = np.column_stack(self.global_diffs)
-        self._window = (W, W.T @ W)
+        self._window = (W, W.T @ W, float(W[:, -1] @ W[:, -1]))
         self._systems.clear()
 
     def push_client(self, client_id, dg: np.ndarray) -> None:
@@ -184,12 +165,12 @@ class LbfgsBuffers:
     def hvp(self, client_id, v: np.ndarray) -> np.ndarray | None:
         """The config's warmup_rounds > buffer_size fills every window
         before the first estimate, so each holds s differences."""
+        W, WtW, denom = self._window
         system = self._systems.get(client_id)
-        if system is None:
-            dg_list = self.update_diffs[client_id]
-            system = _assemble(*self._window, np.column_stack(dg_list))
-            self._systems[client_id] = system
-        return lbfgs_hvp(system, v)
+        if system is None and denom != 0.0:
+            G = np.column_stack(self.update_diffs[client_id])
+            system = self._systems[client_id] = _assemble(W, WtW, denom, G)
+        return lbfgs_hvp(W, system, v)
 
 
 @dataclass(frozen=True)

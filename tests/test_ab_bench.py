@@ -1,8 +1,11 @@
-"""The rule `tools/ab_bench.py` flags a metric by: the change median is
+"""The rules `tools/ab_bench.py` judges a metric by: the change median is
 worse than the base median by more than the metric's bound, a share of
-the base median, in the direction the metric calls worse. And the name
-of the file it keeps its summary in: `-dirty` when the measured tree is
-not the commit's."""
+the base median, in the direction the metric calls worse; a gain is at
+least nine tenths of the pairs won and a median shift wider than the base
+IQR; and a base IQR wider than the bound leaves the metric unresolved
+unless every change run beats every base run. And the name of the file
+it keeps its summary in: `-dirty` when the measured tree is not the
+commit's."""
 
 import importlib.util
 import subprocess
@@ -33,6 +36,47 @@ _SPEC.loader.exec_module(ab_bench)
 )
 def test_past_bound(base, change, bound, lower, flagged):
     assert ab_bench.past_bound(base, change, bound, lower) is flagged
+
+
+TEN = list(range(1, 11))  # median 5.5; quartiles 2.75 and 8.25, so IQR 5.5
+
+
+@pytest.mark.parametrize(
+    "base, change, lower, claimed",
+    [
+        ([10] * 10, [9] * 10, True, True),
+        ([10] * 10, [9] * 9 + [11], True, True),  # 9 of 10 won
+        ([10] * 10, [9] * 8 + [11] * 2, True, False),  # 8 of 10
+        ([10] * 10, [9] * 8 + [10] * 2, True, False),  # ties count for neither
+        (TEN, [b - 5.5 for b in TEN], True, False),  # every pair won, median shift exactly the IQR
+        (TEN, [b - 6 for b in TEN], True, True),
+        (TEN, [b - 5 for b in TEN], True, False),
+        ([10] * 10, [11] * 10, False, True),  # higher is better
+        ([10] * 10, [11] * 10, True, False),
+    ],
+)
+def test_gain(base, change, lower, claimed):
+    assert ab_bench.gain(list(zip(base, change)), lower) is claimed
+
+
+WIDE = [8, 12] * 5  # median 10, IQR 4
+
+
+@pytest.mark.parametrize(
+    "base, change, bound, lower, open_",
+    [
+        (WIDE, [9] * 10, 0.25, True, True),  # IQR 4 > 2.5, and 9 does not beat 8
+        (WIDE, [7] * 10, 0.25, True, False),  # every change run beats every base run
+        (WIDE, [7] * 9 + [8], 0.25, True, True),  # a tie with the best base run
+        (WIDE, [20] * 10, 0.4, True, False),  # IQR 4 is not wider than 0.4 x 10
+        (WIDE, [20] * 10, 0.39, True, True),
+        ([10, 10.5] * 5, [20] * 10, 0.25, True, False),  # narrow base: the bound decides
+        (WIDE, [13] * 10, 0.25, False, False),  # higher is better
+        (WIDE, [13] * 10, 0.25, True, True),
+    ],
+)
+def test_unresolved(base, change, bound, lower, open_):
+    assert ab_bench.unresolved(list(zip(base, change)), bound, lower) is open_
 
 
 def _git(root, *args):

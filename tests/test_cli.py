@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import SUMMARY_SCHEMA, assert_both_accept
+from conftest import SUMMARY_SCHEMA, assert_both_accept, run_under_address_limit
 from test_data import write_idx_pair
 from test_config import MINIMAL
 import fedsim
@@ -447,6 +447,29 @@ class TestTrainCommand:
             "set's 10 examples; use fewer clients\n"
         )
         assert os.listdir(tmp_path / "runs" / "demo") == []
+
+    def test_size_too_large_for_memory_is_error_exit(self, tmp_path, monkeypatch):
+        # 10^11 hidden units: the draw of the model's first parameters, terabytes
+        # that no key's check foresees, is refused at once under the child's
+        # 2 GiB address limit; the error line replaces numpy's traceback and no
+        # run file is left
+        monkeypatch.setenv("FEDSIM_OUTPUT_ROOT", str(tmp_path))
+        cfg_path = tmp_path / "huge.ini"
+        cfg_path.write_text(MINIMAL.replace("kind = logreg", "kind = mlp\nhidden = 100000000000"))
+        code = "import sys\nfrom fedsim.cli import main\nprint(main(sys.argv[1:]))\n"
+        out = run_under_address_limit(code, "train", "-c", cfg_path)
+        status, error = out.splitlines()  # no traceback
+        assert status == "1" and error.startswith("error: Unable to allocate "), out
+        assert os.listdir(tmp_path / "runs" / "demo") == []
+
+    def test_memory_error_without_text_is_named(self, run_env, monkeypatch, capsys):
+        # Python's own allocation failures carry no message
+        def out_of_memory(cfg_path):
+            raise MemoryError
+
+        monkeypatch.setattr(fedsim.cli, "cmd_train", out_of_memory)
+        assert main(["train", "-c", str(run_env[1])]) == 1
+        assert capsys.readouterr().err == "error: MemoryError\n"
 
     def test_unwritable_output_dir_is_error_exit(self, run_env, capsys):
         root, cfg_path = run_env

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import run_under_address_limit
 from fedsim.config import (
     _KEYS,
     _REQUIRED,
@@ -257,6 +258,31 @@ class TestBuilders:
         with pytest.raises(ConfigError, match="dataset.separation") as err:
             build_datasets(cfg)
         assert err.value.field == "dataset.separation"
+
+    @pytest.mark.parametrize(
+        "edit, key",
+        [
+            (("dim = 6", "dim = 1000000000000"), "dim"),  # 10 x 10^12 class centers alone
+            (("per_class = 40", "per_class = 100000000000"), "per_class"),
+            (("per_class = 40", "per_class = 40\ntest_per_class = 100000000000"), "test_per_class"),
+        ],
+    )
+    def test_split_too_large_for_memory_names_its_key(self, tmp_path, edit, key):
+        # numpy refuses each array at once under the child's 2 GiB address
+        # limit, so nothing is allocated; the train split of a test-split
+        # fault is built first
+        path = tmp_path / "huge.ini"
+        path.write_text(MINIMAL.replace(*edit))
+        code = (
+            "import sys\n"
+            "from fedsim.config import ConfigError, build_datasets, parse_config\n"
+            "try:\n"
+            "    build_datasets(parse_config(sys.argv[1]))\n"
+            "except ConfigError as exc:\n"
+            "    print(exc)\n"
+        )
+        reason = "the data it sizes does not fit in memory"
+        assert run_under_address_limit(code, path) == f"config field [dataset.{key}]: {reason}\n"
 
 
 # The canonical serializer as it was before the key table, kept verbatim as

@@ -20,7 +20,6 @@ from fedsim.models import ModelSpec
 from fedsim.numcore import RngStream, as_vector
 from fedsim.recovery import (
     ClassDrawError,
-    CompactSystem,
     LbfgsBuffers,
     RecoveryParams,
     _assemble,
@@ -35,8 +34,9 @@ from fedsim.recovery import (
 )
 
 
-def compact_system(dw_list, dg_list) -> CompactSystem:
-    """Build the compact system of a client's difference buffers.
+def compact_system(dw_list, dg_list) -> tuple:
+    """The global window W and the compact system (G, sigma, K) of a
+    client's difference buffers, as `lbfgs_hvp` takes them.
 
     Buffers are ordered oldest to newest. With A = dW^T dG, D = diag(A),
     L = strictly-lower-triangular(A), and sigma set by the most recent
@@ -49,7 +49,9 @@ def compact_system(dw_list, dg_list) -> CompactSystem:
     The entries are differences of vectors the recovery computed, so they
     are not re-validated: a non-finite entry yields a singular system,
     for which `lbfgs_hvp` returns None, or a non-finite one, whose
-    non-finite product `fedrecover`'s `linf_norm` refuses.
+    non-finite product `fedrecover`'s `linf_norm` refuses. The system is
+    None when the most recent global difference is zero, as
+    `LbfgsBuffers` decides it.
     """
     if len(dw_list) == 0 or len(dw_list) != len(dg_list):
         raise ValueError("need equally many (>=1) global and update differences")
@@ -57,7 +59,8 @@ def compact_system(dw_list, dg_list) -> CompactSystem:
     G = np.column_stack(dg_list)
     if W.shape[0] != G.shape[0]:
         raise ValueError("global and update differences differ in dimension")
-    return _assemble(W, W.T @ W, G)
+    denom = float(W[:, -1] @ W[:, -1])
+    return W, (_assemble(W, W.T @ W, denom, G) if denom != 0.0 else None)
 
 
 def random_spd(rng, d, lo=0.5, hi=5.0):
@@ -174,14 +177,14 @@ def hvp_inputs(draw):
 
 class TestLbfgsHvp:
     def test_one_dimensional_hand_value(self):
-        out = lbfgs_hvp(compact_system([np.array([2.0])], [np.array([6.0])]), np.array([1.0]))
+        out = lbfgs_hvp(*compact_system([np.array([2.0])], [np.array([6.0])]), np.array([1.0]))
         assert abs(out[0] - 3.0) <= 1e-12
 
     def test_zero_vector_maps_to_zero(self):
         rng = RngStream(1)
         dw = [rng.normals(4) for _ in range(2)]
         dg = [rng.normals(4) for _ in range(2)]
-        np.testing.assert_array_equal(lbfgs_hvp(compact_system(dw, dg), np.zeros(4)), np.zeros(4))
+        np.testing.assert_array_equal(lbfgs_hvp(*compact_system(dw, dg), np.zeros(4)), np.zeros(4))
 
     def test_secant_on_spd_quadratics(self):
         rng = RngStream(2)
@@ -191,7 +194,7 @@ class TestLbfgsHvp:
             h = random_spd(rng, d)
             dw = [rng.normals(d) for _ in range(s)]
             dg = [h @ w for w in dw]
-            out = lbfgs_hvp(compact_system(dw, dg), dw[-1])
+            out = lbfgs_hvp(*compact_system(dw, dg), dw[-1])
             err = np.max(np.abs(out - dg[-1]))
             assert err <= 1e-8 * (1.0 + np.max(np.abs(dg[-1])))
 
@@ -205,7 +208,7 @@ class TestLbfgsHvp:
             dg = [h @ w + 0.05 * rng.normals(d) for w in dw]
             v = rng.normals(d)
             np.testing.assert_allclose(
-                lbfgs_hvp(compact_system(dw, dg), v),
+                lbfgs_hvp(*compact_system(dw, dg), v),
                 bfgs_recursion_oracle(dw, dg, v),
                 rtol=1e-9,
                 atol=1e-10,
@@ -218,31 +221,32 @@ class TestLbfgsHvp:
         dg = [h @ w for w in dw]
         v1, v2 = rng.normals(6), rng.normals(6)
         system = compact_system(dw, dg)
-        lhs = lbfgs_hvp(system, 2.0 * v1 - 0.5 * v2)
-        rhs = 2.0 * lbfgs_hvp(system, v1) - 0.5 * lbfgs_hvp(system, v2)
+        lhs = lbfgs_hvp(*system, 2.0 * v1 - 0.5 * v2)
+        rhs = 2.0 * lbfgs_hvp(*system, v1) - 0.5 * lbfgs_hvp(*system, v2)
         scale = np.max(np.abs(rhs)) + 1.0
         assert np.max(np.abs(lhs - rhs)) / scale < 1e-10
 
     def test_zero_last_pair_is_singular(self):
-        assert lbfgs_hvp(compact_system([np.zeros(3)], [np.ones(3)]), np.ones(3)) is None
+        assert lbfgs_hvp(*compact_system([np.zeros(3)], [np.ones(3)]), np.ones(3)) is None
 
     def test_singular_block_is_singular(self):
         # orthogonal pair makes the diagonal block zero
         dw = [np.array([1.0, 0.0])]
         dg = [np.array([0.0, 1.0])]
-        assert lbfgs_hvp(compact_system(dw, dg), np.ones(2)) is None
+        assert lbfgs_hvp(*compact_system(dw, dg), np.ones(2)) is None
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_overflowing_solve_is_not_finite(self):
         # K = diag(-1e-300, 1e-300) is regular, but its solve for v = 1e200
         # overflows: p is non-finite while sigma v is not, and so is the product
         dw, dg, v = [np.array([1e-150])], [np.array([1e-150])], np.array([1e200])
-        system = compact_system(dw, dg)
-        assert system.K.tolist() == [[-1e-300, 0.0], [0.0, 1e-300]]
-        rhs = np.concatenate([system.G.T @ v, system.sigma * (system.W.T @ v)])
-        assert not np.isfinite(np.linalg.solve(system.K, rhs)).any()
-        assert np.isfinite(system.sigma * v).all()
-        assert not np.isfinite(lbfgs_hvp(system, v)).any()
+        W, system = compact_system(dw, dg)
+        G, sigma, K = system
+        assert K.tolist() == [[-1e-300, 0.0], [0.0, 1e-300]]
+        rhs = np.concatenate([G.T @ v, sigma * (W.T @ v)])
+        assert not np.isfinite(np.linalg.solve(K, rhs)).any()
+        assert np.isfinite(sigma * v).all()
+        assert not np.isfinite(lbfgs_hvp(W, system, v)).any()
         with pytest.raises(LbfgsSingularError):
             _seed_lbfgs_hvp(dw, dg, v)
         # `test_recovery_oracle.TestScriptedFallbacks` runs this case through a
@@ -250,14 +254,14 @@ class TestLbfgsHvp:
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
-            lbfgs_hvp(compact_system([np.ones(2)], []), np.ones(2))
+            lbfgs_hvp(*compact_system([np.ones(2)], []), np.ones(2))
 
     @settings(max_examples=400, deadline=None)
     @given(hvp_inputs())
     def test_bit_identical_to_seed_kernel(self, inputs):
         dw, dg, v = inputs
         want = _outcome(_seed_lbfgs_hvp, dw, dg, v)
-        got = _outcome(lambda: lbfgs_hvp(compact_system(dw, dg), v))
+        got = _outcome(lambda: lbfgs_hvp(*compact_system(dw, dg), v))
         _assert_same_outcome(got, want)
 
 
@@ -293,7 +297,7 @@ class TestLbfgsBuffersCache:
         def check():
             for c in clients:
                 dw, dg = list(buffers.global_diffs), list(buffers.update_diffs[c])
-                want = _outcome(lbfgs_hvp, compact_system(dw, dg), v)
+                want = _outcome(lbfgs_hvp, *compact_system(dw, dg), v)
                 _assert_same_outcome(_outcome(_seed_lbfgs_hvp, dw, dg, v), want)
                 _assert_same_outcome(_outcome(buffers.hvp, c, v), want)
                 _assert_same_outcome(_outcome(buffers.hvp, c, v), want)  # served from cache
@@ -346,7 +350,7 @@ class TestExactQuadraticHvp:
         for _ in range(5):
             v = rng.normals(d)
             exact = h @ v
-            approx = lbfgs_hvp(compact_system(conj, dg), v)
+            approx = lbfgs_hvp(*compact_system(conj, dg), v)
             assert np.max(np.abs(approx - exact)) <= 1e-6 * (1.0 + np.max(np.abs(exact)))
 
 
@@ -742,6 +746,46 @@ def _observed_fedrecover(history, remaining, setup, params):
         accepted += ok
         fixes[client] += not ok
     return result, len(kernel_calls), accepted, fixes
+
+
+class TestUnusableWindow:
+    def test_every_estimate_attempt_is_fixed_without_a_system(self, tmp_path):
+        """Nothing detected and no attack: the recovery retraces the stored
+        trajectory, so every global difference is zero and the window is
+        unusable. Each estimated round then asks every client for an exact
+        update, with one `lbfgs_hvp` call per attempt, and no client's
+        system is ever assembled."""
+        setup = build_setup(
+            spec=ModelSpec("logreg", 4, 3, l2=0.05), dataset=gen_synthetic(3, 4, 30, 3.0, seed=9),
+            n_clients=5, rule=AggregationRule("fedavg"), eta=0.2, batch_size=16, seed=9,
+        )
+        trace, store = train_and_load(setup, 20, tmp_path / "h.bin")
+        clients = list(setup.client_ids)
+        params = recovery_params(warmup_rounds=4, correction_period=3, final_tuning_rounds=2)
+        asks, assembled = {}, []
+        real_reported, real_assemble = FlSetup.reported_updates, recovery._assemble
+
+        def reported(self, w, t, participants, attackers, lam=None, asked=None):
+            asks[t] = sorted(asked)
+            return real_reported(self, w, t, participants, attackers, lam, asked)
+
+        def assemble(*args):
+            assembled.append(None)
+            return real_assemble(*args)
+
+        with (
+            mock.patch.object(FlSetup, "reported_updates", reported),
+            mock.patch.object(recovery, "_assemble", assemble),
+        ):
+            result, kernel_calls, accepted, fixes = _observed_fedrecover(store, clients, setup, params)
+        estimated = [t for t in range(20) if not recovery._is_exact_round(t, 20, params)]
+        assert estimated
+        np.testing.assert_array_equal(result.models[20], trace[20])
+        assert asks == {t: clients for t in range(20)}
+        assert fixes == {c: len(estimated) for c in clients}
+        assert accepted == 0
+        assert kernel_calls == result.abnormality_count == len(clients) * len(estimated)
+        assert assembled == []
 
 
 @st.composite

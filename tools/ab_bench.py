@@ -9,10 +9,18 @@ alternates from pair to pair, so a drift of the machine's speed hits both
 sides alike. For each end-to-end metric of `BENCHMARK.json` it prints the
 base median, the change median, the median of the per-pair ratios
 change/base, how many pairs the change won (ties count for neither), the
-distance between the quartiles of the base runs, and `past_bound`: whether
-the change median is worse than the base median by more than the metric's
-`bound` (a share of the base median), the rule the benchmark's gate
-applies. The last line is one JSON object with every run's metrics.
+distance between the quartiles of the base runs (the base IQR), and three
+verdicts:
+- `past_bound`: the change median is worse than the base median by more
+  than the metric's `bound` (a share of the base median), the rule the
+  benchmark's gate applies;
+- `gain`: the change won at least nine tenths of the pairs, and its median
+  beats the base median by more than the base IQR, the rule a claimed gain
+  must meet;
+- `unresolved`: the base IQR is wider than the bound, so the base runs
+  spread too widely to show that the metric held, and not every change
+  run beats every base run.
+The last line is one JSON object with every run's metrics.
 Exits 1 if any run reports `"correct": false` or prints no result. The
 exported copy is removed at the end.
 
@@ -100,6 +108,31 @@ def past_bound(base: float, change: float, bound: float, lower: bool) -> bool:
     return change > base + margin if lower else change < base - margin
 
 
+def better(a: float, b: float, lower: bool) -> bool:
+    """Whether a reads better than b, for a metric where lower (or higher) is better."""
+    return a < b if lower else a > b
+
+
+def gain(pairs: list[tuple[float, float]], lower: bool) -> bool:
+    """Whether the (base, change) pairs show a gain: the change won at least
+    nine tenths of them, ties counting for neither, and the change median
+    beats the base median by more than the base IQR."""
+    base, change = [b for b, _ in pairs], [c for _, c in pairs]
+    won = sum(better(c, b, lower) for b, c in pairs)
+    edge = statistics.median(base) + (-iqr(base) if lower else iqr(base))
+    return 10 * won >= 9 * len(pairs) and better(statistics.median(change), edge, lower)
+
+
+def unresolved(pairs: list[tuple[float, float]], bound: float, lower: bool) -> bool:
+    """Whether the base runs spread too widely to tell that the metric held:
+    their IQR is wider than `bound` times the base median, and not every
+    change run reads better than every base run."""
+    base = [b for b, _ in pairs]
+    if iqr(base) <= bound * abs(statistics.median(base)):
+        return False
+    return not all(better(c, b, lower) for _, c in pairs for b in base)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("base_ref")
@@ -133,8 +166,10 @@ def main(argv=None) -> int:
                 print(f"pair {i + 1}/{args.pairs} seed {seed} {side:6s} correct={str(ok).lower()}",
                       flush=True)
 
-    row = "{:24s} {:>12} {:>12} {:>9} {:>6} {:>10} {:>10}"
-    print(row.format("metric", "base_med", "change_med", "ratio", "won", "base_iqr", "past_bound"))
+    row = "{:24s} {:>12} {:>12} {:>9} {:>6} {:>10} {:>10} {:>5} {:>10}"
+    print(row.format(
+        "metric", "base_med", "change_med", "ratio", "won", "base_iqr", "past_bound", "gain", "unresolved",
+    ))
     table: dict = {}
     for m in metrics:
         name, lower = m["name"], m["better"] == "lower"
@@ -144,12 +179,12 @@ def main(argv=None) -> int:
             if name in b["metrics"] and name in c["metrics"]
         ]
         if not pairs:
-            print(row.format(name, "-", "-", "-", "-", "-", "-"))
+            print(row.format(name, *["-"] * 8))
             continue
         base = [b for b, _ in pairs]
         change = [c for _, c in pairs]
         ratios = [c / b for b, c in pairs if b]
-        won = sum((c < b) if lower else (c > b) for b, c in pairs)
+        won = sum(better(c, b, lower) for b, c in pairs)
         t = table[name] = {
             "base_median": statistics.median(base),
             "change_median": statistics.median(change),
@@ -159,10 +194,12 @@ def main(argv=None) -> int:
             "base_iqr": iqr(base),
         }
         t["past_bound"] = past_bound(t["base_median"], t["change_median"], m["bound"], lower)
+        t["gain"] = gain(pairs, lower)
+        t["unresolved"] = unresolved(pairs, m["bound"], lower)
         print(row.format(
             name, f"{t['base_median']:.4g}", f"{t['change_median']:.4g}",
             f"{t['median_ratio']:.4f}" if ratios else "-", f"{won}/{len(pairs)}",
-            f"{t['base_iqr']:.4g}", str(t["past_bound"]).lower(),
+            f"{t['base_iqr']:.4g}", *(str(t[k]).lower() for k in ("past_bound", "gain", "unresolved")),
         ))
     print(f"{bad} of {2 * args.pairs} runs not correct")
     path = bench_path()
