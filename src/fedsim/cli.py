@@ -33,6 +33,10 @@ TOPS_FILE = "history_tops.bin"
 CONFIG_FILE = "config.ini"
 
 METHODS = ("scratch", "historical", "fedrecover", "finetune")
+# every file the commands write through `_atomic`: the only `.tmp` names a killed one can leave
+_RUN_FILES = (HISTORY_FILE, TOPS_FILE, CONFIG_FILE, "train_metrics.csv", "summary_train.json") + tuple(
+    name for m in METHODS for name in (f"recover_{m}_metrics.csv", f"summary_{m}.json")
+)
 
 
 class CliError(RuntimeError):
@@ -52,7 +56,8 @@ def _locked(run_dir: str):
     The kernel releases it when the descriptor closes, however the process
     ends, so a killed command never leaves the directory locked and no lock
     file is ever written. POSIX only. Once the lock is held no other command
-    can be writing, so the `.tmp` files a killed one left are removed.
+    can be writing, so the `.tmp` files a killed one left are removed; a
+    `.tmp` file of any other name is not fedsim's and stays.
     """
     os.makedirs(run_dir, exist_ok=True)
     fd = os.open(run_dir, os.O_RDONLY)
@@ -61,9 +66,9 @@ def _locked(run_dir: str):
             fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
         except BlockingIOError:
             raise CliError(f"run directory {run_dir} is locked by another command") from None
-        for name in os.listdir(run_dir):
-            if name.endswith(".tmp"):
-                os.unlink(os.path.join(run_dir, name))
+        for name in _RUN_FILES:
+            with suppress(FileNotFoundError):
+                os.unlink(os.path.join(run_dir, name + ".tmp"))
         yield
     finally:
         os.close(fd)
@@ -339,22 +344,12 @@ def cmd_recover(cfg_path: str, method: str) -> int:
                 scratch = recovery.train_from_scratch(setup, remaining, cfg.rounds, keep)
                 bound_block = _bound_check(cfg, result, scratch)
         else:  # finetune
-            ft = cfg.finetune
-            if ft.n_examples > train_set.size:
-                raise config_mod.ConfigError(
-                    "finetune.n_examples",
-                    f"{ft.n_examples} exceeds the training set's {train_set.size} examples",
-                )
             # the poisoned final model: the last round applied to its record
             broadcast, updates = next(history.rounds(first=cfg.rounds - 1))
             poisoned = setup.aggregate_step(broadcast, dict(enumerate(updates)))
-            try:
-                model = recovery.fine_tune(
-                    cfg.model, poisoned, train_set, ft.epochs, cfg.learning_rate,
-                    ft.beta, ft.n_examples, ft.batch_size, cfg.seed,
-                )
-            except recovery.ClassDrawError as exc:
-                raise config_mod.ConfigError(exc.key, str(exc)) from exc
+            model = recovery.fine_tune(
+                cfg.model, poisoned, train_set, cfg.finetune, cfg.learning_rate, cfg.seed
+            )
             kept, rounds = {cfg.rounds: model}, [cfg.rounds]  # the final model only
             exact_rounds = {c: 0 for c in remaining}
 

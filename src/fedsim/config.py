@@ -19,19 +19,11 @@ from .aggregation import RULE_KINDS, AggregationRule
 from .attacks import AttackConfig, Trigger
 from .flengine import FlSetup
 from .models import KINDS, ModelSpec
-from .numcore import STREAM_DATAGEN, STREAM_MALICIOUS, RngStream, derive_seed, sha256
-from .recovery import RecoveryParams
+from .numcore import STREAM_DATAGEN, STREAM_MALICIOUS, ConfigError, RngStream, derive_seed, sha256
+from .recovery import FinetuneConfig, RecoveryParams
 
 _BOOL = {"true": True, "false": False}
 _REQUIRED = object()
-
-
-class ConfigError(ValueError):
-    """Configuration problem, field-precise."""
-
-    def __init__(self, name: str, reason: str):
-        self.field = name
-        super().__init__(f"config field [{name}]: {reason}")
 
 
 @dataclass(frozen=True)
@@ -46,14 +38,6 @@ class DatasetConfig:
     train_labels: str | None
     test_images: str | None
     test_labels: str | None
-
-
-@dataclass(frozen=True)
-class FinetuneConfig:
-    epochs: int
-    n_examples: int
-    beta: float
-    batch_size: int
 
 
 @dataclass(frozen=True)
@@ -313,6 +297,8 @@ def _validate(cfg: ExperimentConfig) -> None:
         for key, size in (("trigger_rows", trig.rows), ("trigger_cols", trig.cols)):  # 0 for every_kth
             if size > side:
                 raise ConfigError(f"attack.{key}", f"patch exceeds the {side}x{side} image")
+        if trig.k > model.input_dim:  # 0 for pixel_patch
+            raise ConfigError("attack.trigger_k", f"k exceeds the input dim {model.input_dim}")
     if rec.tau is None and not 0.0 < rec.tolerance_rate <= 1.0:
         raise ConfigError("recovery.tolerance_rate", "must lie in (0, 1] when tau is not given")
     if rec.warmup_rounds <= rec.buffer_size:

@@ -1,5 +1,5 @@
-"""Dense vector helpers, deterministic counter-based RNG streams and the
-two digests, shared by the rest of the simulator.
+"""Dense vector helpers, deterministic counter-based RNG streams, the two
+digests and `ConfigError`, shared by the rest of the simulator.
 
 All model parameters and updates are flat 1-D float64 arrays. Randomness
 everywhere flows through :class:`RngStream`, an explicit splitmix64-style
@@ -40,6 +40,15 @@ STREAM_ATTACK = 4
 STREAM_DETECT = 5
 STREAM_FINETUNE = 6
 STREAM_MALICIOUS = 7
+
+
+class ConfigError(ValueError):
+    """Configuration problem, field-precise: raised by `config` and by the
+    library code that checks a config value it alone can judge."""
+
+    def __init__(self, name: str, reason: str):
+        self.field = name
+        super().__init__(f"config field [{name}]: {reason}")
 
 
 def mix64(x: int) -> int:

@@ -33,18 +33,11 @@ from .flengine import FlSetup, HistoryError, HistoryStore
 from .numcore import (
     STREAM_FINETUNE,
     STREAM_INIT,
+    ConfigError,
     RngStream,
     derive_seed,
     linf_norm,
 )
-
-
-class ClassDrawError(ValueError):
-    """A fine-tuning class draw that cannot be met; `key` names the config key to change."""
-
-    def __init__(self, key: str, reason: str):
-        self.key = key
-        super().__init__(reason)
 
 
 def _assemble(W: np.ndarray, WtW: np.ndarray, denom: float, G: np.ndarray) -> tuple:
@@ -182,6 +175,14 @@ class RecoveryParams:
     tolerance_rate: float = 1e-6
     tau: float | None = None  # explicit override; math.inf disables fixing
     hvp_mode: str = "lbfgs"  # lbfgs | exact_quadratic (ridge model, one local step)
+
+
+@dataclass(frozen=True)
+class FinetuneConfig:
+    epochs: int
+    n_examples: int
+    beta: float  # math.inf: uniform class proportions
+    batch_size: int
 
 
 @dataclass
@@ -371,42 +372,37 @@ def _largest_remainder_counts(proportions: np.ndarray, n: int) -> np.ndarray:
     return base
 
 
-def fine_tune(
-    spec: models.ModelSpec,
-    w,
-    dataset,
-    epochs: int,
-    eta: float,
-    beta: float,
-    n_examples: int,
-    batch_size: int,
-    seed: int,
-) -> np.ndarray:
+def fine_tune(spec: models.ModelSpec, w, dataset, ft: FinetuneConfig, eta: float, seed: int) -> np.ndarray:
     """Fine-tune a (poisoned) model on a clean sample of the dataset.
 
-    Class proportions follow a symmetric Dirichlet(beta); beta = inf means
-    uniform. `w` is a vector of `spec.param_dim` entries: in `sim recover`,
-    the history's last record, checked by `HistoryStore.rounds`, put through
-    `FlSetup.aggregate_step`. The config guarantees beta > 0 and n_examples >= 1,
-    and `cli.cmd_recover` that n_examples <= dataset.size;
-    `config.build_datasets` guarantees dataset.dim = spec.input_dim.
-    Raises ClassDrawError, naming the key to change, when the Dirichlet
-    draw under- or overflows or a class cannot supply its drawn count.
+    Class proportions follow a symmetric Dirichlet(ft.beta); beta = inf
+    means uniform. `w` is a vector of `spec.param_dim` entries: in `sim
+    recover`, the history's last record, checked by `HistoryStore.rounds`,
+    put through `FlSetup.aggregate_step`. The config guarantees beta > 0 and
+    n_examples >= 1, and `config.build_datasets` that dataset.dim =
+    spec.input_dim. The sample is checked here, before any draw: a
+    ConfigError names the key to change when n_examples exceeds the
+    dataset, when the Dirichlet draw under- or overflows, or when a class
+    cannot supply its drawn count.
     """
+    if ft.n_examples > dataset.size:
+        raise ConfigError(
+            "finetune.n_examples", f"{ft.n_examples} exceeds the training set's {dataset.size} examples"
+        )
     rng = RngStream(derive_seed(seed, STREAM_FINETUNE, 0, 0))
     c = dataset.num_classes
-    if math.isinf(beta):
+    if math.isinf(ft.beta):
         proportions = np.full(c, 1.0 / c)
     else:
-        proportions = rng.dirichlet(beta, c)
+        proportions = rng.dirichlet(ft.beta, c)
     if not (np.isfinite(proportions).all() and proportions.sum() > 0):  # 0/0, or all 0 of an inf sum
-        raise ClassDrawError("finetune.beta", f"Dirichlet({beta!r}) class proportions under- or overflow")
-    counts = _largest_remainder_counts(proportions, n_examples)
+        raise ConfigError("finetune.beta", f"Dirichlet({ft.beta!r}) class proportions under- or overflow")
+    counts = _largest_remainder_counts(proportions, ft.n_examples)
     picked = []
     for cls in range(c):
         pool = np.flatnonzero(dataset.labels == cls)
         if counts[cls] > pool.size:
-            raise ClassDrawError(
+            raise ConfigError(
                 "finetune.n_examples",
                 f"class {cls} needs {counts[cls]} examples but only {pool.size} are available; "
                 "a larger finetune.beta evens the draw",
@@ -417,8 +413,8 @@ def fine_tune(
     x = dataset.inputs[idx]
     y = dataset.labels[idx]
     n = x.shape[0]
-    bs = min(batch_size, n)
-    for _ in range(epochs):
+    bs = min(ft.batch_size, n)
+    for _ in range(ft.epochs):
         perm = rng.permutation(n)
         for lo in range(0, n, bs):
             sel = perm[lo : lo + bs]

@@ -5,9 +5,11 @@ least nine tenths of the pairs won and a median shift wider than the base
 IQR; and a base IQR wider than the bound leaves the metric unresolved
 unless every change run beats every base run. And the name of the file
 it keeps its summary in: `-dirty` when the measured tree is not the
-commit's."""
+commit's. And what one call runs: ten alternating pairs of every
+`BENCHMARK.json` workload, at that file's run length, into one file."""
 
 import importlib.util
+import json
 import subprocess
 from pathlib import Path
 
@@ -111,3 +113,32 @@ def test_bench_path_counts_untracked_measured_files_as_dirty(tmp_path, monkeypat
         (tmp_path / new).unlink()
     (tmp_path / "BENCHMARK.json").write_text("x = 2\n")
     assert ab_bench.bench_path().name == dirty
+
+
+def test_one_call_runs_every_workload_in_alternating_pairs(tmp_path, monkeypatch, capsys):
+    benchmark = {
+        "run_seconds": 7,
+        "workloads": [{"name": "w1"}, {"name": "w2"}],
+        "end_to_end": [{"name": "t_s", "better": "lower", "bound": 0.25}],
+    }
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps(benchmark))
+    exported, calls = [], []
+
+    def run_bench(root, workload, seed, seconds):
+        calls.append(("base" if root != tmp_path else "change", workload, seed, seconds))
+        return {"python": "x"}, {"correct": True, "metrics": {"t_s": {"value": 1.0 + seed / 100}}}
+
+    monkeypatch.setattr(ab_bench, "ROOT", tmp_path)
+    monkeypatch.setattr(ab_bench, "export", lambda ref, dest: exported.append(ref))
+    monkeypatch.setattr(ab_bench, "run_bench", run_bench)
+    monkeypatch.setattr(ab_bench, "bench_path", lambda: tmp_path / "BENCH_x.json")
+    assert ab_bench.main(["base", "--first-seed", "5"]) == 0
+    assert exported == ["base"]
+    order = [("base", "change"), ("change", "base")]  # the side that runs first alternates
+    assert calls == [(side, w, 5 + i, 7) for w in ("w1", "w2") for i in range(10) for side in order[i % 2]]
+    bench = json.loads((tmp_path / "BENCH_x.json").read_text())
+    assert sorted(bench["workloads"]) == ["w1", "w2"]
+    for entry in bench["workloads"].values():
+        assert (entry["pairs"], entry["seconds"], entry["first_seed"]) == (10, 7, 5)
+        assert entry["metrics"]["t_s"]["won"] == 0 and entry["incorrect_runs"] == 0
+    assert sorted(json.loads(capsys.readouterr().out.splitlines()[-1])) == ["w1", "w2"]

@@ -283,6 +283,18 @@ class TestTrainCommand:
         assert proc.returncode == 0, err
         assert not list(run_dir.glob("*.tmp"))
 
+    def test_lock_removes_only_the_temporaries_of_run_files(self, run_env):
+        # a `.tmp` file of no name the commands write is not theirs to remove
+        root, cfg_path = run_env
+        run_dir = root / "runs" / "exp"
+        run_dir.mkdir(parents=True)
+        (run_dir / "notes.tmp").write_text("mine\n")
+        assert main(["train", "-c", str(cfg_path)]) == 0
+        assert (run_dir / "notes.tmp").read_text() == "mine\n"
+        (run_dir / "history.bin.tmp").write_bytes(b"left by a killed train")
+        assert main(["recover", "-c", str(cfg_path), "--method", "finetune"]) == 0
+        assert sorted(p.name for p in run_dir.glob("*.tmp")) == ["notes.tmp"]
+
     def test_train_cut_by_a_file_size_limit_names_the_history(self, tmp_path):
         # a 400-round history (1.25 MB) under a 20 000-byte limit: the
         # append of the seventh record fails, and the error names its file

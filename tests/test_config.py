@@ -185,6 +185,15 @@ class TestParse:
             parse_config_string(_minimal_with({**fits, "attack": {**backdoor, key: "5"}}))
         assert err.value.field == f"attack.{key}"
 
+    def test_every_kth_trigger_wider_than_the_input_names_its_key(self):
+        # MINIMAL's dim = 6: k = 6 sets the last coordinate, k = 7 would set none
+        backdoor = {"kind": "backdoor", "trigger": "every_kth", "trigger_k": "6"}
+        fits = {"experiment": {"malicious_count": "2"}, "attack": backdoor}
+        parse_config_string(_minimal_with(fits))
+        with pytest.raises(ConfigError, match="k exceeds the input dim 6") as err:
+            parse_config_string(_minimal_with({**fits, "attack": {**backdoor, "trigger_k": "7"}}))
+        assert err.value.field == "attack.trigger_k"
+
     def test_file_roundtrip(self, tmp_path):
         p = tmp_path / "cfg.ini"
         p.write_text(MINIMAL)
@@ -894,7 +903,7 @@ def _valid_configs(draw) -> str:
             for key in ("trigger_rows", "trigger_cols"):
                 put("attack", key, st.integers(1, min(side, 5)), 4 if side >= 4 else _REQUIRED)
         else:
-            put("attack", "trigger_k", st.integers(1, 9))
+            put("attack", "trigger_k", st.integers(1, min(dim, 9)))
         put("attack", "trigger_value", real(-3.0, 3.0), 0.0)
         put("attack", "target_label", st.integers(0, classes - 1), 0)
         put("attack", "scale", real(0.0, 50.0, exclude_min=True), 1.0)

@@ -14,7 +14,7 @@ from fedsim.clients import BatchSampler, client_local_update
 from fedsim.data import Dataset
 from fedsim.models import ModelSpec, gradient, scores
 from fedsim.numcore import RngStream
-from fedsim.recovery import fine_tune
+from fedsim.recovery import FinetuneConfig, fine_tune
 
 SEED = 11
 CLIENT = 3
@@ -103,7 +103,7 @@ class TestNoCallerInputMutated:
         data = Dataset(rng.random((40, 4)), np.arange(40) % 3, 3)
         w = rng.normal(size=spec.param_dim)
         before = [a.tobytes() for a in (w, data.inputs, data.labels)]
-        tuned = fine_tune(spec, w, data, 2, 0.1, float("inf"), 30, 8, seed=5)
+        tuned = fine_tune(spec, w, data, FinetuneConfig(2, 30, float("inf"), 8), 0.1, seed=5)
         assert [a.tobytes() for a in (w, data.inputs, data.labels)] == before
         assert not np.shares_memory(tuned, w) and tuned.tobytes() != w.tobytes()
 

@@ -17,9 +17,9 @@ from fedsim.attacks import AttackConfig, Trigger
 from fedsim.data import gen_synthetic
 from fedsim.flengine import FlSetup, HistoryError, HistoryStore, train
 from fedsim.models import ModelSpec
-from fedsim.numcore import RngStream, as_vector
+from fedsim.numcore import ConfigError, RngStream, as_vector
 from fedsim.recovery import (
-    ClassDrawError,
+    FinetuneConfig,
     LbfgsBuffers,
     RecoveryParams,
     _assemble,
@@ -1069,9 +1069,7 @@ class TestFineTune:
         trigger = sc["setup"].attack.trigger
         before = attack_success_rate(spec, sc["final"], sc["dataset"], trigger, 0)
         assert before >= 0.8  # the scenario really is backdoored
-        tuned = fine_tune(
-            spec, sc["final"], sc["dataset"], 30, 0.2, math.inf, 120, 16, seed=9
-        )
+        tuned = fine_tune(spec, sc["final"], sc["dataset"], FinetuneConfig(30, 120, math.inf, 16), 0.2, seed=9)
         after = attack_success_rate(spec, tuned, sc["dataset"], trigger, 0)
         assert after < 0.2
 
@@ -1081,9 +1079,11 @@ class TestFineTune:
         sc = logreg_backdoor_scenario
         spec = sc["setup"].spec
         for seed in (5, 6, 7, 8):
-            skewed = fine_tune(spec, sc["final"], sc["dataset"], 30, 0.2, 0.1, 60, 16, seed=seed)
+            skewed = fine_tune(
+                spec, sc["final"], sc["dataset"], FinetuneConfig(30, 60, 0.1, 16), 0.2, seed=seed
+            )
             uniform = fine_tune(
-                spec, sc["final"], sc["dataset"], 30, 0.2, math.inf, 60, 16, seed=seed
+                spec, sc["final"], sc["dataset"], FinetuneConfig(30, 60, math.inf, 16), 0.2, seed=seed
             )
             assert test_error_rate(spec, skewed, sc["dataset"]) > test_error_rate(
                 spec, uniform, sc["dataset"]
@@ -1092,13 +1092,13 @@ class TestFineTune:
     def test_zero_epochs_unchanged(self, ridge_trim_scenario):
         sc = ridge_trim_scenario
         out = fine_tune(
-            sc["setup"].spec, sc["final"], sc["dataset"], 0, 0.1, math.inf, 50, 16, seed=3
+            sc["setup"].spec, sc["final"], sc["dataset"], FinetuneConfig(0, 50, math.inf, 16), 0.1, seed=3
         )
         np.testing.assert_array_equal(out, sc["final"])
 
     def test_deterministic(self, ridge_trim_scenario):
         sc = ridge_trim_scenario
-        args = (sc["setup"].spec, sc["final"], sc["dataset"], 3, 0.1, 0.5, 60, 16)
+        args = (sc["setup"].spec, sc["final"], sc["dataset"], FinetuneConfig(3, 60, 0.5, 16), 0.1)
         a = fine_tune(*args, seed=4)
         b = fine_tune(*args, seed=4)
         np.testing.assert_array_equal(a, b)
@@ -1107,8 +1107,8 @@ class TestFineTune:
         sc = ridge_trim_scenario
         with pytest.raises(ValueError):
             fine_tune(
-                sc["setup"].spec, sc["final"], sc["dataset"], 1, 0.1, math.inf,
-                sc["dataset"].size + 1, 16, seed=5,
+                sc["setup"].spec, sc["final"], sc["dataset"],
+                FinetuneConfig(1, sc["dataset"].size + 1, math.inf, 16), 0.1, seed=5,
             )
 
     @pytest.mark.parametrize("beta", [1e-6, 1.7e308], ids=["underflow", "overflow"])
@@ -1116,18 +1116,34 @@ class TestFineTune:
         # every Gamma draw underflows to 0 (0/0 proportions), or their sum
         # overflows (all proportions 0): either way no class count is meant
         sc = ridge_trim_scenario
-        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ClassDrawError) as err:
-            fine_tune(sc["setup"].spec, sc["final"], sc["dataset"], 1, 0.1, beta, 50, 16, seed=7)
-        assert err.value.key == "finetune.beta"
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ConfigError) as err:
+            fine_tune(
+                sc["setup"].spec, sc["final"], sc["dataset"], FinetuneConfig(1, 50, beta, 16), 0.1, seed=7
+            )
+        assert err.value.field == "finetune.beta"
+
+    def test_sample_beyond_the_dataset_names_n_examples(self, ridge_trim_scenario):
+        sc = ridge_trim_scenario
+        size = sc["dataset"].size
+        with pytest.raises(ConfigError) as err:
+            fine_tune(
+                sc["setup"].spec, sc["final"], sc["dataset"],
+                FinetuneConfig(1, size + 1, math.inf, 16), 0.1, seed=5,
+            )
+        assert err.value.field == "finetune.n_examples"
+        assert str(err.value) == (
+            f"config field [finetune.n_examples]: {size + 1} exceeds the training set's {size} examples"
+        )
 
     def test_class_short_of_its_draw_names_n_examples(self, ridge_trim_scenario):
+        # half the 240 examples, but a Dirichlet(0.3) draw puts 113 of them in a class of 60
         sc = ridge_trim_scenario
-        with pytest.raises(ClassDrawError, match="a larger finetune.beta evens the draw") as err:
+        with pytest.raises(ConfigError, match="a larger finetune.beta evens the draw") as err:
             fine_tune(
-                sc["setup"].spec, sc["final"], sc["dataset"], 1, 0.1, math.inf,
-                sc["dataset"].size + 1, 16, seed=5,
+                sc["setup"].spec, sc["final"], sc["dataset"], FinetuneConfig(1, 120, 0.3, 16), 0.1, seed=0
             )
-        assert err.value.key == "finetune.n_examples"
+        assert err.value.field == "finetune.n_examples"
+        assert "class 1 needs 113 examples but only 60 are available" in str(err.value)
 
     def test_uniform_beta_reduces_loss(self, ridge_trim_scenario):
         from fedsim.metrics import test_error_rate
@@ -1135,7 +1151,7 @@ class TestFineTune:
         sc = ridge_trim_scenario
         before = test_error_rate(sc["setup"].spec, sc["final"], sc["dataset"])
         tuned = fine_tune(
-            sc["setup"].spec, sc["final"], sc["dataset"], 20, 0.2, math.inf, 200, 16, seed=6
+            sc["setup"].spec, sc["final"], sc["dataset"], FinetuneConfig(20, 200, math.inf, 16), 0.2, seed=6
         )
         after = test_error_rate(sc["setup"].spec, tuned, sc["dataset"])
         assert after <= before

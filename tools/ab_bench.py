@@ -1,16 +1,17 @@
 """Benchmark the working tree against a git ref, in alternating pairs.
 
-    python3 tools/ab_bench.py BASE_REF --workload W --pairs N --seconds S [--first-seed K]
+    python3 tools/ab_bench.py BASE_REF [--first-seed K]
 
-Exports BASE_REF with `git archive` into a temporary directory, then runs
-`perfbench/run.py --trace 0` from that copy and from the working tree in
-turns. Pair i runs seed K + i on both sides, and the side that runs first
-alternates from pair to pair, so a drift of the machine's speed hits both
-sides alike. For each end-to-end metric of `BENCHMARK.json` it prints the
-base median, the change median, the median of the per-pair ratios
-change/base, how many pairs the change won (ties count for neither), the
-distance between the quartiles of the base runs (the base IQR), and three
-verdicts:
+Exports BASE_REF with `git archive` into a temporary directory once, then,
+for every workload of `BENCHMARK.json`, runs `perfbench/run.py --trace 0`
+from that copy and from the working tree in 10 pairs, each run as long as
+the file's `run_seconds`. Pair i runs seed K + i on both sides, and the
+side that runs first alternates from pair to pair, so a drift of the
+machine's speed hits both sides alike. For each workload and end-to-end
+metric of `BENCHMARK.json` it prints the base median, the change median,
+the median of the per-pair ratios change/base, how many pairs the change
+won (ties count for neither), the distance between the quartiles of the
+base runs (the base IQR), and three verdicts:
 - `past_bound`: the change median is worse than the base median by more
   than the metric's `bound` (a share of the base median), the rule the
   benchmark's gate applies;
@@ -20,17 +21,16 @@ verdicts:
 - `unresolved`: the base IQR is wider than the bound, so the base runs
   spread too widely to show that the metric held, and not every change
   run beats every base run.
-The last line is one JSON object with every run's metrics.
+The last line is one JSON object with every run's metrics, by workload.
 Exits 1 if any run reports `"correct": false` or prints no result. The
 exported copy is removed at the end.
 
 The summary is also kept in `BENCH_<short-sha>.json` at the repository
 root, named after the working tree's commit (`-dirty` when the files the
 benchmark runs differ from it, an untracked one included), under
-`workloads.<W>`, so one file holds every workload run against that tree:
-each side's environment line (from its first run), the table above per
-metric, the number of incorrect runs and each side's `src/fedsim/*.py`
-line count.
+`workloads.<W>` for every workload: each side's environment line (from
+its first run), the table above per metric, the number of incorrect runs
+and each side's `src/fedsim/*.py` line count.
 """
 
 from __future__ import annotations
@@ -44,6 +44,7 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+PAIRS = 10  # per workload: the fewest that can show a gain won in nine tenths of them
 
 
 def export(ref: str, dest: Path) -> None:
@@ -133,39 +134,30 @@ def unresolved(pairs: list[tuple[float, float]], bound: float, lower: bool) -> b
     return not all(better(c, b, lower) for _, c in pairs for b in base)
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("base_ref")
-    parser.add_argument("--workload", required=True)
-    parser.add_argument("--pairs", type=int, required=True)
-    parser.add_argument("--seconds", type=float, required=True)
-    parser.add_argument("--first-seed", type=int, default=100)
-    args = parser.parse_args(argv)
-
-    with open(ROOT / "BENCHMARK.json", encoding="utf-8") as f:
-        metrics = json.load(f)["end_to_end"]
+def run_pairs(roots: dict, workload: str, first_seed: int, seconds: float) -> tuple:
+    """The workload's PAIRS alternating pairs: each side's runs, each side's
+    environment line (from its first run) and the number of incorrect runs."""
     runs: dict = {"base": [], "change": []}
     envs: dict = {}
     bad = 0
-    with tempfile.TemporaryDirectory(prefix="ab_bench-") as tmp:
-        base_root = Path(tmp)
-        export(args.base_ref, base_root)
-        roots = {"base": base_root, "change": ROOT}
-        lines = {side: src_lines(root) for side, root in roots.items()}
-        for i in range(args.pairs):
-            seed = args.first_seed + i
-            order = ("base", "change") if i % 2 == 0 else ("change", "base")
-            for side in order:
-                env, result = run_bench(roots[side], args.workload, seed, args.seconds)
-                if env is not None:
-                    envs.setdefault(side, env)
-                ok = bool(result and result.get("correct"))
-                bad += not ok
-                values = {n: m["value"] for n, m in (result or {}).get("metrics", {}).items()}
-                runs[side].append({"seed": seed, "correct": ok, "metrics": values})
-                print(f"pair {i + 1}/{args.pairs} seed {seed} {side:6s} correct={str(ok).lower()}",
-                      flush=True)
+    for i in range(PAIRS):
+        seed = first_seed + i
+        order = ("base", "change") if i % 2 == 0 else ("change", "base")
+        for side in order:
+            env, result = run_bench(roots[side], workload, seed, seconds)
+            if env is not None:
+                envs.setdefault(side, env)
+            ok = bool(result and result.get("correct"))
+            bad += not ok
+            values = {n: m["value"] for n, m in (result or {}).get("metrics", {}).items()}
+            runs[side].append({"seed": seed, "correct": ok, "metrics": values})
+            print(f"{workload} pair {i + 1}/{PAIRS} seed {seed} {side:6s} correct={str(ok).lower()}",
+                  flush=True)
+    return runs, envs, bad
 
+
+def compare(metrics: list, runs: dict) -> dict:
+    """The table row of each end-to-end metric both sides report, printed as it goes."""
     row = "{:24s} {:>12} {:>12} {:>9} {:>6} {:>10} {:>10} {:>5} {:>10}"
     print(row.format(
         "metric", "base_med", "change_med", "ratio", "won", "base_iqr", "past_bound", "gain", "unresolved",
@@ -201,22 +193,47 @@ def main(argv=None) -> int:
             f"{t['median_ratio']:.4f}" if ratios else "-", f"{won}/{len(pairs)}",
             f"{t['base_iqr']:.4g}", *(str(t[k]).lower() for k in ("past_bound", "gain", "unresolved")),
         ))
-    print(f"{bad} of {2 * args.pairs} runs not correct")
+    return table
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("base_ref")
+    parser.add_argument("--first-seed", type=int, default=100)
+    args = parser.parse_args(argv)
+
+    with open(ROOT / "BENCHMARK.json", encoding="utf-8") as f:
+        benchmark = json.load(f)
+    seconds = benchmark["run_seconds"]
+    summary: dict = {}
+    all_runs: dict = {}
+    bad = 0
+    with tempfile.TemporaryDirectory(prefix="ab_bench-") as tmp:
+        base_root = Path(tmp)
+        export(args.base_ref, base_root)
+        roots = {"base": base_root, "change": ROOT}
+        lines = {side: src_lines(root) for side, root in roots.items()}
+        for w in benchmark["workloads"]:
+            runs, envs, incorrect = run_pairs(roots, w["name"], args.first_seed, seconds)
+            all_runs[w["name"]] = runs
+            print(f"{w['name']}: {incorrect} of {2 * PAIRS} runs not correct")
+            bad += incorrect
+            summary[w["name"]] = {
+                "base_ref": args.base_ref,
+                "pairs": PAIRS,
+                "seconds": seconds,
+                "first_seed": args.first_seed,
+                "environment": envs,
+                "metrics": compare(benchmark["end_to_end"], runs),
+                "incorrect_runs": incorrect,
+                "src_fedsim_lines": lines,
+            }
+
+    print(f"{bad} of {2 * PAIRS * len(summary)} runs not correct")
     path = bench_path()
-    bench = json.loads(path.read_text(encoding="utf-8")) if path.exists() else {"workloads": {}}
-    bench["workloads"][args.workload] = {
-        "base_ref": args.base_ref,
-        "pairs": args.pairs,
-        "seconds": args.seconds,
-        "first_seed": args.first_seed,
-        "environment": envs,
-        "metrics": table,
-        "incorrect_runs": bad,
-        "src_fedsim_lines": lines,
-    }
-    path.write_text(json.dumps(bench, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    path.write_text(json.dumps({"workloads": summary}, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     print(f"wrote {path.name}")
-    print(json.dumps(runs))
+    print(json.dumps(all_runs))
     return 1 if bad else 0
 
 
